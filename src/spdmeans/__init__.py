@@ -2,9 +2,10 @@
 log-majorization relations between them, Golden-Thompson trace chains, and
 a constructive solver for unitary orbit-sum problems.
 
-The numerical kernels (Jacobi eigendecomposition, Hessenberg QR spectrum,
-polar decomposition) are deterministic: identical inputs give identical
-outputs across runs, which the batch verification reports rely on.
+The numerical kernels (LAPACK eigh with a canonical eigenvector phase,
+eigvals for general spectra, SVD polar decomposition) are deterministic:
+identical inputs give identical outputs across runs, which the batch
+verification reports rely on.
 """
 
 from .errors import (

@@ -132,7 +132,7 @@ def scan(x_path, y_path, r_grid, out):
 @main.command()
 @click.option("--suite", type=click.Choice(suites.ALL_SUITES), default=None)
 @click.option("--all", "run_all", is_flag=True, help="Run every suite.")
-@click.option("--trials", type=int, default=25, show_default=True)
+@click.option("--trials", type=click.IntRange(min=1), default=25, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option(
     "--realization",

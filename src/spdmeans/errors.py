@@ -23,7 +23,7 @@ class SingularInput(SpdMeansError):
 
 
 class NoConvergence(SpdMeansError):
-    """An iterative eigenvalue sweep exceeded its iteration cap."""
+    """A LAPACK eigenvalue or singular value computation did not converge."""
 
 
 class LengthMismatch(SpdMeansError):

@@ -199,8 +199,9 @@ def evaluate_chain(
 def trotter_distances(scan: ChainScan) -> list:
     """Max-norm distances of phi(r) and psi(r) from e^{X+Y} per grid point.
 
-    Both shrink to zero as r -> 0 (Lie-Trotter); on a halving grid the
-    decrease is monotone for generic pairs.
+    Both shrink to zero as r -> 0 (Lie-Trotter).  The decrease need not be
+    monotone from one grid point to the next: on a halving grid the distance
+    can rise between neighbouring r before it falls.
     """
     target = scan.exp_sum.mat
     out = []

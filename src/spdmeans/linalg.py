@@ -2,13 +2,12 @@
 
 Validated matrix types (Hermitian, positive definite, unitary) plus the
 eigendecomposition, matrix-function, polar and spectrum kernels every other
-module builds on.  All decompositions are computed here, with fixed sweep
-orders, so identical inputs give identical outputs run to run.
+module builds on.  The decompositions are LAPACK's (``eigh``, ``eigvals``,
+``svd``) with a canonical eigenvector phase and a stable descending sort, so
+identical inputs give identical outputs run to run.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -18,11 +17,6 @@ HERMITIAN_TOL = 1e-10
 SPD_TOL = 1e-12
 UNITARY_TOL = 1e-10
 RECON_TOL = 1e-11
-MAX_SWEEPS = 64
-
-# Jacobi sweeps stop once the largest off-diagonal entry falls below this
-# multiple of the largest input entry.
-_JACOBI_STOP = 5e-16
 
 
 def _as_square_complex(mat) -> np.ndarray:
@@ -168,90 +162,38 @@ class EigenPair:
         return (q * fn(self.values)) @ q.conj().T
 
 
-def _plane_rotation(app: float, aqq: float, apq: complex, absb: float):
-    """Rotation (c, s, phase*) diagonalizing [[app, apq], [apq*, aqq]]."""
-    phase = apq / absb
-    tau = (aqq - app) / (2.0 * absb)
-    t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-    c = 1.0 / math.hypot(1.0, t)
-    return c, t * c, phase.conjugate(), t
+def _canonical_phase(q: np.ndarray) -> np.ndarray:
+    """Rotate each column so its largest-modulus entry is real and positive.
+
+    LAPACK fixes eigenvectors only up to a unit phase; this pins the phase
+    (first index wins a tie), and leaves real eigenvectors real.
+    """
+    cols = np.arange(q.shape[1])
+    piv = np.argmax(np.abs(q), axis=0)
+    top = q[piv, cols]
+    mod = np.abs(top)
+    q = q * (top.conj() / mod)
+    q[piv, cols] = mod
+    return q
 
 
-def _jacobi_hermitian(a0: np.ndarray, max_sweeps: int):
-    """Cyclic Jacobi sweeps on a Hermitian matrix; returns (values, Q)."""
-    n = a0.shape[0]
-    a = np.array(a0, dtype=complex)
-    if n == 1:
-        return a.real.diagonal().copy(), np.eye(1, dtype=complex)
-    scale = float(np.abs(a).max())
-    if scale == 0.0:
-        return np.zeros(n), np.eye(n, dtype=complex)
-    if n == 2:
-        # A single rotation is exact for the 2x2 case.
-        apq = a[0, 1]
-        absb = abs(apq)
-        app, aqq = a[0, 0].real, a[1, 1].real
-        if absb <= _JACOBI_STOP * scale:
-            return np.array([app, aqq]), np.eye(2, dtype=complex)
-        c, s, pc, t = _plane_rotation(app, aqq, apq, absb)
-        q = np.array([[c, s], [-s * pc, c * pc]], dtype=complex)
-        return np.array([app - t * absb, aqq + t * absb]), q
-    # Stack the working matrix on top of the eigenvector accumulator so one
-    # column update advances both.
-    w = np.empty((2 * n, n), dtype=complex)
-    w[:n] = a
-    w[n:] = np.eye(n)
-    a = w[:n]
-    stop = _JACOBI_STOP * scale
-    skip = stop / (4.0 * n)
-    for _ in range(max_sweeps):
-        off = np.abs(a)
-        np.fill_diagonal(off, 0.0)
-        if float(off.max()) <= stop:
-            break
-        for p in range(n - 1):
-            for r in range(p + 1, n):
-                apq = a[p, r]
-                absb = abs(apq)
-                if absb <= skip:
-                    continue
-                app = a[p, p].real
-                aqq = a[r, r].real
-                c, s, pc, t = _plane_rotation(app, aqq, apq, absb)
-                j10 = -s * pc
-                j11 = c * pc
-                cp = w[:, p].copy()
-                cr = w[:, r]
-                w[:, p] = c * cp + j10 * cr
-                w[:, r] = s * cp + j11 * cr
-                rp = a[p, :].copy()
-                rr = a[r, :]
-                a[p, :] = c * rp + j10.conjugate() * rr
-                a[r, :] = s * rp + j11.conjugate() * rr
-                a[p, p] = app - t * absb
-                a[r, r] = aqq + t * absb
-                a[p, r] = 0.0
-                a[r, p] = 0.0
-    else:
-        raise NoConvergence(
-            f"Jacobi eigendecomposition did not converge in {max_sweeps} sweeps"
-        )
-    return a.diagonal().real.copy(), w[n:].copy()
+def eig_hermitian(m: HermitianMatrix) -> EigenPair:
+    """Eigendecomposition of a Hermitian matrix (LAPACK ``eigh``).
 
-
-def eig_hermitian(m: HermitianMatrix, max_sweeps: int = MAX_SWEEPS) -> EigenPair:
-    """Eigendecomposition of a Hermitian matrix by cyclic Jacobi sweeps.
-
-    Values come back sorted descending; ties keep the order produced by the
-    sweep (stable sort).  The result is cached on the input, so repeated
+    Values come back sorted descending; ties keep LAPACK's ascending order
+    (stable sort).  Each eigenvector column carries the canonical phase of
+    ``_canonical_phase``.  The result is cached on the input, so repeated
     calls on the same object are free.
     """
     if m._eig is not None:
         return m._eig
-    vals, q = _jacobi_hermitian(m.mat, max_sweeps)
+    try:
+        vals, q = np.linalg.eigh(m.mat)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"Hermitian eigendecomposition failed: {exc}") from exc
     order = np.argsort(-vals, kind="stable")
-    vals = np.ascontiguousarray(vals[order])
-    qs = np.ascontiguousarray(q[:, order])
+    vals = vals[order]
+    qs = _canonical_phase(q[:, order])
     vals.setflags(write=False)
     qs.setflags(write=False)
     vecs = UnitaryMatrix.__new__(UnitaryMatrix)
@@ -316,112 +258,22 @@ def mat_fn(m: HermitianMatrix, fn: str, t: float | None = None):
 
 
 def polar(m: ComplexMatrix, side: str = "left") -> tuple[UnitaryMatrix, SpdMatrix]:
-    """Polar decomposition of an invertible matrix.
+    """Polar decomposition of an invertible matrix, through the SVD.
 
-    side='left' returns (U, P) with M = P U and P = (M M*)^{1/2};
-    side='right' returns (U, P) with M = U P and P = (M* M)^{1/2}.
+    With M = W S V*, the unitary factor is U = W V* on both sides.
+    side='left' returns (U, P) with M = P U and P = W S W* = (M M*)^{1/2};
+    side='right' returns (U, P) with M = U P and P = V S V* = (M* M)^{1/2}.
     """
     if side not in ("left", "right"):
         raise DomainError(f"polar side must be 'left' or 'right', got {side!r}")
-    a = m.mat
-    gram = a @ a.conj().T if side == "left" else a.conj().T @ a
-    pair = eig_hermitian(HermitianMatrix._wrap(gram))
-    if pair.values[-1] <= 0.0 or math.sqrt(
-        max(pair.values[-1], 0.0) / pair.values[0]
-    ) <= SPD_TOL:
-        raise SingularInput(
-            "polar decomposition requires an invertible input"
-        )
-    svals = np.sqrt(pair.values)
-    q = pair.vectors.mat
-    p_inv = (q * (1.0 / svals)) @ q.conj().T
-    u = p_inv @ a if side == "left" else a @ p_inv
-    # Ill-conditioned inputs leave the unitary factor short of tolerance;
-    # Newton-Schulz steps square the defect away without touching P.
-    eye = np.eye(u.shape[0])
-    for _ in range(3):
-        gram = u.conj().T @ u
-        if float(np.abs(gram - eye).max()) <= 5e-15:
-            break
-        u = u @ (1.5 * eye - 0.5 * gram)
-    return UnitaryMatrix(u), SpdMatrix._from_eig(q, svals)
-
-
-def _hessenberg(a: np.ndarray) -> np.ndarray:
-    """Householder reduction to upper Hessenberg form (complex)."""
-    h = a.astype(complex).copy()
-    n = h.shape[0]
-    for k in range(n - 2):
-        x = h[k + 1 :, k]
-        xnorm = float(np.linalg.norm(x))
-        if xnorm <= 1e-300:
-            continue
-        v = x.copy()
-        a0 = abs(v[0])
-        v[0] += (v[0] / a0 if a0 > 0.0 else 1.0) * xnorm
-        vnorm = float(np.linalg.norm(v))
-        if vnorm <= 1e-300:
-            continue
-        v /= vnorm
-        h[k + 1 :, k:] -= 2.0 * np.outer(v, v.conj() @ h[k + 1 :, k:])
-        h[:, k + 1 :] -= 2.0 * np.outer(h[:, k + 1 :] @ v, v.conj())
-        h[k + 2 :, k] = 0.0
-    return h
-
-
-def _qr_eigvals(h: np.ndarray, max_total_iter: int) -> np.ndarray:
-    """Shifted QR iteration on a Hessenberg matrix; eigenvalues only."""
-    n = h.shape[0]
-    h = h.copy()
-    vals = np.empty(n, dtype=complex)
-    eps = np.finfo(float).eps
-    hi = n
-    window_iters = 0
-    total = 0
-    while hi > 0:
-        # Deflate negligible subdiagonals inside the active block.
-        lo = hi - 1
-        while lo > 0:
-            sub = abs(h[lo, lo - 1])
-            if sub <= eps * (abs(h[lo - 1, lo - 1]) + abs(h[lo, lo])):
-                h[lo, lo - 1] = 0.0
-                break
-            lo -= 1
-        if lo == hi - 1:
-            vals[hi - 1] = h[hi - 1, hi - 1]
-            hi -= 1
-            window_iters = 0
-            continue
-        if lo == hi - 2:
-            a, b = h[hi - 2, hi - 2], h[hi - 2, hi - 1]
-            c, d = h[hi - 1, hi - 2], h[hi - 1, hi - 1]
-            half = (a + d) / 2.0
-            disc = np.emath.sqrt(half * half - (a * d - b * c))
-            vals[hi - 2] = half + disc
-            vals[hi - 1] = half - disc
-            hi -= 2
-            window_iters = 0
-            continue
-        if total >= max_total_iter:
-            raise NoConvergence(
-                f"QR spectrum iteration exceeded {max_total_iter} steps"
-            )
-        # Wilkinson shift from the trailing 2x2, exceptional shift on stall.
-        a, b = h[hi - 2, hi - 2], h[hi - 2, hi - 1]
-        c, d = h[hi - 1, hi - 2], h[hi - 1, hi - 1]
-        half = (a - d) / 2.0
-        disc = np.emath.sqrt(half * half + b * c)
-        mu1, mu2 = d + half + disc, d + half - disc
-        mu = mu1 if abs(mu1 - d) <= abs(mu2 - d) else mu2
-        if window_iters > 0 and window_iters % 10 == 0:
-            mu = d + 0.75 * abs(h[hi - 1, hi - 2])
-        block = h[lo:hi, lo:hi]
-        shift = mu * np.eye(hi - lo)
-        qf, rf = np.linalg.qr(block - shift)
-        h[lo:hi, lo:hi] = rf @ qf + shift
-        window_iters += 1
-        total += 1
-    return vals
+    try:
+        w, svals, vh = np.linalg.svd(m.mat)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"singular value decomposition failed: {exc}") from exc
+    if not svals[-1] > SPD_TOL * svals[0]:
+        raise SingularInput("polar decomposition requires an invertible input")
+    q = w if side == "left" else vh.conj().T
+    return UnitaryMatrix(w @ vh), SpdMatrix._from_eig(q, svals)
 
 
 def _sort_by_modulus(vals: np.ndarray) -> np.ndarray:
@@ -430,14 +282,13 @@ def _sort_by_modulus(vals: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(vals[order])
 
 
-def spectrum(m: ComplexMatrix, max_total_iter: int | None = None) -> np.ndarray:
+def spectrum(m: ComplexMatrix) -> np.ndarray:
     """Eigenvalues of a general square matrix, sorted by modulus descending.
 
-    Hermitian inputs take the Jacobi path (exactly real output); everything
-    else goes through Hessenberg reduction and shifted QR iteration.
+    Hermitian inputs take the ``eig_hermitian`` path (exactly real output);
+    everything else goes through LAPACK ``eigvals``.
     """
     a = m.mat
-    n = a.shape[0]
     scale = max(1.0, float(np.abs(a).max()))
     if isinstance(m, HermitianMatrix) or float(
         np.abs(a - a.conj().T).max()
@@ -445,6 +296,8 @@ def spectrum(m: ComplexMatrix, max_total_iter: int | None = None) -> np.ndarray:
         herm = m if isinstance(m, HermitianMatrix) else HermitianMatrix._wrap(a)
         vals = eig_hermitian(herm).values.astype(complex)
         return _sort_by_modulus(vals)
-    cap = max_total_iter if max_total_iter is not None else 60 * n
-    vals = _qr_eigvals(_hessenberg(a), cap)
+    try:
+        vals = np.linalg.eigvals(a)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"eigenvalue computation failed: {exc}") from exc
     return _sort_by_modulus(vals)

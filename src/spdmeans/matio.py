@@ -27,21 +27,33 @@ def matrix_to_obj(mat: np.ndarray) -> dict:
     }
 
 
+def _is_number(value) -> bool:
+    # bool is an int subclass, but true/false in a matrix file is an error.
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_sequence(value, length: int) -> bool:
+    return isinstance(value, (list, tuple)) and len(value) == length
+
+
 def obj_to_matrix(obj) -> ComplexMatrix:
     if not isinstance(obj, dict) or "n" not in obj or "entries" not in obj:
         raise InvalidMatrixFile("matrix object needs 'n' and 'entries' keys")
     n = obj["n"]
     rows = obj["entries"]
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise InvalidMatrixFile(f"matrix dimension must be a positive int, got {n!r}")
-    if len(rows) != n or any(len(row) != n for row in rows):
+    if not (_is_sequence(rows, n) and all(_is_sequence(row, n) for row in rows)):
         raise InvalidMatrixFile("entries are not an n-by-n grid")
     out = np.empty((n, n), dtype=complex)
     for i, row in enumerate(rows):
         for j, cell in enumerate(row):
-            if not (isinstance(cell, (list, tuple)) and len(cell) == 2):
+            if not (_is_sequence(cell, 2) and all(map(_is_number, cell))):
                 raise InvalidMatrixFile(f"entry ({i},{j}) is not a [re, im] pair")
-            re, im = float(cell[0]), float(cell[1])
+            try:
+                re, im = float(cell[0]), float(cell[1])
+            except OverflowError as exc:  # a JSON integer beyond float range
+                raise InvalidMatrixFile(f"entry ({i},{j}) is not finite") from exc
             if not (math.isfinite(re) and math.isfinite(im)):
                 raise InvalidMatrixFile(f"entry ({i},{j}) is not finite")
             out[i, j] = complex(re, im)

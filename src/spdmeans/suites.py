@@ -307,18 +307,16 @@ def suite_chain(
             res.rows.append(
                 Row("chain", seed, trial, n, None, fam, holds, margin)
             )
+        # Lie-Trotter: the distance to e^{X+Y} at the smallest grid r is
+        # below the one at the largest.  Step-by-step decrease is no theorem.
         dists = trotter_distances(scan)
-        phi_mono = all(
-            d1[1] < d2[1] for d1, d2 in zip(dists, dists[1:])
-        )
-        psi_mono = all(
-            d1[2] < d2[2] for d1, d2 in zip(dists, dists[1:])
+        phi_shrinks = dists[0][1] < dists[-1][1]
+        psi_shrinks = dists[0][2] < dists[-1][2]
+        res.rows.append(
+            Row("chain", seed, trial, n, None, "trotter_phi_shrinks", phi_shrinks, 0.0)
         )
         res.rows.append(
-            Row("chain", seed, trial, n, None, "trotter_phi_shrinks", phi_mono, 0.0)
-        )
-        res.rows.append(
-            Row("chain", seed, trial, n, None, "trotter_psi_shrinks", psi_mono, 0.0)
+            Row("chain", seed, trial, n, None, "trotter_psi_shrinks", psi_shrinks, 0.0)
         )
         for r, lo, mid, hi in golden_thompson_refinement(x, y):
             ok = lo <= mid + 1e-10 and mid <= hi + 1e-10

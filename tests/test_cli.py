@@ -1,6 +1,8 @@
 import json
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -99,6 +101,18 @@ class TestVerifyCommand:
         result = runner.invoke(main, ["verify", "--suite", "golden"])
         assert result.exit_code == 1
         assert "FAIL" in result.output
+
+    def test_chain_seed_23_passes(self, runner):
+        # Trial 0 has a Trotter distance that rises from r=4 to r=8; only
+        # the limit r -> 0 is a theorem.
+        result = runner.invoke(main, ["verify", "--suite", "chain", "--seed", "23"])
+        assert result.exit_code == 0, result.output
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_trials_below_one_exits_2(self, runner, trials):
+        result = runner.invoke(main, ["verify", "--suite", "means", "--trials", trials])
+        assert result.exit_code == 2
+        assert "pass" not in result.output
 
     def test_means_row_count(self, runner, tmp_path):
         out = tmp_path / "means.csv"
@@ -200,6 +214,22 @@ class TestOrbitSolveCommand:
         assert result.exit_code == 2
 
 
+    def test_readme_example(self, runner, tmp_path, monkeypatch):
+        from spdmeans import random_real_symmetric_traceless
+
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        (line,) = [
+            ln for ln in readme.splitlines()
+            if ln.startswith("spdmeans orbit-solve") and "--input" in ln
+        ]
+        monkeypatch.chdir(tmp_path)
+        save_matrix("x.json", random_real_symmetric_traceless(3, 1).mat)
+        save_matrix("y.json", random_real_symmetric_traceless(3, 2).mat)
+        result = runner.invoke(main, shlex.split(line)[1:])
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.output)["converged"] is True
+
+
 class TestKostantCommand:
     def test_verdict_and_margins(self, runner, tmp_path):
         f = tmp_path / "f.json"
@@ -231,6 +261,25 @@ class TestCompoundCommand:
         save_matrix(m, np.eye(2, dtype=complex))
         result = runner.invoke(main, ["compound", "--input", str(m), "--k", "5"])
         assert result.exit_code == 2
+
+
+class TestMatrixFileValidation:
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"n": 1, "entries": 5},
+            {"n": True, "entries": [[[1.0, 0.0]]]},
+            {"n": 1, "entries": [[[None, 0.0]]]},
+            {"n": 1, "entries": [[[10**400, 0.0]]]},
+        ],
+        ids=["entries-not-a-grid", "n-is-bool", "null-entry", "int-beyond-float"],
+    )
+    def test_malformed_file_exits_2(self, runner, tmp_path, obj):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(obj))
+        result = runner.invoke(main, ["compound", "--input", str(path), "--k", "1"])
+        assert result.exit_code == 2
+        assert result.output.startswith("error: ")
 
 
 class TestDeterminism:

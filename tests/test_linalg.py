@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from spdmeans import linalg
 from spdmeans import (
     ComplexMatrix,
     DomainError,
@@ -21,6 +22,10 @@ from spdmeans import (
     random_spd,
     spectrum,
 )
+
+
+def _lapack_failure(*args, **kwargs):
+    raise np.linalg.LinAlgError("did not converge")
 
 
 def rand_hermitian_array(n, seed):
@@ -99,10 +104,19 @@ class TestEigHermitian:
         assert np.array_equal(p1.values, p2.values)
         assert np.array_equal(p1.vectors.mat, p2.vectors.mat)
 
-    def test_no_convergence_signals(self):
+    def test_no_convergence_signals(self, monkeypatch):
+        monkeypatch.setattr(linalg.np.linalg, "eigh", _lapack_failure)
         h = HermitianMatrix(rand_hermitian_array(4, 1))
         with pytest.raises(NoConvergence):
-            eig_hermitian(h, max_sweeps=0)
+            eig_hermitian(h)
+
+    def test_canonical_phase(self):
+        q = eig_hermitian(HermitianMatrix(rand_hermitian_array(6, 8))).vectors.mat
+        top = q[np.abs(q).argmax(axis=0), np.arange(6)]
+        assert np.all(top.imag == 0.0) and np.all(top.real > 0.0)
+        g = np.random.default_rng(9).standard_normal((6, 6))
+        q = eig_hermitian(HermitianMatrix(g + g.T)).vectors.mat
+        assert np.abs(q.imag).max() == 0.0
 
     def test_vector_columns_orthonormal(self):
         h = HermitianMatrix(rand_hermitian_array(9, 5))
@@ -197,6 +211,21 @@ class TestPolar:
     def test_singular_input_rejected(self):
         with pytest.raises(SingularInput):
             polar(ComplexMatrix(np.diag([1.0, 0.0])))
+        with pytest.raises(SingularInput):
+            polar(ComplexMatrix(np.diag([1.0, 1e-13])))
+
+    @pytest.mark.parametrize("cond", [1e8, 1e10, 1e11])
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_ill_conditioned_reconstruction(self, cond, side):
+        from spdmeans import random_unitary
+
+        svals = np.logspace(0.0, -np.log10(cond), 5)
+        w, v = random_unitary(5, 61).mat, random_unitary(5, 62).mat
+        m = (w * svals) @ v.conj().T
+        u, p = polar(ComplexMatrix(m), side=side)
+        prod = u.mat @ p.mat if side == "right" else p.mat @ u.mat
+        assert np.abs(prod - m).max() <= 1e-12 * np.abs(m).max()
+        UnitaryMatrix(u.mat)
 
     def test_bad_side(self):
         with pytest.raises(DomainError):
@@ -243,7 +272,8 @@ class TestSpectrum:
         vals = spectrum(ComplexMatrix(u.mat))
         assert np.abs(np.abs(vals) - 1.0).max() < 1e-10
 
-    def test_iteration_cap_signals(self):
+    def test_iteration_cap_signals(self, monkeypatch):
+        monkeypatch.setattr(linalg.np.linalg, "eigvals", _lapack_failure)
         m = random_invertible(5, 3)
         with pytest.raises(NoConvergence):
-            spectrum(m, max_total_iter=0)
+            spectrum(m)
