@@ -30,7 +30,12 @@ from .gtchain import (
     scan_chain,
     trotter_distances,
 )
-from .kostant import check_group_chain, hyperbolic_spectrum, kostant_leq, kostant_report
+from .kostant import (
+    group_chain_report,
+    hyperbolic_spectrum,
+    kostant_leq,
+    kostant_report,
+)
 from .linalg import (
     ComplexMatrix,
     EigenPair,

@@ -8,7 +8,7 @@ For Hermitian X, Y and r > 0 the two chain functions
 bracket e^{X+Y} in log-majorization: phi decreases and psi increases in r,
 both tend to e^{X+Y} as r -> 0, and their traces sandwich tr e^{X+Y}.
 ``scan_chain`` evaluates everything on an r grid; ``evaluate_chain`` turns a
-scan into named pass/fail margins.
+scan into pass/fail margins, one per predicate family and grid point.
 """
 
 from __future__ import annotations
@@ -18,21 +18,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, ParamOutOfRange
-from .linalg import HermitianMatrix, SpdMatrix, eig_hermitian, mat_pow
-from .majorization import MajorizationReport, default_tol, log_majorization_report
+from .linalg import HermitianMatrix, SpdMatrix, eig_hermitian, mat_exp, mat_pow
+from .majorization import ROUNDOFF_BAND, default_tol, log_majorization_report
 from .means import _MeanPair
 
 DEFAULT_R_GRID = tuple(2.0 ** k for k in range(-6, 4))
-
-# Chain predicates are exact theorems; margins beyond this multiple of the
-# majorization tolerance are genuine failures rather than roundoff.
-CHAIN_TOL_MULTIPLIER = 10.0
-
-
-def _exp_scaled(x: HermitianMatrix, r: float) -> SpdMatrix:
-    pair = eig_hermitian(x)
-    return SpdMatrix._from_eig(pair.vectors.mat, np.exp(r * pair.values))
-
 
 def _check_xy(x: HermitianMatrix, y: HermitianMatrix) -> None:
     if not isinstance(x, HermitianMatrix) or not isinstance(y, HermitianMatrix):
@@ -46,7 +36,7 @@ def phi(x: HermitianMatrix, y: HermitianMatrix, r: float) -> SpdMatrix:
     _check_xy(x, y)
     if not r > 0.0:
         raise ParamOutOfRange(f"r must be positive, got {r}")
-    mean = _MeanPair(_exp_scaled(x, r), _exp_scaled(y, r)).sharp(0.5)
+    mean = _MeanPair(mat_exp(x, r), mat_exp(y, r)).sharp(0.5)
     return mat_pow(mean, 2.0 / r)
 
 
@@ -55,7 +45,7 @@ def psi(x: HermitianMatrix, y: HermitianMatrix, r: float) -> SpdMatrix:
     _check_xy(x, y)
     if not r > 0.0:
         raise ParamOutOfRange(f"r must be positive, got {r}")
-    mean = _MeanPair(_exp_scaled(x, r), _exp_scaled(y, r)).natural(0.5)
+    mean = _MeanPair(mat_exp(x, r), mat_exp(y, r)).natural(0.5)
     return mat_pow(mean, 2.0 / r)
 
 
@@ -90,11 +80,11 @@ def scan_chain(
         b <= a for a, b in zip(grid, grid[1:])
     ):
         raise ParamOutOfRange("r grid must be positive and strictly increasing")
-    exp_sum = _exp_scaled(HermitianMatrix._wrap(x.mat + y.mat), 1.0)
+    exp_sum = mat_exp(HermitianMatrix._wrap(x.mat + y.mat))
     scan = ChainScan(x=x, y=y, r_grid=grid, exp_sum=exp_sum)
     tr_exp = float(np.trace(exp_sum.mat).real)
     for r in grid:
-        pair = _MeanPair(_exp_scaled(x, r), _exp_scaled(y, r))
+        pair = _MeanPair(mat_exp(x, r), mat_exp(y, r))
         phi_r = mat_pow(pair.sharp(0.5), 2.0 / r)
         psi_r = mat_pow(pair.natural(0.5), 2.0 / r)
         scan.phi_mats.append(phi_r)
@@ -113,7 +103,11 @@ def scan_chain(
 
 @dataclass
 class ChainCheck:
-    """One named chain predicate with its worst margin (>= -tol passes)."""
+    """One chain predicate at grid point r with its margin (>= -tol passes).
+
+    ``name`` is the predicate family (``phi_decreasing``, ``trace_psi_above``,
+    ...); a family has one check per grid point or grid step.
+    """
 
     name: str
     r: float
@@ -138,16 +132,12 @@ class ChainReport:
         return min(self.checks, key=lambda c: c.margin + c.tol)
 
 
-def _log_margin(x: np.ndarray, y: np.ndarray) -> MajorizationReport:
-    return log_majorization_report(x, y)
+def evaluate_chain(scan: ChainScan, spectra: tuple | None = None) -> ChainReport:
+    """Margins for every chain predicate on a scan.
 
-
-def evaluate_chain(
-    scan: ChainScan,
-    spectra: tuple | None = None,
-    tol_multiplier: float = CHAIN_TOL_MULTIPLIER,
-) -> ChainReport:
-    """Named margins for every chain predicate on a scan.
+    Chain predicates are exact theorems, so a log-majorization check passes
+    within the roundoff band (``ROUNDOFF_BAND`` times its tolerance); a
+    monotonicity check carries the larger r of its grid step.
 
     ``spectra`` optionally overrides (phi_spectra, psi_spectra,
     exp_sum_spectrum) so an alternative comparator path (e.g. eigenvalue
@@ -163,24 +153,17 @@ def evaluate_chain(
         phis, psis, mid = spectra
     checks = []
 
-    def add(name: str, r: float, rep: MajorizationReport) -> None:
-        checks.append(
-            ChainCheck(
-                name=name, r=r, margin=rep.worst_margin, tol=tol_multiplier * rep.tol
-            )
-        )
+    def add(name: str, r: float, lower, upper) -> None:
+        rep = log_majorization_report(lower, upper)
+        checks.append(ChainCheck(name, r, rep.worst_margin, ROUNDOFF_BAND * rep.tol))
 
     for r, lam_phi, lam_psi in zip(scan.r_grid, phis, psis):
-        add("phi_below_exp_sum", r, _log_margin(lam_phi, mid))
-        add("psi_above_exp_sum", r, _log_margin(mid, lam_psi))
-    for (r1, lam1), (r2, lam2) in zip(
-        zip(scan.r_grid, phis), list(zip(scan.r_grid, phis))[1:]
-    ):
-        add(f"phi_decreasing_{r1:g}_{r2:g}", r2, _log_margin(lam2, lam1))
-    for (r1, lam1), (r2, lam2) in zip(
-        zip(scan.r_grid, psis), list(zip(scan.r_grid, psis))[1:]
-    ):
-        add(f"psi_increasing_{r1:g}_{r2:g}", r2, _log_margin(lam1, lam2))
+        add("phi_below_exp_sum", r, lam_phi, mid)
+        add("psi_above_exp_sum", r, mid, lam_psi)
+    for r, prev, cur in zip(scan.r_grid[1:], phis, phis[1:]):
+        add("phi_decreasing", r, cur, prev)
+    for r, prev, cur in zip(scan.r_grid[1:], psis, psis[1:]):
+        add("psi_increasing", r, prev, cur)
 
     # Trace chain: tr phi(r) <= tr e^{X+Y} <= tr psi(r), monotone in r.
     trace_tol = default_tol(np.array([t for row in scan.traces for t in row]))
@@ -228,12 +211,9 @@ def golden_thompson_refinement(
     _check_xy(x, y)
     if any(not (0.0 < r <= 1.0) for r in r_values):
         raise ParamOutOfRange("refinement holds for r in (0, 1]")
-    tr_exp_sum = float(
-        np.trace(_exp_scaled(HermitianMatrix._wrap(x.mat + y.mat), 1.0).mat).real
-    )
-    tr_prod = float(
-        np.trace(_exp_scaled(x, 1.0).mat @ _exp_scaled(y, 1.0).mat).real
-    )
+    exp_sum = mat_exp(HermitianMatrix._wrap(x.mat + y.mat))
+    tr_exp_sum = float(np.trace(exp_sum.mat).real)
+    tr_prod = float(np.trace(mat_exp(x).mat @ mat_exp(y).mat).real)
     rows = []
     for r in r_values:
         tr_psi = float(np.trace(psi(x, y, float(r)).mat).real)

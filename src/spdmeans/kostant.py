@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatch, SingularInput
-from .gtchain import ChainReport, ChainScan, evaluate_chain, scan_chain
+from .gtchain import ChainReport, ChainScan, evaluate_chain
 from .linalg import ComplexMatrix, SPD_TOL, spectrum
 from .majorization import MajorizationReport, log_majorization_report
 
@@ -43,7 +43,7 @@ def kostant_leq(f: ComplexMatrix, g: ComplexMatrix) -> bool:
     return kostant_report(f, g).holds
 
 
-def check_group_chain(x, y, r_grid=None) -> tuple[ChainReport, bool]:
+def group_chain_report(scan: ChainScan) -> tuple[ChainReport, bool]:
     """Golden-Thompson chain scored with the group pre-order comparator.
 
     Re-evaluates the scan's chain predicates using eigenvalue moduli of the
@@ -52,14 +52,6 @@ def check_group_chain(x, y, r_grid=None) -> tuple[ChainReport, bool]:
     log-majorization comparator verdict for verdict; the returned flag
     records that agreement.
     """
-    from .gtchain import DEFAULT_R_GRID
-
-    scan = scan_chain(x, y, r_grid if r_grid is not None else DEFAULT_R_GRID)
-    return group_chain_report(scan)
-
-
-def group_chain_report(scan: ChainScan) -> tuple[ChainReport, bool]:
-    """Score an existing scan with the group comparator; see check_group_chain."""
     phi_mod = [hyperbolic_spectrum(m) for m in scan.phi_mats]
     psi_mod = [hyperbolic_spectrum(m) for m in scan.psi_mats]
     mid_mod = hyperbolic_spectrum(scan.exp_sum)

@@ -203,10 +203,10 @@ def eig_hermitian(m: HermitianMatrix) -> EigenPair:
     return pair
 
 
-def mat_exp(m: HermitianMatrix) -> SpdMatrix:
-    """exp(M) for Hermitian M; the result is positive definite."""
+def mat_exp(m: HermitianMatrix, scale: float = 1.0) -> SpdMatrix:
+    """exp(scale * M) for Hermitian M; the result is positive definite."""
     pair = eig_hermitian(m)
-    return SpdMatrix._from_eig(pair.vectors.mat, np.exp(pair.values))
+    return SpdMatrix._from_eig(pair.vectors.mat, np.exp(scale * pair.values))
 
 
 def mat_log(m: SpdMatrix) -> HermitianMatrix:

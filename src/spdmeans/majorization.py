@@ -21,6 +21,11 @@ from .linalg import ComplexMatrix, SpdMatrix, eig_hermitian
 from .means import _MeanPair, rel_residual
 
 
+# Margins of a theorem-backed comparison that fall short by less than this
+# multiple of the comparison's tolerance are roundoff, not violations.
+ROUNDOFF_BAND = 10.0
+
+
 def default_tol(*vectors) -> float:
     """Additive slack 1e-9 * (1 + max absolute entry over all operands)."""
     peak = max((float(np.abs(v).max()) for v in vectors if len(v)), default=0.0)
@@ -46,6 +51,11 @@ class MajorizationReport:
         if len(self.partial_margins) and float(self.partial_margins.min()) < -self.tol:
             return False
         return self.total_gap <= self.tol
+
+    @property
+    def within_roundoff(self) -> bool:
+        """The worst margin falls short by at most ROUNDOFF_BAND tolerances."""
+        return self.worst_margin >= -ROUNDOFF_BAND * self.tol
 
 
 def majorization_report(x, y, tol: float | None = None) -> MajorizationReport:
@@ -117,8 +127,8 @@ def check_log_majorization_means(
 ) -> bool:
     """Check lambda(A #_t B) <_log lambda(A @_t B).
 
-    True is the theorem-backed outcome; a violation within 10x the default
-    tolerance is treated as roundoff and passes with a warning.
+    True is the theorem-backed outcome; a violation within the roundoff band
+    (ROUNDOFF_BAND times the default tolerance) passes with a warning.
     """
     if not (0.0 <= t <= 1.0):
         raise ParamOutOfRange(f"t must lie in [0, 1], got {t}")
@@ -128,10 +138,10 @@ def check_log_majorization_means(
     report = log_majorization_report(lam_sharp, lam_natural)
     if report.holds:
         return True
-    if report.worst_margin >= -10.0 * report.tol:
+    if report.within_roundoff:
         warnings.warn(
-            f"log-majorization margin {report.worst_margin:.3e} within 10x "
-            f"tolerance band at t={t}; treating as roundoff",
+            f"log-majorization margin {report.worst_margin:.3e} within "
+            f"{ROUNDOFF_BAND:g}x tolerance band at t={t}; treating as roundoff",
             stacklevel=2,
         )
         return True

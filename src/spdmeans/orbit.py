@@ -29,6 +29,7 @@ from .linalg import (
     SpdMatrix,
     UnitaryMatrix,
     eig_hermitian,
+    mat_exp,
     mat_log,
 )
 from .means import _MeanPair
@@ -43,11 +44,6 @@ _STALL_RTOL = 1e-14
 _STALL_WINDOW = 50
 
 
-def _exp_of(x: HermitianMatrix, c: float) -> SpdMatrix:
-    pair = eig_hermitian(x)
-    return SpdMatrix._from_eig(pair.vectors.mat, np.exp(c * pair.values))
-
-
 def build_target(x: HermitianMatrix, y: HermitianMatrix, kind: str) -> HermitianMatrix:
     """Z such that U X U* + V Y V* = Z is solvable for the given kind.
 
@@ -58,10 +54,10 @@ def build_target(x: HermitianMatrix, y: HermitianMatrix, kind: str) -> Hermitian
     if x.n != y.n:
         raise DimensionMismatch(f"dimension mismatch: {x.n} vs {y.n}")
     if kind == "exp_product":
-        half = _exp_of(x, 0.5)
-        inner = SpdMatrix._trusted(half.mat @ _exp_of(y, 1.0).mat @ half.mat)
+        half = mat_exp(x, 0.5)
+        inner = SpdMatrix._trusted(half.mat @ mat_exp(y).mat @ half.mat)
         return mat_log(inner)
-    pair = _MeanPair(_exp_of(x, 2.0), _exp_of(y, 2.0))
+    pair = _MeanPair(mat_exp(x, 2.0), mat_exp(y, 2.0))
     if kind == "geometric":
         return mat_log(pair.sharp(0.5))
     if kind == "spectral":
@@ -327,6 +323,8 @@ def solve(
         raise ParamOutOfRange(f"unknown method {method!r}")
     if not tol > 0.0:
         raise ParamOutOfRange("tol must be positive")
+    if max_iter < 0 or max_restarts < 0:
+        raise ParamOutOfRange("max_iter and max_restarts must be non-negative")
     n = prob.n
     xm, ym, zm = prob.x.mat, prob.y.mat, prob.z.mat
 

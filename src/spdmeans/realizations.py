@@ -1,13 +1,14 @@
 """Real symmetric realization SL(n,R)/SO(n).
 
-Everything runs through the complex code path; this layer only projects
-inputs into the real symmetric traceless subspace and constrains the orbit
-solver's factors to SO(n).  One numerical kernel, two symmetric spaces.
+Everything runs through the complex code path: this layer projects inputs
+into the real symmetric traceless subspace, and the orbit solver constrains
+its factors to SO(n).  One numerical kernel, two symmetric spaces.
+``run_suites_on_realization`` re-runs the means, log-majorization, chain,
+pre-order and orbit checks on such inputs and returns the rows of the
+``realization`` suite.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -17,10 +18,11 @@ from .kostant import group_chain_report
 from .linalg import HERMITIAN_TOL, HermitianMatrix, SpdMatrix, eig_hermitian, mat_exp
 from .majorization import log_majorization_report
 from .means import _IdentityContext, _MeanPair, spd_det
-from .orbit import OrbitProblem, solve, verify_membership
+from .orbit import TARGET_KINDS, OrbitProblem, solve, verify_membership
 from .sampling import random_real_symmetric_traceless
 
 TRACE_TOL = 1e-10
+ORBIT_TOL = 1e-8
 
 
 class RealSymmetricTraceless(HermitianMatrix):
@@ -47,20 +49,6 @@ def project_to_realization(x: HermitianMatrix) -> RealSymmetricTraceless:
     return RealSymmetricTraceless(sym.astype(complex))
 
 
-@dataclass
-class RealizationReport:
-    """Per-suite outcomes of the real-realization re-run."""
-
-    rows: list = field(default_factory=list)  # (suite, label, passed, margin)
-
-    def add(self, suite: str, label: str, passed: bool, margin: float) -> None:
-        self.rows.append((suite, label, bool(passed), float(margin)))
-
-    @property
-    def passed(self) -> bool:
-        return all(row[2] for row in self.rows)
-
-
 def _real_spd_pair(n: int, seed: int) -> tuple[SpdMatrix, SpdMatrix]:
     a = mat_exp(random_real_symmetric_traceless(n, seed))
     b = mat_exp(random_real_symmetric_traceless(n, seed + 104729))
@@ -68,34 +56,32 @@ def _real_spd_pair(n: int, seed: int) -> tuple[SpdMatrix, SpdMatrix]:
 
 
 def run_suites_on_realization(
-    seed: int = 0,
-    n_values=(2, 3, 4),
-    trials: int = 5,
-    orbit_tol: float = 1e-8,
-) -> RealizationReport:
-    """Re-run the mean, chain, orbit and pre-order suites on real inputs.
+    seed: int = 0, n_values=(2, 3, 4), trials: int = 5
+) -> "SuiteResult":
+    """Re-run the mean, chain, orbit and pre-order checks on real inputs.
 
-    Orbit factors are constrained to SO(n); all pass criteria match the
-    complex suites.
+    Each (n, trial) gives eight rows of the ``realization`` suite.  Orbit
+    factors are constrained to SO(n); all pass criteria match the complex
+    suites.
     """
-    report = RealizationReport()
+    # suites imports this module; importing it here also keeps the suites
+    # out of a plain ``import spdmeans``.
+    from .suites import SuiteResult
+
+    res = SuiteResult("realization", seed)
     for n in n_values:
         for trial in range(trials):
             base = seed + 10007 * trial + 101 * n
 
+            def add(prop, passed, margin):
+                res.add(trial, n, None, prop, passed, margin)
+
             a, b = _real_spd_pair(n, base)
-            ctx = _IdentityContext(a, b)
-            rep = ctx.evaluate(0.3, 0.25, 0.5)
-            report.add(
-                "means_identities",
-                f"n={n} trial={trial}",
-                rep.passed,
-                rep.max_residual,
-            )
+            rep = _IdentityContext(a, b).evaluate(0.3, 0.25, 0.5)
+            add("means_identities", rep.passed, rep.max_residual)
             det_a, det_b = spd_det(a), spd_det(b)
-            report.add(
+            add(
                 "unit_determinant",
-                f"n={n} trial={trial}",
                 abs(det_a - 1.0) < 1e-8 and abs(det_b - 1.0) < 1e-8,
                 max(abs(det_a - 1.0), abs(det_b - 1.0)),
             )
@@ -104,42 +90,28 @@ def run_suites_on_realization(
                 eig_hermitian(pair.sharp(0.5)).values,
                 eig_hermitian(pair.natural(0.5)).values,
             )
-            report.add(
-                "log_majorization",
-                f"n={n} trial={trial}",
-                lm.worst_margin >= -10.0 * lm.tol,
-                lm.worst_margin,
-            )
+            add("log_majorization", lm.within_roundoff, lm.worst_margin)
 
             x = random_real_symmetric_traceless(n, base + 1, 0.5)
             y = random_real_symmetric_traceless(n, base + 2, 0.5)
             scan = scan_chain(x, y, tuple(2.0 ** k for k in range(-3, 2)))
             chain_rep = evaluate_chain(scan)
-            worst = chain_rep.worst
-            report.add(
-                "chain", f"n={n} trial={trial}", chain_rep.passed, worst.margin
-            )
+            add("chain", chain_rep.passed, chain_rep.worst.margin)
             _, agree = group_chain_report(scan)
-            report.add("kostant_agreement", f"n={n} trial={trial}", agree, 0.0)
+            add("kostant_agreement", agree, 0.0)
 
-            for kind in ("exp_product", "geometric", "spectral"):
+            for kind in TARGET_KINDS:
                 prob = OrbitProblem.create(
                     random_real_symmetric_traceless(n, base + 3),
                     random_real_symmetric_traceless(n, base + 4),
                     kind,
                 )
-                sol = solve(prob, tol=orbit_tol, seed=base, realization="slr")
+                sol = solve(prob, tol=ORBIT_TOL, seed=base, realization="slr")
                 u = sol.u.mat.real
                 in_so_n = (
                     float(np.abs(u.T @ u - np.eye(n)).max()) <= 1e-10
                     and np.linalg.det(u) > 0.0
                 )
-                report.add(
-                    "orbit_" + kind,
-                    f"n={n} trial={trial}",
-                    sol.residual <= orbit_tol
-                    and in_so_n
-                    and verify_membership(sol, prob),
-                    sol.residual,
-                )
-    return report
+                ok = sol.residual <= ORBIT_TOL and in_so_n
+                add("orbit_" + kind, ok and verify_membership(sol, prob), sol.residual)
+    return res

@@ -1,9 +1,10 @@
 """Batch verification suites.
 
 Each suite is a deterministic function of its seed and size parameters and
-returns uniform rows (suite, seed, trial, n, t, property, status, margin)
-ready for CSV emission.  The CLI wraps these with flags; the acceptance
-tests call them directly at their contract scales.
+returns a ``SuiteResult``: the suite's name and seed plus one ``Row`` per
+checked property, written by ``write_report`` as the CSV columns
+``suite,seed,trial,n,t,property,status,margin``.  ``run_suite`` calls each
+suite at CLI scale; the acceptance tests call them at their contract scales.
 """
 
 from __future__ import annotations
@@ -37,15 +38,16 @@ from .majorization import (
 )
 from .means import (
     IDENTITY_NAMES,
-    _IdentityContext,
     _MeanPair,
     geometric_mean,
     loewner_leq,
+    mean_identity_grid,
     rel_residual,
     spd_det,
     spectral_mean,
 )
 from .orbit import OrbitProblem, objective, riemannian_grad, solve, verify_membership
+from .realizations import run_suites_on_realization
 from .sampling import (
     random_hermitian,
     random_real_symmetric_traceless,
@@ -79,7 +81,11 @@ class Row:
 @dataclass
 class SuiteResult:
     name: str
+    seed: int = 0
     rows: list = field(default_factory=list)
+
+    def add(self, trial: int, n: int, t, prop: str, passed, margin) -> None:
+        self.rows.append(Row(self.name, self.seed, trial, n, t, prop, passed, margin))
 
     @property
     def passed(self) -> bool:
@@ -111,10 +117,10 @@ def _spd_pair(n: int, seed: int, trial: int, spread: float = 2.0):
 
 def suite_counterexample_goldens(seed: int = 0) -> SuiteResult:
     """The two printed counterexample pairs, checked to half-ulp of 4 decimals."""
-    res = SuiteResult("counterexamples")
+    res = SuiteResult("counterexamples", seed)
 
-    def add(prop, passed, margin, n=2, t=0.5):
-        res.rows.append(Row("counterexamples", seed, 0, n, t, prop, passed, margin))
+    def add(prop, passed, margin):
+        res.add(0, 2, 0.5, prop, passed, margin)
 
     a = SpdMatrix(np.diag([16.0, 1.0]))
     b1 = SpdMatrix(np.diag([2.0, 4.0]))
@@ -165,7 +171,7 @@ def suite_log_majorization(
     det_tol: float = 1e-10,
 ) -> SuiteResult:
     """lambda(A #_t B) <_log lambda(A @_t B) plus the determinant law."""
-    res = SuiteResult("log_majorization")
+    res = SuiteResult("log_majorization", seed)
     for trial in range(trials):
         n = n_values[trial % len(n_values)]
         a, b = _spd_pair(n, seed, trial)
@@ -184,19 +190,11 @@ def suite_log_majorization(
                 abs(float(np.prod(lam_nat)) - target),
             ) / abs(target)
             worst_det = max(worst_det, err)
-        res.rows.append(
-            Row(
-                "log_majorization", seed, trial, n, None,
-                "sharp_log_majorized_by_natural",
-                worst_margin >= -margin_tol, worst_margin,
-            )
+        res.add(
+            trial, n, None, "sharp_log_majorized_by_natural",
+            worst_margin >= -margin_tol, worst_margin,
         )
-        res.rows.append(
-            Row(
-                "log_majorization", seed, trial, n, None,
-                "determinant_equality", worst_det <= det_tol, worst_det,
-            )
-        )
+        res.add(trial, n, None, "determinant_equality", worst_det <= det_tol, worst_det)
     return res
 
 
@@ -209,34 +207,19 @@ def suite_compound(
     tol: float = 1e-10,
 ) -> SuiteResult:
     """Compound-mean commutation and the top-eigenvalue product identity."""
-    res = SuiteResult("compound")
+    res = SuiteResult("compound", seed)
     for trial in range(trials):
         a, b = _spd_pair(n, seed + 7919, trial)
         lam_a = eig_hermitian(a).values
         for k in k_values:
             rep = check_compound_mean_identities(a, b, t, k)
-            res.rows.append(
-                Row(
-                    "compound", seed, trial, n, t, f"sharp_commutes_k{k}",
-                    rep.sharp_residual <= tol, rep.sharp_residual,
-                )
-            )
-            res.rows.append(
-                Row(
-                    "compound", seed, trial, n, t, f"natural_commutes_k{k}",
-                    rep.natural_residual <= tol, rep.natural_residual,
-                )
-            )
-            ck = compound_spd(a, k)
-            top = eig_hermitian(ck).values[0]
+            sharp, natural = rep.sharp_residual, rep.natural_residual
+            res.add(trial, n, t, f"sharp_commutes_k{k}", sharp <= tol, sharp)
+            res.add(trial, n, t, f"natural_commutes_k{k}", natural <= tol, natural)
+            top = eig_hermitian(compound_spd(a, k)).values[0]
             target = float(np.prod(lam_a[:k]))
             err = abs(top - target) / abs(target)
-            res.rows.append(
-                Row(
-                    "compound", seed, trial, n, None, f"top_eig_product_k{k}",
-                    err <= tol, err,
-                )
-            )
+            res.add(trial, n, None, f"top_eig_product_k{k}", err <= tol, err)
     return res
 
 
@@ -250,28 +233,17 @@ def suite_mean_identities(
     tol: float = 1e-10,
 ) -> SuiteResult:
     """Every identity law on a (t, r, s) grid; one row per (pair, law)."""
-    res = SuiteResult("mean_identities")
+    res = SuiteResult("mean_identities", seed)
     for trial in range(trials):
         n = n_values[trial % len(n_values)]
         a, b = _spd_pair(n, seed + 104729, trial)
-        ctx = _IdentityContext(a, b)
         worst = dict.fromkeys(IDENTITY_NAMES, 0.0)
-        for t in t_grid:
-            for r in r_grid:
-                for s in s_grid:
-                    if r + s > 1.0 or r >= 1.0:
-                        continue
-                    rep = ctx.evaluate(t, r, s)
-                    for name, val in rep.residuals.items():
-                        if val > worst[name]:
-                            worst[name] = val
+        for rep in mean_identity_grid(a, b, t_grid, r_grid, s_grid):
+            for name, val in rep.residuals.items():
+                if val > worst[name]:
+                    worst[name] = val
         for name in IDENTITY_NAMES:
-            res.rows.append(
-                Row(
-                    "mean_identities", seed, trial, n, None, name,
-                    worst[name] <= tol, worst[name],
-                )
-            )
+            res.add(trial, n, None, name, worst[name] <= tol, worst[name])
     return res
 
 
@@ -281,56 +253,33 @@ def suite_chain(
     n_values=(2, 3, 4, 5, 6),
     r_grid=DEFAULT_R_GRID,
     scale: float = 0.5,
-    check_kostant: bool = True,
 ) -> SuiteResult:
     """Chain monotonicity, sandwich, traces, Lie-Trotter shrinkage, and the
-    group-comparator agreement, per random Hermitian pair."""
-    res = SuiteResult("chain")
+    group-comparator agreement, per random Hermitian pair.  Each chain
+    predicate family gives one row: its check with the least slack."""
+    res = SuiteResult("chain", seed)
     for trial in range(trials):
         n = n_values[trial % len(n_values)]
         x = random_hermitian(n, seed * 99991 + 2 * trial, scale)
         y = random_hermitian(n, seed * 99991 + 2 * trial + 1, scale)
         scan = scan_chain(x, y, r_grid)
-        rep = evaluate_chain(scan)
-        families: dict = {}
-        for check in rep.checks:
-            fam = "_".join(
-                tok
-                for tok in check.name.split("_")
-                if not any(ch.isdigit() for ch in tok)
-            )
-            cur = families.get(fam)
-            slack = check.margin + check.tol
-            if cur is None or slack < cur[1] + cur[2]:
-                families[fam] = (check.holds, check.margin, check.tol)
-        for fam, (holds, margin, _tol) in sorted(families.items()):
-            res.rows.append(
-                Row("chain", seed, trial, n, None, fam, holds, margin)
-            )
+        tightest: dict = {}
+        for check in evaluate_chain(scan).checks:
+            cur = tightest.get(check.name)
+            if cur is None or check.margin + check.tol < cur.margin + cur.tol:
+                tightest[check.name] = check
+        for name, check in sorted(tightest.items()):
+            res.add(trial, n, None, name, check.holds, check.margin)
         # Lie-Trotter: the distance to e^{X+Y} at the smallest grid r is
         # below the one at the largest.  Step-by-step decrease is no theorem.
         dists = trotter_distances(scan)
-        phi_shrinks = dists[0][1] < dists[-1][1]
-        psi_shrinks = dists[0][2] < dists[-1][2]
-        res.rows.append(
-            Row("chain", seed, trial, n, None, "trotter_phi_shrinks", phi_shrinks, 0.0)
-        )
-        res.rows.append(
-            Row("chain", seed, trial, n, None, "trotter_psi_shrinks", psi_shrinks, 0.0)
-        )
+        res.add(trial, n, None, "trotter_phi_shrinks", dists[0][1] < dists[-1][1], 0.0)
+        res.add(trial, n, None, "trotter_psi_shrinks", dists[0][2] < dists[-1][2], 0.0)
         for r, lo, mid, hi in golden_thompson_refinement(x, y):
             ok = lo <= mid + 1e-10 and mid <= hi + 1e-10
-            res.rows.append(
-                Row(
-                    "chain", seed, trial, n, r, "gt_refinement_sandwich",
-                    ok, min(mid - lo, hi - mid),
-                )
-            )
-        if check_kostant:
-            _, agree = group_chain_report(scan)
-            res.rows.append(
-                Row("chain", seed, trial, n, None, "kostant_agreement", agree, 0.0)
-            )
+            res.add(trial, n, r, "gt_refinement_sandwich", ok, min(mid - lo, hi - mid))
+        _, agree = group_chain_report(scan)
+        res.add(trial, n, None, "kostant_agreement", agree, 0.0)
     return res
 
 
@@ -345,7 +294,7 @@ def suite_orbit(
 ) -> SuiteResult:
     """Orbit-sum solves: residual, trace condition, monotone trace,
     eigenvalue preservation, restart budget."""
-    res = SuiteResult(f"orbit_{realization}")
+    res = SuiteResult(f"orbit_{realization}", seed)
     for kind in kinds:
         for n in n_values:
             for inst in range(instances):
@@ -362,12 +311,10 @@ def suite_orbit(
                     - float(np.trace(x.mat).real)
                     - float(np.trace(y.mat).real)
                 )
-                res.rows.append(
-                    Row(
-                        res.name, seed, inst, n, None, f"{kind}_trace_condition",
-                        tr_gap <= 1e-10 * max(1.0, abs(np.trace(prob.z.mat).real)),
-                        tr_gap,
-                    )
+                res.add(
+                    inst, n, None, f"{kind}_trace_condition",
+                    tr_gap <= 1e-10 * max(1.0, abs(np.trace(prob.z.mat).real)),
+                    tr_gap,
                 )
                 try:
                     sol = solve(
@@ -377,9 +324,7 @@ def suite_orbit(
                     converged = sol.residual <= tol
                 except MaxIterReached as exc:
                     best = exc.solution.residual if exc.solution else 1.0
-                    res.rows.append(
-                        Row(res.name, seed, inst, n, None, f"{kind}_solved", False, best)
-                    )
+                    res.add(inst, n, None, f"{kind}_solved", False, best)
                     continue
                 mono = all(
                     later <= earlier
@@ -393,12 +338,7 @@ def suite_orbit(
                     u = sol.u.mat.real
                     v = sol.v.mat.real
                     ok = ok and np.linalg.det(u) > 0.0 and np.linalg.det(v) > 0.0
-                res.rows.append(
-                    Row(
-                        res.name, seed, inst, n, None, f"{kind}_solved",
-                        ok, sol.residual,
-                    )
-                )
+                res.add(inst, n, None, f"{kind}_solved", ok, sol.residual)
     return res
 
 
@@ -406,7 +346,7 @@ def suite_gradient_check(
     trials: int = 100, seed: int = 0, eps: float = 1e-6, tol: float = 1e-4
 ) -> SuiteResult:
     """Directional derivatives against finite differences on random triples."""
-    res = SuiteResult("gradient_check")
+    res = SuiteResult("gradient_check", seed)
     n_values = (2, 3, 4, 5, 6)
     kinds = ("exp_product", "geometric", "spectral")
     for trial in range(trials):
@@ -431,12 +371,7 @@ def suite_gradient_check(
         fd = (f_plus - f_minus) / (2.0 * eps)
         inner = float(np.real(np.sum(np.conj(k) * k_u)))
         err = abs(fd - inner) / max(abs(inner), 1e-300)
-        res.rows.append(
-            Row(
-                "gradient_check", seed, trial, n, None, f"{kind}_fd_match",
-                err <= tol, err,
-            )
-        )
+        res.add(trial, n, None, f"{kind}_fd_match", err <= tol, err)
     return res
 
 
@@ -445,7 +380,7 @@ def suite_kostant(trials: int = 50, seed: int = 0) -> SuiteResult:
     transitivity on witnessed triples, conjugation invariance."""
     from .sampling import random_invertible
 
-    res = SuiteResult("kostant")
+    res = SuiteResult("kostant", seed)
     for trial in range(trials):
         n = 2 + trial % 5
         base = seed + 37 * trial
@@ -457,12 +392,8 @@ def suite_kostant(trials: int = 50, seed: int = 0) -> SuiteResult:
         agree = kostant_leq(ga, gb) == log_majorizes(lam_a, lam_b) and kostant_leq(
             gb, ga
         ) == log_majorizes(lam_b, lam_a)
-        res.rows.append(
-            Row("kostant", seed, trial, n, None, "spd_agreement", agree, 0.0)
-        )
-        res.rows.append(
-            Row("kostant", seed, trial, n, None, "reflexive", kostant_leq(ga, ga), 0.0)
-        )
+        res.add(trial, n, None, "spd_agreement", agree, 0.0)
+        res.add(trial, n, None, "reflexive", kostant_leq(ga, ga), 0.0)
         g = random_invertible(n, base)
         s = random_invertible(n, base + 1)
         h1 = hyperbolic_spectrum(g)
@@ -470,12 +401,7 @@ def suite_kostant(trials: int = 50, seed: int = 0) -> SuiteResult:
             ComplexMatrix(s.mat @ g.mat @ np.linalg.inv(s.mat))
         )
         err = float(np.abs(h1 - h2).max()) / float(h1.max())
-        res.rows.append(
-            Row(
-                "kostant", seed, trial, n, None, "conjugation_invariance",
-                err <= 1e-9, err,
-            )
-        )
+        res.add(trial, n, None, "conjugation_invariance", err <= 1e-9, err)
         # Transitivity on a witnessed chain p <= p#q <= q ordering by det-1
         # scaling: use scalar multiples to manufacture comparable elements.
         lam_mid = eig_hermitian(geometric_mean(a, b, 0.5)).values
@@ -484,18 +410,13 @@ def suite_kostant(trials: int = 50, seed: int = 0) -> SuiteResult:
         scale_b = (np.prod(lam_a) / np.prod(lam_b)) ** (1.0 / n)
         gb_fixed = ComplexMatrix(b.mat * scale_b)
         if kostant_leq(mid, ga) and kostant_leq(ga, gb_fixed):
-            res.rows.append(
-                Row(
-                    "kostant", seed, trial, n, None, "transitive",
-                    kostant_leq(mid, gb_fixed), 0.0,
-                )
-            )
+            res.add(trial, n, None, "transitive", kostant_leq(mid, gb_fixed), 0.0)
     return res
 
 
 def suite_loewner(trials: int = 50, seed: int = 0) -> SuiteResult:
     """Joint monotonicity of the metric mean in the Loewner order."""
-    res = SuiteResult("loewner")
+    res = SuiteResult("loewner", seed)
     for trial in range(trials):
         n = 2 + trial % 4
         a, b = _spd_pair(n, seed + 3571, trial)
@@ -506,66 +427,36 @@ def suite_loewner(trials: int = 50, seed: int = 0) -> SuiteResult:
         d = SpdMatrix(b.mat + 0.5 * gbm @ gbm.conj().T)
         t = (trial % 11) / 10.0
         ok = loewner_leq(geometric_mean(a, b, t), geometric_mean(c, d, t))
-        res.rows.append(
-            Row("loewner", seed, trial, n, t, "sharp_joint_monotone", ok, 0.0)
-        )
+        res.add(trial, n, t, "sharp_joint_monotone", ok, 0.0)
     return res
 
 
 def suite_realization(seed: int = 0, trials: int = 3, n_values=(2, 3, 4)) -> SuiteResult:
-    """Real-realization re-run rows, forwarded from the realization report."""
-    from .realizations import run_suites_on_realization
-
-    rep = run_suites_on_realization(seed=seed, n_values=n_values, trials=trials)
-    res = SuiteResult("realization")
-    for suite, label, passed, margin in rep.rows:
-        n = int(label.split("n=")[1].split(" ")[0])
-        trial = int(label.split("trial=")[1])
-        res.rows.append(
-            Row("realization", seed, trial, n, None, suite, passed, margin)
-        )
-    return res
+    """The checks re-run on the real realization SL(n,R)/SO(n)."""
+    return run_suites_on_realization(seed=seed, n_values=n_values, trials=trials)
 
 
-ALL_SUITES = (
-    "golden",
-    "means",
-    "logmaj",
-    "compound",
-    "chain",
-    "orbit",
-    "kostant",
-    "gradcheck",
-    "loewner",
-    "realization",
-)
+# Every suite at CLI scale, in report order: name -> (seed, trials,
+# realization) -> SuiteResult.
+_CLI_SUITES = {
+    "golden": lambda seed, trials, realization: suite_counterexample_goldens(seed),
+    "means": lambda seed, trials, realization: suite_mean_identities(trials, seed),
+    "logmaj": lambda seed, trials, realization: suite_log_majorization(trials, seed),
+    "compound": lambda seed, trials, realization: suite_compound(trials, seed),
+    "chain": lambda seed, trials, realization: suite_chain(max(1, trials // 5), seed),
+    "orbit": lambda seed, trials, realization: suite_orbit(
+        max(1, trials // 10), seed, n_values=(2, 3), realization=realization
+    ),
+    "kostant": lambda seed, trials, realization: suite_kostant(trials, seed),
+    "gradcheck": lambda seed, trials, realization: suite_gradient_check(trials, seed),
+    "loewner": lambda seed, trials, realization: suite_loewner(trials, seed),
+    "realization": lambda seed, trials, realization: suite_realization(seed),
+}
+ALL_SUITES = tuple(_CLI_SUITES)
 
 
 def run_suite(name: str, seed: int, trials: int, realization: str = "glc"):
-    """Dispatch a named suite at CLI scale."""
-    if name == "golden":
-        return suite_counterexample_goldens(seed)
-    if name == "means":
-        return suite_mean_identities(trials=trials, seed=seed)
-    if name == "logmaj":
-        return suite_log_majorization(trials=trials, seed=seed)
-    if name == "compound":
-        return suite_compound(trials=trials, seed=seed)
-    if name == "chain":
-        return suite_chain(trials=max(1, trials // 5), seed=seed)
-    if name == "orbit":
-        return suite_orbit(
-            instances=max(1, trials // 10),
-            seed=seed,
-            n_values=(2, 3),
-            realization=realization,
-        )
-    if name == "kostant":
-        return suite_kostant(trials=trials, seed=seed)
-    if name == "gradcheck":
-        return suite_gradient_check(trials=trials, seed=seed)
-    if name == "loewner":
-        return suite_loewner(trials=trials, seed=seed)
-    if name == "realization":
-        return suite_realization(seed=seed)
-    raise ValueError(f"unknown suite {name!r}")
+    """Run a named suite at CLI scale."""
+    if name not in _CLI_SUITES:
+        raise ValueError(f"unknown suite {name!r}")
+    return _CLI_SUITES[name](seed, trials, realization)

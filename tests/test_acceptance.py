@@ -113,9 +113,7 @@ def test_criterion_compound_identities():
 def test_criterion_chain_suite():
     budget = 120.0
     start = time.perf_counter()
-    result = suites.suite_chain(
-        trials=200, seed=42, n_values=(2, 3, 4, 5, 6), check_kostant=True
-    )
+    result = suites.suite_chain(trials=200, seed=42, n_values=(2, 3, 4, 5, 6))
     elapsed = time.perf_counter() - start
     _report(
         "Golden-Thompson chain suite (200 pairs)",

@@ -213,21 +213,36 @@ class TestOrbitSolveCommand:
         )
         assert result.exit_code == 2
 
+    def test_bad_budget_exits_2(self, runner):
+        result = runner.invoke(main, ["orbit-solve", "--kind", "exp", "--max-iter", "-5"])
+        assert result.exit_code == 2
+        assert result.output.startswith("error: ")
 
     def test_readme_example(self, runner, tmp_path, monkeypatch):
-        from spdmeans import random_real_symmetric_traceless
+        """Every ``spdmeans`` line of the README runs on files written here,
+        and so does the Library block."""
+        from spdmeans import random_invertible, random_real_symmetric_traceless
 
         readme = (Path(__file__).parents[1] / "README.md").read_text()
-        (line,) = [
-            ln for ln in readme.splitlines()
-            if ln.startswith("spdmeans orbit-solve") and "--input" in ln
-        ]
+        lines = [ln for ln in readme.splitlines() if ln.startswith("spdmeans ")]
+        assert lines
         monkeypatch.chdir(tmp_path)
+        save_matrix("a.json", np.array([[6.0, -3.0], [-3.0, 4.0]], dtype=complex))
+        save_matrix("b.json", np.array([[4.0, -2.0], [-2.0, 5.0]], dtype=complex))
         save_matrix("x.json", random_real_symmetric_traceless(3, 1).mat)
         save_matrix("y.json", random_real_symmetric_traceless(3, 2).mat)
-        result = runner.invoke(main, shlex.split(line)[1:])
-        assert result.exit_code == 0, result.output
-        assert json.loads(result.output)["converged"] is True
+        save_matrix("f.json", np.diag([2.0, 2.0]).astype(complex))
+        save_matrix("g.json", np.diag([4.0, 1.0]).astype(complex))
+        save_matrix("m.json", random_invertible(3, 5).mat)
+        for line in lines:
+            args = shlex.split(line)[1:]
+            result = runner.invoke(main, args)
+            assert result.exit_code == 0, (line, result.output)
+            if "--out" in args:
+                assert (tmp_path / args[args.index("--out") + 1]).stat().st_size > 0
+
+        block = readme.split("## Library")[1].split("```python\n")[1].split("```")[0]
+        exec(compile(block, "README.md", "exec"), {})
 
 
 class TestKostantCommand:

@@ -5,9 +5,9 @@ from spdmeans import (
     ComplexMatrix,
     SingularInput,
     SpdMatrix,
-    check_group_chain,
     eig_hermitian,
     geometric_mean,
+    group_chain_report,
     hyperbolic_spectrum,
     kostant_leq,
     kostant_report,
@@ -16,6 +16,7 @@ from spdmeans import (
     random_invertible,
     random_spd,
     random_unitary,
+    scan_chain,
     spectral_mean,
 )
 
@@ -96,11 +97,11 @@ class TestGroupChain:
             n = 2 + trial % 4
             x = random_hermitian(n, 500 + trial, 0.5)
             y = random_hermitian(n, 600 + trial, 0.5)
-            report, agree = check_group_chain(x, y)
+            report, agree = group_chain_report(scan_chain(x, y))
             assert agree
             assert report.passed
 
     def test_commuting_degenerates(self):
         x = random_hermitian(3, 7, 0.5)
-        report, agree = check_group_chain(x, x)
+        report, agree = group_chain_report(scan_chain(x, x))
         assert agree and report.passed

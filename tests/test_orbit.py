@@ -210,6 +210,10 @@ class TestSolve:
             solve(prob, tol=0.0)
         with pytest.raises(ParamOutOfRange):
             solve(prob, method="newton")
+        with pytest.raises(ParamOutOfRange):
+            solve(prob, max_iter=-1)
+        with pytest.raises(ParamOutOfRange):
+            solve(prob, max_restarts=-1)
 
 
 class TestVerifyMembership:

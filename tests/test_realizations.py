@@ -77,4 +77,4 @@ class TestRealOrbitSolve:
 
 def test_realization_suites_pass():
     rep = run_suites_on_realization(seed=7, n_values=(2, 3), trials=2)
-    assert rep.passed, [row for row in rep.rows if not row[2]]
+    assert rep.passed, rep.failures
