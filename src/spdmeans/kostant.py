@@ -43,20 +43,21 @@ def kostant_leq(f: ComplexMatrix, g: ComplexMatrix) -> bool:
     return kostant_report(f, g).holds
 
 
-def group_chain_report(scan: ChainScan) -> tuple[ChainReport, bool]:
+def group_chain_report(
+    scan: ChainScan, plain_rep: ChainReport
+) -> tuple[ChainReport, bool]:
     """Golden-Thompson chain scored with the group pre-order comparator.
 
     Re-evaluates the scan's chain predicates using eigenvalue moduli of the
     chain elements as group elements.  On positive definite elements the
     moduli equal the eigenvalues, so the verdicts must agree with the
-    log-majorization comparator verdict for verdict; the returned flag
-    records that agreement.
+    log-majorization comparator's ``plain_rep = evaluate_chain(scan)``
+    verdict for verdict; the returned flag records that agreement.
     """
     phi_mod = [hyperbolic_spectrum(m) for m in scan.phi_mats]
     psi_mod = [hyperbolic_spectrum(m) for m in scan.psi_mats]
     mid_mod = hyperbolic_spectrum(scan.exp_sum)
     group_rep = evaluate_chain(scan, spectra=(phi_mod, psi_mod, mid_mod))
-    plain_rep = evaluate_chain(scan)
     agree = len(group_rep.checks) == len(plain_rep.checks) and all(
         a.holds == b.holds for a, b in zip(group_rep.checks, plain_rep.checks)
     )

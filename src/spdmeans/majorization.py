@@ -107,13 +107,9 @@ def compound(m: ComplexMatrix, k: int) -> ComplexMatrix:
         raise ParamOutOfRange(f"compound order must satisfy 1 <= k <= n, got {k}")
     if k == 1:
         return ComplexMatrix(m.mat)
-    subsets = list(combinations(range(n), k))
-    a = m.mat
-    blocks = np.empty((len(subsets), len(subsets), k, k), dtype=complex)
-    for i, rows in enumerate(subsets):
-        ar = a[list(rows), :]
-        for j, cols in enumerate(subsets):
-            blocks[i, j] = ar[:, list(cols)]
+    subsets = np.array(list(combinations(range(n), k)))
+    # blocks[i, j] is the k x k submatrix on rows subsets[i], columns subsets[j].
+    blocks = m.mat[subsets[:, None, :, None], subsets[None, :, None, :]]
     return ComplexMatrix(np.linalg.det(blocks))
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, ParamOutOfRange
+from .errors import DimensionMismatch, DomainError, ParamOutOfRange
 from .linalg import (
     ComplexMatrix,
     HermitianMatrix,
@@ -53,6 +53,25 @@ def rel_residual(lhs: np.ndarray, rhs: np.ndarray) -> float:
     return float(np.abs(lhs - rhs).max()) / scale
 
 
+def _positive_product(arr: np.ndarray) -> SpdMatrix:
+    """Wrap a product of positive definite factors whose power or root is
+    taken next, after checking that its smallest eigenvalue is positive.
+
+    The products A^{-1/2} B A^{-1/2} and A^{1/2} B A^{1/2} can have
+    condition numbers up to cond(A) * cond(B).  Past 1/eps their smallest
+    computed eigenvalue can be zero or negative, and its power is NaN.  The
+    eigendecomposition computed here is the one the power then uses.
+    """
+    m = SpdMatrix._trusted(arr)
+    values = eig_hermitian(m).values
+    if not values[-1] > 0.0:
+        raise DomainError(
+            "the pair is too ill-conditioned for its means: a product of the "
+            f"pair has computed eigenvalues in [{values[-1]:.3e}, {values[0]:.3e}]"
+        )
+    return m
+
+
 class _MeanPair:
     """Per-pair cache so repeated mean evaluations share decompositions."""
 
@@ -78,7 +97,7 @@ class _MeanPair:
         if t not in self._sharp:
             ra, ria = self._roots()
             if self._mid is None:
-                self._mid = SpdMatrix._trusted(ria @ self.b.mat @ ria)
+                self._mid = _positive_product(ria @ self.b.mat @ ria)
             core = mat_pow(self._mid, t).mat
             self._sharp[t] = SpdMatrix._trusted(ra @ core @ ra)
         return self._sharp[t]
@@ -87,11 +106,10 @@ class _MeanPair:
         """A^{-1} # B, the generator of the spectral mean."""
         if self._cross is None:
             ra, ria = self._roots()
-            inner = SpdMatrix._trusted(ra @ self.b.mat @ ra)
-            pair = eig_hermitian(inner)
+            pair = eig_hermitian(_positive_product(ra @ self.b.mat @ ra))
             q = pair.vectors.mat
             root = (q * np.sqrt(pair.values)) @ q.conj().T
-            self._cross = SpdMatrix._trusted(ria @ root @ ria)
+            self._cross = _positive_product(ria @ root @ ria)
         return self._cross
 
     def natural(self, t: float) -> SpdMatrix:
@@ -188,10 +206,19 @@ IDENTITY_NAMES = (
 
 
 class _IdentityContext:
-    """Shared decompositions for sweeping identity checks over one pair.
+    """The identity laws of one pair, grouped by the parameters they read.
 
-    All derived means and inverses are memoized by their parameters, so a
-    full (t, r, s) grid costs little more than its distinct eigensystems.
+    - none: natural_inverse_half, link_half, riccati_midpoint;
+    - t: natural_inverse_t, natural_swap_t, sharp_swap_t, link_t_left,
+      link_t_right, conjugation_t_p, conjugation_t_q, sharp_determinant,
+      natural_determinant;
+    - (r, s): sharp_chain, natural_chain;
+    - (t, r, s): natural_interpolation.
+
+    ``evaluate`` computes each group once per distinct key and keeps it, so
+    a grid of T x R x S triples evaluates the groups 1 + T + R*S + T*R*S
+    times rather than every law T*R*S times.  The means behind the laws are
+    shared through the ``_MeanPair`` caches.
     """
 
     def __init__(self, a: SpdMatrix, b: SpdMatrix):
@@ -201,112 +228,118 @@ class _IdentityContext:
         self.pair = _MeanPair(a, b)
         self.swapped = _MeanPair(b, a)
         self.a_inv = _spd_inverse(a)
-        self.b_inv = _spd_inverse(b)
-        self.inverse = _MeanPair(self.a_inv, self.b_inv)
-        self._nat_inv = {}
-        self._link_pair = {}
-        self._link_right_pair = {}
-        self._interp_pair = {}
-        self._sharp_chain_pair = {}
-        self._nat_chain_pair = {}
+        self.inverse = _MeanPair(self.a_inv, _spd_inverse(b))
         self._det_a = spd_det(a)
         self._det_b = spd_det(b)
-
-    def _natural_inverse(self, t: float) -> SpdMatrix:
-        if t not in self._nat_inv:
-            self._nat_inv[t] = _spd_inverse(self.pair.natural(t))
-        return self._nat_inv[t]
+        self._fixed = None
+        self._by_t = {}
+        self._by_rs = {}
+        self._chain_pairs = {}    # r -> pairs (A #_r B, B) and (A @_r B, B)
 
     def _link(self, t: float) -> SpdMatrix:
         """C_t = A^{-1} # (A @_t B), computed from its defining mean."""
-        if t not in self._link_pair:
-            self._link_pair[t] = _MeanPair(self.a_inv, self.pair.natural(t))
-        return self._link_pair[t].sharp(0.5)
+        return _MeanPair(self.a_inv, self.pair.natural(t)).sharp(0.5)
 
-    def evaluate(self, t: float, r: float, s: float) -> MeanIdentityReport:
-        pair, swapped, inverse = self.pair, self.swapped, self.inverse
+    def _fixed_laws(self) -> dict:
+        pair, b = self.pair, self.b
+        nat_inv_half = _spd_inverse(pair.natural(0.5))
+        # Midpoint equation: g = A # B uniquely solves g A^{-1} g = B on SPD.
+        g = pair.sharp(0.5)
+        return {
+            "natural_inverse_half": rel_residual(
+                nat_inv_half.mat, self.inverse.natural(0.5).mat
+            ),
+            "link_half": rel_residual(
+                self._link(0.5).mat, _MeanPair(nat_inv_half, b).sharp(0.5).mat
+            ),
+            "riccati_midpoint": rel_residual(
+                g.mat @ self.a_inv.mat @ g.mat, b.mat
+            ),
+        }
+
+    def _t_laws(self, t: float) -> dict:
+        pair, swapped = self.pair, self.swapped
         a, b = self.a, self.b
-        res = {}
-
-        nat_half = pair.natural(0.5)
-        res["natural_inverse_half"] = rel_residual(
-            self._natural_inverse(0.5).mat, inverse.natural(0.5).mat
-        )
         nat_t = pair.natural(t)
-        res["natural_inverse_t"] = rel_residual(
-            self._natural_inverse(t).mat, inverse.natural(t).mat
-        )
-        res["natural_swap_t"] = rel_residual(
-            nat_t.mat, swapped.natural(1.0 - t).mat
-        )
-        res["sharp_swap_t"] = rel_residual(
-            pair.sharp(t).mat, swapped.sharp(1.0 - t).mat
-        )
-
+        sharp_t = pair.sharp(t)
+        swap_nat_t = swapped.natural(t)
         # Links between the means: A^{-1} # (A @_t B) = (A^{-1} # B)^t.
         cross_t = mat_pow(pair.cross(), t)
-        res["link_half"] = rel_residual(
-            self._link(0.5).mat,
-            _MeanPair(self._natural_inverse(0.5), b).sharp(0.5).mat,
-        )
-        res["link_t_left"] = rel_residual(self._link(t).mat, cross_t.mat)
-        if t not in self._link_right_pair:
-            self._link_right_pair[t] = _MeanPair(
-                _spd_inverse(swapped.natural(t)), b
-            )
-        res["link_t_right"] = rel_residual(
-            self._link_right_pair[t].sharp(0.5).mat, cross_t.mat
-        )
-
         # Conjugation form: with C_t = A^{-1} # (A @_t B),
         # A @_t B = C_t A C_t and B @_t A = C_t^{-1} B C_t^{-1}.
         c_t = self._link(t)
         ct_inv = _spd_inverse(c_t)
-        res["conjugation_t_p"] = rel_residual(
-            c_t.mat @ a.mat @ c_t.mat, nat_t.mat
-        )
-        res["conjugation_t_q"] = rel_residual(
-            ct_inv.mat @ b.mat @ ct_inv.mat, swapped.natural(t).mat
-        )
-
-        # Interpolation: (A @_r B) @_t (A @_s B) = A @_{(1-t)r + ts} B.
-        if (r, s) not in self._interp_pair:
-            self._interp_pair[(r, s)] = _MeanPair(
-                pair.natural(r), pair.natural(s)
-            )
-        res["natural_interpolation"] = rel_residual(
-            self._interp_pair[(r, s)].natural(t).mat,
-            pair.natural((1.0 - t) * r + t * s).mat,
-        )
-
-        # Geodesic reparameterization for both means.
-        u = s / (1.0 - r)
-        if r not in self._sharp_chain_pair:
-            self._sharp_chain_pair[r] = _MeanPair(pair.sharp(r), b)
-        res["sharp_chain"] = rel_residual(
-            pair.sharp(r + s).mat, self._sharp_chain_pair[r].sharp(u).mat
-        )
-        if r not in self._nat_chain_pair:
-            self._nat_chain_pair[r] = _MeanPair(pair.natural(r), b)
-        res["natural_chain"] = rel_residual(
-            pair.natural(r + s).mat, self._nat_chain_pair[r].natural(u).mat
-        )
-
-        # Midpoint equation: g = A # B uniquely solves g A^{-1} g = B on SPD.
-        g = pair.sharp(0.5)
-        res["riccati_midpoint"] = rel_residual(
-            g.mat @ self.a_inv.mat @ g.mat, b.mat
-        )
-
         # Determinant scaling law shared by both means.
         det_target = self._det_a ** (1.0 - t) * self._det_b ** t
         det_scale = max(abs(det_target), 1e-300)
-        res["sharp_determinant"] = (
-            abs(spd_det(pair.sharp(t)) - det_target) / det_scale
-        )
-        res["natural_determinant"] = abs(spd_det(nat_t) - det_target) / det_scale
+        return {
+            "natural_inverse_t": rel_residual(
+                _spd_inverse(nat_t).mat, self.inverse.natural(t).mat
+            ),
+            "natural_swap_t": rel_residual(
+                nat_t.mat, swapped.natural(1.0 - t).mat
+            ),
+            "sharp_swap_t": rel_residual(
+                sharp_t.mat, swapped.sharp(1.0 - t).mat
+            ),
+            "link_t_left": rel_residual(c_t.mat, cross_t.mat),
+            "link_t_right": rel_residual(
+                _MeanPair(_spd_inverse(swap_nat_t), b).sharp(0.5).mat,
+                cross_t.mat,
+            ),
+            "conjugation_t_p": rel_residual(
+                c_t.mat @ a.mat @ c_t.mat, nat_t.mat
+            ),
+            "conjugation_t_q": rel_residual(
+                ct_inv.mat @ b.mat @ ct_inv.mat, swap_nat_t.mat
+            ),
+            "sharp_determinant": abs(spd_det(sharp_t) - det_target) / det_scale,
+            "natural_determinant": abs(spd_det(nat_t) - det_target) / det_scale,
+        }
 
-        return MeanIdentityReport(params=(t, r, s), residuals=res)
+    def _rs_laws(self, r: float, s: float) -> tuple[dict, _MeanPair]:
+        """Geodesic reparameterization for both means, plus the pair
+        (A @_r B, A @_s B) the interpolation law takes means of."""
+        pair = self.pair
+        if r not in self._chain_pairs:
+            self._chain_pairs[r] = (
+                _MeanPair(pair.sharp(r), self.b),
+                _MeanPair(pair.natural(r), self.b),
+            )
+        sharp_chain, natural_chain = self._chain_pairs[r]
+        u = s / (1.0 - r)
+        laws = {
+            "sharp_chain": rel_residual(
+                pair.sharp(r + s).mat, sharp_chain.sharp(u).mat
+            ),
+            "natural_chain": rel_residual(
+                pair.natural(r + s).mat, natural_chain.natural(u).mat
+            ),
+        }
+        return laws, _MeanPair(pair.natural(r), pair.natural(s))
+
+    def evaluate(self, t: float, r: float, s: float) -> MeanIdentityReport:
+        if self._fixed is None:
+            self._fixed = self._fixed_laws()
+        if t not in self._by_t:
+            self._by_t[t] = self._t_laws(t)
+        if (r, s) not in self._by_rs:
+            self._by_rs[(r, s)] = self._rs_laws(r, s)
+        chain_laws, interp_pair = self._by_rs[(r, s)]
+        # Interpolation: (A @_r B) @_t (A @_s B) = A @_{(1-t)r + ts} B.
+        interpolation = rel_residual(
+            interp_pair.natural(t).mat,
+            self.pair.natural((1.0 - t) * r + t * s).mat,
+        )
+        laws = {
+            **self._fixed,
+            **self._by_t[t],
+            **chain_laws,
+            "natural_interpolation": interpolation,
+        }
+        return MeanIdentityReport(
+            params=(t, r, s), residuals={name: laws[name] for name in IDENTITY_NAMES}
+        )
 
 
 def _check_suite_params(t: float, r: float, s: float) -> None:
@@ -341,7 +374,10 @@ def mean_identity_grid(
     r_values,
     s_values,
 ) -> list[MeanIdentityReport]:
-    """Identity suite over a full (t, r, s) grid, sharing decompositions.
+    """Identity suite over a full (t, r, s) grid, one report per triple.
+
+    One ``_IdentityContext`` serves the whole grid, so each law is
+    evaluated once per distinct value of the parameters it depends on.
 
     Triples with r + s > 1 or r = 1 are skipped (the reparameterization
     laws are not defined there).

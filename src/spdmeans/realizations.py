@@ -97,7 +97,7 @@ def run_suites_on_realization(
             scan = scan_chain(x, y, tuple(2.0 ** k for k in range(-3, 2)))
             chain_rep = evaluate_chain(scan)
             add("chain", chain_rep.passed, chain_rep.worst.margin)
-            _, agree = group_chain_report(scan)
+            _, agree = group_chain_report(scan, chain_rep)
             add("kostant_agreement", agree, 0.0)
 
             for kind in TARGET_KINDS:

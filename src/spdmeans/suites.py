@@ -263,8 +263,9 @@ def suite_chain(
         x = random_hermitian(n, seed * 99991 + 2 * trial, scale)
         y = random_hermitian(n, seed * 99991 + 2 * trial + 1, scale)
         scan = scan_chain(x, y, r_grid)
+        chain_rep = evaluate_chain(scan)
         tightest: dict = {}
-        for check in evaluate_chain(scan).checks:
+        for check in chain_rep.checks:
             cur = tightest.get(check.name)
             if cur is None or check.margin + check.tol < cur.margin + cur.tol:
                 tightest[check.name] = check
@@ -278,7 +279,7 @@ def suite_chain(
         for r, lo, mid, hi in golden_thompson_refinement(x, y):
             ok = lo <= mid + 1e-10 and mid <= hi + 1e-10
             res.add(trial, n, r, "gt_refinement_sandwich", ok, min(mid - lo, hi - mid))
-        _, agree = group_chain_report(scan)
+        _, agree = group_chain_report(scan, chain_rep)
         res.add(trial, n, None, "kostant_agreement", agree, 0.0)
     return res
 

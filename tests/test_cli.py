@@ -59,6 +59,20 @@ class TestMeanCommand:
         )
         assert result.exit_code == 2
 
+    def test_ill_conditioned_pair_exits_2(self, runner, tmp_path):
+        from spdmeans import random_spd
+
+        a = tmp_path / "a.json"
+        b = tmp_path / "b.json"
+        save_matrix(a, random_spd(4, 3002, 14).mat)
+        save_matrix(b, random_spd(4, 3003, 14).mat)
+        result = runner.invoke(
+            main,
+            ["mean", "--kind", "spectral", "--t", "0.3", "--a", str(a), "--b", str(b)],
+        )
+        assert result.exit_code == 2
+        assert "too ill-conditioned" in result.output
+
     def test_out_file(self, runner, reference_pair_files, tmp_path):
         a, b = reference_pair_files
         out = tmp_path / "mean.json"

@@ -6,6 +6,7 @@ from spdmeans import (
     SingularInput,
     SpdMatrix,
     eig_hermitian,
+    evaluate_chain,
     geometric_mean,
     group_chain_report,
     hyperbolic_spectrum,
@@ -97,11 +98,29 @@ class TestGroupChain:
             n = 2 + trial % 4
             x = random_hermitian(n, 500 + trial, 0.5)
             y = random_hermitian(n, 600 + trial, 0.5)
-            report, agree = group_chain_report(scan_chain(x, y))
+            scan = scan_chain(x, y)
+            report, agree = group_chain_report(scan, evaluate_chain(scan))
             assert agree
             assert report.passed
 
     def test_commuting_degenerates(self):
         x = random_hermitian(3, 7, 0.5)
-        report, agree = group_chain_report(scan_chain(x, x))
+        scan = scan_chain(x, x)
+        report, agree = group_chain_report(scan, evaluate_chain(scan))
         assert agree and report.passed
+
+    def test_suite_chain_evaluates_each_scan_twice(self, monkeypatch):
+        # Once with eigenvalues in suite_chain, once with moduli in
+        # group_chain_report, which takes the first report from its caller.
+        from spdmeans import kostant, suites
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return evaluate_chain(*args, **kwargs)
+
+        monkeypatch.setattr(suites, "evaluate_chain", counted)
+        monkeypatch.setattr(kostant, "evaluate_chain", counted)
+        assert suites.suite_chain(trials=4, seed=1).passed
+        assert len(calls) == 8

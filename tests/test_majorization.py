@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -142,6 +144,18 @@ class TestCompound:
             compound(m, 0)
         with pytest.raises(ParamOutOfRange):
             compound(m, 4)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_matches_minor_loop(self, n):
+        # The reference: each minor gathered by its own row and column subset.
+        m = random_invertible(n, 40 + n)
+        for k in range(2, n + 1):
+            subsets = list(combinations(range(n), k))
+            blocks = np.empty((len(subsets), len(subsets), k, k), dtype=complex)
+            for i, rows in enumerate(subsets):
+                for j, cols in enumerate(subsets):
+                    blocks[i, j] = m.mat[list(rows), :][:, list(cols)]
+            assert np.array_equal(compound(m, k).mat, np.linalg.det(blocks))
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_top_eigenvalue_is_product(self, k):

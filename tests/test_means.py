@@ -1,9 +1,12 @@
+import inspect
+
 import numpy as np
 import pytest
 
 from spdmeans import (
     ComplexMatrix,
     DimensionMismatch,
+    DomainError,
     HermitianMatrix,
     ParamOutOfRange,
     SpdMatrix,
@@ -18,6 +21,8 @@ from spdmeans import (
     spectral_mean_unitary,
     spectrum,
 )
+from spdmeans.means import IDENTITY_NAMES
+from spdmeans.suites import suite_mean_identities
 
 ORDER_CEX_A = [[6.0, -3.0], [-3.0, 4.0]]
 ORDER_CEX_B = [[4.0, -2.0], [-2.0, 5.0]]
@@ -120,6 +125,16 @@ class TestSpectralMean:
             assert np.abs(lhs - rhs).max() <= 1e-10 * np.abs(lhs).max()
 
 
+class TestIllConditionedPair:
+    # cond(A) = 5.7e8 and cond(B) = 7.7e10 pass the SpdMatrix guard, but
+    # A^{-1/2} B A^{-1/2} comes out with a negative computed eigenvalue.
+    def test_raises_domain_error(self):
+        a = random_spd(4, 3002, 14)
+        b = random_spd(4, 3003, 14)
+        with pytest.raises(DomainError, match="too ill-conditioned"):
+            geometric_mean(a, b, 0.3)
+
+
 class TestSpectralMeanUnitary:
     def test_defining_identity(self):
         a = random_spd(4, 51)
@@ -211,3 +226,28 @@ class TestIdentitySuite:
         assert rep.passed
         rep = mean_identity_suite(a, b, 1.0, 0.5, 0.5)
         assert rep.passed
+
+    def test_grid_matches_single_evaluations(self):
+        # The grid shares work between triples; every report must still be
+        # the one a fresh evaluation of its triple gives, bit for bit.
+        defaults = inspect.signature(suite_mean_identities).parameters
+        grids = [defaults[name].default for name in ("t_grid", "r_grid", "s_grid")]
+        triples = [
+            (t, r, s)
+            for t in grids[0]
+            for r in grids[1]
+            for s in grids[2]
+            if r + s <= 1.0 + 1e-15 and r < 1.0
+        ]
+        for n in (2, 3, 4, 5, 6):
+            a = random_spd(n, 300 + n)
+            b = random_spd(n, 400 + n)
+            reports = mean_identity_grid(a, b, *grids)
+            assert [rep.params for rep in reports] == triples
+            for rep in reports:
+                single = mean_identity_suite(a, b, *rep.params)
+                assert list(rep.residuals) == list(IDENTITY_NAMES)
+                for name in IDENTITY_NAMES:
+                    assert rep.residuals[name] == single.residuals[name], (
+                        n, rep.params, name,
+                    )
