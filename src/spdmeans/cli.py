@@ -226,6 +226,10 @@ def orbit_solve(kind, input_paths, n, seed, tol, max_iter, realization, out, tra
         "residual": sol.residual,
         "iterations": sol.iterations,
         "restarts": sol.restarts,
+        "stop_reason": sol.stop_reason,
+        "align_steps": sol.align_steps,
+        "gauss_newton_steps": sol.gauss_newton_steps,
+        "descent_steps": sol.descent_steps,
         "u": matio.matrix_to_obj(sol.u.mat),
         "v": matio.matrix_to_obj(sol.v.mat),
         "z": matio.matrix_to_obj(prob.z.mat),

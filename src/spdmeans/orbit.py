@@ -9,8 +9,13 @@ e^{2X} # e^{2Y}, or of e^{2X} @ e^{2Y}.  A zero-residual pair always exists,
 and the solver reaches it by monotone descent on the product of two unitary
 groups: Armijo-backtracked steepest descent with exponential retraction,
 accelerated by exact block-alignment steps (the closed-form minimizer of
-each factor with the other held fixed), plus seeded random restarts when a
-non-global stationary point is hit.
+each factor with the other held fixed) and damped Gauss-Newton steps, plus
+seeded random restarts when a non-global stationary point is hit.
+
+Alignment converges only linearly near degenerate instances, so an
+alignment pass ends the iteration only when it leaves f below
+_FAST_ALIGN_RATIO (1e-2) of its value before the pass; otherwise the
+Gauss-Newton step runs in the same iteration.
 
 With ``realization='slr'`` everything is constrained to the real symmetric /
 special orthogonal picture: gradients are real skew-symmetric, retractions
@@ -42,6 +47,9 @@ _BACKTRACK = 0.5
 _ETA_INIT = 1.0
 _STALL_RTOL = 1e-14
 _STALL_WINDOW = 50
+# An alignment pass ends its iteration only if it leaves f below this
+# fraction of its previous value.
+_FAST_ALIGN_RATIO = 1e-2
 
 
 def build_target(x: HermitianMatrix, y: HermitianMatrix, kind: str) -> HermitianMatrix:
@@ -94,6 +102,15 @@ class OrbitSolution:
     objective_trace: list
     restarts: int = 0
     converged: bool = True
+    # Why the solve ended: 'converged', 'budget' (max_iter spent), or why its
+    # last start ended: 'stall' (no step accepted, or no relative progress
+    # for _STALL_WINDOW iterations) or 'window' (an alignment start that did
+    # not halve f in 60 iterations).  The counts are accepted steps of each
+    # type, summed over all starts.
+    stop_reason: str = "converged"
+    align_steps: int = 0
+    gauss_newton_steps: int = 0
+    descent_steps: int = 0
 
 
 def objective(u: UnitaryMatrix, v: UnitaryMatrix, prob: OrbitProblem) -> float:
@@ -168,48 +185,42 @@ def _align_factor(
 _BASIS_CACHE: dict = {}
 
 
-def _skew_basis(n: int, realify: bool):
-    """Fixed real basis of the skew-Hermitian (or real skew-symmetric) algebra."""
+def _skew_basis(n: int, realify: bool) -> np.ndarray:
+    """Fixed real basis of the skew-Hermitian (or real skew-symmetric)
+    algebra, as one read-only (m, n, n) array."""
     key = (n, realify)
     if key not in _BASIS_CACHE:
-        basis = []
-        for i in range(n):
-            for j in range(i + 1, n):
-                s = np.zeros((n, n), dtype=complex)
-                s[i, j] = 1.0
-                s[j, i] = -1.0
-                basis.append(s)
+        iu, ju = np.triu_indices(n, 1)
+        k = len(iu)
+        off = np.arange(k)
+        basis = np.zeros((k if realify else 2 * k + n, n, n), dtype=complex)
+        basis[off, iu, ju] = 1.0
+        basis[off, ju, iu] = -1.0
         if not realify:
-            for i in range(n):
-                for j in range(i + 1, n):
-                    s = np.zeros((n, n), dtype=complex)
-                    s[i, j] = 1.0j
-                    s[j, i] = 1.0j
-                    basis.append(s)
-            for i in range(n):
-                s = np.zeros((n, n), dtype=complex)
-                s[i, i] = 1.0j
-                basis.append(s)
+            basis[k + off, iu, ju] = 1.0j
+            basis[k + off, ju, iu] = 1.0j
+            diag = np.arange(n)
+            basis[2 * k + diag, diag, diag] = 1.0j
+        basis.setflags(write=False)
         _BASIS_CACHE[key] = basis
     return _BASIS_CACHE[key]
 
 
 def _gauss_newton_direction(a, b, r, basis):
     """Least-squares skew directions (S_u, S_v) with
-    [S_u, A] + [S_v, B] ~ -R (linearized residual collapse)."""
-    cols = []
-    for s in basis:
-        c = s @ a - a @ s
-        cols.append(np.concatenate([c.real.ravel(), c.imag.ravel()]))
-    for s in basis:
-        c = s @ b - b @ s
-        cols.append(np.concatenate([c.real.ravel(), c.imag.ravel()]))
-    jac = np.stack(cols, axis=1)
+    [S_u, A] + [S_v, B] ~ -R (linearized residual collapse).
+
+    Column j of the Jacobian is the commutator of basis element j with A
+    (first m columns) or B (last m), split into real and imaginary parts.
+    """
+    m = basis.shape[0]
+    comm = np.concatenate([basis @ a - a @ basis, basis @ b - b @ basis])
+    comm = comm.reshape(2 * m, -1)
+    jac = np.concatenate([comm.real, comm.imag], axis=1).T
     rhs = -np.concatenate([r.real.ravel(), r.imag.ravel()])
     theta, *_ = np.linalg.lstsq(jac, rhs, rcond=1e-10)
-    m = len(basis)
-    s_u = sum(t * s for t, s in zip(theta[:m], basis))
-    s_v = sum(t * s for t, s in zip(theta[m:], basis))
+    s_u = np.tensordot(theta[:m], basis, axes=1)
+    s_v = np.tensordot(theta[m:], basis, axes=1)
     return s_u, s_v
 
 
@@ -314,8 +325,13 @@ def solve(
     block-alignment, damped Gauss-Newton, and Armijo steepest descent.
     method='descent' runs the plain gradient scheme only.  The objective
     trace over accepted iterates is non-increasing by construction.
+    In the hybrid method an alignment pass ends its iteration only when it
+    leaves f below _FAST_ALIGN_RATIO (1e-2) of its value before the pass;
+    after a slower pass the damped Gauss-Newton step runs in the same
+    iteration, and the descent step runs when neither moved.
     Raises MaxIterReached (carrying the best iterate) only if every start
-    stalls above tolerance within the iteration budget.
+    stalls above tolerance within the iteration budget.  The solution's
+    stop_reason and step counts say why and how the solve ended.
     """
     if realization not in ("glc", "slr"):
         raise ParamOutOfRange(f"unknown realization {realization!r}")
@@ -339,6 +355,20 @@ def solve(
     iterations = 0
     restarts_used = 0
     trace: list = []
+    steps = {"align_steps": 0, "gauss_newton_steps": 0, "descent_steps": 0}
+
+    def solution(u, v, resid, trace, stop_reason):
+        return OrbitSolution(
+            u=UnitaryMatrix(u),
+            v=UnitaryMatrix(v),
+            residual=resid,
+            iterations=iterations,
+            objective_trace=trace,
+            restarts=restarts_used,
+            converged=stop_reason == "converged",
+            stop_reason=stop_reason,
+            **steps,
+        )
 
     for restart in range(max_restarts + 1):
         if restart > 0:
@@ -382,7 +412,8 @@ def solve(
                 if f_new <= f:
                     u, v, f, resid = u_new, v_new, f_new, resid_new
                     moved = f < f_prev
-                    fast_progress = f_prev - f > 1e-3 * f_prev
+                    steps["align_steps"] += moved
+                    fast_progress = f < _FAST_ALIGN_RATIO * f_prev
 
             if not fast_progress and resid > tol:
                 a = u @ xm @ u.conj().T
@@ -407,6 +438,7 @@ def solve(
                         if f_new <= f * (1.0 - 1e-4):
                             u, v, f, resid = u_new, v_new, f_new, resid_new
                             moved = True
+                            steps["gauss_newton_steps"] += 1
                             break
                         damp *= 0.5
 
@@ -434,6 +466,7 @@ def solve(
                             u, v, f, resid = u_new, v_new, f_new, resid_new
                             eta = eta_try
                             moved = True
+                            steps["descent_steps"] += 1
                             break
                         eta_try *= _BACKTRACK
 
@@ -443,6 +476,7 @@ def solve(
             rel_drop = (f_prev - f) / max(f_prev, 1e-300)
             stall = stall + 1 if rel_drop < _STALL_RTOL else 0
             if not moved or stall >= _STALL_WINDOW:
+                stop_reason = "stall"
                 break
             # Windowed progress guard for alignment starts: creeping toward
             # a positive fixed value makes only vanishing headway per
@@ -453,38 +487,25 @@ def solve(
                 window_len += 1
                 if window_len >= 60:
                     if f > 0.5 * window_anchor:
+                        stop_reason = "window"
                         break
                     window_anchor = f
                     window_len = 0
+        else:
+            stop_reason = "converged" if resid <= tol else "budget"
 
         if best is None or f < best[2]:
             best = (u, v, f, resid, list(trace))
         if resid <= tol:
-            return OrbitSolution(
-                u=UnitaryMatrix(u),
-                v=UnitaryMatrix(v),
-                residual=resid,
-                iterations=iterations,
-                objective_trace=trace,
-                restarts=restarts_used,
-                converged=True,
-            )
+            return solution(u, v, resid, trace, "converged")
         if iterations >= max_iter:
             break
 
     u, v, f, resid, trace = best
     raise MaxIterReached(
-        f"orbit solve stalled at residual {resid:.3e} after {iterations} "
-        f"iterations and {restarts_used} restarts",
-        solution=OrbitSolution(
-            u=UnitaryMatrix(u),
-            v=UnitaryMatrix(v),
-            residual=resid,
-            iterations=iterations,
-            objective_trace=trace,
-            restarts=restarts_used,
-            converged=False,
-        ),
+        f"orbit solve stopped ({stop_reason}) at residual {resid:.3e} after "
+        f"{iterations} iterations and {restarts_used} restarts",
+        solution=solution(u, v, resid, trace, stop_reason),
     )
 
 

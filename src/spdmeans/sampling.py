@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ParamOutOfRange
+from .errors import DomainError, ParamOutOfRange
 from .linalg import (
+    SPD_TOL,
     ComplexMatrix,
     HermitianMatrix,
     SpdMatrix,
@@ -48,7 +49,9 @@ def random_spd(n: int, seed: int, spread: float = 2.0) -> SpdMatrix:
     """Q diag(e^{u_i}) Q* with u_i uniform in [-spread, spread].
 
     Q is the polar unitary of a seeded complex Gaussian, so the condition
-    number is bounded by e^{2 spread} by construction.
+    number is e^{max u - min u} by construction.  A draw whose condition
+    number the SpdMatrix guard would reject (not below 1 / SPD_TOL) raises
+    DomainError; the default spread never does.
     """
     if n < 1:
         raise ParamOutOfRange(f"dimension must be >= 1, got {n}")
@@ -57,6 +60,12 @@ def random_spd(n: int, seed: int, spread: float = 2.0) -> SpdMatrix:
     rng = np.random.default_rng(seed)
     u, _ = polar(ComplexMatrix(_gaussian_complex(rng, n)), side="right")
     logvals = rng.uniform(-spread, spread, size=n)
+    span = np.ptp(logvals)
+    if not span < -np.log(SPD_TOL):
+        raise DomainError(
+            f"random_spd(n={n}, seed={seed}, spread={spread}) drew condition "
+            f"number {np.exp(span):.3e}, not below {1.0 / SPD_TOL:.0e}"
+        )
     return SpdMatrix._from_eig(u.mat, np.exp(logvals))
 
 

@@ -194,6 +194,30 @@ class TestOrbitSolveCommand:
         values = [float(line.split(",")[1]) for line in trace_lines[2:]]
         assert all(b <= a for a, b in zip(values, values[1:]))
 
+    def test_json_reports_stop_reason_and_steps(self, runner):
+        result = runner.invoke(
+            main, ["orbit-solve", "--kind", "geo", "--n", "4", "--seed", "7"]
+        )
+        assert result.exit_code == 0
+        payload = json.loads(result.output)
+        assert payload["stop_reason"] == "converged"
+        steps = [
+            payload[key]
+            for key in ("align_steps", "gauss_newton_steps", "descent_steps")
+        ]
+        assert all(isinstance(count, int) and count >= 0 for count in steps)
+        assert sum(steps) >= payload["iterations"]
+
+    def test_budget_stop_reason_exits_1(self, runner):
+        result = runner.invoke(
+            main,
+            ["orbit-solve", "--kind", "spec", "--n", "4", "--max-iter", "1", "--tol", "1e-14"],
+        )
+        assert result.exit_code == 1
+        payload = json.loads(result.output)
+        assert payload["converged"] is False
+        assert payload["stop_reason"] == "budget"
+
     def test_input_files_and_slr(self, runner, tmp_path):
         from spdmeans import random_real_symmetric_traceless
 

@@ -232,6 +232,24 @@ class TestPolar:
             polar(ComplexMatrix(np.eye(2)), side="middle")
 
 
+class TestRandomSpd:
+    def test_out_of_range_draw_raises(self):
+        # The drawn log-values span 28.1: condition number 1.58e12.
+        with pytest.raises(DomainError, match="condition number"):
+            random_spd(4, 1, 16.0)
+
+    def test_returned_matrices_pass_the_guard(self):
+        raised = 0
+        for seed in range(40):
+            try:
+                m = random_spd(4, seed, 16.0)
+            except DomainError:
+                raised += 1
+                continue
+            SpdMatrix(m.mat)
+        assert 0 < raised < 40
+
+
 class TestSpectrum:
     def test_sort_rule_golden(self):
         vals = spectrum(ComplexMatrix(np.diag([1.0, -2.0, 3.0j])))

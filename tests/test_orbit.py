@@ -12,11 +12,14 @@ from spdmeans import (
     mat_exp,
     objective,
     random_hermitian,
+    random_orthogonal,
+    random_real_symmetric_traceless,
     random_unitary,
     riemannian_grad,
     solve,
     verify_membership,
 )
+from spdmeans.orbit import _gauss_newton_direction, _skew_basis
 
 
 def diag_h(*vals):
@@ -186,6 +189,9 @@ class TestSolve:
         prob = OrbitProblem.create(x, y, "exp_product")
         sol = solve(prob, method="descent", max_iter=20000)
         assert sol.residual <= 1e-8
+        assert sol.stop_reason == "converged"
+        assert (sol.align_steps, sol.gauss_newton_steps) == (0, 0)
+        assert sol.descent_steps == sol.iterations
         assert all(
             b <= a for a, b in zip(sol.objective_trace, sol.objective_trace[1:])
         )
@@ -200,6 +206,21 @@ class TestSolve:
         assert best is not None
         assert not best.converged
         assert best.residual < 1.0
+        assert best.stop_reason == "budget"
+
+    @pytest.mark.parametrize("realization", ["slr", "glc"])
+    def test_slow_alignment_hands_over_to_gauss_newton(self, realization):
+        # Alignment alone shrinks f by about 8% a pass here: 751 iterations
+        # when every such pass skipped the Gauss-Newton step.
+        x = random_real_symmetric_traceless(3, 100310)
+        y = random_real_symmetric_traceless(3, 100311)
+        prob = OrbitProblem.create(x, y, "geometric")
+        sol = solve(prob, seed=100307, realization=realization)
+        assert sol.residual <= 1e-8
+        assert sol.iterations <= 20
+        assert sol.stop_reason == "converged"
+        assert sol.gauss_newton_steps >= 1
+        assert verify_membership(sol, prob)
 
     def test_bad_params(self):
         x = random_hermitian(2, 1, 1.0)
@@ -240,3 +261,73 @@ class TestVerifyMembership:
         )
         fake.u.mat = bad
         assert not verify_membership(fake, prob)
+
+
+def _loop_skew_basis(n, realify):
+    """Reference: the basis built element by element."""
+    basis = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            s = np.zeros((n, n), dtype=complex)
+            s[i, j] = 1.0
+            s[j, i] = -1.0
+            basis.append(s)
+    if not realify:
+        for i in range(n):
+            for j in range(i + 1, n):
+                s = np.zeros((n, n), dtype=complex)
+                s[i, j] = 1.0j
+                s[j, i] = 1.0j
+                basis.append(s)
+        for i in range(n):
+            s = np.zeros((n, n), dtype=complex)
+            s[i, i] = 1.0j
+            basis.append(s)
+    return basis
+
+
+def _loop_gauss_newton_direction(a, b, r, basis):
+    """Reference: the Jacobian assembled one commutator column at a time."""
+    cols = []
+    for s in basis:
+        c = s @ a - a @ s
+        cols.append(np.concatenate([c.real.ravel(), c.imag.ravel()]))
+    for s in basis:
+        c = s @ b - b @ s
+        cols.append(np.concatenate([c.real.ravel(), c.imag.ravel()]))
+    jac = np.stack(cols, axis=1)
+    rhs = -np.concatenate([r.real.ravel(), r.imag.ravel()])
+    theta, *_ = np.linalg.lstsq(jac, rhs, rcond=1e-10)
+    m = len(basis)
+    s_u = sum(t * s for t, s in zip(theta[:m], basis))
+    s_v = sum(t * s for t, s in zip(theta[m:], basis))
+    return s_u, s_v
+
+
+class TestGaussNewtonJacobian:
+    @pytest.mark.parametrize("realization", ["glc", "slr"])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_basis_matches_loop(self, n, realization):
+        realify = realization == "slr"
+        assert np.array_equal(
+            _skew_basis(n, realify), np.stack(_loop_skew_basis(n, realify))
+        )
+
+    @pytest.mark.parametrize("realization", ["glc", "slr"])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_batched_matches_loop(self, n, realization):
+        realify = realization == "slr"
+        sample = random_real_symmetric_traceless if realify else random_hermitian
+        for trial in range(3):
+            seed = 9000 + 10 * n + trial
+            x, y = sample(n, seed), sample(n, seed + 1)
+            prob = OrbitProblem.create(x, y, "exp_product")
+            factor = random_orthogonal if realify else random_unitary
+            u, v = factor(n, seed + 2).mat, factor(n, seed + 3).mat
+            a = u @ x.mat @ u.conj().T
+            b = v @ y.mat @ v.conj().T
+            r = a + b - prob.z.mat
+            got = _gauss_newton_direction(a, b, r, _skew_basis(n, realify))
+            want = _loop_gauss_newton_direction(a, b, r, _loop_skew_basis(n, realify))
+            for g, w in zip(got, want):
+                assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
