@@ -157,11 +157,20 @@ def verify(suite, run_all, trials, seed, realization, out):
     if out:
         suites.write_report(out, results)
     all_ok = True
-    for result in results:
+    for name, result in zip(names, results):
         status = "pass" if result.passed else "FAIL"
         click.echo(f"{result.name}: {status} ({len(result.rows)} checks)")
         for row in result.failures[:10]:
-            click.echo(f"  fail: {row.prop} margin={row.margin:.3e}")
+            t_str = "-" if row.t is None else f"{row.t:.6g}"
+            click.echo(
+                f"  fail: {row.prop} trial={row.trial} n={row.n} t={t_str} "
+                f"margin={row.margin:.3e}"
+            )
+        if not result.passed:
+            again = f"spdmeans verify --suite {name} --seed {seed} --trials {trials}"
+            if realization != "glc":
+                again += f" --realization {realization}"
+            click.echo(f"  reproduce: {again}")
         all_ok &= result.passed
     sys.exit(0 if all_ok else 1)
 

@@ -9,6 +9,8 @@ identical inputs give identical outputs run to run.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import DomainError, NoConvergence, SingularInput
@@ -162,44 +164,100 @@ class EigenPair:
         return (q * fn(self.values)) @ q.conj().T
 
 
+@functools.lru_cache(maxsize=64)
+def _column_tops(m: int, n: int) -> np.ndarray:
+    """Flat index of the first entry of each column of a C-contiguous stack
+    of m n x n matrices: k n^2 + j for column j of matrix k, in column order."""
+    c = np.arange(m * n)
+    tops = c + c // n * (n * n - n)
+    tops.setflags(write=False)
+    return tops
+
+
 def _canonical_phase(q: np.ndarray) -> np.ndarray:
     """Rotate each column so its largest-modulus entry is real and positive.
 
     LAPACK fixes eigenvectors only up to a unit phase; this pins the phase
-    (first index wins a tie), and leaves real eigenvectors real.
+    (first index wins a tie), and leaves real eigenvectors real.  ``q`` is a
+    stack ``(..., n, n)``; each matrix is handled on its own, and a new
+    array is returned.
     """
-    cols = np.arange(q.shape[1])
-    piv = np.argmax(np.abs(q), axis=0)
-    top = q[piv, cols]
+    n = q.shape[-1]
+    piv = np.abs(q).argmax(axis=-2)
+    at = piv.reshape(-1) * n + _column_tops(piv.size // n, n)
+    top = q.reshape(-1)[at]
     mod = np.abs(top)
-    q = q * (top.conj() / mod)
-    q[piv, cols] = mod
+    q = q * (top.conj() / mod).reshape(piv.shape)[..., None, :]
+    q.reshape(-1)[at] = mod
     return q
 
 
-def eig_hermitian(m: HermitianMatrix) -> EigenPair:
-    """Eigendecomposition of a Hermitian matrix (LAPACK ``eigh``).
+def eigh_stack(arr: np.ndarray, vectors: bool = True):
+    """Eigendecomposition of a stack ``(..., n, n)`` of Hermitian arrays.
 
-    Values come back sorted descending; ties keep LAPACK's ascending order
-    (stable sort).  Each eigenvector column carries the canonical phase of
-    ``_canonical_phase``.  The result is cached on the input, so repeated
-    calls on the same object are free.
+    The one eigen kernel: LAPACK ``eigh`` (``eigvalsh`` when ``vectors`` is
+    False) over the whole stack.  Values come back sorted descending, shape
+    ``(..., n)``; ties keep LAPACK's ascending order (stable sort).  With
+    ``vectors`` the matching eigenvector columns, shape ``(..., n, n)``,
+    carry the canonical phase of ``_canonical_phase`` and the pair
+    ``(values, vectors)`` is returned; otherwise the values alone.  Only the
+    lower triangle of each matrix is read.
+    """
+    try:
+        if not vectors:
+            return np.ascontiguousarray(np.linalg.eigvalsh(arr)[..., ::-1])
+        vals, q = np.linalg.eigh(arr)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"Hermitian eigendecomposition failed: {exc}") from exc
+    if (vals[..., 1:] > vals[..., :-1]).all():
+        # No ties: the stable descending order is the reversed one.
+        vals, q = vals[..., ::-1], q[..., ::-1]
+    else:
+        order = np.argsort(-vals, axis=-1, kind="stable")
+        vals = np.take_along_axis(vals, order, axis=-1)
+        q = np.take_along_axis(q, order[..., None, :], axis=-1)
+    return np.ascontiguousarray(vals), _canonical_phase(q)
+
+
+def eig_hermitian(m: HermitianMatrix) -> EigenPair:
+    """Eigendecomposition of a Hermitian matrix: ``eigh_stack`` on one matrix.
+
+    The result is cached on the input, so repeated calls on the same object
+    are free.
     """
     if m._eig is not None:
         return m._eig
-    try:
-        vals, q = np.linalg.eigh(m.mat)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"Hermitian eigendecomposition failed: {exc}") from exc
-    order = np.argsort(-vals, kind="stable")
-    vals = vals[order]
-    qs = _canonical_phase(q[:, order])
+    vals, qs = eigh_stack(m.mat)
     vals.setflags(write=False)
     qs.setflags(write=False)
     vecs = UnitaryMatrix.__new__(UnitaryMatrix)
     vecs.mat = qs
     pair = EigenPair(vals, vecs)
     m._eig = pair
+    return pair
+
+
+def require_positive(vals: np.ndarray, what: str) -> None:
+    """Raise ``DomainError`` unless every set of descending eigenvalues in
+    ``vals`` (shape ``(..., n)``) has a positive smallest member.
+
+    A product of positive definite factors wrapped unchecked (``_trusted``)
+    can come out numerically indefinite; its log, root or fractional power
+    would then be NaN.
+    """
+    low = vals[..., -1]
+    if not (low > 0.0).all():
+        worst = np.unravel_index(np.argmin(low), low.shape)
+        raise DomainError(
+            f"{what}: computed eigenvalues in "
+            f"[{vals[worst][-1]:.3e}, {vals[worst][0]:.3e}]"
+        )
+
+
+def _positive_eig(m: SpdMatrix) -> EigenPair:
+    """The eigendecomposition of ``m``, after ``require_positive``."""
+    pair = eig_hermitian(m)
+    require_positive(pair.values, "matrix is numerically not positive definite")
     return pair
 
 
@@ -210,22 +268,23 @@ def mat_exp(m: HermitianMatrix, scale: float = 1.0) -> SpdMatrix:
 
 
 def mat_log(m: SpdMatrix) -> HermitianMatrix:
-    """Principal logarithm of a positive definite matrix."""
+    """Principal logarithm of a positive definite matrix; ``DomainError``
+    when its smallest computed eigenvalue is not positive."""
     if not isinstance(m, SpdMatrix):
         raise DomainError("mat_log requires a positive definite matrix")
-    pair = eig_hermitian(m)
-    out = HermitianMatrix._wrap(pair.apply(np.log))
-    return out
+    return HermitianMatrix._wrap(_positive_eig(m).apply(np.log))
 
 
 def mat_pow(m: HermitianMatrix, t: float) -> HermitianMatrix:
     """M^t through the eigendecomposition.
 
     Non-integer exponents require a positive definite input; integer
-    exponents are fine on any Hermitian matrix.
+    exponents are fine on any Hermitian matrix.  A positive definite input
+    whose smallest computed eigenvalue is not positive raises
+    ``DomainError``.
     """
     if isinstance(m, SpdMatrix):
-        pair = eig_hermitian(m)
+        pair = _positive_eig(m)
         return SpdMatrix._from_eig(pair.vectors.mat, pair.values ** t)
     if not float(t).is_integer():
         raise DomainError(

@@ -17,7 +17,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import LengthMismatch, NonPositiveEntry, ParamOutOfRange
-from .linalg import ComplexMatrix, SpdMatrix, eig_hermitian
+from .linalg import ComplexMatrix, SpdMatrix
 from .means import _MeanPair, rel_residual
 
 
@@ -128,10 +128,8 @@ def check_log_majorization_means(
     """
     if not (0.0 <= t <= 1.0):
         raise ParamOutOfRange(f"t must lie in [0, 1], got {t}")
-    pair = _MeanPair(a, b)
-    lam_sharp = eig_hermitian(pair.sharp(t)).values
-    lam_natural = eig_hermitian(pair.natural(t)).values
-    report = log_majorization_report(lam_sharp, lam_natural)
+    lam_sharp, lam_natural = _MeanPair(a, b).spectra([t])
+    report = log_majorization_report(lam_sharp[0], lam_natural[0])
     if report.holds:
         return True
     if report.within_roundoff:

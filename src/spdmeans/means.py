@@ -12,6 +12,17 @@ suite for the algebraic identity laws the means satisfy.
 Everything is computed from the defining formulas through
 eigendecompositions; the algebraic shortcuts are exactly the properties the
 test suites check, so they are never used as the computation path.
+
+The computation works on arrays.  ``_MeanPair`` holds a stack of pairs of
+shape ``(..., n, n)`` and takes the means at every parameter of a set in one
+call, as ``Q diag(lambda^tau) Q*`` over a parameter axis appended to the
+stack.  The base and the exponent of each power are broadcast out and made
+contiguous before numpy's ``power`` runs, so every layout goes through the
+same loop and a matrix in a stack gets the same bits as the same matrix
+alone.  ``geometric_mean``, ``spectral_mean`` and ``_MeanPair.sharp`` /
+``natural`` / ``cross`` are views of one pair at one parameter, and
+``_IdentityContext`` evaluates the identity laws over a whole parameter
+grid as a handful of stacked expressions.
 """
 
 from __future__ import annotations
@@ -20,15 +31,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError, ParamOutOfRange
+from .errors import DimensionMismatch, ParamOutOfRange
 from .linalg import (
     ComplexMatrix,
     HermitianMatrix,
     SpdMatrix,
     UnitaryMatrix,
     eig_hermitian,
-    mat_pow,
+    eigh_stack,
     polar,
+    require_positive,
 )
 
 IDENTITY_TOL = 1e-10
@@ -47,76 +59,171 @@ def _check_unit(name: str, value: float) -> None:
         raise ParamOutOfRange(f"{name} must lie in [0, 1], got {value}")
 
 
-def rel_residual(lhs: np.ndarray, rhs: np.ndarray) -> float:
-    """Max-norm difference relative to the larger operand's max-norm."""
-    scale = max(float(np.abs(lhs).max()), float(np.abs(rhs).max()), 1e-300)
-    return float(np.abs(lhs - rhs).max()) / scale
+def _max_abs(arr: np.ndarray) -> np.ndarray:
+    return np.abs(arr).max(axis=(-2, -1))
 
 
-def _positive_product(arr: np.ndarray) -> SpdMatrix:
-    """Wrap a product of positive definite factors whose power or root is
-    taken next, after checking that its smallest eigenvalue is positive.
+def rel_residual(lhs: np.ndarray, rhs: np.ndarray):
+    """Max-norm difference relative to the larger operand's max-norm.
+
+    Taken over the trailing two axes: a float for two matrices, an array
+    over the broadcast stack for stacks of matrices.
+    """
+    scale = np.maximum(np.maximum(_max_abs(lhs), _max_abs(rhs)), 1e-300)
+    res = _max_abs(lhs - rhs) / scale
+    return float(res) if res.ndim == 0 else res
+
+
+def _ct(arr: np.ndarray) -> np.ndarray:
+    """Conjugate transpose over the trailing two axes."""
+    return arr.conj().swapaxes(-1, -2)
+
+
+def _herm(arr: np.ndarray) -> np.ndarray:
+    """(M + M*) / 2 for every matrix of a stack."""
+    return (arr + _ct(arr)) / 2.0
+
+
+def _pow(base, expo) -> np.ndarray:
+    """base ** expo on contiguous, explicitly broadcast operands.
+
+    numpy sends broadcast (zero-stride) operands of ``power`` through a
+    scalar loop and contiguous ones through a vector loop, and the two can
+    round differently; with both operands contiguous, every layout takes the
+    same loop.
+    """
+    shape = np.broadcast(base, expo).shape
+    full_base, full_expo = np.empty(shape), np.empty(shape)
+    full_base[...] = base
+    full_expo[...] = expo
+    return np.power(full_base, full_expo, out=full_base)
+
+
+def _assemble(q: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """Q diag(vals) Q*, symmetrized, for every matrix of a stack."""
+    return _herm((q * vals[..., None, :]) @ _ct(q))
+
+
+def _powers(vals: np.ndarray, q: np.ndarray, taus) -> np.ndarray:
+    """Q diag(vals^tau) Q* for every tau of ``taus``.
+
+    ``vals`` / ``q`` are the eigenvalues ``(..., n)`` and eigenvectors
+    ``(..., n, n)`` of a stack.  The last axis of ``taus`` is the parameter
+    axis; its leading axes broadcast against the stack.  The result has
+    shape stack + (K, n, n).
+    """
+    taus = np.asarray(taus, dtype=float)
+    return _assemble(q[..., None, :, :], _pow(vals[..., None, :], taus[..., None]))
+
+
+def _inverse(arr: np.ndarray) -> np.ndarray:
+    """Inverse of every positive definite matrix of a stack, through its
+    eigendecomposition."""
+    vals, q = eigh_stack(arr)
+    return _assemble(q, 1.0 / vals)
+
+
+def _positive_product(arr: np.ndarray) -> tuple:
+    """Symmetrize a stack of products of positive definite factors whose
+    power or root is taken next, and decompose it, after checking that the
+    smallest eigenvalue of every member is positive.
 
     The products A^{-1/2} B A^{-1/2} and A^{1/2} B A^{1/2} can have
     condition numbers up to cond(A) * cond(B).  Past 1/eps their smallest
     computed eigenvalue can be zero or negative, and its power is NaN.  The
     eigendecomposition computed here is the one the power then uses.
+    Returns (symmetrized stack, eigenvalues, eigenvectors).
     """
-    m = SpdMatrix._trusted(arr)
-    values = eig_hermitian(m).values
-    if not values[-1] > 0.0:
-        raise DomainError(
-            "the pair is too ill-conditioned for its means: a product of the "
-            f"pair has computed eigenvalues in [{values[-1]:.3e}, {values[0]:.3e}]"
-        )
-    return m
+    sym = _herm(arr)
+    vals, q = eigh_stack(sym)
+    require_positive(
+        vals,
+        "the pair is too ill-conditioned for its means "
+        "(a product of the pair is numerically indefinite)",
+    )
+    return sym, vals, q
 
 
 class _MeanPair:
-    """Per-pair cache so repeated mean evaluations share decompositions."""
+    """Both means of a stack of pairs, sharing their decompositions.
 
-    def __init__(self, a: SpdMatrix, b: SpdMatrix):
-        _check_pair(a, b)
+    ``a`` and ``b`` are two ``SpdMatrix`` objects, or two arrays of shape
+    ``(..., n, n)`` that broadcast against each other (their broadcast
+    leading shape is the pair's stack; the arrays are trusted to be
+    positive definite, as ``SpdMatrix._trusted`` is).  ``sharps(taus)`` and
+    ``naturals(taus)`` take the mean of every pair at every parameter of
+    ``taus``, whose last axis is the parameter axis and whose leading axes
+    broadcast against the stack; they return stack + (K, n, n).  Every
+    product whose power or root is taken is checked on every member of the
+    stack first, and ``DomainError`` is raised if any member is numerically
+    indefinite.  ``sharp(t)``, ``natural(t)`` and ``cross()`` are the
+    one-pair, one-parameter views.
+    """
+
+    def __init__(self, a, b):
+        self._eig_a = None        # (values, vectors) of A, from its cache
+        if not (isinstance(a, np.ndarray) and isinstance(b, np.ndarray)):
+            _check_pair(a, b)
+            pair = eig_hermitian(a)
+            self._eig_a = (pair.values, pair.vectors.mat)
+            a, b = a.mat, b.mat
         self.a = a
         self.b = b
-        self._root_a = None       # (A^{1/2}, A^{-1/2}) arrays
-        self._mid = None          # A^{-1/2} B A^{-1/2}
-        self._cross = None        # A^{-1} # B
-        self._sharp = {}
-        self._natural = {}
+        self._root_a = None       # (A^{1/2}, A^{-1/2})
+        self._mid = None          # A^{-1/2} B A^{-1/2}: (values, vectors)
+        self._cross = None        # A^{-1} # B: (matrix, values, vectors)
 
     def _roots(self):
         if self._root_a is None:
-            pair = eig_hermitian(self.a)
-            q = pair.vectors.mat
-            rt = np.sqrt(pair.values)
-            self._root_a = ((q * rt) @ q.conj().T, (q / rt) @ q.conj().T)
+            vals, q = self._eig_a or eigh_stack(self.a)
+            rt = np.sqrt(vals)[..., None, :]
+            qh = _ct(q)
+            self._root_a = ((q * rt) @ qh, (q / rt) @ qh)
         return self._root_a
 
-    def sharp(self, t: float) -> SpdMatrix:
-        if t not in self._sharp:
-            ra, ria = self._roots()
-            if self._mid is None:
-                self._mid = _positive_product(ria @ self.b.mat @ ria)
-            core = mat_pow(self._mid, t).mat
-            self._sharp[t] = SpdMatrix._trusted(ra @ core @ ra)
-        return self._sharp[t]
+    def sharps(self, taus) -> np.ndarray:
+        """A #_tau B for every pair and every tau."""
+        ra, ria = self._roots()
+        if self._mid is None:
+            self._mid = _positive_product(ria @ self.b @ ria)[1:]
+        ra = ra[..., None, :, :]
+        return _herm(ra @ _powers(*self._mid, taus) @ ra)
 
-    def cross(self) -> SpdMatrix:
-        """A^{-1} # B, the generator of the spectral mean."""
+    def _cross_eig(self) -> tuple:
+        """A^{-1} # B, the generator of the spectral mean, with its
+        eigendecomposition."""
         if self._cross is None:
             ra, ria = self._roots()
-            pair = eig_hermitian(_positive_product(ra @ self.b.mat @ ra))
-            q = pair.vectors.mat
-            root = (q * np.sqrt(pair.values)) @ q.conj().T
+            _, vals, q = _positive_product(ra @ self.b @ ra)
+            root = (q * np.sqrt(vals)[..., None, :]) @ _ct(q)
             self._cross = _positive_product(ria @ root @ ria)
         return self._cross
 
+    def cross_powers(self, taus) -> np.ndarray:
+        """(A^{-1} # B)^tau for every pair and every tau."""
+        return _powers(*self._cross_eig()[1:], taus)
+
+    def naturals(self, taus) -> np.ndarray:
+        """A @_tau B for every pair and every tau."""
+        ct = self.cross_powers(taus)
+        return _herm(ct @ self.a[..., None, :, :] @ ct)
+
+    def spectra(self, taus) -> tuple:
+        """Eigenvalues, descending, of A #_tau B and of A @_tau B for every
+        pair and every tau (two arrays stack + (K, n)), from one stacked
+        decomposition."""
+        vals = eigh_stack(np.stack([self.sharps(taus), self.naturals(taus)]), vectors=False)
+        return vals[0], vals[1]
+
+    def sharp(self, t: float) -> SpdMatrix:
+        return SpdMatrix._trusted(self.sharps([t])[0])
+
+    def cross(self) -> SpdMatrix:
+        """A^{-1} # B, the generator of the spectral mean."""
+        return SpdMatrix._trusted(self._cross_eig()[0])
+
     def natural(self, t: float) -> SpdMatrix:
-        if t not in self._natural:
-            ct = mat_pow(self.cross(), t).mat
-            self._natural[t] = SpdMatrix._trusted(ct @ self.a.mat @ ct)
-        return self._natural[t]
+        return SpdMatrix._trusted(self.naturals([t])[0])
 
 
 def geometric_mean(a: SpdMatrix, b: SpdMatrix, t: float = 0.5) -> SpdMatrix:
@@ -146,7 +253,7 @@ def spectral_mean_unitary(a: SpdMatrix, b: SpdMatrix) -> UnitaryMatrix:
     """
     pair = _MeanPair(a, b)
     ra, _ = pair._roots()
-    g = mat_pow(pair.cross(), 0.5).mat @ ra
+    g = pair.cross_powers([0.5])[0] @ ra
     u, _ = polar(ComplexMatrix(g), side="right")
     return u
 
@@ -206,7 +313,9 @@ IDENTITY_NAMES = (
 
 
 class _IdentityContext:
-    """The identity laws of one pair, grouped by the parameters they read.
+    """The identity laws of one pair over a (t, r, s) grid.
+
+    The laws fall into groups by the parameters they read:
 
     - none: natural_inverse_half, link_half, riccati_midpoint;
     - t: natural_inverse_t, natural_swap_t, sharp_swap_t, link_t_left,
@@ -215,131 +324,129 @@ class _IdentityContext:
     - (r, s): sharp_chain, natural_chain;
     - (t, r, s): natural_interpolation.
 
-    ``evaluate`` computes each group once per distinct key and keeps it, so
-    a grid of T x R x S triples evaluates the groups 1 + T + R*S + T*R*S
-    times rather than every law T*R*S times.  The means behind the laws are
-    shared through the ``_MeanPair`` caches.
+    ``residuals`` evaluates each group once, over a stacked parameter
+    axis: the means at a set of parameters come from one ``sharps`` /
+    ``naturals`` call, each family of derived pairs is one stacked
+    ``_MeanPair`` (the links (A^{-1}, A @_t B) and (inv(B @_t A), B), the
+    chain pairs (A #_r B, B) and (A @_r B, B), the interpolation pairs
+    (A @_r B, A @_s B)), and each law's residuals are one reduction.  The
+    parameter-free laws ride along the t axis at t = 1/2.  ``grid`` wraps
+    each triple's residuals in a report, and ``evaluate`` is the grid on
+    one triple.
     """
 
     def __init__(self, a: SpdMatrix, b: SpdMatrix):
         _check_pair(a, b)
-        self.a = a
-        self.b = b
+        self.a = a.mat
+        self.b = b.mat
         self.pair = _MeanPair(a, b)
         self.swapped = _MeanPair(b, a)
-        self.a_inv = _spd_inverse(a)
-        self.inverse = _MeanPair(self.a_inv, _spd_inverse(b))
+        self.a_inv = _inverse(self.a)
+        self.inverse = _MeanPair(self.a_inv, _inverse(self.b))
         self._det_a = spd_det(a)
         self._det_b = spd_det(b)
-        self._fixed = None
-        self._by_t = {}
-        self._by_rs = {}
-        self._chain_pairs = {}    # r -> pairs (A #_r B, B) and (A @_r B, B)
 
-    def _link(self, t: float) -> SpdMatrix:
-        """C_t = A^{-1} # (A @_t B), computed from its defining mean."""
-        return _MeanPair(self.a_inv, self.pair.natural(t)).sharp(0.5)
-
-    def _fixed_laws(self) -> dict:
-        pair, b = self.pair, self.b
-        nat_inv_half = _spd_inverse(pair.natural(0.5))
-        # Midpoint equation: g = A # B uniquely solves g A^{-1} g = B on SPD.
-        g = pair.sharp(0.5)
-        return {
-            "natural_inverse_half": rel_residual(
-                nat_inv_half.mat, self.inverse.natural(0.5).mat
-            ),
-            "link_half": rel_residual(
-                self._link(0.5).mat, _MeanPair(nat_inv_half, b).sharp(0.5).mat
-            ),
-            "riccati_midpoint": rel_residual(
-                g.mat @ self.a_inv.mat @ g.mat, b.mat
-            ),
-        }
-
-    def _t_laws(self, t: float) -> dict:
-        pair, swapped = self.pair, self.swapped
-        a, b = self.a, self.b
-        nat_t = pair.natural(t)
-        sharp_t = pair.sharp(t)
-        swap_nat_t = swapped.natural(t)
-        # Links between the means: A^{-1} # (A @_t B) = (A^{-1} # B)^t.
-        cross_t = mat_pow(pair.cross(), t)
+    def _t_laws(self, t: np.ndarray) -> dict:
+        """Laws of the t group over t (shape (T,)) and the parameter-free
+        laws (scalars)."""
+        pair, swapped, a, b = self.pair, self.swapped, self.a, self.b
+        th = np.append(t, 0.5)
+        nat = pair.naturals(th)
+        nat_inv = _inverse(nat)
+        sharp = pair.sharps(th)
+        swap_nat = swapped.naturals(t)
+        # Links between the means: A^{-1} # (A @_t B) = (A^{-1} # B)^t, and
+        # inv(B @_t A) # B = (A^{-1} # B)^t.  The first right link is the
+        # parameter-free law's inv(A @_1/2 B) # B.
+        cross_t = pair.cross_powers(t)
+        c = _MeanPair(self.a_inv, nat).sharps([0.5])[:, 0]
+        right = _MeanPair(
+            np.concatenate([nat_inv[-1:], _inverse(swap_nat)]), b
+        ).sharps([0.5])[:, 0]
         # Conjugation form: with C_t = A^{-1} # (A @_t B),
         # A @_t B = C_t A C_t and B @_t A = C_t^{-1} B C_t^{-1}.
-        c_t = self._link(t)
-        ct_inv = _spd_inverse(c_t)
+        c_inv = _inverse(c[:-1])
         # Determinant scaling law shared by both means.
-        det_target = self._det_a ** (1.0 - t) * self._det_b ** t
-        det_scale = max(abs(det_target), 1e-300)
+        det_target = _pow(self._det_a, 1.0 - t) * _pow(self._det_b, t)
+        det_scale = np.maximum(np.abs(det_target), 1e-300)
+        dets = np.prod(eigh_stack(np.stack([sharp[:-1], nat[:-1]]), vectors=False), axis=-1)
+        natural_inverse = rel_residual(nat_inv, self.inverse.naturals(th))
+        # Midpoint equation: g = A # B uniquely solves g A^{-1} g = B on SPD.
+        g = sharp[-1]
         return {
-            "natural_inverse_t": rel_residual(
-                _spd_inverse(nat_t).mat, self.inverse.natural(t).mat
-            ),
-            "natural_swap_t": rel_residual(
-                nat_t.mat, swapped.natural(1.0 - t).mat
-            ),
-            "sharp_swap_t": rel_residual(
-                sharp_t.mat, swapped.sharp(1.0 - t).mat
-            ),
-            "link_t_left": rel_residual(c_t.mat, cross_t.mat),
-            "link_t_right": rel_residual(
-                _MeanPair(_spd_inverse(swap_nat_t), b).sharp(0.5).mat,
-                cross_t.mat,
-            ),
-            "conjugation_t_p": rel_residual(
-                c_t.mat @ a.mat @ c_t.mat, nat_t.mat
-            ),
-            "conjugation_t_q": rel_residual(
-                ct_inv.mat @ b.mat @ ct_inv.mat, swap_nat_t.mat
-            ),
-            "sharp_determinant": abs(spd_det(sharp_t) - det_target) / det_scale,
-            "natural_determinant": abs(spd_det(nat_t) - det_target) / det_scale,
+            "natural_inverse_half": natural_inverse[-1],
+            "link_half": rel_residual(c[-1], right[0]),
+            "riccati_midpoint": rel_residual(g @ self.a_inv @ g, b),
+            "natural_inverse_t": natural_inverse[:-1],
+            "natural_swap_t": rel_residual(nat[:-1], swapped.naturals(1.0 - t)),
+            "sharp_swap_t": rel_residual(sharp[:-1], swapped.sharps(1.0 - t)),
+            "link_t_left": rel_residual(c[:-1], cross_t),
+            "link_t_right": rel_residual(right[1:], cross_t),
+            "conjugation_t_p": rel_residual(c[:-1] @ a @ c[:-1], nat[:-1]),
+            "conjugation_t_q": rel_residual(c_inv @ b @ c_inv, swap_nat),
+            "sharp_determinant": np.abs(dets[0] - det_target) / det_scale,
+            "natural_determinant": np.abs(dets[1] - det_target) / det_scale,
         }
 
-    def _rs_laws(self, r: float, s: float) -> tuple[dict, _MeanPair]:
-        """Geodesic reparameterization for both means, plus the pair
-        (A @_r B, A @_s B) the interpolation law takes means of."""
-        pair = self.pair
-        if r not in self._chain_pairs:
-            self._chain_pairs[r] = (
-                _MeanPair(pair.sharp(r), self.b),
-                _MeanPair(pair.natural(r), self.b),
-            )
-        sharp_chain, natural_chain = self._chain_pairs[r]
-        u = s / (1.0 - r)
-        laws = {
-            "sharp_chain": rel_residual(
-                pair.sharp(r + s).mat, sharp_chain.sharp(u).mat
-            ),
-            "natural_chain": rel_residual(
-                pair.natural(r + s).mat, natural_chain.natural(u).mat
-            ),
+    def _rs_laws(self, t: np.ndarray, r: np.ndarray, s: np.ndarray) -> dict:
+        """Geodesic reparameterization for both means over the (r, s) pairs
+        (shape (P,)), and the interpolation law over (t, (r, s)) (shape
+        (T, P))."""
+        pair, b = self.pair, self.b
+        nat_r = pair.naturals(r)
+        u = (s / (1.0 - r))[:, None]
+        sharp_chain = _MeanPair(pair.sharps(r), b).sharps(u)[:, 0]
+        natural_chain = _MeanPair(nat_r, b).naturals(u)[:, 0]
+        # Interpolation: (A @_r B) @_t (A @_s B) = A @_{(1-t)r + ts} B.
+        interp = _MeanPair(nat_r, pair.naturals(s)).naturals(t)
+        target = pair.naturals((1.0 - t) * r[:, None] + t * s[:, None])
+        return {
+            "sharp_chain": rel_residual(pair.sharps(r + s), sharp_chain),
+            "natural_chain": rel_residual(pair.naturals(r + s), natural_chain),
+            "natural_interpolation": rel_residual(interp, target).T,
         }
-        return laws, _MeanPair(pair.natural(r), pair.natural(s))
+
+    def residuals(self, t_values, r_values, s_values) -> tuple[list, np.ndarray]:
+        """The grid's triples, t outermost, then r, then s, and their
+        residuals: an array (triple, law), laws in ``IDENTITY_NAMES`` order.
+
+        Triples with r + s > 1 or r >= 1 are skipped (the reparameterization
+        laws are not defined there); every other triple is validated.
+        """
+        rs = [
+            (r, s)
+            for r in r_values
+            for s in s_values
+            if r + s <= 1.0 + 1e-15 and r < 1.0
+        ]
+        triples = [(t, r, s) for t in t_values for r, s in rs]
+        for triple in triples:
+            _check_suite_params(*triple)
+        if not triples:
+            return [], np.zeros((0, len(IDENTITY_NAMES)))
+        t = np.array(t_values, dtype=float)
+        r, s = np.array(rs, dtype=float).T
+        laws = {
+            **{name: np.asarray(val)[..., None] for name, val in self._t_laws(t).items()},
+            **self._rs_laws(t, r, s),
+        }
+        shape = (len(t), len(rs))
+        table = np.stack(
+            [np.broadcast_to(laws[name], shape) for name in IDENTITY_NAMES], axis=-1
+        )
+        return triples, table.reshape(len(triples), len(IDENTITY_NAMES))
+
+    def grid(self, t_values, r_values, s_values) -> list[MeanIdentityReport]:
+        """One report per triple of ``residuals``."""
+        triples, table = self.residuals(t_values, r_values, s_values)
+        return [
+            MeanIdentityReport(params=triple, residuals=dict(zip(IDENTITY_NAMES, row)))
+            for triple, row in zip(triples, table.tolist())
+        ]
 
     def evaluate(self, t: float, r: float, s: float) -> MeanIdentityReport:
-        if self._fixed is None:
-            self._fixed = self._fixed_laws()
-        if t not in self._by_t:
-            self._by_t[t] = self._t_laws(t)
-        if (r, s) not in self._by_rs:
-            self._by_rs[(r, s)] = self._rs_laws(r, s)
-        chain_laws, interp_pair = self._by_rs[(r, s)]
-        # Interpolation: (A @_r B) @_t (A @_s B) = A @_{(1-t)r + ts} B.
-        interpolation = rel_residual(
-            interp_pair.natural(t).mat,
-            self.pair.natural((1.0 - t) * r + t * s).mat,
-        )
-        laws = {
-            **self._fixed,
-            **self._by_t[t],
-            **chain_laws,
-            "natural_interpolation": interpolation,
-        }
-        return MeanIdentityReport(
-            params=(t, r, s), residuals={name: laws[name] for name in IDENTITY_NAMES}
-        )
+        _check_suite_params(t, r, s)
+        return self.grid((t,), (r,), (s,))[0]
 
 
 def _check_suite_params(t: float, r: float, s: float) -> None:
@@ -361,9 +468,9 @@ def mean_identity_suite(
     """Residuals of the algebraic laws both means satisfy at (t, r, s).
 
     Requires r + s <= 1 and r < 1 so the geodesic reparameterization laws
-    are well posed.
+    are well posed.  The same computation as ``mean_identity_grid`` on the
+    one-triple grid.
     """
-    _check_suite_params(t, r, s)
     return _IdentityContext(a, b).evaluate(t, r, s)
 
 
@@ -376,24 +483,10 @@ def mean_identity_grid(
 ) -> list[MeanIdentityReport]:
     """Identity suite over a full (t, r, s) grid, one report per triple.
 
-    One ``_IdentityContext`` serves the whole grid, so each law is
-    evaluated once per distinct value of the parameters it depends on.
+    Each law is evaluated once over the grid, as stacked array expressions
+    (see ``_IdentityContext``).
 
     Triples with r + s > 1 or r = 1 are skipped (the reparameterization
     laws are not defined there).
     """
-    ctx = _IdentityContext(a, b)
-    reports = []
-    for t in t_values:
-        for r in r_values:
-            for s in s_values:
-                if r + s > 1.0 + 1e-15 or r >= 1.0:
-                    continue
-                _check_suite_params(t, r, s)
-                reports.append(ctx.evaluate(t, r, s))
-    return reports
-
-
-def _spd_inverse(m: SpdMatrix) -> SpdMatrix:
-    pair = eig_hermitian(m)
-    return SpdMatrix._from_eig(pair.vectors.mat, 1.0 / pair.values)
+    return _IdentityContext(a, b).grid(t_values, r_values, s_values)

@@ -15,9 +15,9 @@ import numpy as np
 from .errors import DomainError
 from .gtchain import evaluate_chain, scan_chain
 from .kostant import group_chain_report
-from .linalg import HERMITIAN_TOL, HermitianMatrix, SpdMatrix, eig_hermitian, mat_exp
+from .linalg import HERMITIAN_TOL, HermitianMatrix, SpdMatrix, mat_exp
 from .majorization import log_majorization_report
-from .means import _IdentityContext, _MeanPair, spd_det
+from .means import _MeanPair, mean_identity_suite, spd_det
 from .orbit import TARGET_KINDS, OrbitProblem, solve, verify_membership
 from .sampling import random_real_symmetric_traceless
 
@@ -77,7 +77,7 @@ def run_suites_on_realization(
                 res.add(trial, n, None, prop, passed, margin)
 
             a, b = _real_spd_pair(n, base)
-            rep = _IdentityContext(a, b).evaluate(0.3, 0.25, 0.5)
+            rep = mean_identity_suite(a, b, 0.3, 0.25, 0.5)
             add("means_identities", rep.passed, rep.max_residual)
             det_a, det_b = spd_det(a), spd_det(b)
             add(
@@ -85,11 +85,8 @@ def run_suites_on_realization(
                 abs(det_a - 1.0) < 1e-8 and abs(det_b - 1.0) < 1e-8,
                 max(abs(det_a - 1.0), abs(det_b - 1.0)),
             )
-            pair = _MeanPair(a, b)
-            lm = log_majorization_report(
-                eig_hermitian(pair.sharp(0.5)).values,
-                eig_hermitian(pair.natural(0.5)).values,
-            )
+            lam_sharp, lam_nat = _MeanPair(a, b).spectra([0.5])
+            lm = log_majorization_report(lam_sharp[0], lam_nat[0])
             add("log_majorization", lm.within_roundoff, lm.worst_margin)
 
             x = random_real_symmetric_traceless(n, base + 1, 0.5)

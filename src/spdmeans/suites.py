@@ -38,10 +38,10 @@ from .majorization import (
 )
 from .means import (
     IDENTITY_NAMES,
+    _IdentityContext,
     _MeanPair,
     geometric_mean,
     loewner_leq,
-    mean_identity_grid,
     rel_residual,
     spd_det,
     spectral_mean,
@@ -172,24 +172,18 @@ def suite_log_majorization(
 ) -> SuiteResult:
     """lambda(A #_t B) <_log lambda(A @_t B) plus the determinant law."""
     res = SuiteResult("log_majorization", seed)
+    ts = np.asarray(t_grid, dtype=float)
     for trial in range(trials):
         n = n_values[trial % len(n_values)]
         a, b = _spd_pair(n, seed, trial)
-        pair = _MeanPair(a, b)
-        det_a, det_b = spd_det(a), spd_det(b)
-        worst_margin = math.inf
-        worst_det = 0.0
-        for t in t_grid:
-            lam_sharp = eig_hermitian(pair.sharp(t)).values
-            lam_nat = eig_hermitian(pair.natural(t)).values
-            rep = log_majorization_report(lam_sharp, lam_nat)
-            worst_margin = min(worst_margin, rep.worst_margin)
-            target = det_a ** (1.0 - t) * det_b ** t
-            err = max(
-                abs(float(np.prod(lam_sharp)) - target),
-                abs(float(np.prod(lam_nat)) - target),
-            ) / abs(target)
-            worst_det = max(worst_det, err)
+        lam_sharp, lam_nat = _MeanPair(a, b).spectra(ts)
+        worst_margin = min(
+            log_majorization_report(ls, ln).worst_margin
+            for ls, ln in zip(lam_sharp, lam_nat)
+        )
+        target = spd_det(a) ** (1.0 - ts) * spd_det(b) ** ts
+        dets = np.prod([lam_sharp, lam_nat], axis=-1)
+        worst_det = float((np.abs(dets - target) / np.abs(target)).max())
         res.add(
             trial, n, None, "sharp_log_majorized_by_natural",
             worst_margin >= -margin_tol, worst_margin,
@@ -237,13 +231,9 @@ def suite_mean_identities(
     for trial in range(trials):
         n = n_values[trial % len(n_values)]
         a, b = _spd_pair(n, seed + 104729, trial)
-        worst = dict.fromkeys(IDENTITY_NAMES, 0.0)
-        for rep in mean_identity_grid(a, b, t_grid, r_grid, s_grid):
-            for name, val in rep.residuals.items():
-                if val > worst[name]:
-                    worst[name] = val
-        for name in IDENTITY_NAMES:
-            res.add(trial, n, None, name, worst[name] <= tol, worst[name])
+        _, table = _IdentityContext(a, b).residuals(t_grid, r_grid, s_grid)
+        for name, worst in zip(IDENTITY_NAMES, table.max(axis=0, initial=0.0).tolist()):
+            res.add(trial, n, None, name, worst <= tol, worst)
     return res
 
 

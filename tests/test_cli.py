@@ -116,6 +116,26 @@ class TestVerifyCommand:
         assert result.exit_code == 1
         assert "FAIL" in result.output
 
+    @pytest.mark.parametrize("realization", ["glc", "slr"])
+    def test_failure_lines_and_reproduction(self, runner, monkeypatch, realization):
+        failing = suites.SuiteResult("fake", seed=5)
+        failing.add(3, 4, 0.25, "broken_property", False, -1.0)
+        failing.add(4, 2, None, "other_property", False, 2.5e-3)
+        monkeypatch.setattr(suites, "run_suite", lambda *a, **k: failing)
+        result = runner.invoke(
+            main,
+            ["verify", "--suite", "means", "--seed", "5", "--trials", "7",
+             "--realization", realization],
+        )
+        assert result.exit_code == 1
+        lines = result.output.splitlines()
+        assert "  fail: broken_property trial=3 n=4 t=0.25 margin=-1.000e+00" in lines
+        assert "  fail: other_property trial=4 n=2 t=- margin=2.500e-03" in lines
+        again = "  reproduce: spdmeans verify --suite means --seed 5 --trials 7"
+        if realization == "slr":
+            again += " --realization slr"
+        assert lines[-1] == again
+
     def test_chain_seed_23_passes(self, runner):
         # Trial 0 has a Trotter distance that rises from r=4 to r=8; only
         # the limit r -> 0 is a theorem.
@@ -239,6 +259,20 @@ class TestOrbitSolveCommand:
         )
         assert np.abs(u.imag).max() == 0.0
         assert np.linalg.det(u.real) == pytest.approx(1.0, abs=1e-8)
+
+    def test_numerically_indefinite_target_exits_2(self, runner, tmp_path):
+        from spdmeans import random_hermitian
+
+        x = tmp_path / "x.json"
+        y = tmp_path / "y.json"
+        save_matrix(x, random_hermitian(4, 7026, 12.0).mat)
+        save_matrix(y, random_hermitian(4, 7027, 12.0).mat)
+        result = runner.invoke(
+            main, ["orbit-solve", "--kind", "exp", "--input", str(x), str(y)]
+        )
+        assert result.exit_code == 2
+        assert result.output.startswith("error: ")
+        assert "not positive definite" in result.output
 
     def test_missing_input_file_exits_2(self, runner, tmp_path):
         from spdmeans import random_hermitian

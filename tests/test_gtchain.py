@@ -3,6 +3,7 @@ import pytest
 
 from spdmeans import (
     DEFAULT_R_GRID,
+    DomainError,
     HermitianMatrix,
     ParamOutOfRange,
     SpdMatrix,
@@ -98,6 +99,14 @@ class TestScanChain:
         assert all(p <= tr_mid + 1e-10 <= s + 2e-10 for p, s in zip(tr_phi, tr_psi))
         assert all(b <= a + 1e-10 for a, b in zip(tr_phi, tr_phi[1:]))
         assert all(a <= b + 1e-10 for a, b in zip(tr_psi, tr_psi[1:]))
+
+    def test_numerically_indefinite_mean_raises(self):
+        # A mean fed to mat_pow(., 2 / r) comes out with a negative computed
+        # eigenvalue; phi and psi were NaN.
+        x = random_hermitian(4, 8092, 3.0)
+        y = random_hermitian(4, 8093, 3.0)
+        with pytest.raises(DomainError, match="not positive definite"):
+            scan_chain(x, y)
 
     def test_trotter_distances_shrink_as_r_halves(self):
         x = random_hermitian(3, 55, 0.5)

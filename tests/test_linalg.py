@@ -110,6 +110,25 @@ class TestEigHermitian:
         with pytest.raises(NoConvergence):
             eig_hermitian(h)
 
+    def test_stacked_no_convergence_signals(self, monkeypatch):
+        monkeypatch.setattr(linalg.np.linalg, "eigh", _lapack_failure)
+        monkeypatch.setattr(linalg.np.linalg, "eigvalsh", _lapack_failure)
+        stack = np.stack([rand_hermitian_array(4, seed) for seed in range(3)])
+        with pytest.raises(NoConvergence):
+            linalg.eigh_stack(stack)
+        with pytest.raises(NoConvergence):
+            linalg.eigh_stack(stack, vectors=False)
+
+    def test_stack_matches_single_decompositions(self):
+        stack = np.stack([rand_hermitian_array(5, seed) for seed in range(6)])
+        vals, q = linalg.eigh_stack(stack.reshape(2, 3, 5, 5))
+        for k, m in enumerate(stack):
+            pair = eig_hermitian(HermitianMatrix(m))
+            assert np.array_equal(vals.reshape(6, 5)[k], pair.values)
+            assert np.array_equal(q.reshape(6, 5, 5)[k], pair.vectors.mat)
+        only = linalg.eigh_stack(stack, vectors=False)
+        assert np.abs(only - vals.reshape(6, 5)).max() <= 1e-12 * np.abs(only).max()
+
     def test_canonical_phase(self):
         q = eig_hermitian(HermitianMatrix(rand_hermitian_array(6, 8))).vectors.mat
         top = q[np.abs(q).argmax(axis=0), np.arange(6)]

@@ -21,7 +21,8 @@ from spdmeans import (
     spectral_mean_unitary,
     spectrum,
 )
-from spdmeans.means import IDENTITY_NAMES
+from spdmeans.linalg import mat_pow
+from spdmeans.means import IDENTITY_NAMES, IDENTITY_TOL, _MeanPair, rel_residual, spd_det
 from spdmeans.suites import suite_mean_identities
 
 ORDER_CEX_A = [[6.0, -3.0], [-3.0, 4.0]]
@@ -133,6 +134,18 @@ class TestIllConditionedPair:
         b = random_spd(4, 3003, 14)
         with pytest.raises(DomainError, match="too ill-conditioned"):
             geometric_mean(a, b, 0.3)
+
+    def test_stack_member_raises_domain_error(self):
+        # The same pair in the middle of a stack of good pairs: its
+        # A^{1/2} B A^{1/2} is numerically indefinite.
+        pairs = [(random_spd(4, 10 + 2 * k), random_spd(4, 11 + 2 * k)) for k in range(3)]
+        pairs.insert(2, (random_spd(4, 3002, 14), random_spd(4, 3003, 14)))
+        a = np.stack([p.mat for p, _ in pairs])
+        b = np.stack([q.mat for _, q in pairs])
+        with pytest.raises(DomainError, match="too ill-conditioned"):
+            _MeanPair(a, b).naturals([0.3])
+        good = [0, 1, 3]
+        assert np.all(np.isfinite(_MeanPair(a[good], b[good]).naturals([0.3])))
 
 
 class TestSpectralMeanUnitary:
@@ -251,3 +264,67 @@ class TestIdentitySuite:
                     assert rep.residuals[name] == single.residuals[name], (
                         n, rep.params, name,
                     )
+
+
+def _inverse(m):
+    pair = eig_hermitian(m)
+    return SpdMatrix._from_eig(pair.vectors.mat, 1.0 / pair.values)
+
+
+def _reference_laws(a, b, t, r, s):
+    """The identity laws of one triple, each evaluated on its own from the
+    one-pair, one-parameter means."""
+    pair, swapped = _MeanPair(a, b), _MeanPair(b, a)
+    a_inv = _inverse(a)
+    inverse = _MeanPair(a_inv, _inverse(b))
+
+    def link(u):
+        return _MeanPair(a_inv, pair.natural(u)).sharp(0.5)
+
+    def rel(lhs, rhs):
+        return rel_residual(lhs.mat, rhs.mat)
+
+    nat_t, sharp_t, swap_nat_t = pair.natural(t), pair.sharp(t), swapped.natural(t)
+    nat_inv_half = _inverse(pair.natural(0.5))
+    cross_t = mat_pow(pair.cross(), t)
+    c_t = link(t)
+    ct_inv = _inverse(c_t)
+    g = pair.sharp(0.5)
+    det_target = spd_det(a) ** (1.0 - t) * spd_det(b) ** t
+    det_scale = max(abs(det_target), 1e-300)
+    u = s / (1.0 - r)
+    return {
+        "natural_inverse_half": rel(nat_inv_half, inverse.natural(0.5)),
+        "natural_inverse_t": rel(_inverse(nat_t), inverse.natural(t)),
+        "natural_swap_t": rel(nat_t, swapped.natural(1.0 - t)),
+        "sharp_swap_t": rel(sharp_t, swapped.sharp(1.0 - t)),
+        "link_half": rel(link(0.5), _MeanPair(nat_inv_half, b).sharp(0.5)),
+        "link_t_left": rel(c_t, cross_t),
+        "link_t_right": rel(_MeanPair(_inverse(swap_nat_t), b).sharp(0.5), cross_t),
+        "conjugation_t_p": rel_residual(c_t.mat @ a.mat @ c_t.mat, nat_t.mat),
+        "conjugation_t_q": rel_residual(ct_inv.mat @ b.mat @ ct_inv.mat, swap_nat_t.mat),
+        "natural_interpolation": rel(
+            _MeanPair(pair.natural(r), pair.natural(s)).natural(t),
+            pair.natural((1.0 - t) * r + t * s),
+        ),
+        "sharp_chain": rel(pair.sharp(r + s), _MeanPair(pair.sharp(r), b).sharp(u)),
+        "natural_chain": rel(pair.natural(r + s), _MeanPair(pair.natural(r), b).natural(u)),
+        "riccati_midpoint": rel_residual(g.mat @ a_inv.mat @ g.mat, b.mat),
+        "sharp_determinant": abs(spd_det(sharp_t) - det_target) / det_scale,
+        "natural_determinant": abs(spd_det(nat_t) - det_target) / det_scale,
+    }
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_grid_matches_per_triple_reference(n):
+    # The stacked grid against every law evaluated one triple at a time.
+    defaults = inspect.signature(suite_mean_identities).parameters
+    grids = [defaults[name].default for name in ("t_grid", "r_grid", "s_grid")]
+    a = random_spd(n, 500 + n)
+    b = random_spd(n, 600 + n)
+    for rep in mean_identity_grid(a, b, *grids):
+        ref = _reference_laws(a, b, *rep.params)
+        for name in IDENTITY_NAMES:
+            got, want = rep.residuals[name], ref[name]
+            assert abs(got - want) <= 1e-12, (rep.params, name, got, want)
+            assert (got <= IDENTITY_TOL) == (want <= IDENTITY_TOL)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from spdmeans import (
+    DomainError,
     HermitianMatrix,
     MaxIterReached,
     OrbitProblem,
@@ -71,6 +72,17 @@ class TestBuildTarget:
             np.abs(mat_exp(prob.z).mat - target).max()
             <= 1e-11 * np.abs(target).max()
         )
+
+
+    # At scale 12 the product e^{X/2} e^Y e^{X/2} (exp_product) and the mean
+    # e^{2X} @ e^{2Y} (spectral) come out with a negative computed
+    # eigenvalue; their log was NaN.
+    @pytest.mark.parametrize("kind,seed", [("exp_product", 7026), ("spectral", 7042)])
+    def test_numerically_indefinite_target_raises(self, kind, seed):
+        x = random_hermitian(4, seed, 12.0)
+        y = random_hermitian(4, seed + 1, 12.0)
+        with pytest.raises(DomainError, match="not positive definite"):
+            build_target(x, y, kind)
 
 
 class TestObjectiveAndGradient:
