@@ -9,8 +9,6 @@ identical inputs give identical outputs run to run.
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 from .errors import DomainError, NoConvergence, SingularInput
@@ -164,32 +162,19 @@ class EigenPair:
         return (q * fn(self.values)) @ q.conj().T
 
 
-@functools.lru_cache(maxsize=64)
-def _column_tops(m: int, n: int) -> np.ndarray:
-    """Flat index of the first entry of each column of a C-contiguous stack
-    of m n x n matrices: k n^2 + j for column j of matrix k, in column order."""
-    c = np.arange(m * n)
-    tops = c + c // n * (n * n - n)
-    tops.setflags(write=False)
-    return tops
-
-
-def _canonical_phase(q: np.ndarray) -> np.ndarray:
-    """Rotate each column so its largest-modulus entry is real and positive.
+def _canonical_phase(vecs: np.ndarray) -> None:
+    """Rotate each row of ``vecs`` (one eigenvector a row) in place so its
+    largest-modulus entry is real and positive.
 
     LAPACK fixes eigenvectors only up to a unit phase; this pins the phase
-    (first index wins a tie), and leaves real eigenvectors real.  ``q`` is a
-    stack ``(..., n, n)``; each matrix is handled on its own, and a new
-    array is returned.
+    (first index wins a tie), and leaves real eigenvectors real.
     """
-    n = q.shape[-1]
-    piv = np.abs(q).argmax(axis=-2)
-    at = piv.reshape(-1) * n + _column_tops(piv.size // n, n)
-    top = q.reshape(-1)[at]
+    rows = np.arange(vecs.shape[0])
+    piv = np.abs(vecs).argmax(axis=1)
+    top = vecs[rows, piv]
     mod = np.abs(top)
-    q = q * (top.conj() / mod).reshape(piv.shape)[..., None, :]
-    q.reshape(-1)[at] = mod
-    return q
+    vecs *= (top.conj() / mod)[:, None]
+    vecs[rows, piv] = mod
 
 
 def eigh_stack(arr: np.ndarray, vectors: bool = True):
@@ -209,14 +194,19 @@ def eigh_stack(arr: np.ndarray, vectors: bool = True):
         vals, q = np.linalg.eigh(arr)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"Hermitian eigendecomposition failed: {exc}") from exc
-    if (vals[..., 1:] > vals[..., :-1]).all():
-        # No ties: the stable descending order is the reversed one.
-        vals, q = vals[..., ::-1], q[..., ::-1]
-    else:
-        order = np.argsort(-vals, axis=-1, kind="stable")
-        vals = np.take_along_axis(vals, order, axis=-1)
-        q = np.take_along_axis(q, order[..., None, :], axis=-1)
-    return np.ascontiguousarray(vals), _canonical_phase(q)
+    shape, n = q.shape, q.shape[-1]
+    # Every eigenvector of the stack as a row of one (m n, n) array: row
+    # k n + j of ``vecs`` belongs to the j-th largest eigenvalue of matrix k,
+    # so matrix k's sort indices are offset by k n.
+    order = np.argsort(-vals, axis=-1, kind="stable").reshape(-1, n)
+    order += np.arange(0, order.size, n)[:, None]
+    sorted_rows = order.reshape(-1)
+    vecs = q.swapaxes(-1, -2).reshape(-1, n)[sorted_rows]
+    _canonical_phase(vecs)
+    return (
+        vals.reshape(-1)[sorted_rows].reshape(vals.shape),
+        np.ascontiguousarray(vecs.reshape(shape).swapaxes(-1, -2)),
+    )
 
 
 def eig_hermitian(m: HermitianMatrix) -> EigenPair:
@@ -278,15 +268,16 @@ def mat_log(m: SpdMatrix) -> HermitianMatrix:
 def mat_pow(m: HermitianMatrix, t: float) -> HermitianMatrix:
     """M^t through the eigendecomposition.
 
-    Non-integer exponents require a positive definite input; integer
-    exponents are fine on any Hermitian matrix.  A positive definite input
-    whose smallest computed eigenvalue is not positive raises
-    ``DomainError``.
+    Non-integer exponents require a positive definite input, and raise
+    ``DomainError`` when its smallest computed eigenvalue is not positive
+    (the power would be NaN); integer exponents are fine on any Hermitian
+    matrix.
     """
+    integer = float(t).is_integer()
     if isinstance(m, SpdMatrix):
-        pair = _positive_eig(m)
+        pair = eig_hermitian(m) if integer else _positive_eig(m)
         return SpdMatrix._from_eig(pair.vectors.mat, pair.values ** t)
-    if not float(t).is_integer():
+    if not integer:
         raise DomainError(
             "fractional matrix powers require a positive definite matrix"
         )

@@ -18,11 +18,14 @@ shape ``(..., n, n)`` and takes the means at every parameter of a set in one
 call, as ``Q diag(lambda^tau) Q*`` over a parameter axis appended to the
 stack.  The base and the exponent of each power are broadcast out and made
 contiguous before numpy's ``power`` runs, so every layout goes through the
-same loop and a matrix in a stack gets the same bits as the same matrix
-alone.  ``geometric_mean``, ``spectral_mean`` and ``_MeanPair.sharp`` /
-``natural`` / ``cross`` are views of one pair at one parameter, and
-``_IdentityContext`` evaluates the identity laws over a whole parameter
-grid as a handful of stacked expressions.
+same loop and a pair in a stack gets the same bits as the same two arrays
+alone.  An ``SpdMatrix`` A starts from its cached eigendecomposition when it
+has one (``random_spd`` caches the one it was built from), which can differ
+from a fresh ``eigh`` of A in the last bits.  ``geometric_mean``,
+``spectral_mean`` and ``_MeanPair.sharp`` / ``natural`` / ``cross`` are
+views of one pair at one parameter, and ``_IdentityContext`` evaluates
+the identity laws over a whole parameter grid as a handful of stacked
+expressions.
 """
 
 from __future__ import annotations
@@ -150,7 +153,10 @@ class _MeanPair:
     ``a`` and ``b`` are two ``SpdMatrix`` objects, or two arrays of shape
     ``(..., n, n)`` that broadcast against each other (their broadcast
     leading shape is the pair's stack; the arrays are trusted to be
-    positive definite, as ``SpdMatrix._trusted`` is).  ``sharps(taus)`` and
+    positive definite, as ``SpdMatrix._trusted`` is).  A is decomposed
+    afresh for arrays; an ``SpdMatrix`` A reuses its cached decomposition,
+    so a pair at the edge of the accepted range can raise for one kind of
+    input and not the other.  ``sharps(taus)`` and
     ``naturals(taus)`` take the mean of every pair at every parameter of
     ``taus``, whose last axis is the parameter axis and whose leading axes
     broadcast against the stack; they return stack + (K, n, n).  Every

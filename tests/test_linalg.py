@@ -120,7 +120,11 @@ class TestEigHermitian:
             linalg.eigh_stack(stack, vectors=False)
 
     def test_stack_matches_single_decompositions(self):
-        stack = np.stack([rand_hermitian_array(5, seed) for seed in range(6)])
+        mats = [rand_hermitian_array(5, seed) for seed in range(6)]
+        # Members with repeated eigenvalues, whose ties keep LAPACK's order.
+        mats[2] = np.diag([1.0, 3.0, 1.0, 3.0, 2.0]).astype(complex)
+        mats[4] = np.eye(5, dtype=complex)
+        stack = np.stack(mats)
         vals, q = linalg.eigh_stack(stack.reshape(2, 3, 5, 5))
         for k, m in enumerate(stack):
             pair = eig_hermitian(HermitianMatrix(m))
@@ -180,6 +184,17 @@ class TestMatFn:
         h = HermitianMatrix(np.diag([2.0, -3.0]))
         sq = mat_pow(h, 2)
         assert np.abs(sq.mat - np.diag([4.0, 9.0])).max() < 1e-14
+
+    def test_numerically_indefinite_spd_pow(self):
+        # A trusted product that came out indefinite: its fractional powers
+        # and its log would be NaN and raise; its integer powers are finite.
+        m = SpdMatrix._trusted(np.diag([2.0, -1e-9]))
+        with pytest.raises(DomainError, match="not positive definite"):
+            mat_pow(m, 0.5)
+        with pytest.raises(DomainError, match="not positive definite"):
+            mat_log(m)
+        for t in (1, 2):
+            assert np.all(np.isfinite(mat_pow(m, t).mat))
 
     def test_dispatch_tags(self):
         s = random_spd(3, 5)

@@ -135,15 +135,23 @@ class TestIllConditionedPair:
         with pytest.raises(DomainError, match="too ill-conditioned"):
             geometric_mean(a, b, 0.3)
 
-    def test_stack_member_raises_domain_error(self):
-        # The same pair in the middle of a stack of good pairs: its
-        # A^{1/2} B A^{1/2} is numerically indefinite.
+    def test_stack_member_matches_the_pair_alone(self):
+        # The same pair, as arrays, in the middle of a stack of good pairs.
+        # Decomposed afresh, its A^{1/2} B A^{1/2} is numerically indefinite
+        # (so its natural means raise) and its A^{-1/2} B A^{-1/2} is not
+        # (so its sharp means are finite), in the stack as alone.
         pairs = [(random_spd(4, 10 + 2 * k), random_spd(4, 11 + 2 * k)) for k in range(3)]
         pairs.insert(2, (random_spd(4, 3002, 14), random_spd(4, 3003, 14)))
         a = np.stack([p.mat for p, _ in pairs])
         b = np.stack([q.mat for _, q in pairs])
-        with pytest.raises(DomainError, match="too ill-conditioned"):
-            _MeanPair(a, b).naturals([0.3])
+        for stack in (_MeanPair(a, b), _MeanPair(a[2], b[2])):
+            with pytest.raises(DomainError, match="too ill-conditioned"):
+                stack.naturals([0.3])
+        stacked = _MeanPair(a, b).sharps([0.3, 0.7])
+        for k in range(len(pairs)):
+            alone = _MeanPair(a[k], b[k]).sharps([0.3, 0.7])
+            assert np.all(np.isfinite(alone))
+            assert np.array_equal(stacked[k], alone)
         good = [0, 1, 3]
         assert np.all(np.isfinite(_MeanPair(a[good], b[good]).naturals([0.3])))
 
