@@ -25,8 +25,7 @@ from .linalg import HermitianMatrix
 from .majorization import compound
 from .means import geometric_mean, spectral_mean
 from .orbit import OrbitProblem, solve
-from .realizations import project_to_realization
-from .sampling import random_hermitian, random_real_symmetric_traceless
+from .realizations import REALIZATIONS
 
 DATA_ERRORS = (SpdMeansError, OSError, ValueError)
 
@@ -136,9 +135,10 @@ def scan(x_path, y_path, r_grid, out):
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option(
     "--realization",
-    type=click.Choice(["glc", "slr"]),
+    type=click.Choice(list(REALIZATIONS)),
     default="glc",
     show_default=True,
+    help="Space of the orbit suite only; the realization suite always runs slr.",
 )
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def verify(suite, run_all, trials, seed, realization, out):
@@ -191,7 +191,7 @@ def verify(suite, run_all, trials, seed, realization, out):
 @click.option("--max-iter", type=int, default=5000, show_default=True)
 @click.option(
     "--realization",
-    type=click.Choice(["glc", "slr"]),
+    type=click.Choice(list(REALIZATIONS)),
     default="glc",
     show_default=True,
 )
@@ -200,20 +200,15 @@ def verify(suite, run_all, trials, seed, realization, out):
 def orbit_solve(kind, input_paths, n, seed, tol, max_iter, realization, out, trace_csv):
     """Solve U X U* + V Y V* = Z for the chosen target kind."""
     kind_full = {"exp": "exp_product", "geo": "geometric", "spec": "spectral"}[kind]
+    space = REALIZATIONS[realization]
     try:
         if input_paths:
             x_path, y_path = input_paths
             x = HermitianMatrix(matio.load_matrix(x_path).mat)
             y = HermitianMatrix(matio.load_matrix(y_path).mat)
-            if realization == "slr":
-                x = project_to_realization(x)
-                y = project_to_realization(y)
-        elif realization == "slr":
-            x = random_real_symmetric_traceless(n, seed)
-            y = random_real_symmetric_traceless(n, seed + 1)
+            x, y = space.project(x), space.project(y)
         else:
-            x = random_hermitian(n, seed, 1.0)
-            y = random_hermitian(n, seed + 1, 1.0)
+            x, y = space.sample(n, seed, 1.0), space.sample(n, seed + 1, 1.0)
         prob = OrbitProblem.create(x, y, kind_full)
     except DATA_ERRORS as exc:
         _fail_data(str(exc))

@@ -17,9 +17,9 @@ alignment pass ends the iteration only when it leaves f below
 _FAST_ALIGN_RATIO (1e-2) of its value before the pass; otherwise the
 Gauss-Newton step runs in the same iteration.
 
-With ``realization='slr'`` everything is constrained to the real symmetric /
-special orthogonal picture: gradients are real skew-symmetric, retractions
-stay in SO(n), and restarts draw from SO(n).
+The realization (``realizations.REALIZATIONS``) fixes the group K of the
+factors: U(n) for 'glc', or SO(n) for 'slr', where Gauss-Newton directions
+are real skew-symmetric and every iterate lies in SO(n).
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .linalg import (
     mat_log,
 )
 from .means import _MeanPair
-from .sampling import random_orthogonal, random_unitary
+from .realizations import REALIZATIONS
 
 TARGET_KINDS = ("exp_product", "geometric", "spectral")
 
@@ -158,54 +158,6 @@ def _exp_skew(k: np.ndarray):
     return step
 
 
-def _align_factor(
-    x: HermitianMatrix, w: np.ndarray, realify: bool
-) -> np.ndarray:
-    """Unitary U minimizing ||U X U* - W||_F for Hermitian W.
-
-    Matching the descending eigenbases is optimal: U = Q_W Q_X*.  In the
-    real realization a determinant of -1 is repaired by negating one
-    eigenvector between the bases, which leaves U X U* unchanged but lands
-    U in SO(n).
-    """
-    pw = eig_hermitian(HermitianMatrix._wrap(w))
-    px = eig_hermitian(x)
-    qw = pw.vectors.mat
-    qx = px.vectors.mat
-    u = qw @ qx.conj().T
-    if realify:
-        u = u.real
-        if np.linalg.det(u) < 0.0:
-            u = qw @ np.conj(qx * np.r_[-1.0, np.ones(qx.shape[0] - 1)]).T
-            u = u.real
-        u = u.astype(complex)
-    return u
-
-
-_BASIS_CACHE: dict = {}
-
-
-def _skew_basis(n: int, realify: bool) -> np.ndarray:
-    """Fixed real basis of the skew-Hermitian (or real skew-symmetric)
-    algebra, as one read-only (m, n, n) array."""
-    key = (n, realify)
-    if key not in _BASIS_CACHE:
-        iu, ju = np.triu_indices(n, 1)
-        k = len(iu)
-        off = np.arange(k)
-        basis = np.zeros((k if realify else 2 * k + n, n, n), dtype=complex)
-        basis[off, iu, ju] = 1.0
-        basis[off, ju, iu] = -1.0
-        if not realify:
-            basis[k + off, iu, ju] = 1.0j
-            basis[k + off, ju, iu] = 1.0j
-            diag = np.arange(n)
-            basis[2 * k + diag, diag, diag] = 1.0j
-        basis.setflags(write=False)
-        _BASIS_CACHE[key] = basis
-    return _BASIS_CACHE[key]
-
-
 def _gauss_newton_direction(a, b, r, basis):
     """Least-squares skew directions (S_u, S_v) with
     [S_u, A] + [S_v, B] ~ -R (linearized residual collapse).
@@ -222,22 +174,6 @@ def _gauss_newton_direction(a, b, r, basis):
     s_u = np.tensordot(theta[:m], basis, axes=1)
     s_v = np.tensordot(theta[m:], basis, axes=1)
     return s_u, s_v
-
-
-def _initial_factors(n: int, seed: int, restart: int, realization: str):
-    if restart == 0:
-        eye = np.eye(n, dtype=complex)
-        return eye, eye.copy()
-    base = seed * 8191 + restart * 2
-    if realization == "slr":
-        return (
-            random_orthogonal(n, base).mat.copy(),
-            random_orthogonal(n, base + 1).mat.copy(),
-        )
-    return (
-        random_unitary(n, base).mat.copy(),
-        random_unitary(n, base + 1).mat.copy(),
-    )
 
 
 def _pauli_split(m: np.ndarray):
@@ -259,7 +195,7 @@ def _pauli_join(c: float, r: np.ndarray) -> np.ndarray:
     )
 
 
-def _closed_form_2x2(prob: OrbitProblem, realify: bool):
+def _closed_form_2x2(prob: OrbitProblem, space):
     """Exact 2x2 candidates via the two-link arm reduction.
 
     Conjugating a Hermitian 2x2 rotates its Pauli vector, so the orbit-sum
@@ -283,14 +219,7 @@ def _closed_form_2x2(prob: OrbitProblem, realify: bool):
         else:
             cos_phi = np.clip((zn * zn + a * a - b * b) / (2.0 * a * zn), -1.0, 1.0)
             sin_phi = np.sqrt(max(0.0, 1.0 - cos_phi * cos_phi))
-            if realify:
-                # Real symmetric matrices keep the Pauli-y component zero.
-                perp = np.array([-zhat[2], 0.0, zhat[0]])
-            else:
-                trial = np.array([1.0, 0.0, 0.0])
-                if abs(zhat[0]) > 0.9:
-                    trial = np.array([0.0, 1.0, 0.0])
-                perp = trial - np.dot(trial, zhat) * zhat
+            perp = space.bend_axis(zhat)
             pn = np.linalg.norm(perp)
             perp = perp / pn if pn > 0.0 else np.zeros(3)
             candidates = []
@@ -303,9 +232,7 @@ def _closed_form_2x2(prob: OrbitProblem, realify: bool):
         qdir = q / qn if qn > 1e-300 else np.array([0.0, 0.0, 1.0])
         target_a = _pauli_join(cx, p)
         target_b = _pauli_join(cy, b * qdir)
-        u = _align_factor(prob.x, target_a, realify)
-        v = _align_factor(prob.y, target_b, realify)
-        out.append((u, v))
+        out.append((space.align(prob.x, target_a), space.align(prob.y, target_b)))
     return out
 
 
@@ -333,7 +260,7 @@ def solve(
     stalls above tolerance within the iteration budget.  The solution's
     stop_reason and step counts say why and how the solve ended.
     """
-    if realization not in ("glc", "slr"):
+    if realization not in REALIZATIONS:
         raise ParamOutOfRange(f"unknown realization {realization!r}")
     if method not in ("hybrid", "descent"):
         raise ParamOutOfRange(f"unknown method {method!r}")
@@ -348,9 +275,9 @@ def solve(
         r = u @ xm @ u.conj().T + v @ ym @ v.conj().T - zm
         return 0.5 * float(np.sum(np.abs(r) ** 2)), float(np.abs(r).max())
 
-    realify = realization == "slr"
+    space = REALIZATIONS[realization]
     hybrid = method == "hybrid"
-    basis = _skew_basis(n, realify)
+    basis = space.basis(n)
     best = None
     iterations = 0
     restarts_used = 0
@@ -370,6 +297,20 @@ def solve(
             **steps,
         )
 
+    def line_search(k_u, k_v, u, v, scale, floor, accept):
+        """Trial steps s = scale, scale * _BACKTRACK, ... while |s| > floor: the
+        first (s, U', V', f', resid') with accept(s, f'), where (U', V') is
+        (e^{-s K_u} U, e^{-s K_v} V) mapped into K; None if no trial passes."""
+        step_u, step_v = _exp_skew(k_u), _exp_skew(k_v)
+        while abs(scale) > floor:
+            u_new = space.to_group(step_u(scale) @ u)
+            v_new = space.to_group(step_v(scale) @ v)
+            f_new, resid_new = f_and_resid(u_new, v_new)
+            if accept(scale, f_new):
+                return scale, u_new, v_new, f_new, resid_new
+            scale *= _BACKTRACK
+        return None
+
     for restart in range(max_restarts + 1):
         if restart > 0:
             restarts_used = restart
@@ -378,12 +319,16 @@ def solve(
         # restarts fall back to gradient/Gauss-Newton iterations, which
         # avoid strict saddles from random starts.
         align_this_start = hybrid and restart < 2
-        u, v = _initial_factors(n, seed, restart, realization)
+        if restart == 0:
+            u, v = np.eye(n, dtype=complex), np.eye(n, dtype=complex)
+        else:
+            base = seed * 8191 + restart * 2
+            u, v = space.random_factor(n, base), space.random_factor(n, base + 1)
         f, resid = f_and_resid(u, v)
         if restart == 0 and n == 2:
             # The 2x2 problem has a closed form; try its candidates against
             # the identity start and begin from whichever is best.
-            for u_c, v_c in _closed_form_2x2(prob, realify):
+            for u_c, v_c in _closed_form_2x2(prob, space):
                 f_c, resid_c = f_and_resid(u_c, v_c)
                 if f_c < f:
                     u, v, f, resid = u_c, v_c, f_c, resid_c
@@ -405,9 +350,9 @@ def solve(
                 # never increases f, and usually collapses it by orders of
                 # magnitude per pass.
                 b = v @ ym @ v.conj().T
-                u_new = _align_factor(prob.x, zm - b, realify)
+                u_new = space.align(prob.x, zm - b)
                 a_new = u_new @ xm @ u_new.conj().T
-                v_new = _align_factor(prob.y, zm - a_new, realify)
+                v_new = space.align(prob.y, zm - a_new)
                 f_new, resid_new = f_and_resid(u_new, v_new)
                 if f_new <= f:
                     u, v, f, resid = u_new, v_new, f_new, resid_new
@@ -425,22 +370,15 @@ def solve(
                 # where plain descent crawls (near-degenerate instances).
                 s_u, s_v = _gauss_newton_direction(a, b, r, basis)
                 if float(np.abs(s_u).max() + np.abs(s_v).max()) > 0.0:
-                    gn_u = _exp_skew(s_u)
-                    gn_v = _exp_skew(s_v)
-                    damp = 1.0
-                    for _ in range(10):
-                        u_new = gn_u(-damp) @ u
-                        v_new = gn_v(-damp) @ v
-                        if realify:
-                            u_new = u_new.real.astype(complex)
-                            v_new = v_new.real.astype(complex)
-                        f_new, resid_new = f_and_resid(u_new, v_new)
-                        if f_new <= f * (1.0 - 1e-4):
-                            u, v, f, resid = u_new, v_new, f_new, resid_new
-                            moved = True
-                            steps["gauss_newton_steps"] += 1
-                            break
-                        damp *= 0.5
+                    # Retract along +damp S for damp = 1, 1/2, ..., 2^-9 (_BACKTRACK).
+                    found = line_search(
+                        s_u, s_v, u, v, -1.0, 1e-3,
+                        lambda _, f_new: f_new <= f * (1.0 - 1e-4),
+                    )
+                    if found is not None:
+                        _, u, v, f, resid = found
+                        moved = True
+                        steps["gauss_newton_steps"] += 1
 
             if not fast_progress and not moved and resid > tol:
                 # Armijo-backtracked steepest descent with exponential
@@ -452,23 +390,14 @@ def solve(
                     np.sum(np.abs(k_u) ** 2) + np.sum(np.abs(k_v) ** 2)
                 )
                 if gnorm2 > 0.0:
-                    step_u = _exp_skew(k_u)
-                    step_v = _exp_skew(k_v)
-                    eta_try = min(eta * 2.0, 1e3)
-                    while eta_try > 1e-18:
-                        u_new = step_u(eta_try) @ u
-                        v_new = step_v(eta_try) @ v
-                        if realify:
-                            u_new = u_new.real.astype(complex)
-                            v_new = v_new.real.astype(complex)
-                        f_new, resid_new = f_and_resid(u_new, v_new)
-                        if f_new <= f - _ARMIJO_C * eta_try * gnorm2:
-                            u, v, f, resid = u_new, v_new, f_new, resid_new
-                            eta = eta_try
-                            moved = True
-                            steps["descent_steps"] += 1
-                            break
-                        eta_try *= _BACKTRACK
+                    found = line_search(
+                        k_u, k_v, u, v, min(eta * 2.0, 1e3), 1e-18,
+                        lambda eta_try, f_new: f_new <= f - _ARMIJO_C * eta_try * gnorm2,
+                    )
+                    if found is not None:
+                        eta, u, v, f, resid = found
+                        moved = True
+                        steps["descent_steps"] += 1
 
             trace.append(f)
             if on_iterate is not None:

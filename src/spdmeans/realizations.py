@@ -1,25 +1,25 @@
-"""Real symmetric realization SL(n,R)/SO(n).
+"""The symmetric spaces G/K the checks run on: ``REALIZATIONS`` maps 'glc',
+GL(n,C)/U(n), and 'slr', SL(n,R)/SO(n), to the object that owns every choice
+that depends on the space.  Both run through the complex code path.
 
-Everything runs through the complex code path: this layer projects inputs
-into the real symmetric traceless subspace, and the orbit solver constrains
-its factors to SO(n).  One numerical kernel, two symmetric spaces.
 ``run_suites_on_realization`` re-runs the means, log-majorization, chain,
-pre-order and orbit checks on such inputs and returns the rows of the
-``realization`` suite.
+pre-order and orbit checks on real symmetric traceless inputs and returns the
+rows of the ``realization`` suite.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
+from . import sampling
 from .errors import DomainError
 from .gtchain import evaluate_chain, scan_chain
 from .kostant import group_chain_report
-from .linalg import HERMITIAN_TOL, HermitianMatrix, SpdMatrix, mat_exp
+from .linalg import HERMITIAN_TOL, UNITARY_TOL, HermitianMatrix, eig_hermitian, mat_exp
 from .majorization import log_majorization_report
 from .means import _MeanPair, mean_identity_suite, spd_det
-from .orbit import TARGET_KINDS, OrbitProblem, solve, verify_membership
-from .sampling import random_real_symmetric_traceless
 
 TRACE_TOL = 1e-10
 ORBIT_TOL = 1e-8
@@ -49,10 +49,100 @@ def project_to_realization(x: HermitianMatrix) -> RealSymmetricTraceless:
     return RealSymmetricTraceless(sym.astype(complex))
 
 
-def _real_spd_pair(n: int, seed: int) -> tuple[SpdMatrix, SpdMatrix]:
-    a = mat_exp(random_real_symmetric_traceless(n, seed))
-    b = mat_exp(random_real_symmetric_traceless(n, seed + 104729))
-    return a, b
+class Realization:
+    """GL(n,C)/U(n): Hermitian inputs, K = U(n), factors as complex arrays."""
+
+    def sample(self, n: int, seed: int, scale: float = 1.0) -> HermitianMatrix:
+        """Seeded random input of the space, its eigenvalues of order scale."""
+        return sampling.random_hermitian(n, seed, scale)
+
+    def project(self, x: HermitianMatrix) -> HermitianMatrix:
+        """Nearest input of the space to a Hermitian matrix."""
+        return x
+
+    def random_factor(self, n: int, seed: int) -> np.ndarray:
+        """Seeded random element of K."""
+        return sampling.random_unitary(n, seed).mat
+
+    def to_group(self, u: np.ndarray) -> np.ndarray:
+        """Retraction of a unitary into K (u itself, not a copy, for U(n))."""
+        return u
+
+    def align(self, x: HermitianMatrix, w: np.ndarray) -> np.ndarray:
+        """U in K minimizing ||U X U* - W||_F for Hermitian W.  Matching the
+        descending eigenbases is optimal: U = Q_W Q_X*."""
+        qw = eig_hermitian(HermitianMatrix._wrap(w)).vectors.mat
+        return qw @ eig_hermitian(x).vectors.mat.conj().T
+
+    @staticmethod
+    @functools.cache
+    def basis(n: int) -> np.ndarray:
+        """Fixed real basis of the Lie algebra of K, read-only (m, n, n).  In
+        u(n)'s the first n(n-1)/2, the real skew-symmetric ones, span so(n)."""
+        iu, ju = np.triu_indices(n, 1)
+        k = len(iu)
+        off = np.arange(k)
+        diag = np.arange(n)
+        basis = np.zeros((2 * k + n, n, n), dtype=complex)
+        basis[off, iu, ju] = 1.0
+        basis[off, ju, iu] = -1.0
+        basis[k + off, iu, ju] = 1.0j
+        basis[k + off, ju, iu] = 1.0j
+        basis[2 * k + diag, diag, diag] = 1.0j
+        basis.setflags(write=False)
+        return basis
+
+    def bend_axis(self, zhat: np.ndarray) -> np.ndarray:
+        """Direction, not normalized, perpendicular to the unit Pauli vector
+        zhat, in which the 2x2 closed form of the orbit solver bends."""
+        trial = np.array([1.0, 0.0, 0.0])
+        if abs(zhat[0]) > 0.9:
+            trial = np.array([0.0, 1.0, 0.0])
+        return trial - np.dot(trial, zhat) * zhat
+
+    def contains(self, u: np.ndarray) -> bool:
+        """Whether u is in K, to UNITARY_TOL."""
+        return bool(np.abs(u.conj().T @ u - np.eye(u.shape[0])).max() <= UNITARY_TOL)
+
+
+class _RealRealization(Realization):
+    """SL(n,R)/SO(n): real symmetric traceless inputs, K = SO(n)."""
+
+    def sample(self, n, seed, scale=1.0):
+        return sampling.random_real_symmetric_traceless(n, seed, scale)
+
+    def project(self, x):
+        return project_to_realization(x)
+
+    def random_factor(self, n, seed):
+        return sampling.random_orthogonal(n, seed).mat
+
+    def to_group(self, u):
+        return u.real.astype(complex)
+
+    def align(self, x, w):
+        # A determinant of -1 is repaired by negating one eigenvector between
+        # the bases, which leaves U X U* unchanged but lands U in SO(n).
+        qw = eig_hermitian(HermitianMatrix._wrap(w)).vectors.mat
+        qx = eig_hermitian(x).vectors.mat
+        u = (qw @ qx.conj().T).real
+        if np.linalg.det(u) < 0.0:
+            u = (qw @ np.conj(qx * np.r_[-1.0, np.ones(qx.shape[0] - 1)]).T).real
+        return u.astype(complex)
+
+    def basis(self, n):
+        return super().basis(n)[: n * (n - 1) // 2]
+
+    def bend_axis(self, zhat):
+        # Real symmetric matrices keep the Pauli-y component zero.
+        return np.array([-zhat[2], 0.0, zhat[0]])
+
+    def contains(self, u):
+        real = np.abs(u.imag).max() <= UNITARY_TOL
+        return bool(real and super().contains(u) and np.linalg.det(u.real) > 0.0)
+
+
+REALIZATIONS = {"glc": Realization(), "slr": _RealRealization()}
 
 
 def run_suites_on_realization(
@@ -64,10 +154,12 @@ def run_suites_on_realization(
     factors are constrained to SO(n); all pass criteria match the complex
     suites.
     """
-    # suites imports this module; importing it here also keeps the suites
-    # out of a plain ``import spdmeans``.
+    # orbit and suites import this module.  Importing suites here also keeps
+    # it out of a plain ``import spdmeans``.
+    from .orbit import TARGET_KINDS, OrbitProblem, solve, verify_membership
     from .suites import SuiteResult
 
+    slr = REALIZATIONS["slr"]
     res = SuiteResult("realization", seed)
     for n in n_values:
         for trial in range(trials):
@@ -76,7 +168,8 @@ def run_suites_on_realization(
             def add(prop, passed, margin):
                 res.add(trial, n, None, prop, passed, margin)
 
-            a, b = _real_spd_pair(n, base)
+            a = mat_exp(slr.sample(n, base))
+            b = mat_exp(slr.sample(n, base + 104729))
             rep = mean_identity_suite(a, b, 0.3, 0.25, 0.5)
             add("means_identities", rep.passed, rep.max_residual)
             det_a, det_b = spd_det(a), spd_det(b)
@@ -89,8 +182,8 @@ def run_suites_on_realization(
             lm = log_majorization_report(lam_sharp[0], lam_nat[0])
             add("log_majorization", lm.within_roundoff, lm.worst_margin)
 
-            x = random_real_symmetric_traceless(n, base + 1, 0.5)
-            y = random_real_symmetric_traceless(n, base + 2, 0.5)
+            x = slr.sample(n, base + 1, 0.5)
+            y = slr.sample(n, base + 2, 0.5)
             scan = scan_chain(x, y, tuple(2.0 ** k for k in range(-3, 2)))
             chain_rep = evaluate_chain(scan)
             add("chain", chain_rep.passed, chain_rep.worst.margin)
@@ -99,16 +192,10 @@ def run_suites_on_realization(
 
             for kind in TARGET_KINDS:
                 prob = OrbitProblem.create(
-                    random_real_symmetric_traceless(n, base + 3),
-                    random_real_symmetric_traceless(n, base + 4),
-                    kind,
+                    slr.sample(n, base + 3), slr.sample(n, base + 4), kind
                 )
                 sol = solve(prob, tol=ORBIT_TOL, seed=base, realization="slr")
-                u = sol.u.mat.real
-                in_so_n = (
-                    float(np.abs(u.T @ u - np.eye(n)).max()) <= 1e-10
-                    and np.linalg.det(u) > 0.0
-                )
-                ok = sol.residual <= ORBIT_TOL and in_so_n
-                add("orbit_" + kind, ok and verify_membership(sol, prob), sol.residual)
+                ok = sol.residual <= ORBIT_TOL and slr.contains(sol.u.mat)
+                ok = ok and slr.contains(sol.v.mat) and verify_membership(sol, prob)
+                add("orbit_" + kind, ok, sol.residual)
     return res

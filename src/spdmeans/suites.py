@@ -47,13 +47,8 @@ from .means import (
     spectral_mean,
 )
 from .orbit import OrbitProblem, objective, riemannian_grad, solve, verify_membership
-from .realizations import run_suites_on_realization
-from .sampling import (
-    random_hermitian,
-    random_real_symmetric_traceless,
-    random_spd,
-    random_unitary,
-)
+from .realizations import REALIZATIONS, run_suites_on_realization
+from .sampling import random_hermitian, random_spd, random_unitary
 
 GOLDEN_TOL = 5e-5  # half-ulp of values printed to four decimals
 
@@ -286,16 +281,13 @@ def suite_orbit(
     """Orbit-sum solves: residual, trace condition, monotone trace,
     eigenvalue preservation, restart budget."""
     res = SuiteResult(f"orbit_{realization}", seed)
+    space = REALIZATIONS[realization]
     for kind in kinds:
         for n in n_values:
             for inst in range(instances):
                 base = seed * 7 + 1009 * inst + 13 * n
-                if realization == "slr":
-                    x = random_real_symmetric_traceless(n, base)
-                    y = random_real_symmetric_traceless(n, base + 500009)
-                else:
-                    x = random_hermitian(n, base, 1.0)
-                    y = random_hermitian(n, base + 500009, 1.0)
+                x = space.sample(n, base, 1.0)
+                y = space.sample(n, base + 500009, 1.0)
                 prob = OrbitProblem.create(x, y, kind)
                 tr_gap = abs(
                     float(np.trace(prob.z.mat).real)
@@ -325,10 +317,7 @@ def suite_orbit(
                 )
                 membership = verify_membership(sol, prob)
                 ok = converged and mono and membership and sol.restarts <= max_restarts
-                if realization == "slr":
-                    u = sol.u.mat.real
-                    v = sol.v.mat.real
-                    ok = ok and np.linalg.det(u) > 0.0 and np.linalg.det(v) > 0.0
+                ok = ok and space.contains(sol.u.mat) and space.contains(sol.v.mat)
                 res.add(inst, n, None, f"{kind}_solved", ok, sol.residual)
     return res
 

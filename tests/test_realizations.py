@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,18 +8,23 @@ from spdmeans import (
     HermitianMatrix,
     OrbitProblem,
     RealSymmetricTraceless,
+    UnitaryMatrix,
     eig_hermitian,
     geometric_mean,
     mat_exp,
+    orbit,
     project_to_realization,
     random_hermitian,
+    random_orthogonal,
     random_real_symmetric_traceless,
+    random_unitary,
     run_suites_on_realization,
     solve,
     spectral_mean,
     verify_membership,
 )
 from spdmeans.means import spd_det
+from spdmeans.realizations import REALIZATIONS
 
 
 class TestProjection:
@@ -78,3 +85,44 @@ class TestRealOrbitSolve:
 def test_realization_suites_pass():
     rep = run_suites_on_realization(seed=7, n_values=(2, 3), trials=2)
     assert rep.passed, rep.failures
+
+
+def test_realization_suite_checks_both_factors_in_so_n(monkeypatch):
+    # -V leaves V Y V^T, the residual and the spectra unchanged, but at n = 3
+    # det(-V) = -1, so -V is in O(3) and not in SO(3).
+    real_solve = orbit.solve
+
+    def solve_with_negated_v(*args, **kwargs):
+        sol = real_solve(*args, **kwargs)
+        return dataclasses.replace(sol, v=UnitaryMatrix(-sol.v.mat))
+
+    monkeypatch.setattr(orbit, "solve", solve_with_negated_v)
+    rep = run_suites_on_realization(seed=7, n_values=(3,), trials=1)
+    orbit_rows = [row for row in rep.rows if row.prop.startswith("orbit_")]
+    assert len(orbit_rows) == 3
+    assert not any(row.passed for row in orbit_rows)
+
+
+class TestRealizationTable:
+    def test_glc_to_group_is_the_identity_map(self):
+        u = random_unitary(3, 1).mat
+        assert REALIZATIONS["glc"].to_group(u) is u
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_contains(self, n):
+        q = random_orthogonal(n, 4).mat
+        u = random_unitary(n, 5).mat
+        slr, glc = REALIZATIONS["slr"], REALIZATIONS["glc"]
+        assert slr.contains(q) and glc.contains(q) and glc.contains(u)
+        assert not slr.contains(u)
+        # det(-Q) = (-1)^n det(Q).
+        assert slr.contains(-q) is (n % 2 == 0)
+        assert not glc.contains(2.0 * u)
+
+    def test_real_sampler_and_projection(self):
+        slr = REALIZATIONS["slr"]
+        x = slr.sample(4, 3)
+        assert np.array_equal(x.mat, random_real_symmetric_traceless(4, 3).mat)
+        assert np.abs(slr.project(x).mat - x.mat).max() < 1e-14
+        h = random_hermitian(3, 2, 1.0)
+        assert REALIZATIONS["glc"].project(h) is h

@@ -1,7 +1,12 @@
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import spdmeans
 from spdmeans import suites
 
 # Row count and sha256 of the columns suite..status (margins left out: their
@@ -21,6 +26,20 @@ SEED_42_ROW_SETS = {
 }
 
 
+# The same digest of the orbit suite's rows in ``spdmeans verify --all --seed
+# 42 --realization slr``.
+SEED_42_SLR_ORBIT_ROW_SET = (
+    24, "0e45da508dcdb71295a3f65ed5f353d9afae1c48b68ff58e5e14da6b4b4c6844"
+)
+
+
+def _row_set(result):
+    cells = "".join(
+        ",".join(row.as_csv().split(",")[:7]) + "\n" for row in result.rows
+    )
+    return len(result.rows), hashlib.sha256(cells.encode()).hexdigest()
+
+
 def test_pins_cover_every_suite_in_order():
     assert tuple(SEED_42_ROW_SETS) == suites.ALL_SUITES
 
@@ -28,8 +47,22 @@ def test_pins_cover_every_suite_in_order():
 @pytest.mark.parametrize("name", list(SEED_42_ROW_SETS))
 def test_verify_all_seed_42_row_set(name):
     result = suites.run_suite(name, seed=42, trials=25)
-    cells = "".join(
-        ",".join(row.as_csv().split(",")[:7]) + "\n" for row in result.rows
+    assert _row_set(result) == SEED_42_ROW_SETS[name]
+
+
+def test_verify_all_seed_42_slr_orbit_row_set():
+    result = suites.run_suite("orbit", seed=42, trials=25, realization="slr")
+    assert _row_set(result) == SEED_42_SLR_ORBIT_ROW_SET
+
+
+def test_import_does_not_load_the_suites():
+    # Keeps the suites (and what only they import) out of the import time of
+    # every program that uses the library alone.
+    src = Path(spdmeans.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    code = "import sys, spdmeans; print('spdmeans.suites' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env
     )
-    digest = hashlib.sha256(cells.encode()).hexdigest()
-    assert (len(result.rows), digest) == SEED_42_ROW_SETS[name]
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
