@@ -7,8 +7,10 @@ For Hermitian X, Y and r > 0 the two chain functions
 
 bracket e^{X+Y} in log-majorization: phi decreases and psi increases in r,
 both tend to e^{X+Y} as r -> 0, and their traces sandwich tr e^{X+Y}.
-``scan_chain`` evaluates everything on an r grid; ``evaluate_chain`` turns a
-scan into pass/fail margins, one per predicate family and grid point.
+``scan_chain`` evaluates both on a whole r grid in one stacked pass, and
+``phi``, ``psi`` and ``golden_thompson_refinement`` read from a scan;
+``evaluate_chain`` turns a scan into pass/fail margins, one per predicate
+family and grid point.
 """
 
 from __future__ import annotations
@@ -18,9 +20,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, ParamOutOfRange
-from .linalg import HermitianMatrix, SpdMatrix, eig_hermitian, mat_exp, mat_pow
+from .linalg import (
+    HermitianMatrix,
+    SpdMatrix,
+    eig_hermitian,
+    eigh_stack,
+    mat_exp,
+    require_positive,
+)
 from .majorization import ROUNDOFF_BAND, default_tol, log_majorization_report
-from .means import _MeanPair
+from .means import _MeanPair, _assemble, _pow
 
 DEFAULT_R_GRID = tuple(2.0 ** k for k in range(-6, 4))
 
@@ -32,21 +41,13 @@ def _check_xy(x: HermitianMatrix, y: HermitianMatrix) -> None:
 
 
 def phi(x: HermitianMatrix, y: HermitianMatrix, r: float) -> SpdMatrix:
-    """(e^{rX} # e^{rY})^{2/r} for r > 0."""
-    _check_xy(x, y)
-    if not r > 0.0:
-        raise ParamOutOfRange(f"r must be positive, got {r}")
-    mean = _MeanPair(mat_exp(x, r), mat_exp(y, r)).sharp(0.5)
-    return mat_pow(mean, 2.0 / r)
+    """(e^{rX} # e^{rY})^{2/r} for r > 0, from the one-point scan."""
+    return scan_chain(x, y, (r,)).phi_mats[0]
 
 
 def psi(x: HermitianMatrix, y: HermitianMatrix, r: float) -> SpdMatrix:
-    """(e^{rX} @ e^{rY})^{2/r} for r > 0."""
-    _check_xy(x, y)
-    if not r > 0.0:
-        raise ParamOutOfRange(f"r must be positive, got {r}")
-    mean = _MeanPair(mat_exp(x, r), mat_exp(y, r)).natural(0.5)
-    return mat_pow(mean, 2.0 / r)
+    """(e^{rX} @ e^{rY})^{2/r} for r > 0, from the one-point scan."""
+    return scan_chain(x, y, (r,)).psi_mats[0]
 
 
 @dataclass
@@ -71,34 +72,46 @@ class ChainScan:
 def scan_chain(
     x: HermitianMatrix, y: HermitianMatrix, r_grid=DEFAULT_R_GRID
 ) -> ChainScan:
-    """Evaluate phi, psi and e^{X+Y} over a strictly increasing positive grid."""
+    """Evaluate phi, psi and e^{X+Y} over a strictly increasing positive grid.
+
+    One stacked ``_MeanPair`` holds (e^{rX}, e^{rY}) for every r, and the
+    powers 2/r come from one stacked decomposition of both means.
+    """
     _check_xy(x, y)
     grid = tuple(float(r) for r in r_grid)
     if len(grid) == 0:
         raise ParamOutOfRange("r grid must be nonempty")
-    if any(r <= 0.0 for r in grid) or any(
+    if any(not r > 0.0 for r in grid) or any(
         b <= a for a, b in zip(grid, grid[1:])
     ):
         raise ParamOutOfRange("r grid must be positive and strictly increasing")
+    r = np.array(grid)
+    eig_x, eig_y = eig_hermitian(x), eig_hermitian(y)
+    exp_x = np.exp(r[:, None] * eig_x.values)
+    exp_y = np.exp(r[:, None] * eig_y.values)
+    pair = _MeanPair(
+        _assemble(eig_x.vectors.mat, exp_x), _assemble(eig_y.vectors.mat, exp_y)
+    )
+    # A starts from X's decomposition: a fresh eigh of e^{rX} at large r can
+    # come out numerically indefinite.
+    pair._eig_a = (exp_x, eig_x.vectors.mat)
+    vals, q = eigh_stack(np.stack([pair.sharps([0.5])[:, 0], pair.naturals([0.5])[:, 0]]))
+    expo = 2.0 / r
+    # As mat_pow does, check positivity only where 2/r is not an integer.
+    frac = expo % 1.0 != 0.0
+    require_positive(vals[:, frac], "matrix is numerically not positive definite")
+    phi_mats, psi_mats = (
+        [SpdMatrix._from_eig(qi, vi) for qi, vi in zip(q[k], _pow(vals[k], expo[:, None]))]
+        for k in (0, 1)
+    )
     exp_sum = mat_exp(HermitianMatrix._wrap(x.mat + y.mat))
-    scan = ChainScan(x=x, y=y, r_grid=grid, exp_sum=exp_sum)
     tr_exp = float(np.trace(exp_sum.mat).real)
-    for r in grid:
-        pair = _MeanPair(mat_exp(x, r), mat_exp(y, r))
-        phi_r = mat_pow(pair.sharp(0.5), 2.0 / r)
-        psi_r = mat_pow(pair.natural(0.5), 2.0 / r)
-        scan.phi_mats.append(phi_r)
-        scan.psi_mats.append(psi_r)
-        scan.phi_spectra.append(eig_hermitian(phi_r).values)
-        scan.psi_spectra.append(eig_hermitian(psi_r).values)
-        scan.traces.append(
-            (
-                float(np.trace(phi_r.mat).real),
-                float(np.trace(psi_r.mat).real),
-                tr_exp,
-            )
-        )
-    return scan
+    traces = [
+        (float(np.trace(p.mat).real), float(np.trace(s.mat).real), tr_exp)
+        for p, s in zip(phi_mats, psi_mats)
+    ]
+    spectra = ([eig_hermitian(m).values for m in mats] for mats in (phi_mats, psi_mats))
+    return ChainScan(x, y, grid, exp_sum, phi_mats, psi_mats, *spectra, traces)
 
 
 @dataclass
@@ -206,16 +219,16 @@ def golden_thompson_refinement(
 
     At r = 1 the upper end is exact: tr psi(1) = tr e^X e^Y, recovering the
     classical trace inequality; smaller r tightens the upper bound.
-    Returns (r, tr e^{X+Y}, tr psi(r), tr e^X e^Y) rows.
+    Returns (r, tr e^{X+Y}, tr psi(r), tr e^X e^Y) rows, one per r value in
+    the order given; the traces come from one scan over the distinct values.
     """
     _check_xy(x, y)
+    r_values = [float(r) for r in r_values]
     if any(not (0.0 < r <= 1.0) for r in r_values):
         raise ParamOutOfRange("refinement holds for r in (0, 1]")
-    exp_sum = mat_exp(HermitianMatrix._wrap(x.mat + y.mat))
-    tr_exp_sum = float(np.trace(exp_sum.mat).real)
+    if not r_values:
+        return []
+    grid = sorted(set(r_values))
+    traces = dict(zip(grid, scan_chain(x, y, grid).traces))
     tr_prod = float(np.trace(mat_exp(x).mat @ mat_exp(y).mat).real)
-    rows = []
-    for r in r_values:
-        tr_psi = float(np.trace(psi(x, y, float(r)).mat).real)
-        rows.append((float(r), tr_exp_sum, tr_psi, tr_prod))
-    return rows
+    return [(r, traces[r][2], traces[r][1], tr_prod) for r in r_values]

@@ -16,7 +16,6 @@ from .errors import DomainError, NoConvergence, SingularInput
 HERMITIAN_TOL = 1e-10
 SPD_TOL = 1e-12
 UNITARY_TOL = 1e-10
-RECON_TOL = 1e-11
 
 
 def _as_square_complex(mat) -> np.ndarray:

@@ -154,20 +154,20 @@ class _MeanPair:
     ``(..., n, n)`` that broadcast against each other (their broadcast
     leading shape is the pair's stack; the arrays are trusted to be
     positive definite, as ``SpdMatrix._trusted`` is).  A is decomposed
-    afresh for arrays; an ``SpdMatrix`` A reuses its cached decomposition,
-    so a pair at the edge of the accepted range can raise for one kind of
-    input and not the other.  ``sharps(taus)`` and
-    ``naturals(taus)`` take the mean of every pair at every parameter of
-    ``taus``, whose last axis is the parameter axis and whose leading axes
-    broadcast against the stack; they return stack + (K, n, n).  Every
-    product whose power or root is taken is checked on every member of the
-    stack first, and ``DomainError`` is raised if any member is numerically
-    indefinite.  ``sharp(t)``, ``natural(t)`` and ``cross()`` are the
-    one-pair, one-parameter views.
+    afresh for arrays unless the caller sets ``_eig_a``; an ``SpdMatrix``
+    A reuses its cached decomposition, so a pair at the edge of the
+    accepted range can raise for one kind of input and not the other.
+    ``sharps(taus)`` and ``naturals(taus)`` take the mean of every pair at
+    every parameter of ``taus``, whose last axis is the parameter axis and
+    whose leading axes broadcast against the stack; they return stack +
+    (K, n, n).  Every product whose power or root is taken is checked on
+    every member of the stack first, and ``DomainError`` is raised if any
+    member is numerically indefinite.  ``sharp(t)``, ``natural(t)`` and
+    ``cross()`` are the one-pair, one-parameter views.
     """
 
     def __init__(self, a, b):
-        self._eig_a = None        # (values, vectors) of A, from its cache
+        self._eig_a = None        # (values, vectors) of A, when known
         if not (isinstance(a, np.ndarray) and isinstance(b, np.ndarray)):
             _check_pair(a, b)
             pair = eig_hermitian(a)

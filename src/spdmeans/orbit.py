@@ -115,16 +115,15 @@ class OrbitSolution:
 
 def objective(u: UnitaryMatrix, v: UnitaryMatrix, prob: OrbitProblem) -> float:
     """f(U, V) = 1/2 ||U X U* + V Y V* - Z||_F^2 (entrywise sum form)."""
-    r = _residual_matrix(u.mat, v.mat, prob)
+    r = _residual_terms(u.mat, v.mat, prob)[2]
     return 0.5 * float(np.sum(np.abs(r) ** 2))
 
 
-def _residual_matrix(u: np.ndarray, v: np.ndarray, prob: OrbitProblem) -> np.ndarray:
-    return (
-        u @ prob.x.mat @ u.conj().T
-        + v @ prob.y.mat @ v.conj().T
-        - prob.z.mat
-    )
+def _residual_terms(u: np.ndarray, v: np.ndarray, prob: OrbitProblem) -> tuple:
+    """A = U X U*, B = V Y V* and the residual R = A + B - Z."""
+    a = u @ prob.x.mat @ u.conj().T
+    b = v @ prob.y.mat @ v.conj().T
+    return a, b, a + b - prob.z.mat
 
 
 def riemannian_grad(
@@ -137,9 +136,7 @@ def riemannian_grad(
     directional derivative along (e^{eps K} U, V) at eps = 0 equals
     <K, K_U>_F, so descent retracts along e^{-eta K_U} U.
     """
-    a = u.mat @ prob.x.mat @ u.mat.conj().T
-    b = v.mat @ prob.y.mat @ v.mat.conj().T
-    r = a + b - prob.z.mat
+    a, b, r = _residual_terms(u.mat, v.mat, prob)
     k_u = r @ a - a @ r
     k_v = r @ b - b @ r
     return k_u, k_v
@@ -243,40 +240,34 @@ def solve(
     seed: int = 0,
     max_restarts: int = 4,
     realization: str = "glc",
-    method: str = "hybrid",
     on_iterate=None,
 ) -> OrbitSolution:
     """Drive the residual ||U X U* + V Y V* - Z||_max below tol.
 
-    method='hybrid' (default) mixes three monotone step types: exact
-    block-alignment, damped Gauss-Newton, and Armijo steepest descent.
-    method='descent' runs the plain gradient scheme only.  The objective
-    trace over accepted iterates is non-increasing by construction.
-    In the hybrid method an alignment pass ends its iteration only when it
-    leaves f below _FAST_ALIGN_RATIO (1e-2) of its value before the pass;
-    after a slower pass the damped Gauss-Newton step runs in the same
-    iteration, and the descent step runs when neither moved.
+    Each iteration mixes three monotone step types: exact block-alignment
+    (on the first two starts only), damped Gauss-Newton, and Armijo
+    steepest descent, so the objective trace over accepted iterates is
+    non-increasing by construction.  An alignment pass ends its iteration
+    only when it leaves f below _FAST_ALIGN_RATIO (1e-2) of its value
+    before the pass; after a slower pass the damped Gauss-Newton step runs
+    in the same iteration, and the descent step runs when neither moved.
     Raises MaxIterReached (carrying the best iterate) only if every start
     stalls above tolerance within the iteration budget.  The solution's
     stop_reason and step counts say why and how the solve ended.
     """
     if realization not in REALIZATIONS:
         raise ParamOutOfRange(f"unknown realization {realization!r}")
-    if method not in ("hybrid", "descent"):
-        raise ParamOutOfRange(f"unknown method {method!r}")
     if not tol > 0.0:
         raise ParamOutOfRange("tol must be positive")
     if max_iter < 0 or max_restarts < 0:
         raise ParamOutOfRange("max_iter and max_restarts must be non-negative")
     n = prob.n
-    xm, ym, zm = prob.x.mat, prob.y.mat, prob.z.mat
 
     def f_and_resid(u, v):
-        r = u @ xm @ u.conj().T + v @ ym @ v.conj().T - zm
+        r = _residual_terms(u, v, prob)[2]
         return 0.5 * float(np.sum(np.abs(r) ** 2)), float(np.abs(r).max())
 
     space = REALIZATIONS[realization]
-    hybrid = method == "hybrid"
     basis = space.basis(n)
     best = None
     iterations = 0
@@ -318,7 +309,7 @@ def solve(
         # are attracted to strict saddles of near-degenerate ones, so later
         # restarts fall back to gradient/Gauss-Newton iterations, which
         # avoid strict saddles from random starts.
-        align_this_start = hybrid and restart < 2
+        align_this_start = restart < 2
         if restart == 0:
             u, v = np.eye(n, dtype=complex), np.eye(n, dtype=complex)
         else:
@@ -349,10 +340,10 @@ def solve(
                 # Exact minimization of each factor with the other fixed:
                 # never increases f, and usually collapses it by orders of
                 # magnitude per pass.
-                b = v @ ym @ v.conj().T
-                u_new = space.align(prob.x, zm - b)
-                a_new = u_new @ xm @ u_new.conj().T
-                v_new = space.align(prob.y, zm - a_new)
+                b = v @ prob.y.mat @ v.conj().T
+                u_new = space.align(prob.x, prob.z.mat - b)
+                a_new = u_new @ prob.x.mat @ u_new.conj().T
+                v_new = space.align(prob.y, prob.z.mat - a_new)
                 f_new, resid_new = f_and_resid(u_new, v_new)
                 if f_new <= f:
                     u, v, f, resid = u_new, v_new, f_new, resid_new
@@ -361,11 +352,7 @@ def solve(
                     fast_progress = f < _FAST_ALIGN_RATIO * f_prev
 
             if not fast_progress and resid > tol:
-                a = u @ xm @ u.conj().T
-                b = v @ ym @ v.conj().T
-                r = a + b - zm
-
-            if hybrid and not fast_progress and resid > tol:
+                a, b, r = _residual_terms(u, v, prob)
                 # Damped Gauss-Newton candidate: quadratic local convergence
                 # where plain descent crawls (near-degenerate instances).
                 s_u, s_v = _gauss_newton_direction(a, b, r, basis)
@@ -451,13 +438,13 @@ def verify_membership(sol: OrbitSolution, prob: OrbitProblem, tol: float = 1e-10
         return False
     if float(np.abs(v.conj().T @ v - np.eye(n)).max()) > 1e-8:
         return False
-    resid = float(np.abs(_residual_matrix(u, v, prob)).max())
-    if resid > max(10.0 * sol.residual, 1e-7):
+    a, b, r = _residual_terms(u, v, prob)
+    if float(np.abs(r).max()) > max(10.0 * sol.residual, 1e-7):
         return False
     lam_x = eig_hermitian(prob.x).values
     lam_y = eig_hermitian(prob.y).values
-    lam_ux = eig_hermitian(HermitianMatrix._wrap(u @ prob.x.mat @ u.conj().T)).values
-    lam_vy = eig_hermitian(HermitianMatrix._wrap(v @ prob.y.mat @ v.conj().T)).values
+    lam_ux = eig_hermitian(HermitianMatrix._wrap(a)).values
+    lam_vy = eig_hermitian(HermitianMatrix._wrap(b)).values
     scale_x = 1.0 + float(np.abs(lam_x).max())
     scale_y = 1.0 + float(np.abs(lam_y).max())
     return bool(

@@ -9,6 +9,7 @@ from spdmeans import (
     SpdMatrix,
     eig_hermitian,
     evaluate_chain,
+    geometric_mean,
     golden_thompson_refinement,
     mat_exp,
     mat_pow,
@@ -16,6 +17,7 @@ from spdmeans import (
     psi,
     random_hermitian,
     scan_chain,
+    spectral_mean,
     trotter_distances,
 )
 
@@ -108,6 +110,25 @@ class TestScanChain:
         with pytest.raises(DomainError, match="not positive definite"):
             scan_chain(x, y)
 
+    @pytest.mark.parametrize("n", [2, 5, 8, 16])
+    def test_stacked_scan_matches_one_pair_means(self, n):
+        # Each grid point of the stacked scan against the one-pair means and
+        # mat_pow, and the one-point views phi / psi against the scan.
+        x = random_hermitian(n, 4100 + n, 0.5)
+        y = random_hermitian(n, 4200 + n, 0.5)
+        assert np.abs(x.mat @ y.mat - y.mat @ x.mat).max() > 1e-3
+        scan = scan_chain(x, y)
+        for i, r in enumerate(DEFAULT_R_GRID):
+            ea, eb = mat_exp(x, r), mat_exp(y, r)
+            for got, mean in (
+                (scan.phi_mats[i], geometric_mean(ea, eb)),
+                (scan.psi_mats[i], spectral_mean(ea, eb)),
+            ):
+                ref = mat_pow(mean, 2.0 / r).mat
+                assert np.abs(got.mat - ref).max() <= 1e-12 * np.abs(ref).max()
+            assert np.array_equal(phi(x, y, r).mat, scan.phi_mats[i].mat)
+            assert np.array_equal(psi(x, y, r).mat, scan.psi_mats[i].mat)
+
     def test_trotter_distances_shrink_as_r_halves(self):
         x = random_hermitian(3, 55, 0.5)
         y = random_hermitian(3, 66, 0.5)
@@ -132,6 +153,14 @@ class TestGoldenThompsonRefinement:
         rows = golden_thompson_refinement(x, y, r_values=(1.0,))
         _, _, mid, hi = rows[0]
         assert abs(mid - hi) <= 1e-10 * abs(hi)
+
+    def test_rows_in_the_order_given(self):
+        x = random_hermitian(4, 77, 0.5)
+        y = random_hermitian(4, 88, 0.5)
+        rows = golden_thompson_refinement(x, y, (1.0, 0.5))
+        assert [row[0] for row in rows] == [1.0, 0.5]
+        assert rows == [golden_thompson_refinement(x, y, (r,))[0] for r in (1.0, 0.5)]
+        assert golden_thompson_refinement(x, y, (0.5, 1.0, 0.5)) == rows[::-1] + rows[1:]
 
     def test_rejects_out_of_range_r(self):
         x = random_hermitian(2, 9, 0.5)

@@ -196,19 +196,6 @@ class TestSolve:
         assert sol.residual <= 1e-8
         assert all(b <= a for a, b in zip(seen, seen[1:]))
 
-    def test_descent_method_converges(self):
-        x = random_hermitian(2, 42, 1.0)
-        y = random_hermitian(2, 43, 1.0)
-        prob = OrbitProblem.create(x, y, "exp_product")
-        sol = solve(prob, method="descent", max_iter=20000)
-        assert sol.residual <= 1e-8
-        assert sol.stop_reason == "converged"
-        assert (sol.align_steps, sol.gauss_newton_steps) == (0, 0)
-        assert sol.descent_steps == sol.iterations
-        assert all(
-            b <= a for a, b in zip(sol.objective_trace, sol.objective_trace[1:])
-        )
-
     def test_max_iter_reached_carries_best(self):
         x = random_hermitian(4, 51, 1.0)
         y = random_hermitian(4, 52, 1.0)
@@ -242,8 +229,6 @@ class TestSolve:
             solve(prob, realization="su2")
         with pytest.raises(ParamOutOfRange):
             solve(prob, tol=0.0)
-        with pytest.raises(ParamOutOfRange):
-            solve(prob, method="newton")
         with pytest.raises(ParamOutOfRange):
             solve(prob, max_iter=-1)
         with pytest.raises(ParamOutOfRange):
