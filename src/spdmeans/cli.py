@@ -231,7 +231,6 @@ def orbit_solve(kind, input_paths, n, seed, tol, max_iter, realization, out, tra
         "iterations": sol.iterations,
         "restarts": sol.restarts,
         "stop_reason": sol.stop_reason,
-        "align_steps": sol.align_steps,
         "gauss_newton_steps": sol.gauss_newton_steps,
         "descent_steps": sol.descent_steps,
         "u": matio.matrix_to_obj(sol.u.mat),

@@ -8,7 +8,8 @@ For Hermitian X, Y and r > 0 the two chain functions
 bracket e^{X+Y} in log-majorization: phi decreases and psi increases in r,
 both tend to e^{X+Y} as r -> 0, and their traces sandwich tr e^{X+Y}.
 ``scan_chain`` evaluates both on a whole r grid in one stacked pass, and
-``phi``, ``psi`` and ``golden_thompson_refinement`` read from a scan;
+``phi``, ``psi``, ``golden_thompson_refinement`` and
+``refinement_from_scan`` read from a scan;
 ``evaluate_chain`` turns a scan into pass/fail margins, one per predicate
 family and grid point.
 """
@@ -228,7 +229,14 @@ def golden_thompson_refinement(
         raise ParamOutOfRange("refinement holds for r in (0, 1]")
     if not r_values:
         return []
-    grid = sorted(set(r_values))
-    traces = dict(zip(grid, scan_chain(x, y, grid).traces))
-    tr_prod = float(np.trace(mat_exp(x).mat @ mat_exp(y).mat).real)
-    return [(r, traces[r][2], traces[r][1], tr_prod) for r in r_values]
+    return refinement_from_scan(scan_chain(x, y, sorted(set(r_values))), r_values)
+
+
+def refinement_from_scan(scan: ChainScan, r_values=(0.5, 1.0)) -> list:
+    """``golden_thompson_refinement`` rows read from an existing scan, whose
+    grid must hold every r value, each in (0, 1]."""
+    traces = dict(zip(scan.r_grid, scan.traces))
+    if any(not (0.0 < r <= 1.0) or r not in traces for r in r_values):
+        raise ParamOutOfRange("refinement r values must be in (0, 1] and on the scan's grid")
+    tr_prod = float(np.trace(mat_exp(scan.x).mat @ mat_exp(scan.y).mat).real)
+    return [(float(r), traces[r][2], traces[r][1], tr_prod) for r in r_values]

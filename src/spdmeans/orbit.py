@@ -7,15 +7,12 @@ Given Hermitian X and Y, find unitaries U, V with
 where Z is the principal logarithm of e^{X/2} e^Y e^{X/2}, of
 e^{2X} # e^{2Y}, or of e^{2X} @ e^{2Y}.  A zero-residual pair always exists,
 and the solver reaches it by monotone descent on the product of two unitary
-groups: Armijo-backtracked steepest descent with exponential retraction,
-accelerated by exact block-alignment steps (the closed-form minimizer of
-each factor with the other held fixed) and damped Gauss-Newton steps, plus
-seeded random restarts when a non-global stationary point is hit.
-
-Alignment converges only linearly near degenerate instances, so an
-alignment pass ends the iteration only when it leaves f below
-_FAST_ALIGN_RATIO (1e-2) of its value before the pass; otherwise the
-Gauss-Newton step runs in the same iteration.
+groups.  Each iteration takes one damped Gauss-Newton step: the
+Levenberg-Marquardt direction of the linearized residual, from the normal
+equations with a tiny ridge, retracted by the exponential map and
+backtracked until f falls.  When that step finds no decrease, an
+Armijo-backtracked steepest-descent step runs instead, and seeded random
+restarts take over when a start stalls above tolerance.
 
 The realization (``realizations.REALIZATIONS``) fixes the group K of the
 factors: U(n) for 'glc', or SO(n) for 'slr', where Gauss-Newton directions
@@ -47,9 +44,9 @@ _BACKTRACK = 0.5
 _ETA_INIT = 1.0
 _STALL_RTOL = 1e-14
 _STALL_WINDOW = 50
-# An alignment pass ends its iteration only if it leaves f below this
-# fraction of its previous value.
-_FAST_ALIGN_RATIO = 1e-2
+# Levenberg-Marquardt ridge of the Gauss-Newton normal equations, relative
+# to the mean diagonal of J^T J.
+_RIDGE = 1e-12
 
 
 def build_target(x: HermitianMatrix, y: HermitianMatrix, kind: str) -> HermitianMatrix:
@@ -102,13 +99,11 @@ class OrbitSolution:
     objective_trace: list
     restarts: int = 0
     converged: bool = True
-    # Why the solve ended: 'converged', 'budget' (max_iter spent), or why its
-    # last start ended: 'stall' (no step accepted, or no relative progress
-    # for _STALL_WINDOW iterations) or 'window' (an alignment start that did
-    # not halve f in 60 iterations).  The counts are accepted steps of each
-    # type, summed over all starts.
+    # Why the solve ended: 'converged', 'budget' (max_iter spent) or 'stall'
+    # (the last start accepted no step, or made no relative progress for
+    # _STALL_WINDOW iterations).  The counts are accepted steps of each type,
+    # summed over all starts.
     stop_reason: str = "converged"
-    align_steps: int = 0
     gauss_newton_steps: int = 0
     descent_steps: int = 0
 
@@ -156,18 +151,26 @@ def _exp_skew(k: np.ndarray):
 
 
 def _gauss_newton_direction(a, b, r, basis):
-    """Least-squares skew directions (S_u, S_v) with
-    [S_u, A] + [S_v, B] ~ -R (linearized residual collapse).
+    """Skew directions (S_u, S_v) with [S_u, A] + [S_v, B] ~ -R (linearized
+    residual collapse), from the damped normal equations
+    (J^T J + mu I) theta = -J^T r with mu = _RIDGE * mean diag(J^T J).
 
-    Column j of the Jacobian is the commutator of basis element j with A
-    (first m columns) or B (last m), split into real and imaginary parts.
+    Column j of the real Jacobian J is the commutator of basis element j with
+    A (first m columns) or B (last m), split into real and imaginary parts.
+    Zero directions when J is zero or the basis is empty (nothing to solve).
     """
-    m = basis.shape[0]
+    m, n = basis.shape[0], a.shape[0]
     comm = np.concatenate([basis @ a - a @ basis, basis @ b - b @ basis])
-    comm = comm.reshape(2 * m, -1)
-    jac = np.concatenate([comm.real, comm.imag], axis=1).T
-    rhs = -np.concatenate([r.real.ravel(), r.imag.ravel()])
-    theta, *_ = np.linalg.lstsq(jac, rhs, rcond=1e-10)
+    comm = comm.reshape(2 * m, n * n)
+    jac_t = np.concatenate([comm.real, comm.imag], axis=1)
+    gram = jac_t @ jac_t.T
+    mu = _RIDGE * float(np.mean(np.diag(gram))) if m else 0.0
+    if not mu > 0.0:
+        zero = np.zeros((n, n), dtype=complex)
+        return zero, zero
+    rhs = -(jac_t @ np.concatenate([r.real.ravel(), r.imag.ravel()]))
+    gram[np.diag_indices(2 * m)] += mu
+    theta = np.linalg.solve(gram, rhs)
     s_u = np.tensordot(theta[:m], basis, axes=1)
     s_v = np.tensordot(theta[m:], basis, axes=1)
     return s_u, s_v
@@ -244,16 +247,17 @@ def solve(
 ) -> OrbitSolution:
     """Drive the residual ||U X U* + V Y V* - Z||_max below tol.
 
-    Each iteration mixes three monotone step types: exact block-alignment
-    (on the first two starts only), damped Gauss-Newton, and Armijo
-    steepest descent, so the objective trace over accepted iterates is
-    non-increasing by construction.  An alignment pass ends its iteration
-    only when it leaves f below _FAST_ALIGN_RATIO (1e-2) of its value
-    before the pass; after a slower pass the damped Gauss-Newton step runs
-    in the same iteration, and the descent step runs when neither moved.
-    Raises MaxIterReached (carrying the best iterate) only if every start
-    stalls above tolerance within the iteration budget.  The solution's
-    stop_reason and step counts say why and how the solve ended.
+    Every iteration takes one monotone step: damped Gauss-Newton, retracted
+    along the exponential map and halved until f falls by a relative 1e-4,
+    or, when that finds no decrease, Armijo steepest descent.  So the
+    objective trace over accepted iterates is non-increasing by
+    construction.  A start that accepts no step, or makes no relative
+    progress for _STALL_WINDOW iterations, stalls, and the next start
+    begins from seeded random factors, up to max_restarts times.  Raises
+    MaxIterReached (carrying the best iterate) only if every start stalls
+    above tolerance or the iteration budget runs out.  The solution's
+    stop_reason ('converged', 'stall' or 'budget') and step counts say why
+    and how the solve ended.
     """
     if realization not in REALIZATIONS:
         raise ParamOutOfRange(f"unknown realization {realization!r}")
@@ -273,7 +277,7 @@ def solve(
     iterations = 0
     restarts_used = 0
     trace: list = []
-    steps = {"align_steps": 0, "gauss_newton_steps": 0, "descent_steps": 0}
+    steps = {"gauss_newton_steps": 0, "descent_steps": 0}
 
     def solution(u, v, resid, trace, stop_reason):
         return OrbitSolution(
@@ -305,11 +309,6 @@ def solve(
     for restart in range(max_restarts + 1):
         if restart > 0:
             restarts_used = restart
-        # Alignment steps race to the solution on well-behaved instances but
-        # are attracted to strict saddles of near-degenerate ones, so later
-        # restarts fall back to gradient/Gauss-Newton iterations, which
-        # avoid strict saddles from random starts.
-        align_this_start = restart < 2
         if restart == 0:
             u, v = np.eye(n, dtype=complex), np.eye(n, dtype=complex)
         else:
@@ -328,46 +327,25 @@ def solve(
             on_iterate(u, v, f)
         eta = _ETA_INIT
         stall = 0
-        window_anchor = f
-        window_len = 0
         while iterations < max_iter and resid > tol:
             iterations += 1
             f_prev = f
-            moved = False
-            fast_progress = False
+            a, b, r = _residual_terms(u, v, prob)
+            # Damped Gauss-Newton: quadratic local convergence where plain
+            # descent crawls (near-degenerate instances).
+            s_u, s_v = _gauss_newton_direction(a, b, r, basis)
+            found = None
+            if float(np.abs(s_u).max() + np.abs(s_v).max()) > 0.0:
+                # Retract along +damp S for damp = 1, 1/2, ..., 2^-9 (_BACKTRACK).
+                found = line_search(
+                    s_u, s_v, u, v, -1.0, 1e-3,
+                    lambda _, f_new: f_new <= f * (1.0 - 1e-4),
+                )
+                if found is not None:
+                    _, u, v, f, resid = found
+                    steps["gauss_newton_steps"] += 1
 
-            if align_this_start:
-                # Exact minimization of each factor with the other fixed:
-                # never increases f, and usually collapses it by orders of
-                # magnitude per pass.
-                b = v @ prob.y.mat @ v.conj().T
-                u_new = space.align(prob.x, prob.z.mat - b)
-                a_new = u_new @ prob.x.mat @ u_new.conj().T
-                v_new = space.align(prob.y, prob.z.mat - a_new)
-                f_new, resid_new = f_and_resid(u_new, v_new)
-                if f_new <= f:
-                    u, v, f, resid = u_new, v_new, f_new, resid_new
-                    moved = f < f_prev
-                    steps["align_steps"] += moved
-                    fast_progress = f < _FAST_ALIGN_RATIO * f_prev
-
-            if not fast_progress and resid > tol:
-                a, b, r = _residual_terms(u, v, prob)
-                # Damped Gauss-Newton candidate: quadratic local convergence
-                # where plain descent crawls (near-degenerate instances).
-                s_u, s_v = _gauss_newton_direction(a, b, r, basis)
-                if float(np.abs(s_u).max() + np.abs(s_v).max()) > 0.0:
-                    # Retract along +damp S for damp = 1, 1/2, ..., 2^-9 (_BACKTRACK).
-                    found = line_search(
-                        s_u, s_v, u, v, -1.0, 1e-3,
-                        lambda _, f_new: f_new <= f * (1.0 - 1e-4),
-                    )
-                    if found is not None:
-                        _, u, v, f, resid = found
-                        moved = True
-                        steps["gauss_newton_steps"] += 1
-
-            if not fast_progress and not moved and resid > tol:
+            if found is None:
                 # Armijo-backtracked steepest descent with exponential
                 # retraction; the gradient eigensystems are reused across
                 # backtracking trials.
@@ -383,7 +361,6 @@ def solve(
                     )
                     if found is not None:
                         eta, u, v, f, resid = found
-                        moved = True
                         steps["descent_steps"] += 1
 
             trace.append(f)
@@ -391,22 +368,9 @@ def solve(
                 on_iterate(u, v, f)
             rel_drop = (f_prev - f) / max(f_prev, 1e-300)
             stall = stall + 1 if rel_drop < _STALL_RTOL else 0
-            if not moved or stall >= _STALL_WINDOW:
+            if found is None or stall >= _STALL_WINDOW:
                 stop_reason = "stall"
                 break
-            # Windowed progress guard for alignment starts: creeping toward
-            # a positive fixed value makes only vanishing headway per
-            # window, so restart instead of burning the iteration budget.
-            # Gradient-only starts are left to run patiently; they need the
-            # slow stretch to clear saddle plateaus.
-            if align_this_start:
-                window_len += 1
-                if window_len >= 60:
-                    if f > 0.5 * window_anchor:
-                        stop_reason = "window"
-                        break
-                    window_anchor = f
-                    window_len = 0
         else:
             stop_reason = "converged" if resid <= tol else "budget"
 

@@ -18,7 +18,7 @@ from .errors import MaxIterReached
 from .gtchain import (
     DEFAULT_R_GRID,
     evaluate_chain,
-    golden_thompson_refinement,
+    refinement_from_scan,
     scan_chain,
     trotter_distances,
 )
@@ -239,9 +239,11 @@ def suite_chain(
     r_grid=DEFAULT_R_GRID,
     scale: float = 0.5,
 ) -> SuiteResult:
-    """Chain monotonicity, sandwich, traces, Lie-Trotter shrinkage, and the
-    group-comparator agreement, per random Hermitian pair.  Each chain
-    predicate family gives one row: its check with the least slack."""
+    """Chain monotonicity, sandwich, traces, Lie-Trotter shrinkage, the
+    Golden-Thompson refinement at r = 0.5 and 1 and the group-comparator
+    agreement, per random Hermitian pair, all from one scan over r_grid,
+    which must hold 0.5 and 1.  Each chain predicate family gives one row:
+    its check with the least slack."""
     res = SuiteResult("chain", seed)
     for trial in range(trials):
         n = n_values[trial % len(n_values)]
@@ -261,7 +263,7 @@ def suite_chain(
         dists = trotter_distances(scan)
         res.add(trial, n, None, "trotter_phi_shrinks", dists[0][1] < dists[-1][1], 0.0)
         res.add(trial, n, None, "trotter_psi_shrinks", dists[0][2] < dists[-1][2], 0.0)
-        for r, lo, mid, hi in golden_thompson_refinement(x, y):
+        for r, lo, mid, hi in refinement_from_scan(scan):
             ok = lo <= mid + 1e-10 and mid <= hi + 1e-10
             res.add(trial, n, r, "gt_refinement_sandwich", ok, min(mid - lo, hi - mid))
         _, agree = group_chain_report(scan, chain_rep)

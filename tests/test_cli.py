@@ -223,7 +223,7 @@ class TestOrbitSolveCommand:
         assert payload["stop_reason"] == "converged"
         steps = [
             payload[key]
-            for key in ("align_steps", "gauss_newton_steps", "descent_steps")
+            for key in ("gauss_newton_steps", "descent_steps")
         ]
         assert all(isinstance(count, int) and count >= 0 for count in steps)
         assert sum(steps) >= payload["iterations"]

@@ -20,6 +20,8 @@ from spdmeans import (
     spectral_mean,
     trotter_distances,
 )
+from spdmeans import gtchain, suites
+from spdmeans.gtchain import refinement_from_scan
 
 
 def diag_h(*vals):
@@ -166,3 +168,31 @@ class TestGoldenThompsonRefinement:
         x = random_hermitian(2, 9, 0.5)
         with pytest.raises(ParamOutOfRange):
             golden_thompson_refinement(x, x, r_values=(2.0,))
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_from_default_grid_scan_matches_own_scan(self, n):
+        # The bits of a grid point do not depend on the rest of the grid.
+        x = random_hermitian(n, 300 + n, 0.5)
+        y = random_hermitian(n, 400 + n, 0.5)
+        rows = refinement_from_scan(scan_chain(x, y))
+        assert rows == golden_thompson_refinement(x, y)
+
+    def test_from_scan_rejects_r_off_grid_or_above_one(self):
+        x = random_hermitian(3, 9, 0.5)
+        y = random_hermitian(3, 10, 0.5)
+        with pytest.raises(ParamOutOfRange):
+            refinement_from_scan(scan_chain(x, y, (0.25, 1.0)))
+        with pytest.raises(ParamOutOfRange):
+            refinement_from_scan(scan_chain(x, y), (2.0,))
+
+    def test_suite_chain_scans_each_pair_once(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return scan_chain(*args, **kwargs)
+
+        monkeypatch.setattr(suites, "scan_chain", counted)
+        monkeypatch.setattr(gtchain, "scan_chain", counted)
+        assert suites.suite_chain(trials=3, seed=1).passed
+        assert len(calls) == 3

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from spdmeans import (
     solve,
     verify_membership,
 )
+from spdmeans import orbit
 from spdmeans.orbit import _gauss_newton_direction
 from spdmeans.realizations import REALIZATIONS
 
@@ -222,6 +225,38 @@ class TestSolve:
         assert sol.gauss_newton_steps >= 1
         assert verify_membership(sol, prob)
 
+    @pytest.mark.parametrize(
+        "realization,sample,seed",
+        [("glc", random_hermitian, 5), ("slr", random_real_symmetric_traceless, 1)],
+    )
+    def test_descent_fallback_converges(self, monkeypatch, realization, sample, seed):
+        # With no Gauss-Newton direction every step is the Armijo descent step.
+        monkeypatch.setattr(
+            orbit, "_gauss_newton_direction",
+            lambda a, b, r, basis: (np.zeros_like(a), np.zeros_like(a)),
+        )
+        prob = OrbitProblem.create(sample(3, seed), sample(3, seed + 1), "geometric")
+        sol = solve(prob, seed=seed, realization=realization)
+        assert sol.stop_reason == "converged"
+        assert sol.gauss_newton_steps == 0
+        assert sol.descent_steps == sol.iterations >= 1
+        assert verify_membership(sol, prob)
+
+    @pytest.mark.parametrize("realization", ["glc", "slr"])
+    def test_stalled_start_restarts(self, realization):
+        # Z = P X P* + Y for the reversal P.  At the identity start every
+        # matrix is diagonal, so the gradient and the Gauss-Newton direction
+        # are exactly zero with f > 0: start 0 stalls, and a seeded random
+        # start converges.
+        x = diag_h(2.0, 1.0, 0.0)
+        y = diag_h(1.0, 0.0, 0.0)
+        prob = OrbitProblem(x=x, y=y, kind="exp_product", z=diag_h(1.0, 1.0, 2.0))
+        sol = solve(prob, seed=3, realization=realization)
+        assert sol.restarts >= 1
+        assert sol.stop_reason == "converged"
+        assert sol.residual <= 1e-8
+        assert verify_membership(sol, prob)
+
     def test_bad_params(self):
         x = random_hermitian(2, 1, 1.0)
         prob = OrbitProblem.create(x, x, "exp_product")
@@ -285,7 +320,8 @@ def _loop_skew_basis(n, realify):
 
 
 def _loop_gauss_newton_direction(a, b, r, basis):
-    """Reference: the Jacobian assembled one commutator column at a time."""
+    """Reference: the Jacobian assembled one commutator column at a time,
+    then the same ridge-damped normal equations solved from it."""
     cols = []
     for s in basis:
         c = s @ a - a @ s
@@ -293,9 +329,14 @@ def _loop_gauss_newton_direction(a, b, r, basis):
     for s in basis:
         c = s @ b - b @ s
         cols.append(np.concatenate([c.real.ravel(), c.imag.ravel()]))
-    jac = np.stack(cols, axis=1)
+    # Row j of J^T is column j of the Jacobian.  The rounding of J^T J and
+    # J^T r reaches theta through the 1/mu ridge in J's null directions, so
+    # the reference forms them with the same products as the solver.
+    jac_t = np.stack(cols)
     rhs = -np.concatenate([r.real.ravel(), r.imag.ravel()])
-    theta, *_ = np.linalg.lstsq(jac, rhs, rcond=1e-10)
+    gram = jac_t @ jac_t.T
+    mu = 1e-12 * np.mean(np.diag(gram))
+    theta = np.linalg.solve(gram + mu * np.eye(len(gram)), jac_t @ rhs)
     m = len(basis)
     s_u = sum(t * s for t, s in zip(theta[:m], basis))
     s_v = sum(t * s for t, s in zip(theta[m:], basis))
@@ -329,3 +370,52 @@ class TestGaussNewtonJacobian:
             want = _loop_gauss_newton_direction(a, b, r, _loop_skew_basis(n, realify))
             for g, w in zip(got, want):
                 assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
+
+    @pytest.mark.parametrize("realization", ["glc", "slr"])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_linearized_residual_near_least_squares(self, n, realization):
+        # The ridge shrinks J's small singular directions, so the damped
+        # direction leaves a larger linearized residual than the minimum
+        # norm least-squares one: at most 2.6e-10 |R| more, measured at
+        # random factors over n 2..8 and the three target kinds.
+        realify = realization == "slr"
+        sample = random_real_symmetric_traceless if realify else random_hermitian
+        factor = random_orthogonal if realify else random_unitary
+        basis = REALIZATIONS[realization].basis(n)
+        m = basis.shape[0]
+
+        def linearized(s_u, s_v, a, b, r):
+            return np.linalg.norm(s_u @ a - a @ s_u + s_v @ b - b @ s_v + r)
+
+        for trial, kind in enumerate(("exp_product", "geometric", "spectral")):
+            seed = 9500 + 10 * n + trial
+            x, y = sample(n, seed), sample(n, seed + 1)
+            prob = OrbitProblem.create(x, y, kind)
+            u, v = factor(n, seed + 2).mat, factor(n, seed + 3).mat
+            a = u @ x.mat @ u.conj().T
+            b = v @ y.mat @ v.conj().T
+            r = a + b - prob.z.mat
+            comm = np.concatenate([basis @ a - a @ basis, basis @ b - b @ basis])
+            comm = comm.reshape(2 * m, -1)
+            jac = np.concatenate([comm.real, comm.imag], axis=1).T
+            rhs = -np.concatenate([r.real.ravel(), r.imag.ravel()])
+            theta, *_ = np.linalg.lstsq(jac, rhs, rcond=1e-10)
+            best = linearized(
+                np.tensordot(theta[:m], basis, axes=1),
+                np.tensordot(theta[m:], basis, axes=1), a, b, r,
+            )
+            got = linearized(*_gauss_newton_direction(a, b, r, basis), a, b, r)
+            assert got <= best + 1e-9 * np.linalg.norm(r)
+
+    @pytest.mark.parametrize("realization,n", [("glc", 1), ("glc", 3), ("slr", 1), ("slr", 3)])
+    def test_zero_jacobian_gives_zero_direction(self, realization, n):
+        # Scalar A and B commute with every basis element, and slr's basis is
+        # empty at n = 1: no system to solve, and no warning.
+        a = 2.0 * np.eye(n, dtype=complex)
+        b = -0.5 * np.eye(n, dtype=complex)
+        r = random_hermitian(n, 17, 1.0).mat
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s_u, s_v = _gauss_newton_direction(a, b, r, REALIZATIONS[realization].basis(n))
+        assert s_u.shape == s_v.shape == (n, n)
+        assert not s_u.any() and not s_v.any()
