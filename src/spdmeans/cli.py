@@ -132,7 +132,7 @@ def scan(x_path, y_path, r_grid, out):
 @click.option("--suite", type=click.Choice(suites.ALL_SUITES), default=None)
 @click.option("--all", "run_all", is_flag=True, help="Run every suite.")
 @click.option("--trials", type=click.IntRange(min=1), default=25, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option(
     "--realization",
     type=click.Choice(list(REALIZATIONS)),
@@ -186,7 +186,7 @@ def verify(suite, run_all, trials, seed, realization, out):
     help="Two Hermitian matrix files X Y; omitted means seeded random inputs.",
 )
 @click.option("--n", type=int, default=3, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--tol", type=float, default=1e-8, show_default=True)
 @click.option("--max-iter", type=int, default=5000, show_default=True)
 @click.option(

@@ -176,66 +176,6 @@ def _gauss_newton_direction(a, b, r, basis):
     return s_u, s_v
 
 
-def _pauli_split(m: np.ndarray):
-    """Hermitian 2x2 as c I + r . sigma with r in R^3."""
-    c = (m[0, 0].real + m[1, 1].real) / 2.0
-    r = np.array(
-        [m[0, 1].real, -m[0, 1].imag, (m[0, 0].real - m[1, 1].real) / 2.0]
-    )
-    return c, r
-
-
-def _pauli_join(c: float, r: np.ndarray) -> np.ndarray:
-    return np.array(
-        [
-            [c + r[2], r[0] - 1j * r[1]],
-            [r[0] + 1j * r[1], c - r[2]],
-        ],
-        dtype=complex,
-    )
-
-
-def _closed_form_2x2(prob: OrbitProblem, space):
-    """Exact 2x2 candidates via the two-link arm reduction.
-
-    Conjugating a Hermitian 2x2 rotates its Pauli vector, so the orbit-sum
-    equation asks for points on spheres of radii |x|, |y| summing to the
-    target vector: the law of cosines gives the bend angle, one elbow per
-    sign.  Near the straight-arm boundary this is exact where the iterative
-    paths crawl, so the candidates are tried alongside the identity start.
-    """
-    cx, rx = _pauli_split(prob.x.mat)
-    cy, ry = _pauli_split(prob.y.mat)
-    _, rz = _pauli_split(prob.z.mat)
-    a, b, zn = np.linalg.norm(rx), np.linalg.norm(ry), np.linalg.norm(rz)
-    if zn < 1e-300:
-        # Antipodal arms; any common axis works, use x's own direction.
-        p = rx.copy()
-        candidates = [(p, -p)]
-    else:
-        zhat = rz / zn
-        if a < 1e-300:
-            candidates = [(np.zeros(3), rz.copy())]
-        else:
-            cos_phi = np.clip((zn * zn + a * a - b * b) / (2.0 * a * zn), -1.0, 1.0)
-            sin_phi = np.sqrt(max(0.0, 1.0 - cos_phi * cos_phi))
-            perp = space.bend_axis(zhat)
-            pn = np.linalg.norm(perp)
-            perp = perp / pn if pn > 0.0 else np.zeros(3)
-            candidates = []
-            for elbow in (1.0, -1.0):
-                p = a * (cos_phi * zhat + elbow * sin_phi * perp)
-                candidates.append((p, rz - p))
-    out = []
-    for p, q in candidates:
-        qn = np.linalg.norm(q)
-        qdir = q / qn if qn > 1e-300 else np.array([0.0, 0.0, 1.0])
-        target_a = _pauli_join(cx, p)
-        target_b = _pauli_join(cy, b * qdir)
-        out.append((space.align(prob.x, target_a), space.align(prob.y, target_b)))
-    return out
-
-
 def solve(
     prob: OrbitProblem,
     tol: float = 1e-8,
@@ -251,13 +191,13 @@ def solve(
     along the exponential map and halved until f falls by a relative 1e-4,
     or, when that finds no decrease, Armijo steepest descent.  So the
     objective trace over accepted iterates is non-increasing by
-    construction.  A start that accepts no step, or makes no relative
-    progress for _STALL_WINDOW iterations, stalls, and the next start
-    begins from seeded random factors, up to max_restarts times.  Raises
-    MaxIterReached (carrying the best iterate) only if every start stalls
-    above tolerance or the iteration budget runs out.  The solution's
-    stop_reason ('converged', 'stall' or 'budget') and step counts say why
-    and how the solve ended.
+    construction.  The first start is U = V = I at every n.  A start that
+    accepts no step, or makes no relative progress for _STALL_WINDOW
+    iterations, stalls, and the next start begins from seeded random
+    factors, up to max_restarts times.  Raises MaxIterReached (carrying the
+    best iterate) only if every start stalls above tolerance or the
+    iteration budget runs out.  The solution's stop_reason ('converged',
+    'stall' or 'budget') and step counts say why and how the solve ended.
     """
     if realization not in REALIZATIONS:
         raise ParamOutOfRange(f"unknown realization {realization!r}")
@@ -307,21 +247,13 @@ def solve(
         return None
 
     for restart in range(max_restarts + 1):
-        if restart > 0:
-            restarts_used = restart
         if restart == 0:
             u, v = np.eye(n, dtype=complex), np.eye(n, dtype=complex)
         else:
+            restarts_used = restart
             base = seed * 8191 + restart * 2
             u, v = space.random_factor(n, base), space.random_factor(n, base + 1)
         f, resid = f_and_resid(u, v)
-        if restart == 0 and n == 2:
-            # The 2x2 problem has a closed form; try its candidates against
-            # the identity start and begin from whichever is best.
-            for u_c, v_c in _closed_form_2x2(prob, space):
-                f_c, resid_c = f_and_resid(u_c, v_c)
-                if f_c < f:
-                    u, v, f, resid = u_c, v_c, f_c, resid_c
         trace = [f]
         if on_iterate is not None:
             on_iterate(u, v, f)

@@ -1,6 +1,8 @@
 """The symmetric spaces G/K the checks run on: ``REALIZATIONS`` maps 'glc',
 GL(n,C)/U(n), and 'slr', SL(n,R)/SO(n), to the object that owns every choice
-that depends on the space.  Both run through the complex code path.
+that depends on the space: the six members ``sample``, ``project``,
+``random_factor``, ``to_group``, ``basis`` and ``contains``, all that a new
+space supplies.  Both run through the complex code path.
 
 ``run_suites_on_realization`` re-runs the means, log-majorization, chain,
 pre-order and orbit checks on real symmetric traceless inputs and returns the
@@ -17,7 +19,7 @@ from . import sampling
 from .errors import DomainError
 from .gtchain import evaluate_chain, scan_chain
 from .kostant import group_chain_report
-from .linalg import HERMITIAN_TOL, UNITARY_TOL, HermitianMatrix, eig_hermitian, mat_exp
+from .linalg import HERMITIAN_TOL, UNITARY_TOL, HermitianMatrix, mat_exp
 from .majorization import log_majorization_report
 from .means import _MeanPair, mean_identity_suite, spd_det
 
@@ -50,7 +52,9 @@ def project_to_realization(x: HermitianMatrix) -> RealSymmetricTraceless:
 
 
 class Realization:
-    """GL(n,C)/U(n): Hermitian inputs, K = U(n), factors as complex arrays."""
+    """GL(n,C)/U(n): Hermitian inputs, K = U(n), factors as complex arrays.
+    A new space overrides the six members: sample (p), project (onto p),
+    random_factor (K), to_group (retraction into K), basis (k), contains."""
 
     def sample(self, n: int, seed: int, scale: float = 1.0) -> HermitianMatrix:
         """Seeded random input of the space, its eigenvalues of order scale."""
@@ -67,12 +71,6 @@ class Realization:
     def to_group(self, u: np.ndarray) -> np.ndarray:
         """Retraction of a unitary into K (u itself, not a copy, for U(n))."""
         return u
-
-    def align(self, x: HermitianMatrix, w: np.ndarray) -> np.ndarray:
-        """U in K minimizing ||U X U* - W||_F for Hermitian W.  Matching the
-        descending eigenbases is optimal: U = Q_W Q_X*."""
-        qw = eig_hermitian(HermitianMatrix._wrap(w)).vectors.mat
-        return qw @ eig_hermitian(x).vectors.mat.conj().T
 
     @staticmethod
     @functools.cache
@@ -91,14 +89,6 @@ class Realization:
         basis[2 * k + diag, diag, diag] = 1.0j
         basis.setflags(write=False)
         return basis
-
-    def bend_axis(self, zhat: np.ndarray) -> np.ndarray:
-        """Direction, not normalized, perpendicular to the unit Pauli vector
-        zhat, in which the 2x2 closed form of the orbit solver bends."""
-        trial = np.array([1.0, 0.0, 0.0])
-        if abs(zhat[0]) > 0.9:
-            trial = np.array([0.0, 1.0, 0.0])
-        return trial - np.dot(trial, zhat) * zhat
 
     def contains(self, u: np.ndarray) -> bool:
         """Whether u is in K, to UNITARY_TOL."""
@@ -120,22 +110,8 @@ class _RealRealization(Realization):
     def to_group(self, u):
         return u.real.astype(complex)
 
-    def align(self, x, w):
-        # A determinant of -1 is repaired by negating one eigenvector between
-        # the bases, which leaves U X U* unchanged but lands U in SO(n).
-        qw = eig_hermitian(HermitianMatrix._wrap(w)).vectors.mat
-        qx = eig_hermitian(x).vectors.mat
-        u = (qw @ qx.conj().T).real
-        if np.linalg.det(u) < 0.0:
-            u = (qw @ np.conj(qx * np.r_[-1.0, np.ones(qx.shape[0] - 1)]).T).real
-        return u.astype(complex)
-
     def basis(self, n):
         return super().basis(n)[: n * (n - 1) // 2]
-
-    def bend_axis(self, zhat):
-        # Real symmetric matrices keep the Pauli-y component zero.
-        return np.array([-zhat[2], 0.0, zhat[0]])
 
     def contains(self, u):
         real = np.abs(u.imag).max() <= UNITARY_TOL

@@ -148,6 +148,14 @@ class TestVerifyCommand:
         assert result.exit_code == 2
         assert "pass" not in result.output
 
+    @pytest.mark.parametrize(
+        "args", [["verify", "--suite", "chain"], ["orbit-solve", "--kind", "geo"]]
+    )
+    def test_negative_seed_exits_2_naming_the_option(self, runner, args):
+        result = runner.invoke(main, args + ["--seed", "-1"])
+        assert result.exit_code == 2
+        assert "--seed" in result.output
+
     def test_means_row_count(self, runner, tmp_path):
         out = tmp_path / "means.csv"
         result = runner.invoke(

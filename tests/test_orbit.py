@@ -212,9 +212,10 @@ class TestSolve:
         assert best.stop_reason == "budget"
 
     @pytest.mark.parametrize("realization", ["slr", "glc"])
-    def test_slow_alignment_hands_over_to_gauss_newton(self, realization):
-        # Alignment alone shrinks f by about 8% a pass here: 751 iterations
-        # when every such pass skipped the Gauss-Newton step.
+    def test_slow_descent_instance_converges_by_gauss_newton(self, realization):
+        # Slow for first-order steps: Armijo descent alone takes 1273
+        # iterations here, f falling by under 2% an iteration after the
+        # first 50.  Gauss-Newton takes 3.
         x = random_real_symmetric_traceless(3, 100310)
         y = random_real_symmetric_traceless(3, 100311)
         prob = OrbitProblem.create(x, y, "geometric")
@@ -224,6 +225,31 @@ class TestSolve:
         assert sol.stop_reason == "converged"
         assert sol.gauss_newton_steps >= 1
         assert verify_membership(sol, prob)
+
+    @pytest.mark.parametrize("realization", ["glc", "slr"])
+    @pytest.mark.parametrize("arm", ["straight", "folded", "scalar"])
+    def test_two_by_two_arm_boundary_from_identity(self, realization, arm):
+        # X = diag(a, -a), Y = Q diag(b, -b) Q* and Z on the boundary of the
+        # orbit sum: the arms of lengths a and b aligned (straight), opposed
+        # (folded), or opposed and equal (scalar Z = 0).  The identity start
+        # reaches each of them without a restart.
+        space = REALIZATIONS[realization]
+        for seed in range(40):
+            a, b = np.random.default_rng(seed).uniform(0.1, 2.0, 2)
+            if arm == "scalar":
+                b = a
+            c = {"straight": a + b, "folded": abs(a - b), "scalar": 0.0}[arm]
+            q = space.random_factor(2, seed)
+            prob = OrbitProblem(
+                x=diag_h(a, -a),
+                y=HermitianMatrix((q * [b, -b]) @ q.conj().T),
+                kind="exp_product",
+                z=diag_h(c, -c),
+            )
+            sol = solve(prob, seed=seed, realization=realization)
+            assert sol.converged
+            assert sol.restarts == 0
+            assert verify_membership(sol, prob)
 
     @pytest.mark.parametrize(
         "realization,sample,seed",
