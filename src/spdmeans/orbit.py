@@ -8,11 +8,13 @@ where Z is the principal logarithm of e^{X/2} e^Y e^{X/2}, of
 e^{2X} # e^{2Y}, or of e^{2X} @ e^{2Y}.  A zero-residual pair always exists,
 and the solver reaches it by monotone descent on the product of two unitary
 groups.  Each iteration takes one damped Gauss-Newton step: the
-Levenberg-Marquardt direction of the linearized residual, from the normal
-equations with a tiny ridge, retracted by the exponential map and
-backtracked until f falls.  When that step finds no decrease, an
-Armijo-backtracked steepest-descent step runs instead, and seeded random
-restarts take over when a start stalls above tolerance.
+minimum-norm Levenberg-Marquardt direction of the linearized residual, from
+the dual normal equations with a tiny ridge (no basis of the Lie algebra of
+K is built), retracted by the exponential map and backtracked until f
+falls.  When that step finds no decrease, an Armijo-backtracked
+steepest-descent step runs instead, and seeded random restarts take over
+when a start stalls above tolerance; each restart and each start that
+stops by stall or budget is logged at DEBUG level.
 
 The realization (``realizations.REALIZATIONS``) fixes the group K of the
 factors: U(n) for 'glc', or SO(n) for 'slr', where Gauss-Newton directions
@@ -21,6 +23,7 @@ are real skew-symmetric and every iterate lies in SO(n).
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +34,7 @@ from .linalg import (
     SpdMatrix,
     UnitaryMatrix,
     eig_hermitian,
+    eigh_stack,
     mat_exp,
     mat_log,
 )
@@ -39,13 +43,15 @@ from .realizations import REALIZATIONS
 
 TARGET_KINDS = ("exp_product", "geometric", "spectral")
 
+logger = logging.getLogger(__name__)
+
 _ARMIJO_C = 1e-4
 _BACKTRACK = 0.5
 _ETA_INIT = 1.0
 _STALL_RTOL = 1e-14
 _STALL_WINDOW = 50
 # Levenberg-Marquardt ridge of the Gauss-Newton normal equations, relative
-# to the mean diagonal of J^T J.
+# to the mean diagonal of J J^T.
 _RIDGE = 1e-12
 
 
@@ -138,42 +144,56 @@ def riemannian_grad(
 
 
 def _exp_skew(k: np.ndarray):
-    """Eigendecomposition of skew-Hermitian K; returns scale -> exp(-scale K)."""
-    herm = HermitianMatrix._wrap(-1j * k)
-    pair = eig_hermitian(herm)
-    q = pair.vectors.mat
-    lam = pair.values
+    """Eigendecomposition of skew-Hermitian K, or of each matrix of a stack
+    (..., n, n); returns scale -> exp(-scale K), of the same shape."""
+    lam, q = eigh_stack(-1j * k)
 
     def step(scale: float) -> np.ndarray:
-        return (q * np.exp(-1j * scale * lam)) @ q.conj().T
+        return (q * np.exp(-1j * scale * lam)[..., None, :]) @ q.conj().swapaxes(-1, -2)
 
     return step
 
 
-def _gauss_newton_direction(a, b, r, basis):
-    """Skew directions (S_u, S_v) with [S_u, A] + [S_v, B] ~ -R (linearized
-    residual collapse), from the damped normal equations
-    (J^T J + mu I) theta = -J^T r with mu = _RIDGE * mean diag(J^T J).
+def _gauss_newton_operator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The n^2 x n^2 matrix of Y -> [[Y, A], A] + [[Y, B], B] on row-major
+    vec(Y): I (x) C^T + C (x) I - 2 (A (x) A^T + B (x) B^T), C = A^2 + B^2,
+    whose terms P (x) Q, entries P[i, k] Q[j, l], are one rank-4 product."""
+    n = a.shape[0]
+    eye = np.eye(n)
+    c = a @ a + b @ b
+    left = np.array([eye, c, a, b]).reshape(4, n * n)
+    right = np.array([c.T, eye, -2.0 * a.T, -2.0 * b.T]).reshape(4, n * n)
+    op = (left.T @ right).reshape(n, n, n, n).transpose(0, 2, 1, 3)
+    return op.reshape(n * n, n * n)
 
-    Column j of the real Jacobian J is the commutator of basis element j with
-    A (first m columns) or B (last m), split into real and imaginary parts.
-    Zero directions when J is zero or the basis is empty (nothing to solve).
+
+def _gauss_newton_direction(a, b, r):
+    """Skew [S_u; S_v], shape (2, n, n), with [S_u, A] + [S_v, B] ~ -R: the
+    minimum-norm Levenberg-Marquardt step J^T (J J^T + mu I)^{-1} (-R).
+
+    A, B and R lie in p (g = k + p), so the adjoint of J: (S_u, S_v) ->
+    [S_u, A] + [S_v, B] is H -> ([H, A], [H, B]), as [p, p] lies in k, and
+    no basis of k is needed: solve ad_A^2 Y + ad_B^2 Y + mu Y = -R for one
+    n x n matrix Y, mu = _RIDGE * mean diag of the operator, and take
+    S_u = [Y, A], S_v = [Y, B].  Zero if the operator is zero (A, B scalar).
     """
-    m, n = basis.shape[0], a.shape[0]
-    comm = np.concatenate([basis @ a - a @ basis, basis @ b - b @ basis])
-    comm = comm.reshape(2 * m, n * n)
-    jac_t = np.concatenate([comm.real, comm.imag], axis=1)
-    gram = jac_t @ jac_t.T
-    mu = _RIDGE * float(np.mean(np.diag(gram))) if m else 0.0
+    n = a.shape[0]
+    op = _gauss_newton_operator(a, b)
+    diag = op.reshape(-1)[:: n * n + 1]  # a view: op is contiguous
+    mu = _RIDGE * float(diag.real.mean())
     if not mu > 0.0:
-        zero = np.zeros((n, n), dtype=complex)
-        return zero, zero
-    rhs = -(jac_t @ np.concatenate([r.real.ravel(), r.imag.ravel()]))
-    gram[np.diag_indices(2 * m)] += mu
-    theta = np.linalg.solve(gram, rhs)
-    s_u = np.tensordot(theta[:m], basis, axes=1)
-    s_v = np.tensordot(theta[m:], basis, axes=1)
-    return s_u, s_v
+        return np.zeros((2, n, n), dtype=complex)
+    diag += mu
+    # I is in the operator's null space and [I, A] = 0: R's trace part (the
+    # unreachable trace gap) would only inflate Y by 1/mu and cost digits.
+    rhs = -r.ravel()
+    rhs[:: n + 1] += np.trace(r) / n
+    y = np.linalg.solve(op, rhs).reshape(n, n)
+    # Y lies in p: drop its rounding off it (i I, inflated by 1/mu, among
+    # it).  Then [Y, A] = Y A - (Y A)*, exactly skew in this form.
+    y = (y + y.conj().T) / 2.0
+    yab = y @ np.array([a, b])
+    return yab - yab.conj().swapaxes(1, 2)
 
 
 def solve(
@@ -207,12 +227,12 @@ def solve(
         raise ParamOutOfRange("max_iter and max_restarts must be non-negative")
     n = prob.n
 
-    def f_and_resid(u, v):
-        r = _residual_terms(u, v, prob)[2]
-        return 0.5 * float(np.sum(np.abs(r) ** 2)), float(np.abs(r).max())
+    def at(u, v):
+        """The iterate (U, V, A, B, R, f, max |R|) at the factors (U, V)."""
+        a, b, r = _residual_terms(u, v, prob)
+        return u, v, a, b, r, 0.5 * float(np.sum(np.abs(r) ** 2)), float(np.abs(r).max())
 
     space = REALIZATIONS[realization]
-    basis = space.basis(n)
     best = None
     iterations = 0
     restarts_used = 0
@@ -232,17 +252,17 @@ def solve(
             **steps,
         )
 
-    def line_search(k_u, k_v, u, v, scale, floor, accept):
+    def line_search(k, u, v, scale, floor, accept):
         """Trial steps s = scale, scale * _BACKTRACK, ... while |s| > floor: the
-        first (s, U', V', f', resid') with accept(s, f'), where (U', V') is
-        (e^{-s K_u} U, e^{-s K_v} V) mapped into K; None if no trial passes."""
-        step_u, step_v = _exp_skew(k_u), _exp_skew(k_v)
+        first (s, iterate) with accept(s, f'), where the iterate's (U', V') is
+        (e^{-s K_u} U, e^{-s K_v} V) mapped into K, for k = [K_u; K_v]; None
+        if no trial passes."""
+        step = _exp_skew(k)
         while abs(scale) > floor:
-            u_new = space.to_group(step_u(scale) @ u)
-            v_new = space.to_group(step_v(scale) @ v)
-            f_new, resid_new = f_and_resid(u_new, v_new)
-            if accept(scale, f_new):
-                return scale, u_new, v_new, f_new, resid_new
+            e = step(scale)
+            trial = at(space.to_group(e[0] @ u), space.to_group(e[1] @ v))
+            if accept(scale, trial[5]):
+                return scale, trial
             scale *= _BACKTRACK
         return None
 
@@ -253,7 +273,9 @@ def solve(
             restarts_used = restart
             base = seed * 8191 + restart * 2
             u, v = space.random_factor(n, base), space.random_factor(n, base + 1)
-        f, resid = f_and_resid(u, v)
+        u, v, a, b, r, f, resid = at(u, v)
+        if restart:
+            logger.debug("restart %d from f %.3e, residual %.3e", restart, f, resid)
         trace = [f]
         if on_iterate is not None:
             on_iterate(u, v, f)
@@ -262,39 +284,36 @@ def solve(
         while iterations < max_iter and resid > tol:
             iterations += 1
             f_prev = f
-            a, b, r = _residual_terms(u, v, prob)
             # Damped Gauss-Newton: quadratic local convergence where plain
             # descent crawls (near-degenerate instances).
-            s_u, s_v = _gauss_newton_direction(a, b, r, basis)
+            s = _gauss_newton_direction(a, b, r)
             found = None
-            if float(np.abs(s_u).max() + np.abs(s_v).max()) > 0.0:
+            if float(np.abs(s).max()) > 0.0:
                 # Retract along +damp S for damp = 1, 1/2, ..., 2^-9 (_BACKTRACK).
                 found = line_search(
-                    s_u, s_v, u, v, -1.0, 1e-3,
+                    s, u, v, -1.0, 1e-3,
                     lambda _, f_new: f_new <= f * (1.0 - 1e-4),
                 )
                 if found is not None:
-                    _, u, v, f, resid = found
                     steps["gauss_newton_steps"] += 1
 
             if found is None:
                 # Armijo-backtracked steepest descent with exponential
                 # retraction; the gradient eigensystems are reused across
                 # backtracking trials.
-                k_u = r @ a - a @ r
-                k_v = r @ b - b @ r
-                gnorm2 = float(
-                    np.sum(np.abs(k_u) ** 2) + np.sum(np.abs(k_v) ** 2)
-                )
+                k = np.stack([r @ a - a @ r, r @ b - b @ r])
+                gnorm2 = float(np.sum(np.abs(k) ** 2))
                 if gnorm2 > 0.0:
                     found = line_search(
-                        k_u, k_v, u, v, min(eta * 2.0, 1e3), 1e-18,
+                        k, u, v, min(eta * 2.0, 1e3), 1e-18,
                         lambda eta_try, f_new: f_new <= f - _ARMIJO_C * eta_try * gnorm2,
                     )
                     if found is not None:
-                        eta, u, v, f, resid = found
+                        eta = found[0]
                         steps["descent_steps"] += 1
 
+            if found is not None:
+                u, v, a, b, r, f, resid = found[1]
             trace.append(f)
             if on_iterate is not None:
                 on_iterate(u, v, f)
@@ -310,6 +329,8 @@ def solve(
             best = (u, v, f, resid, list(trace))
         if resid <= tol:
             return solution(u, v, resid, trace, "converged")
+        logger.debug("start %d stopped (%s) at f %.3e, residual %.3e after %d "
+                     "iterations", restart, stop_reason, f, resid, iterations)
         if iterations >= max_iter:
             break
 

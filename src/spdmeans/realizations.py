@@ -1,8 +1,9 @@
 """The symmetric spaces G/K the checks run on: ``REALIZATIONS`` maps 'glc',
 GL(n,C)/U(n), and 'slr', SL(n,R)/SO(n), to the object that owns every choice
-that depends on the space: the six members ``sample``, ``project``,
-``random_factor``, ``to_group``, ``basis`` and ``contains``, all that a new
-space supplies.  Both run through the complex code path.
+that depends on the space: the five members ``sample``, ``project``,
+``random_factor``, ``to_group`` and ``contains``, all that a new space
+supplies (the orbit solver needs no basis of the Lie algebra of K).  Both
+run through the complex code path.
 
 ``run_suites_on_realization`` re-runs the means, log-majorization, chain,
 pre-order and orbit checks on real symmetric traceless inputs and returns the
@@ -10,8 +11,6 @@ rows of the ``realization`` suite.
 """
 
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 
@@ -53,8 +52,8 @@ def project_to_realization(x: HermitianMatrix) -> RealSymmetricTraceless:
 
 class Realization:
     """GL(n,C)/U(n): Hermitian inputs, K = U(n), factors as complex arrays.
-    A new space overrides the six members: sample (p), project (onto p),
-    random_factor (K), to_group (retraction into K), basis (k), contains."""
+    A new space overrides the five members: sample (p), project (onto p),
+    random_factor (K), to_group (retraction into K), contains (K)."""
 
     def sample(self, n: int, seed: int, scale: float = 1.0) -> HermitianMatrix:
         """Seeded random input of the space, its eigenvalues of order scale."""
@@ -71,24 +70,6 @@ class Realization:
     def to_group(self, u: np.ndarray) -> np.ndarray:
         """Retraction of a unitary into K (u itself, not a copy, for U(n))."""
         return u
-
-    @staticmethod
-    @functools.cache
-    def basis(n: int) -> np.ndarray:
-        """Fixed real basis of the Lie algebra of K, read-only (m, n, n).  In
-        u(n)'s the first n(n-1)/2, the real skew-symmetric ones, span so(n)."""
-        iu, ju = np.triu_indices(n, 1)
-        k = len(iu)
-        off = np.arange(k)
-        diag = np.arange(n)
-        basis = np.zeros((2 * k + n, n, n), dtype=complex)
-        basis[off, iu, ju] = 1.0
-        basis[off, ju, iu] = -1.0
-        basis[k + off, iu, ju] = 1.0j
-        basis[k + off, ju, iu] = 1.0j
-        basis[2 * k + diag, diag, diag] = 1.0j
-        basis.setflags(write=False)
-        return basis
 
     def contains(self, u: np.ndarray) -> bool:
         """Whether u is in K, to UNITARY_TOL."""
@@ -109,9 +90,6 @@ class _RealRealization(Realization):
 
     def to_group(self, u):
         return u.real.astype(complex)
-
-    def basis(self, n):
-        return super().basis(n)[: n * (n - 1) // 2]
 
     def contains(self, u):
         real = np.abs(u.imag).max() <= UNITARY_TOL

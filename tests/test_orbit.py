@@ -1,3 +1,4 @@
+import logging
 import warnings
 
 import numpy as np
@@ -259,7 +260,7 @@ class TestSolve:
         # With no Gauss-Newton direction every step is the Armijo descent step.
         monkeypatch.setattr(
             orbit, "_gauss_newton_direction",
-            lambda a, b, r, basis: (np.zeros_like(a), np.zeros_like(a)),
+            lambda a, b, r: (np.zeros_like(a), np.zeros_like(a)),
         )
         prob = OrbitProblem.create(sample(3, seed), sample(3, seed + 1), "geometric")
         sol = solve(prob, seed=seed, realization=realization)
@@ -282,6 +283,33 @@ class TestSolve:
         assert sol.stop_reason == "converged"
         assert sol.residual <= 1e-8
         assert verify_membership(sol, prob)
+
+    @pytest.mark.parametrize("realization", ["glc", "slr"])
+    def test_debug_log_names_stops_and_restarts(self, caplog, realization):
+        # The stalled-start problem above: start 0 stops by stall, a restart
+        # follows, and nothing is logged at the default level.
+        prob = OrbitProblem(
+            x=diag_h(2.0, 1.0, 0.0), y=diag_h(1.0, 0.0, 0.0),
+            kind="exp_product", z=diag_h(1.0, 1.0, 2.0),
+        )
+        solve(prob, seed=3, realization=realization)
+        assert not caplog.records
+        caplog.set_level(logging.DEBUG, logger="spdmeans.orbit")
+        sol = solve(prob, seed=3, realization=realization)
+        messages = [rec.getMessage() for rec in caplog.records]
+        assert all(rec.name == "spdmeans.orbit" for rec in caplog.records)
+        assert messages[0].startswith("start 0 stopped (stall) at f ")
+        assert messages[1].startswith("restart 1 from f ")
+        assert len(messages) == 2 * sol.restarts
+
+    def test_debug_log_names_budget_stop(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="spdmeans.orbit")
+        x, y = random_hermitian(4, 51, 1.0), random_hermitian(4, 52, 1.0)
+        with pytest.raises(MaxIterReached):
+            solve(OrbitProblem.create(x, y, "spectral"), max_iter=1, tol=1e-14)
+        (message,) = [rec.getMessage() for rec in caplog.records]
+        assert message.startswith("start 0 stopped (budget) at f ")
+        assert message.endswith("after 1 iterations")
 
     def test_bad_params(self):
         x = random_hermitian(2, 1, 1.0)
@@ -322,80 +350,100 @@ class TestVerifyMembership:
         assert not verify_membership(fake, prob)
 
 
-def _loop_skew_basis(n, realify):
-    """Reference: the basis built element by element."""
+def _orthonormal_basis_of_k(n, realify):
+    """Reference: an orthonormal (Frobenius) basis of so(n), or of u(n) when
+    not realify, built element by element."""
     basis = []
     for i in range(n):
         for j in range(i + 1, n):
             s = np.zeros((n, n), dtype=complex)
             s[i, j] = 1.0
             s[j, i] = -1.0
-            basis.append(s)
+            basis.append(s / np.sqrt(2.0))
     if not realify:
         for i in range(n):
             for j in range(i + 1, n):
                 s = np.zeros((n, n), dtype=complex)
                 s[i, j] = 1.0j
                 s[j, i] = 1.0j
-                basis.append(s)
+                basis.append(s / np.sqrt(2.0))
         for i in range(n):
             s = np.zeros((n, n), dtype=complex)
             s[i, i] = 1.0j
             basis.append(s)
-    return basis
+    return np.stack(basis)
 
 
-def _loop_gauss_newton_direction(a, b, r, basis):
-    """Reference: the Jacobian assembled one commutator column at a time,
-    then the same ridge-damped normal equations solved from it."""
-    cols = []
-    for s in basis:
-        c = s @ a - a @ s
-        cols.append(np.concatenate([c.real.ravel(), c.imag.ravel()]))
-    for s in basis:
-        c = s @ b - b @ s
-        cols.append(np.concatenate([c.real.ravel(), c.imag.ravel()]))
-    # Row j of J^T is column j of the Jacobian.  The rounding of J^T J and
-    # J^T r reaches theta through the 1/mu ridge in J's null directions, so
-    # the reference forms them with the same products as the solver.
-    jac_t = np.stack(cols)
+def _random_linearization(n, realization, seed, kind="exp_product"):
+    """A, B and R = A + B - Z at random factors of the realization's K."""
+    realify = realization == "slr"
+    sample = random_real_symmetric_traceless if realify else random_hermitian
+    factor = random_orthogonal if realify else random_unitary
+    x, y = sample(n, seed), sample(n, seed + 1)
+    prob = OrbitProblem.create(x, y, kind)
+    u, v = factor(n, seed + 2).mat, factor(n, seed + 3).mat
+    a = u @ x.mat @ u.conj().T
+    b = v @ y.mat @ v.conj().T
+    return a, b, a + b - prob.z.mat
+
+
+def _least_squares_direction(a, b, r, basis):
+    """Reference: the minimum-norm least-squares (S_u, S_v) of
+    [S_u, A] + [S_v, B] = -R over the given basis of k, by lstsq."""
+    m = basis.shape[0]
+    comm = np.concatenate([basis @ a - a @ basis, basis @ b - b @ basis])
+    comm = comm.reshape(2 * m, -1)
+    jac = np.concatenate([comm.real, comm.imag], axis=1).T
     rhs = -np.concatenate([r.real.ravel(), r.imag.ravel()])
-    gram = jac_t @ jac_t.T
-    mu = 1e-12 * np.mean(np.diag(gram))
-    theta = np.linalg.solve(gram + mu * np.eye(len(gram)), jac_t @ rhs)
-    m = len(basis)
-    s_u = sum(t * s for t, s in zip(theta[:m], basis))
-    s_v = sum(t * s for t, s in zip(theta[m:], basis))
-    return s_u, s_v
+    theta, *_ = np.linalg.lstsq(jac, rhs, rcond=1e-10)
+    return np.tensordot(theta[:m], basis, axes=1), np.tensordot(theta[m:], basis, axes=1)
 
 
 class TestGaussNewtonJacobian:
     @pytest.mark.parametrize("realization", ["glc", "slr"])
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
-    def test_basis_matches_loop(self, n, realization):
-        realify = realization == "slr"
-        assert np.array_equal(
-            REALIZATIONS[realization].basis(n), np.stack(_loop_skew_basis(n, realify))
-        )
+    def test_batched_matches_loop(self, n, realization):
+        # Column (i, j) of the operator is Y -> [[Y,A],A] + [[Y,B],B] applied
+        # to the elementary matrix E_ij, in row-major vec form.
+        for trial in range(3):
+            a, b, _ = _random_linearization(n, realization, 9000 + 10 * n + trial)
+            want = np.zeros((n * n, n * n), dtype=complex)
+            for i in range(n):
+                for j in range(n):
+                    e = np.zeros((n, n), dtype=complex)
+                    e[i, j] = 1.0
+                    ca, cb = e @ a - a @ e, e @ b - b @ e
+                    col = ca @ a - a @ ca + cb @ b - b @ cb
+                    want[:, i * n + j] = col.ravel()
+            got = orbit._gauss_newton_operator(a, b)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     @pytest.mark.parametrize("realization", ["glc", "slr"])
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
-    def test_batched_matches_loop(self, n, realization):
-        realify = realization == "slr"
-        sample = random_real_symmetric_traceless if realify else random_hermitian
+    def test_direction_is_skew(self, n, realization):
         for trial in range(3):
-            seed = 9000 + 10 * n + trial
-            x, y = sample(n, seed), sample(n, seed + 1)
-            prob = OrbitProblem.create(x, y, "exp_product")
-            factor = random_orthogonal if realify else random_unitary
-            u, v = factor(n, seed + 2).mat, factor(n, seed + 3).mat
-            a = u @ x.mat @ u.conj().T
-            b = v @ y.mat @ v.conj().T
-            r = a + b - prob.z.mat
-            got = _gauss_newton_direction(a, b, r, REALIZATIONS[realization].basis(n))
-            want = _loop_gauss_newton_direction(a, b, r, _loop_skew_basis(n, realify))
-            for g, w in zip(got, want):
-                assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
+            a, b, r = _random_linearization(n, realization, 9200 + 10 * n + trial)
+            for s in _gauss_newton_direction(a, b, r):
+                assert np.abs(s + s.conj().T).max() <= 1e-13 * np.abs(s).max()
+                if realization == "slr":
+                    assert not s.imag.any()
+
+    @pytest.mark.parametrize("realization", ["glc", "slr"])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_direction_is_minimum_norm_least_squares(self, n, realization):
+        # The ridge shrinks the minimum-norm solution by a relative
+        # mu / sigma^2 along each singular direction of J: at most 4.6e-10
+        # at these inputs (glc, n = 3).  A trace gap in R (here 1e-3 I) is
+        # out of J's range and must not reach the step.
+        basis = _orthonormal_basis_of_k(n, realization == "slr")
+        for trial, kind in enumerate(("exp_product", "geometric", "spectral")):
+            a, b, r = _random_linearization(n, realization, 9400 + 10 * n + trial, kind)
+            want = _least_squares_direction(a, b, r, basis)
+            scale = max(np.abs(w).max() for w in want)
+            for gap in (0.0, 1e-3):
+                got = _gauss_newton_direction(a, b, r + gap * np.eye(n))
+                for g, w in zip(got, want):
+                    assert np.abs(g - w).max() <= 1e-9 * scale
 
     @pytest.mark.parametrize("realization", ["glc", "slr"])
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -404,44 +452,26 @@ class TestGaussNewtonJacobian:
         # direction leaves a larger linearized residual than the minimum
         # norm least-squares one: at most 2.6e-10 |R| more, measured at
         # random factors over n 2..8 and the three target kinds.
-        realify = realization == "slr"
-        sample = random_real_symmetric_traceless if realify else random_hermitian
-        factor = random_orthogonal if realify else random_unitary
-        basis = REALIZATIONS[realization].basis(n)
-        m = basis.shape[0]
+        basis = _orthonormal_basis_of_k(n, realization == "slr")
 
         def linearized(s_u, s_v, a, b, r):
             return np.linalg.norm(s_u @ a - a @ s_u + s_v @ b - b @ s_v + r)
 
         for trial, kind in enumerate(("exp_product", "geometric", "spectral")):
-            seed = 9500 + 10 * n + trial
-            x, y = sample(n, seed), sample(n, seed + 1)
-            prob = OrbitProblem.create(x, y, kind)
-            u, v = factor(n, seed + 2).mat, factor(n, seed + 3).mat
-            a = u @ x.mat @ u.conj().T
-            b = v @ y.mat @ v.conj().T
-            r = a + b - prob.z.mat
-            comm = np.concatenate([basis @ a - a @ basis, basis @ b - b @ basis])
-            comm = comm.reshape(2 * m, -1)
-            jac = np.concatenate([comm.real, comm.imag], axis=1).T
-            rhs = -np.concatenate([r.real.ravel(), r.imag.ravel()])
-            theta, *_ = np.linalg.lstsq(jac, rhs, rcond=1e-10)
-            best = linearized(
-                np.tensordot(theta[:m], basis, axes=1),
-                np.tensordot(theta[m:], basis, axes=1), a, b, r,
-            )
-            got = linearized(*_gauss_newton_direction(a, b, r, basis), a, b, r)
+            a, b, r = _random_linearization(n, realization, 9500 + 10 * n + trial, kind)
+            best = linearized(*_least_squares_direction(a, b, r, basis), a, b, r)
+            got = linearized(*_gauss_newton_direction(a, b, r), a, b, r)
             assert got <= best + 1e-9 * np.linalg.norm(r)
 
     @pytest.mark.parametrize("realization,n", [("glc", 1), ("glc", 3), ("slr", 1), ("slr", 3)])
     def test_zero_jacobian_gives_zero_direction(self, realization, n):
-        # Scalar A and B commute with every basis element, and slr's basis is
-        # empty at n = 1: no system to solve, and no warning.
+        # Scalar A and B commute with every matrix, so the operator is zero:
+        # no system to solve, and no warning.
         a = 2.0 * np.eye(n, dtype=complex)
         b = -0.5 * np.eye(n, dtype=complex)
         r = random_hermitian(n, 17, 1.0).mat
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            s_u, s_v = _gauss_newton_direction(a, b, r, REALIZATIONS[realization].basis(n))
+            s_u, s_v = _gauss_newton_direction(a, b, r)
         assert s_u.shape == s_v.shape == (n, n)
         assert not s_u.any() and not s_v.any()

@@ -1,4 +1,5 @@
 import hashlib
+import logging
 import os
 import subprocess
 import sys
@@ -53,6 +54,18 @@ def test_verify_all_seed_42_row_set(name):
 def test_verify_all_seed_42_slr_orbit_row_set():
     result = suites.run_suite("orbit", seed=42, trials=25, realization="slr")
     assert _row_set(result) == SEED_42_SLR_ORBIT_ROW_SET
+
+
+@pytest.mark.parametrize(
+    "name,realization", [("orbit", "glc"), ("orbit", "slr"), ("realization", "glc")]
+)
+def test_debug_logging_leaves_solver_rows_unchanged(caplog, name, realization):
+    # Every cell, margins included, of the suites that run the solver (the
+    # realization suite solves in slr whatever the report's realization).
+    quiet = suites.run_suite(name, 42, 25, realization)
+    caplog.set_level(logging.DEBUG, logger="spdmeans.orbit")
+    loud = suites.run_suite(name, 42, 25, realization)
+    assert [r.as_csv() for r in quiet.rows] == [r.as_csv() for r in loud.rows]
 
 
 def test_import_does_not_load_the_suites():
