@@ -44,7 +44,6 @@ from .linalg import (
     UnitaryMatrix,
     eig_hermitian,
     mat_exp,
-    mat_fn,
     mat_log,
     mat_pow,
     mat_sqrt,
@@ -53,7 +52,6 @@ from .linalg import (
 )
 from .majorization import (
     check_compound_mean_identities,
-    check_log_majorization_means,
     compound,
     compound_spd,
     log_majorization_report,

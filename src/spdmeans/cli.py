@@ -24,7 +24,7 @@ from .kostant import kostant_report
 from .linalg import HermitianMatrix
 from .majorization import compound
 from .means import geometric_mean, spectral_mean
-from .orbit import OrbitProblem, solve
+from .orbit import MAX_ITER, ORBIT_TOL, OrbitProblem, solve
 from .realizations import REALIZATIONS
 
 DATA_ERRORS = (SpdMeansError, OSError, ValueError)
@@ -187,8 +187,8 @@ def verify(suite, run_all, trials, seed, realization, out):
 )
 @click.option("--n", type=int, default=3, show_default=True)
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
-@click.option("--tol", type=float, default=1e-8, show_default=True)
-@click.option("--max-iter", type=int, default=5000, show_default=True)
+@click.option("--tol", type=float, default=ORBIT_TOL, show_default=True)
+@click.option("--max-iter", type=int, default=MAX_ITER, show_default=True)
 @click.option(
     "--realization",
     type=click.Choice(list(REALIZATIONS)),

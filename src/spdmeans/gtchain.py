@@ -29,10 +29,14 @@ from .linalg import (
     mat_exp,
     require_positive,
 )
-from .majorization import ROUNDOFF_BAND, default_tol, log_majorization_report
+from .majorization import default_tol, log_majorization_report
 from .means import _MeanPair, _assemble, _pow
 
 DEFAULT_R_GRID = tuple(2.0 ** k for k in range(-6, 4))
+# Margins of a chain predicate that fall short by less than this multiple
+# of the comparison's tolerance are roundoff, not violations.
+ROUNDOFF_BAND = 10.0
+
 
 def _check_xy(x: HermitianMatrix, y: HermitianMatrix) -> None:
     if not isinstance(x, HermitianMatrix) or not isinstance(y, HermitianMatrix):

@@ -100,11 +100,6 @@ class SpdMatrix(HermitianMatrix):
             )
 
     @classmethod
-    def _trusted(cls, arr: np.ndarray) -> "SpdMatrix":
-        """Internal: wrap a product known to be SPD without re-validating."""
-        return cls._wrap(arr)
-
-    @classmethod
     def _from_eig(cls, q: np.ndarray, vals: np.ndarray) -> "SpdMatrix":
         """Internal: assemble Q diag(vals) Q* and seed the eigen cache."""
         obj = cls._wrap((q * vals) @ q.conj().T)
@@ -230,7 +225,7 @@ def require_positive(vals: np.ndarray, what: str) -> None:
     """Raise ``DomainError`` unless every set of descending eigenvalues in
     ``vals`` (shape ``(..., n)``) has a positive smallest member.
 
-    A product of positive definite factors wrapped unchecked (``_trusted``)
+    A product of positive definite factors wrapped unchecked (``_wrap``)
     can come out numerically indefinite; its log, root or fractional power
     would then be NaN.
     """
@@ -289,21 +284,6 @@ def mat_sqrt(m: SpdMatrix) -> SpdMatrix:
     if not isinstance(m, SpdMatrix):
         raise DomainError("mat_sqrt requires a positive definite matrix")
     return mat_pow(m, 0.5)
-
-
-def mat_fn(m: HermitianMatrix, fn: str, t: float | None = None):
-    """Dispatch form of the matrix functions: fn in {exp, log, sqrt, pow}."""
-    if fn == "exp":
-        return mat_exp(m)
-    if fn == "log":
-        return mat_log(m)
-    if fn == "sqrt":
-        return mat_sqrt(m)
-    if fn == "pow":
-        if t is None:
-            raise DomainError("mat_fn('pow') needs an exponent t")
-        return mat_pow(m, t)
-    raise DomainError(f"unknown matrix function tag {fn!r}")
 
 
 def polar(m: ComplexMatrix, side: str = "left") -> tuple[UnitaryMatrix, SpdMatrix]:

@@ -10,7 +10,6 @@ make naive relative comparison of partial products useless, which is why
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -21,9 +20,8 @@ from .linalg import ComplexMatrix, SpdMatrix
 from .means import _MeanPair, rel_residual
 
 
-# Margins of a theorem-backed comparison that fall short by less than this
-# multiple of the comparison's tolerance are roundoff, not violations.
-ROUNDOFF_BAND = 10.0
+# Relative residual bound of the compound-mean commutation identities.
+COMPOUND_TOL = 1e-10
 
 
 def default_tol(*vectors) -> float:
@@ -51,11 +49,6 @@ class MajorizationReport:
         if len(self.partial_margins) and float(self.partial_margins.min()) < -self.tol:
             return False
         return self.total_gap <= self.tol
-
-    @property
-    def within_roundoff(self) -> bool:
-        """The worst margin falls short by at most ROUNDOFF_BAND tolerances."""
-        return self.worst_margin >= -ROUNDOFF_BAND * self.tol
 
 
 def majorization_report(x, y, tol: float | None = None) -> MajorizationReport:
@@ -118,43 +111,19 @@ def compound_spd(m: SpdMatrix, k: int) -> SpdMatrix:
     return SpdMatrix(compound(m, k).mat)
 
 
-def check_log_majorization_means(
-    a: SpdMatrix, b: SpdMatrix, t: float
-) -> bool:
-    """Check lambda(A #_t B) <_log lambda(A @_t B).
-
-    True is the theorem-backed outcome; a violation within the roundoff band
-    (ROUNDOFF_BAND times the default tolerance) passes with a warning.
-    """
-    if not (0.0 <= t <= 1.0):
-        raise ParamOutOfRange(f"t must lie in [0, 1], got {t}")
-    lam_sharp, lam_natural = _MeanPair(a, b).spectra([t])
-    report = log_majorization_report(lam_sharp[0], lam_natural[0])
-    if report.holds:
-        return True
-    if report.within_roundoff:
-        warnings.warn(
-            f"log-majorization margin {report.worst_margin:.3e} within "
-            f"{ROUNDOFF_BAND:g}x tolerance band at t={t}; treating as roundoff",
-            stacklevel=2,
-        )
-        return True
-    return False
-
-
 @dataclass
 class CompoundIdentityReport:
-    """Residuals of the compound-mean commutation identities."""
+    """Residuals of the compound-mean commutation identities, passed iff
+    both are at most COMPOUND_TOL."""
 
     k: int
     t: float
     sharp_residual: float
     natural_residual: float
-    tol: float = 1e-10
 
     @property
     def passed(self) -> bool:
-        return max(self.sharp_residual, self.natural_residual) <= self.tol
+        return max(self.sharp_residual, self.natural_residual) <= COMPOUND_TOL
 
 
 def check_compound_mean_identities(

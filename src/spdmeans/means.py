@@ -153,10 +153,10 @@ class _MeanPair:
     ``a`` and ``b`` are two ``SpdMatrix`` objects, or two arrays of shape
     ``(..., n, n)`` that broadcast against each other (their broadcast
     leading shape is the pair's stack; the arrays are trusted to be
-    positive definite, as ``SpdMatrix._trusted`` is).  A is decomposed
-    afresh for arrays unless the caller sets ``_eig_a``; an ``SpdMatrix``
-    A reuses its cached decomposition, so a pair at the edge of the
-    accepted range can raise for one kind of input and not the other.
+    positive definite, as ``SpdMatrix._wrap`` trusts its input).  A is
+    decomposed afresh for arrays unless the caller sets ``_eig_a``; an
+    ``SpdMatrix`` A reuses its cached decomposition, so a pair at the edge
+    of the accepted range can raise for one kind of input and not the other.
     ``sharps(taus)`` and ``naturals(taus)`` take the mean of every pair at
     every parameter of ``taus``, whose last axis is the parameter axis and
     whose leading axes broadcast against the stack; they return stack +
@@ -222,14 +222,14 @@ class _MeanPair:
         return vals[0], vals[1]
 
     def sharp(self, t: float) -> SpdMatrix:
-        return SpdMatrix._trusted(self.sharps([t])[0])
+        return SpdMatrix._wrap(self.sharps([t])[0])
 
     def cross(self) -> SpdMatrix:
         """A^{-1} # B, the generator of the spectral mean."""
-        return SpdMatrix._trusted(self._cross_eig()[0])
+        return SpdMatrix._wrap(self._cross_eig()[0])
 
     def natural(self, t: float) -> SpdMatrix:
-        return SpdMatrix._trusted(self.naturals([t])[0])
+        return SpdMatrix._wrap(self.naturals([t])[0])
 
 
 def geometric_mean(a: SpdMatrix, b: SpdMatrix, t: float = 0.5) -> SpdMatrix:
@@ -284,11 +284,11 @@ def spd_det(m: SpdMatrix) -> float:
 
 @dataclass
 class MeanIdentityReport:
-    """Named residuals from one identity-suite evaluation."""
+    """Named residuals from one identity-suite evaluation, passed iff all
+    are at most IDENTITY_TOL."""
 
     params: tuple
     residuals: dict
-    tol: float = IDENTITY_TOL
 
     @property
     def max_residual(self) -> float:
@@ -296,7 +296,7 @@ class MeanIdentityReport:
 
     @property
     def passed(self) -> bool:
-        return self.max_residual <= self.tol
+        return self.max_residual <= IDENTITY_TOL
 
 
 IDENTITY_NAMES = (

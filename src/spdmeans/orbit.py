@@ -30,6 +30,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, MaxIterReached, ParamOutOfRange
 from .linalg import (
+    UNITARY_TOL,
     HermitianMatrix,
     SpdMatrix,
     UnitaryMatrix,
@@ -42,6 +43,13 @@ from .means import _MeanPair
 from .realizations import REALIZATIONS
 
 TARGET_KINDS = ("exp_product", "geometric", "spectral")
+# The stopping tolerance on max |U X U* + V Y V* - Z| and the iteration and
+# restart budgets of ``solve``, read also by the CLI and the suites.
+ORBIT_TOL = 1e-8
+MAX_ITER = 5000
+MAX_RESTARTS = 4
+# Spectrum preservation of the conjugations, relative to 1 + max |eigenvalue|.
+MEMBERSHIP_TOL = 1e-10
 
 logger = logging.getLogger(__name__)
 
@@ -66,7 +74,7 @@ def build_target(x: HermitianMatrix, y: HermitianMatrix, kind: str) -> Hermitian
         raise DimensionMismatch(f"dimension mismatch: {x.n} vs {y.n}")
     if kind == "exp_product":
         half = mat_exp(x, 0.5)
-        inner = SpdMatrix._trusted(half.mat @ mat_exp(y).mat @ half.mat)
+        inner = SpdMatrix._wrap(half.mat @ mat_exp(y).mat @ half.mat)
         return mat_log(inner)
     pair = _MeanPair(mat_exp(x, 2.0), mat_exp(y, 2.0))
     if kind == "geometric":
@@ -198,10 +206,10 @@ def _gauss_newton_direction(a, b, r):
 
 def solve(
     prob: OrbitProblem,
-    tol: float = 1e-8,
-    max_iter: int = 5000,
+    tol: float = ORBIT_TOL,
+    max_iter: int = MAX_ITER,
     seed: int = 0,
-    max_restarts: int = 4,
+    max_restarts: int = MAX_RESTARTS,
     realization: str = "glc",
     on_iterate=None,
 ) -> OrbitSolution:
@@ -342,19 +350,18 @@ def solve(
     )
 
 
-def verify_membership(sol: OrbitSolution, prob: OrbitProblem, tol: float = 1e-10) -> bool:
+def verify_membership(sol: OrbitSolution, prob: OrbitProblem) -> bool:
     """Recompute the residual and check both conjugations preserve spectra.
 
-    True iff U and V are unitary, the orbit-sum equation holds at the
-    solver's reported residual scale, and lambda(U X U*) = lambda(X),
-    lambda(V Y V*) = lambda(Y) within tol.
+    True iff U and V are unitary to UNITARY_TOL, the orbit-sum equation
+    holds at the solver's reported residual scale, and lambda(U X U*) =
+    lambda(X), lambda(V Y V*) = lambda(Y) within MEMBERSHIP_TOL.
     """
     u, v = sol.u.mat, sol.v.mat
     n = prob.n
-    if float(np.abs(u.conj().T @ u - np.eye(n)).max()) > 1e-8:
-        return False
-    if float(np.abs(v.conj().T @ v - np.eye(n)).max()) > 1e-8:
-        return False
+    for w in (u, v):
+        if float(np.abs(w.conj().T @ w - np.eye(n)).max()) > UNITARY_TOL:
+            return False
     a, b, r = _residual_terms(u, v, prob)
     if float(np.abs(r).max()) > max(10.0 * sol.residual, 1e-7):
         return False
@@ -365,6 +372,6 @@ def verify_membership(sol: OrbitSolution, prob: OrbitProblem, tol: float = 1e-10
     scale_x = 1.0 + float(np.abs(lam_x).max())
     scale_y = 1.0 + float(np.abs(lam_y).max())
     return bool(
-        np.abs(lam_ux - lam_x).max() <= tol * scale_x
-        and np.abs(lam_vy - lam_y).max() <= tol * scale_y
+        np.abs(lam_ux - lam_x).max() <= MEMBERSHIP_TOL * scale_x
+        and np.abs(lam_vy - lam_y).max() <= MEMBERSHIP_TOL * scale_y
     )

@@ -6,8 +6,9 @@ supplies (the orbit solver needs no basis of the Lie algebra of K).  Both
 run through the complex code path.
 
 ``run_suites_on_realization`` re-runs the means, log-majorization, chain,
-pre-order and orbit checks on real symmetric traceless inputs and returns the
-rows of the ``realization`` suite.
+pre-order and orbit checks on real symmetric traceless inputs, each by the
+pass rule of its complex suite, and returns the rows of the ``realization``
+suite.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ from .majorization import log_majorization_report
 from .means import _MeanPair, mean_identity_suite, spd_det
 
 TRACE_TOL = 1e-10
-ORBIT_TOL = 1e-8
+# |det - 1| bound of the exponentials of traceless inputs.
+UNIT_DET_TOL = 1e-8
 
 
 class RealSymmetricTraceless(HermitianMatrix):
@@ -105,13 +107,15 @@ def run_suites_on_realization(
     """Re-run the mean, chain, orbit and pre-order checks on real inputs.
 
     Each (n, trial) gives eight rows of the ``realization`` suite.  Orbit
-    factors are constrained to SO(n); all pass criteria match the complex
-    suites.
+    factors are constrained to SO(n).  A row that a complex suite also
+    checks passes by that suite's rule: the identity laws by IDENTITY_TOL,
+    log-majorization by LOGMAJ_MARGIN_TOL, the chain by its roundoff band
+    and the orbit rows by ``suites.orbit_verdict``.
     """
     # orbit and suites import this module.  Importing suites here also keeps
     # it out of a plain ``import spdmeans``.
-    from .orbit import TARGET_KINDS, OrbitProblem, solve, verify_membership
-    from .suites import SuiteResult
+    from .orbit import TARGET_KINDS, OrbitProblem
+    from .suites import LOGMAJ_MARGIN_TOL, SuiteResult, orbit_verdict
 
     slr = REALIZATIONS["slr"]
     res = SuiteResult("realization", seed)
@@ -126,15 +130,11 @@ def run_suites_on_realization(
             b = mat_exp(slr.sample(n, base + 104729))
             rep = mean_identity_suite(a, b, 0.3, 0.25, 0.5)
             add("means_identities", rep.passed, rep.max_residual)
-            det_a, det_b = spd_det(a), spd_det(b)
-            add(
-                "unit_determinant",
-                abs(det_a - 1.0) < 1e-8 and abs(det_b - 1.0) < 1e-8,
-                max(abs(det_a - 1.0), abs(det_b - 1.0)),
-            )
+            det_err = max(abs(spd_det(a) - 1.0), abs(spd_det(b) - 1.0))
+            add("unit_determinant", det_err < UNIT_DET_TOL, det_err)
             lam_sharp, lam_nat = _MeanPair(a, b).spectra([0.5])
-            lm = log_majorization_report(lam_sharp[0], lam_nat[0])
-            add("log_majorization", lm.within_roundoff, lm.worst_margin)
+            margin = log_majorization_report(lam_sharp[0], lam_nat[0]).worst_margin
+            add("log_majorization", margin >= -LOGMAJ_MARGIN_TOL, margin)
 
             x = slr.sample(n, base + 1, 0.5)
             y = slr.sample(n, base + 2, 0.5)
@@ -148,8 +148,5 @@ def run_suites_on_realization(
                 prob = OrbitProblem.create(
                     slr.sample(n, base + 3), slr.sample(n, base + 4), kind
                 )
-                sol = solve(prob, tol=ORBIT_TOL, seed=base, realization="slr")
-                ok = sol.residual <= ORBIT_TOL and slr.contains(sol.u.mat)
-                ok = ok and slr.contains(sol.v.mat) and verify_membership(sol, prob)
-                add("orbit_" + kind, ok, sol.residual)
+                add("orbit_" + kind, *orbit_verdict("slr", prob, base))
     return res

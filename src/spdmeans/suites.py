@@ -5,6 +5,38 @@ returns a ``SuiteResult``: the suite's name and seed plus one ``Row`` per
 checked property, written by ``write_report`` as the CSV columns
 ``suite,seed,trial,n,t,property,status,margin``.  ``run_suite`` calls each
 suite at CLI scale; the acceptance tests call them at their contract scales.
+
+The suites take sizes and seeds only.  Every grid, tolerance and budget
+they read is one named constant, defined here unless a module is named, and
+each check has one pass rule:
+
+    constant                   value          read by
+    GOLDEN_TOL                 5e-5           counterexamples (printed values)
+    EXACT_TOL                  1e-12          counterexamples (exact values)
+    LOGMAJ_T_GRID              0, 0.1, .., 1  log_majorization
+    LOGMAJ_MARGIN_TOL          1e-8           log_majorization, realization
+    DET_TOL                    1e-10          log_majorization
+    COMPOUND_T                 0.7            compound
+    majorization.COMPOUND_TOL  1e-10          compound
+    IDENTITY_GRIDS             (t, r, s)      mean_identities
+    means.IDENTITY_TOL         1e-10          mean_identities, realization
+    gtchain.DEFAULT_R_GRID     2^-6, .., 2^3  chain
+    gtchain.ROUNDOFF_BAND      10             chain, realization
+    CHAIN_SCALE                0.5            chain
+    SANDWICH_TOL               1e-10          chain (refinement sandwich)
+    orbit.TARGET_KINDS         three kinds    orbit, gradient_check
+    TRACE_GAP_TOL              1e-10          orbit (trace condition)
+    orbit.ORBIT_TOL            1e-8           orbit, realization
+    orbit.MAX_ITER             5000           orbit, realization
+    orbit.MAX_RESTARTS         4              orbit, realization
+    GRADCHECK_EPS              1e-6           gradient_check
+    GRADCHECK_TOL              1e-4           gradient_check
+    CONJUGATION_TOL            1e-9           kostant
+    realizations.UNIT_DET_TOL  1e-8           realization
+
+A log-majorization row passes iff its worst margin is at least
+-LOGMAJ_MARGIN_TOL, and an orbit solve iff ``orbit_verdict`` says so, in
+every suite that checks one.
 """
 
 from __future__ import annotations
@@ -31,6 +63,7 @@ from .linalg import (
     eig_hermitian,
 )
 from .majorization import (
+    COMPOUND_TOL,
     check_compound_mean_identities,
     compound_spd,
     log_majorization_report,
@@ -38,6 +71,7 @@ from .majorization import (
 )
 from .means import (
     IDENTITY_NAMES,
+    IDENTITY_TOL,
     _IdentityContext,
     _MeanPair,
     geometric_mean,
@@ -47,12 +81,29 @@ from .means import (
     spectral_mean,
 )
 from .orbit import (
-    OrbitProblem, _exp_skew, objective, riemannian_grad, solve, verify_membership
+    MAX_RESTARTS, ORBIT_TOL, TARGET_KINDS, OrbitProblem, _exp_skew, objective,
+    riemannian_grad, solve, verify_membership,
 )
 from .realizations import REALIZATIONS, run_suites_on_realization
-from .sampling import random_hermitian, random_spd, random_unitary
+from .sampling import random_hermitian, random_invertible, random_spd, random_unitary
 
 GOLDEN_TOL = 5e-5  # half-ulp of values printed to four decimals
+EXACT_TOL = 1e-12
+LOGMAJ_T_GRID = tuple(k / 10.0 for k in range(11))
+LOGMAJ_MARGIN_TOL = 1e-8
+DET_TOL = 1e-10
+COMPOUND_T = 0.7
+IDENTITY_GRIDS = (
+    (0.0, 0.25, 0.5, 0.75, 1.0),
+    (0.0, 0.1, 0.25, 0.4, 0.5),
+    (0.0, 0.1, 0.25, 0.4, 0.5),
+)
+CHAIN_SCALE = 0.5
+SANDWICH_TOL = 1e-10
+TRACE_GAP_TOL = 1e-10
+GRADCHECK_EPS = 1e-6
+GRADCHECK_TOL = 1e-4
+CONJUGATION_TOL = 1e-9
 
 
 @dataclass
@@ -129,8 +180,8 @@ def suite_counterexample_goldens(seed: int = 0) -> SuiteResult:
     s2 = geometric_mean(a, b2, 0.5)
     d1 = rel_residual(s1.mat, np.diag([4.0 * math.sqrt(2.0), 2.0]))
     d2 = rel_residual(s2.mat, np.diag([4.0, 2.0 * math.sqrt(2.0)]))
-    add("sharp_b1_exact", d1 <= 1e-12, d1)
-    add("sharp_b2_exact", d2 <= 1e-12, d2)
+    add("sharp_b1_exact", d1 <= EXACT_TOL, d1)
+    add("sharp_b2_exact", d2 <= EXACT_TOL, d2)
     add(
         "means_not_log_majorized",
         not log_majorizes(eig_hermitian(s1).values, eig_hermitian(s2).values),
@@ -163,13 +214,11 @@ def suite_log_majorization(
     trials: int = 100,
     seed: int = 0,
     n_values=(2, 3, 4, 5, 6, 7, 8),
-    t_grid=tuple(k / 10.0 for k in range(11)),
-    margin_tol: float = 1e-8,
-    det_tol: float = 1e-10,
 ) -> SuiteResult:
-    """lambda(A #_t B) <_log lambda(A @_t B) plus the determinant law."""
+    """lambda(A #_t B) <_log lambda(A @_t B) plus the determinant law, over
+    LOGMAJ_T_GRID."""
     res = SuiteResult("log_majorization", seed)
-    ts = np.asarray(t_grid, dtype=float)
+    ts = np.asarray(LOGMAJ_T_GRID, dtype=float)
     for trial in range(trials):
         n = n_values[trial % len(n_values)]
         a, b = _spd_pair(n, seed, trial)
@@ -183,9 +232,9 @@ def suite_log_majorization(
         worst_det = float((np.abs(dets - target) / np.abs(target)).max())
         res.add(
             trial, n, None, "sharp_log_majorized_by_natural",
-            worst_margin >= -margin_tol, worst_margin,
+            worst_margin >= -LOGMAJ_MARGIN_TOL, worst_margin,
         )
-        res.add(trial, n, None, "determinant_equality", worst_det <= det_tol, worst_det)
+        res.add(trial, n, None, "determinant_equality", worst_det <= DET_TOL, worst_det)
     return res
 
 
@@ -194,11 +243,11 @@ def suite_compound(
     seed: int = 0,
     n: int = 4,
     k_values=(2, 3),
-    t: float = 0.7,
-    tol: float = 1e-10,
 ) -> SuiteResult:
-    """Compound-mean commutation and the top-eigenvalue product identity."""
+    """Compound-mean commutation at COMPOUND_T and the top-eigenvalue product
+    identity."""
     res = SuiteResult("compound", seed)
+    t, tol = COMPOUND_T, COMPOUND_TOL
     for trial in range(trials):
         a, b = _spd_pair(n, seed + 7919, trial)
         lam_a = eig_hermitian(a).values
@@ -218,19 +267,16 @@ def suite_mean_identities(
     trials: int = 100,
     seed: int = 0,
     n_values=(2, 3, 4, 5, 6),
-    t_grid=(0.0, 0.25, 0.5, 0.75, 1.0),
-    r_grid=(0.0, 0.1, 0.25, 0.4, 0.5),
-    s_grid=(0.0, 0.1, 0.25, 0.4, 0.5),
-    tol: float = 1e-10,
 ) -> SuiteResult:
-    """Every identity law on a (t, r, s) grid; one row per (pair, law)."""
+    """Every identity law on the (t, r, s) grid IDENTITY_GRIDS; one row per
+    (pair, law)."""
     res = SuiteResult("mean_identities", seed)
     for trial in range(trials):
         n = n_values[trial % len(n_values)]
         a, b = _spd_pair(n, seed + 104729, trial)
-        _, table = _IdentityContext(a, b).residuals(t_grid, r_grid, s_grid)
+        _, table = _IdentityContext(a, b).residuals(*IDENTITY_GRIDS)
         for name, worst in zip(IDENTITY_NAMES, table.max(axis=0, initial=0.0).tolist()):
-            res.add(trial, n, None, name, worst <= tol, worst)
+            res.add(trial, n, None, name, worst <= IDENTITY_TOL, worst)
     return res
 
 
@@ -238,20 +284,18 @@ def suite_chain(
     trials: int = 50,
     seed: int = 0,
     n_values=(2, 3, 4, 5, 6),
-    r_grid=DEFAULT_R_GRID,
-    scale: float = 0.5,
 ) -> SuiteResult:
     """Chain monotonicity, sandwich, traces, Lie-Trotter shrinkage, the
     Golden-Thompson refinement at r = 0.5 and 1 and the group-comparator
-    agreement, per random Hermitian pair, all from one scan over r_grid,
-    which must hold 0.5 and 1.  Each chain predicate family gives one row:
+    agreement, per random Hermitian pair of scale CHAIN_SCALE, all from one
+    scan over DEFAULT_R_GRID.  Each chain predicate family gives one row:
     its check with the least slack."""
     res = SuiteResult("chain", seed)
     for trial in range(trials):
         n = n_values[trial % len(n_values)]
-        x = random_hermitian(n, seed * 99991 + 2 * trial, scale)
-        y = random_hermitian(n, seed * 99991 + 2 * trial + 1, scale)
-        scan = scan_chain(x, y, r_grid)
+        x = random_hermitian(n, seed * 99991 + 2 * trial, CHAIN_SCALE)
+        y = random_hermitian(n, seed * 99991 + 2 * trial + 1, CHAIN_SCALE)
+        scan = scan_chain(x, y, DEFAULT_R_GRID)
         chain_rep = evaluate_chain(scan)
         tightest: dict = {}
         for check in chain_rep.checks:
@@ -266,27 +310,46 @@ def suite_chain(
         res.add(trial, n, None, "trotter_phi_shrinks", dists[0][1] < dists[-1][1], 0.0)
         res.add(trial, n, None, "trotter_psi_shrinks", dists[0][2] < dists[-1][2], 0.0)
         for r, lo, mid, hi in refinement_from_scan(scan):
-            ok = lo <= mid + 1e-10 and mid <= hi + 1e-10
+            ok = lo <= mid + SANDWICH_TOL and mid <= hi + SANDWICH_TOL
             res.add(trial, n, r, "gt_refinement_sandwich", ok, min(mid - lo, hi - mid))
         _, agree = group_chain_report(scan, chain_rep)
         res.add(trial, n, None, "kostant_agreement", agree, 0.0)
     return res
 
 
+def orbit_verdict(realization: str, prob: OrbitProblem, seed: int) -> tuple[bool, float]:
+    """Solve prob in the realization and judge the solve: (passed, residual).
+
+    Passes iff the residual is at most ORBIT_TOL, the objective trace is
+    monotone, the restarts are within MAX_RESTARTS, ``verify_membership``
+    holds and both factors lie in the realization's K.  A solve that stops
+    above tolerance (``MaxIterReached``) fails with its best residual.
+    """
+    space = REALIZATIONS[realization]
+    try:
+        sol = solve(prob, seed=seed, realization=realization)
+    except MaxIterReached as exc:
+        return False, exc.solution.residual if exc.solution else 1.0
+    trace = sol.objective_trace
+    mono = all(later <= earlier for earlier, later in zip(trace, trace[1:]))
+    ok = sol.residual <= ORBIT_TOL and mono and sol.restarts <= MAX_RESTARTS
+    ok = ok and verify_membership(sol, prob)
+    ok = ok and space.contains(sol.u.mat) and space.contains(sol.v.mat)
+    return ok, sol.residual
+
+
 def suite_orbit(
     instances: int = 10,
     seed: int = 0,
     n_values=(2, 3, 4, 5, 6),
-    kinds=("exp_product", "geometric", "spectral"),
     realization: str = "glc",
-    tol: float = 1e-8,
-    max_restarts: int = 4,
 ) -> SuiteResult:
-    """Orbit-sum solves: residual, trace condition, monotone trace,
-    eigenvalue preservation, restart budget."""
+    """Orbit-sum solves of every target kind: the trace condition, then
+    ``orbit_verdict`` (residual, monotone trace, restart budget, eigenvalue
+    preservation, factors in K)."""
     res = SuiteResult(f"orbit_{realization}", seed)
     space = REALIZATIONS[realization]
-    for kind in kinds:
+    for kind in TARGET_KINDS:
         for n in n_values:
             for inst in range(instances):
                 base = seed * 7 + 1009 * inst + 13 * n
@@ -300,42 +363,23 @@ def suite_orbit(
                 )
                 res.add(
                     inst, n, None, f"{kind}_trace_condition",
-                    tr_gap <= 1e-10 * max(1.0, abs(np.trace(prob.z.mat).real)),
+                    tr_gap <= TRACE_GAP_TOL * max(1.0, abs(np.trace(prob.z.mat).real)),
                     tr_gap,
                 )
-                try:
-                    sol = solve(
-                        prob, tol=tol, seed=base, realization=realization,
-                        max_restarts=max_restarts,
-                    )
-                    converged = sol.residual <= tol
-                except MaxIterReached as exc:
-                    best = exc.solution.residual if exc.solution else 1.0
-                    res.add(inst, n, None, f"{kind}_solved", False, best)
-                    continue
-                mono = all(
-                    later <= earlier
-                    for earlier, later in zip(
-                        sol.objective_trace, sol.objective_trace[1:]
-                    )
-                )
-                membership = verify_membership(sol, prob)
-                ok = converged and mono and membership and sol.restarts <= max_restarts
-                ok = ok and space.contains(sol.u.mat) and space.contains(sol.v.mat)
-                res.add(inst, n, None, f"{kind}_solved", ok, sol.residual)
+                passed, residual = orbit_verdict(realization, prob, base)
+                res.add(inst, n, None, f"{kind}_solved", passed, residual)
     return res
 
 
-def suite_gradient_check(
-    trials: int = 100, seed: int = 0, eps: float = 1e-6, tol: float = 1e-4
-) -> SuiteResult:
-    """Directional derivatives against finite differences on random triples."""
+def suite_gradient_check(trials: int = 100, seed: int = 0) -> SuiteResult:
+    """Directional derivatives against central differences of step
+    GRADCHECK_EPS on random triples."""
     res = SuiteResult("gradient_check", seed)
     n_values = (2, 3, 4, 5, 6)
-    kinds = ("exp_product", "geometric", "spectral")
+    eps = GRADCHECK_EPS
     for trial in range(trials):
         n = n_values[trial % len(n_values)]
-        kind = kinds[trial % len(kinds)]
+        kind = TARGET_KINDS[trial % len(TARGET_KINDS)]
         base = seed + 31 * trial
         x = random_hermitian(n, base, 1.0)
         y = random_hermitian(n, base + 17, 1.0)
@@ -352,15 +396,13 @@ def suite_gradient_check(
         fd = (f_plus - f_minus) / (2.0 * eps)
         inner = float(np.real(np.sum(np.conj(k) * k_u)))
         err = abs(fd - inner) / max(abs(inner), 1e-300)
-        res.add(trial, n, None, f"{kind}_fd_match", err <= tol, err)
+        res.add(trial, n, None, f"{kind}_fd_match", err <= GRADCHECK_TOL, err)
     return res
 
 
 def suite_kostant(trials: int = 50, seed: int = 0) -> SuiteResult:
     """Pre-order sanity: SPD agreement with log-majorization, reflexivity,
     transitivity on witnessed triples, conjugation invariance."""
-    from .sampling import random_invertible
-
     res = SuiteResult("kostant", seed)
     for trial in range(trials):
         n = 2 + trial % 5
@@ -382,12 +424,13 @@ def suite_kostant(trials: int = 50, seed: int = 0) -> SuiteResult:
             ComplexMatrix(s.mat @ g.mat @ np.linalg.inv(s.mat))
         )
         err = float(np.abs(h1 - h2).max()) / float(h1.max())
-        res.add(trial, n, None, "conjugation_invariance", err <= 1e-9, err)
+        res.add(trial, n, None, "conjugation_invariance", err <= CONJUGATION_TOL, err)
         # Transitivity on a witnessed chain p <= p#q <= q ordering by det-1
         # scaling: use scalar multiples to manufacture comparable elements.
-        lam_mid = eig_hermitian(geometric_mean(a, b, 0.5)).values
+        sharp = geometric_mean(a, b, 0.5)
+        lam_mid = eig_hermitian(sharp).values
         scale_fix = (np.prod(lam_a) / np.prod(lam_mid)) ** (1.0 / n)
-        mid = ComplexMatrix(geometric_mean(a, b, 0.5).mat * scale_fix)
+        mid = ComplexMatrix(sharp.mat * scale_fix)
         scale_b = (np.prod(lam_a) / np.prod(lam_b)) ** (1.0 / n)
         gb_fixed = ComplexMatrix(b.mat * scale_b)
         if kostant_leq(mid, ga) and kostant_leq(ga, gb_fixed):

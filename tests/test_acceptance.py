@@ -17,6 +17,7 @@ from spdmeans import (
     geometric_mean,
     loewner_leq,
     log_majorizes,
+    orbit,
     spectral_mean,
     suites,
 )
@@ -72,15 +73,12 @@ def test_criterion_order_counterexample_goldens():
 
 
 def test_criterion_log_majorization_suite():
+    assert suites.LOGMAJ_T_GRID == tuple(k / 10.0 for k in range(11))
+    assert (suites.LOGMAJ_MARGIN_TOL, suites.DET_TOL) == (1e-8, 1e-10)
     budget = 60.0
     start = time.perf_counter()
     result = suites.suite_log_majorization(
-        trials=1000,
-        seed=42,
-        n_values=(2, 3, 4, 5, 6, 7, 8),
-        t_grid=tuple(k / 10.0 for k in range(11)),
-        margin_tol=1e-8,
-        det_tol=1e-10,
+        trials=1000, seed=42, n_values=(2, 3, 4, 5, 6, 7, 8)
     )
     elapsed = time.perf_counter() - start
     _report(
@@ -94,11 +92,10 @@ def test_criterion_log_majorization_suite():
 
 
 def test_criterion_compound_identities():
+    assert (suites.COMPOUND_T, suites.COMPOUND_TOL) == (0.7, 1e-10)
     budget = 30.0
     start = time.perf_counter()
-    result = suites.suite_compound(
-        trials=100, seed=42, n=4, k_values=(2, 3), t=0.7, tol=1e-10
-    )
+    result = suites.suite_compound(trials=100, seed=42, n=4, k_values=(2, 3))
     elapsed = time.perf_counter() - start
     _report(
         "compound identities (100 pairs)",
@@ -126,25 +123,15 @@ def test_criterion_chain_suite():
 
 
 def test_criterion_orbit_solver():
+    assert orbit.TARGET_KINDS == ("exp_product", "geometric", "spectral")
+    assert (orbit.ORBIT_TOL, orbit.MAX_ITER, orbit.MAX_RESTARTS) == (1e-8, 5000, 4)
     budget = 600.0
     start = time.perf_counter()
     complex_result = suites.suite_orbit(
-        instances=50,
-        seed=42,
-        n_values=(2, 3, 4, 5, 6),
-        kinds=("exp_product", "geometric", "spectral"),
-        realization="glc",
-        tol=1e-8,
-        max_restarts=4,
+        instances=50, seed=42, n_values=(2, 3, 4, 5, 6), realization="glc"
     )
     real_result = suites.suite_orbit(
-        instances=50,
-        seed=42,
-        n_values=(2, 3, 4, 5, 6),
-        kinds=("exp_product", "geometric", "spectral"),
-        realization="slr",
-        tol=1e-8,
-        max_restarts=4,
+        instances=50, seed=42, n_values=(2, 3, 4, 5, 6), realization="slr"
     )
     elapsed = time.perf_counter() - start
     ok = complex_result.passed and real_result.passed
@@ -160,17 +147,15 @@ def test_criterion_orbit_solver():
 
 
 def test_criterion_mean_identity_suite():
+    assert suites.IDENTITY_GRIDS == (
+        (0.0, 0.25, 0.5, 0.75, 1.0),
+        (0.0, 0.1, 0.25, 0.4, 0.5),
+        (0.0, 0.1, 0.25, 0.4, 0.5),
+    )
+    assert suites.IDENTITY_TOL == 1e-10
     budget = 60.0
     start = time.perf_counter()
-    result = suites.suite_mean_identities(
-        trials=200,
-        seed=42,
-        n_values=(2, 3, 4, 5, 6),
-        t_grid=(0.0, 0.25, 0.5, 0.75, 1.0),
-        r_grid=(0.0, 0.1, 0.25, 0.4, 0.5),
-        s_grid=(0.0, 0.1, 0.25, 0.4, 0.5),
-        tol=1e-10,
-    )
+    result = suites.suite_mean_identities(trials=200, seed=42, n_values=(2, 3, 4, 5, 6))
     elapsed = time.perf_counter() - start
     _report(
         "mean-identity suite (200 pairs, 5-point grids)",
@@ -183,9 +168,10 @@ def test_criterion_mean_identity_suite():
 
 
 def test_criterion_gradient_correctness():
+    assert (suites.GRADCHECK_EPS, suites.GRADCHECK_TOL) == (1e-6, 1e-4)
     budget = 10.0
     start = time.perf_counter()
-    result = suites.suite_gradient_check(trials=100, seed=42, eps=1e-6, tol=1e-4)
+    result = suites.suite_gradient_check(trials=100, seed=42)
     elapsed = time.perf_counter() - start
     _report(
         "gradient finite-difference check (100 triples)",

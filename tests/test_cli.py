@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from spdmeans import save_matrix, suites
+from spdmeans import MaxIterReached, orbit, save_matrix, suites
 from spdmeans.cli import main
 
 
@@ -135,6 +135,46 @@ class TestVerifyCommand:
         if realization == "slr":
             again += " --realization slr"
         assert lines[-1] == again
+
+    @pytest.mark.parametrize(
+        "suite,is_solve_row",
+        [
+            ("orbit", lambda prop: prop.endswith("_solved")),
+            ("realization", lambda prop: prop.startswith("orbit_")),
+        ],
+        ids=["orbit", "realization"],
+    )
+    def test_unconverged_solve_fails_its_row(
+        self, runner, tmp_path, monkeypatch, suite, is_solve_row
+    ):
+        # A solve that stops above tolerance is a failed check (exit 1, the
+        # report written), not bad input (exit 2); its row's margin is the
+        # best residual the solver carried out.
+        best = []
+
+        def stopped(prob, **kwargs):
+            try:
+                return orbit.solve(prob, **kwargs, max_iter=1)
+            except MaxIterReached as exc:
+                best.append(exc.solution.residual)
+                raise
+
+        monkeypatch.setattr(suites, "solve", stopped)
+        out = tmp_path / "r.csv"
+        result = runner.invoke(
+            main, ["verify", "--suite", suite, "--seed", "42", "--out", str(out)]
+        )
+        assert result.exit_code == 1, result.output
+        rows = [line.split(",") for line in out.read_text().splitlines()[2:]]
+        solve_rows = [row for row in rows if is_solve_row(row[5])]
+        assert best and len(solve_rows) == len(best)
+        assert all(row[6] == "fail" for row in solve_rows)
+        assert [row[7] for row in solve_rows] == [f"{r:.12e}" for r in best]
+        printed = [line for line in result.output.splitlines() if "  fail: " in line]
+        assert printed
+        for line, residual in zip(printed, best):
+            assert is_solve_row(line.split()[1])
+            assert line.endswith(f"margin={residual:.3e}")
 
     def test_chain_seed_23_passes(self, runner):
         # Trial 0 has a Trotter distance that rises from r=4 to r=8; only

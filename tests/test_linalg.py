@@ -12,7 +12,6 @@ from spdmeans import (
     UnitaryMatrix,
     eig_hermitian,
     mat_exp,
-    mat_fn,
     mat_log,
     mat_pow,
     mat_sqrt,
@@ -188,7 +187,7 @@ class TestMatFn:
     def test_numerically_indefinite_spd_pow(self):
         # A trusted product that came out indefinite: its fractional powers
         # and its log would be NaN and raise; its integer powers are finite.
-        m = SpdMatrix._trusted(np.diag([2.0, -1e-9]))
+        m = SpdMatrix._wrap(np.diag([2.0, -1e-9]))
         with pytest.raises(DomainError, match="not positive definite"):
             mat_pow(m, 0.5)
         with pytest.raises(DomainError, match="not positive definite"):
@@ -196,12 +195,15 @@ class TestMatFn:
         for t in (1, 2):
             assert np.all(np.isfinite(mat_pow(m, t).mat))
 
-    def test_dispatch_tags(self):
+    def test_sqrt_is_the_half_power(self):
         s = random_spd(3, 5)
-        assert np.allclose(mat_fn(s, "sqrt").mat, mat_pow(s, 0.5).mat)
-        assert np.allclose(mat_fn(s, "pow", 0.25).mat, mat_pow(s, 0.25).mat)
+        root = mat_sqrt(s)
+        assert np.allclose(root.mat, mat_pow(s, 0.5).mat)
+        assert np.allclose(root.mat @ root.mat, s.mat)
+        quarter = mat_pow(s, 0.25)
+        assert np.allclose(quarter.mat @ quarter.mat, root.mat)
         with pytest.raises(DomainError):
-            mat_fn(s, "cosh")
+            mat_sqrt(HermitianMatrix(np.diag([1.0, 2.0])))
 
     def test_exp_returns_spd_log_returns_hermitian(self):
         x = HermitianMatrix(rand_hermitian_array(4, 2))

@@ -1,5 +1,3 @@
-import inspect
-
 import numpy as np
 import pytest
 
@@ -23,7 +21,7 @@ from spdmeans import (
 )
 from spdmeans.linalg import mat_pow
 from spdmeans.means import IDENTITY_NAMES, IDENTITY_TOL, _MeanPair, rel_residual, spd_det
-from spdmeans.suites import suite_mean_identities
+from spdmeans.suites import IDENTITY_GRIDS
 
 ORDER_CEX_A = [[6.0, -3.0], [-3.0, 4.0]]
 ORDER_CEX_B = [[4.0, -2.0], [-2.0, 5.0]]
@@ -251,19 +249,18 @@ class TestIdentitySuite:
     def test_grid_matches_single_evaluations(self):
         # The grid shares work between triples; every report must still be
         # the one a fresh evaluation of its triple gives, bit for bit.
-        defaults = inspect.signature(suite_mean_identities).parameters
-        grids = [defaults[name].default for name in ("t_grid", "r_grid", "s_grid")]
+        t_grid, r_grid, s_grid = IDENTITY_GRIDS
         triples = [
             (t, r, s)
-            for t in grids[0]
-            for r in grids[1]
-            for s in grids[2]
+            for t in t_grid
+            for r in r_grid
+            for s in s_grid
             if r + s <= 1.0 + 1e-15 and r < 1.0
         ]
         for n in (2, 3, 4, 5, 6):
             a = random_spd(n, 300 + n)
             b = random_spd(n, 400 + n)
-            reports = mean_identity_grid(a, b, *grids)
+            reports = mean_identity_grid(a, b, *IDENTITY_GRIDS)
             assert [rep.params for rep in reports] == triples
             for rep in reports:
                 single = mean_identity_suite(a, b, *rep.params)
@@ -326,11 +323,9 @@ def _reference_laws(a, b, t, r, s):
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_grid_matches_per_triple_reference(n):
     # The stacked grid against every law evaluated one triple at a time.
-    defaults = inspect.signature(suite_mean_identities).parameters
-    grids = [defaults[name].default for name in ("t_grid", "r_grid", "s_grid")]
     a = random_spd(n, 500 + n)
     b = random_spd(n, 600 + n)
-    for rep in mean_identity_grid(a, b, *grids):
+    for rep in mean_identity_grid(a, b, *IDENTITY_GRIDS):
         ref = _reference_laws(a, b, *rep.params)
         for name in IDENTITY_NAMES:
             got, want = rep.residuals[name], ref[name]

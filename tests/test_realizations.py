@@ -21,6 +21,7 @@ from spdmeans import (
     run_suites_on_realization,
     solve,
     spectral_mean,
+    suites,
     verify_membership,
 )
 from spdmeans.means import spd_det
@@ -96,7 +97,7 @@ def test_realization_suite_checks_both_factors_in_so_n(monkeypatch):
         sol = real_solve(*args, **kwargs)
         return dataclasses.replace(sol, v=UnitaryMatrix(-sol.v.mat))
 
-    monkeypatch.setattr(orbit, "solve", solve_with_negated_v)
+    monkeypatch.setattr(suites, "solve", solve_with_negated_v)
     rep = run_suites_on_realization(seed=7, n_values=(3,), trials=1)
     orbit_rows = [row for row in rep.rows if row.prop.startswith("orbit_")]
     assert len(orbit_rows) == 3
