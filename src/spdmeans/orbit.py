@@ -10,15 +10,17 @@ and the solver reaches it by monotone descent on the product of two unitary
 groups.  Each iteration takes one damped Gauss-Newton step: the
 minimum-norm Levenberg-Marquardt direction of the linearized residual, from
 the dual normal equations with a tiny ridge (no basis of the Lie algebra of
-K is built), retracted by the exponential map and backtracked until f
+K is built), retracted by the Cayley transform and backtracked until f
 falls.  When that step finds no decrease, an Armijo-backtracked
 steepest-descent step runs instead, and seeded random restarts take over
 when a start stalls above tolerance; each restart and each start that
 stops by stall or budget is logged at DEBUG level.
 
 The realization (``realizations.REALIZATIONS``) fixes the group K of the
-factors: U(n) for 'glc', or SO(n) for 'slr', where Gauss-Newton directions
-are real skew-symmetric and every iterate lies in SO(n).
+factors and the solver's arithmetic: U(n) in complex128 for 'glc', or SO(n)
+in float64 for 'slr'.  The Cayley transform of a skew-Hermitian matrix is
+unitary, and that of a real skew one is orthogonal with det +1, so every
+iterate lies in K without a projection.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from .linalg import (
     SpdMatrix,
     UnitaryMatrix,
     eig_hermitian,
-    eigh_stack,
     mat_exp,
     mat_log,
 )
@@ -124,15 +125,15 @@ class OrbitSolution:
 
 def objective(u: UnitaryMatrix, v: UnitaryMatrix, prob: OrbitProblem) -> float:
     """f(U, V) = 1/2 ||U X U* + V Y V* - Z||_F^2 (entrywise sum form)."""
-    r = _residual_terms(u.mat, v.mat, prob)[2]
+    r = _residual_terms(u.mat, v.mat, prob.x.mat, prob.y.mat, prob.z.mat)[2]
     return 0.5 * float(np.sum(np.abs(r) ** 2))
 
 
-def _residual_terms(u: np.ndarray, v: np.ndarray, prob: OrbitProblem) -> tuple:
+def _residual_terms(u, v, x, y, z) -> tuple:
     """A = U X U*, B = V Y V* and the residual R = A + B - Z."""
-    a = u @ prob.x.mat @ u.conj().T
-    b = v @ prob.y.mat @ v.conj().T
-    return a, b, a + b - prob.z.mat
+    a = u @ x @ u.conj().T
+    b = v @ y @ v.conj().T
+    return a, b, a + b - z
 
 
 def riemannian_grad(
@@ -143,23 +144,22 @@ def riemannian_grad(
     With A = U X U*, B = V Y V*, R = A + B - Z the gradients are the
     skew-Hermitian commutators K_U = [R, A] and K_V = [R, B]; the
     directional derivative along (e^{eps K} U, V) at eps = 0 equals
-    <K, K_U>_F, so descent retracts along e^{-eta K_U} U.
+    <K, K_U>_F, so descent moves U along -K_U.
     """
-    a, b, r = _residual_terms(u.mat, v.mat, prob)
+    a, b, r = _residual_terms(u.mat, v.mat, prob.x.mat, prob.y.mat, prob.z.mat)
     k_u = r @ a - a @ r
     k_v = r @ b - b @ r
     return k_u, k_v
 
 
-def _exp_skew(k: np.ndarray):
-    """Eigendecomposition of skew-Hermitian K, or of each matrix of a stack
-    (..., n, n); returns scale -> exp(-scale K), of the same shape."""
-    lam, q = eigh_stack(-1j * k)
-
-    def step(scale: float) -> np.ndarray:
-        return (q * np.exp(-1j * scale * lam)[..., None, :]) @ q.conj().swapaxes(-1, -2)
-
-    return step
+def _cayley(k: np.ndarray, scale: float) -> np.ndarray:
+    """(I + (s/2) K)^{-1} (I - (s/2) K) = exp(-s K) + O(s^3) for s = scale
+    and skew-Hermitian K, or each matrix of a stack (..., n, n), in K's
+    dtype: unitary, and orthogonal with det +1 for real K.  I + (s/2) K has
+    its eigenvalues on 1 + iR, so the solve never meets a singular matrix."""
+    half = (0.5 * scale) * k
+    eye = np.eye(k.shape[-1])
+    return np.linalg.solve(eye + half, eye - half)
 
 
 def _gauss_newton_operator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -190,7 +190,7 @@ def _gauss_newton_direction(a, b, r):
     diag = op.reshape(-1)[:: n * n + 1]  # a view: op is contiguous
     mu = _RIDGE * float(diag.real.mean())
     if not mu > 0.0:
-        return np.zeros((2, n, n), dtype=complex)
+        return np.zeros((2, n, n), dtype=a.dtype)
     diag += mu
     # I is in the operator's null space and [I, A] = 0: R's trace part (the
     # unreachable trace gap) would only inflate Y by 1/mu and cost digits.
@@ -216,7 +216,7 @@ def solve(
     """Drive the residual ||U X U* + V Y V* - Z||_max below tol.
 
     Every iteration takes one monotone step: damped Gauss-Newton, retracted
-    along the exponential map and halved until f falls by a relative 1e-4,
+    by the Cayley transform and halved until f falls by a relative 1e-4,
     or, when that finds no decrease, Armijo steepest descent.  So the
     objective trace over accepted iterates is non-increasing by
     construction.  The first start is U = V = I at every n.  A start that
@@ -234,13 +234,16 @@ def solve(
     if max_iter < 0 or max_restarts < 0:
         raise ParamOutOfRange("max_iter and max_restarts must be non-negative")
     n = prob.n
+    space = REALIZATIONS[realization]
+    # X, Y and Z in the realization's arithmetic: their real parts in float64.
+    real = np.dtype(space.dtype).kind == "f"
+    xyz = [(m.mat.real if real else m.mat).astype(space.dtype) for m in (prob.x, prob.y, prob.z)]
 
     def at(u, v):
         """The iterate (U, V, A, B, R, f, max |R|) at the factors (U, V)."""
-        a, b, r = _residual_terms(u, v, prob)
+        a, b, r = _residual_terms(u, v, *xyz)
         return u, v, a, b, r, 0.5 * float(np.sum(np.abs(r) ** 2)), float(np.abs(r).max())
 
-    space = REALIZATIONS[realization]
     best = None
     iterations = 0
     restarts_used = 0
@@ -263,12 +266,11 @@ def solve(
     def line_search(k, u, v, scale, floor, accept):
         """Trial steps s = scale, scale * _BACKTRACK, ... while |s| > floor: the
         first (s, iterate) with accept(s, f'), where the iterate's (U', V') is
-        (e^{-s K_u} U, e^{-s K_v} V) mapped into K, for k = [K_u; K_v]; None
-        if no trial passes."""
-        step = _exp_skew(k)
+        the Cayley retraction (C_u U, C_v V), [C_u; C_v] = _cayley(k, s), for
+        k = [K_u; K_v]; None if no trial passes."""
         while abs(scale) > floor:
-            e = step(scale)
-            trial = at(space.to_group(e[0] @ u), space.to_group(e[1] @ v))
+            e = _cayley(k, scale)
+            trial = at(e[0] @ u, e[1] @ v)
             if accept(scale, trial[5]):
                 return scale, trial
             scale *= _BACKTRACK
@@ -276,7 +278,7 @@ def solve(
 
     for restart in range(max_restarts + 1):
         if restart == 0:
-            u, v = np.eye(n, dtype=complex), np.eye(n, dtype=complex)
+            u, v = np.eye(n, dtype=space.dtype), np.eye(n, dtype=space.dtype)
         else:
             restarts_used = restart
             base = seed * 8191 + restart * 2
@@ -306,9 +308,8 @@ def solve(
                     steps["gauss_newton_steps"] += 1
 
             if found is None:
-                # Armijo-backtracked steepest descent with exponential
-                # retraction; the gradient eigensystems are reused across
-                # backtracking trials.
+                # Armijo-backtracked steepest descent, by the same Cayley
+                # retraction.
                 k = np.stack([r @ a - a @ r, r @ b - b @ r])
                 gnorm2 = float(np.sum(np.abs(k) ** 2))
                 if gnorm2 > 0.0:
@@ -362,7 +363,7 @@ def verify_membership(sol: OrbitSolution, prob: OrbitProblem) -> bool:
     for w in (u, v):
         if float(np.abs(w.conj().T @ w - np.eye(n)).max()) > UNITARY_TOL:
             return False
-    a, b, r = _residual_terms(u, v, prob)
+    a, b, r = _residual_terms(u, v, prob.x.mat, prob.y.mat, prob.z.mat)
     if float(np.abs(r).max()) > max(10.0 * sol.residual, 1e-7):
         return False
     lam_x = eig_hermitian(prob.x).values

@@ -1,9 +1,10 @@
 """The symmetric spaces G/K the checks run on: ``REALIZATIONS`` maps 'glc',
 GL(n,C)/U(n), and 'slr', SL(n,R)/SO(n), to the object that owns every choice
-that depends on the space: the five members ``sample``, ``project``,
-``random_factor``, ``to_group`` and ``contains``, all that a new space
-supplies (the orbit solver needs no basis of the Lie algebra of K).  Both
-run through the complex code path.
+that depends on the space: the four members ``sample``, ``project``,
+``random_factor`` and ``contains`` and the ``dtype`` of the orbit solver's
+arithmetic, all that a new space supplies (the solver needs no basis of the
+Lie algebra of K, and its Cayley retraction stays in K by itself).  glc
+solves in complex128, and slr in float64 on the real parts of its inputs.
 
 ``run_suites_on_realization`` re-runs the means, log-majorization, chain,
 pre-order and orbit checks on real symmetric traceless inputs, each by the
@@ -54,8 +55,10 @@ def project_to_realization(x: HermitianMatrix) -> RealSymmetricTraceless:
 
 class Realization:
     """GL(n,C)/U(n): Hermitian inputs, K = U(n), factors as complex arrays.
-    A new space overrides the five members: sample (p), project (onto p),
-    random_factor (K), to_group (retraction into K), contains (K)."""
+    A new space overrides the four members sample (p), project (onto p),
+    random_factor (K) and contains (K), and the orbit solver's dtype."""
+
+    dtype = np.complex128
 
     def sample(self, n: int, seed: int, scale: float = 1.0) -> HermitianMatrix:
         """Seeded random input of the space, its eigenvalues of order scale."""
@@ -66,12 +69,8 @@ class Realization:
         return x
 
     def random_factor(self, n: int, seed: int) -> np.ndarray:
-        """Seeded random element of K."""
+        """Seeded random element of K, an array of the space's dtype."""
         return sampling.random_unitary(n, seed).mat
-
-    def to_group(self, u: np.ndarray) -> np.ndarray:
-        """Retraction of a unitary into K (u itself, not a copy, for U(n))."""
-        return u
 
     def contains(self, u: np.ndarray) -> bool:
         """Whether u is in K, to UNITARY_TOL."""
@@ -81,6 +80,8 @@ class Realization:
 class _RealRealization(Realization):
     """SL(n,R)/SO(n): real symmetric traceless inputs, K = SO(n)."""
 
+    dtype = np.float64
+
     def sample(self, n, seed, scale=1.0):
         return sampling.random_real_symmetric_traceless(n, seed, scale)
 
@@ -88,10 +89,7 @@ class _RealRealization(Realization):
         return project_to_realization(x)
 
     def random_factor(self, n, seed):
-        return sampling.random_orthogonal(n, seed).mat
-
-    def to_group(self, u):
-        return u.real.astype(complex)
+        return sampling.random_orthogonal(n, seed).mat.real.copy()
 
     def contains(self, u):
         real = np.abs(u.imag).max() <= UNITARY_TOL

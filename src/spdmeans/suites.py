@@ -81,7 +81,7 @@ from .means import (
     spectral_mean,
 )
 from .orbit import (
-    MAX_RESTARTS, ORBIT_TOL, TARGET_KINDS, OrbitProblem, _exp_skew, objective,
+    MAX_RESTARTS, ORBIT_TOL, TARGET_KINDS, OrbitProblem, _cayley, objective,
     riemannian_grad, solve, verify_membership,
 )
 from .realizations import REALIZATIONS, run_suites_on_realization
@@ -373,7 +373,7 @@ def suite_orbit(
 
 def suite_gradient_check(trials: int = 100, seed: int = 0) -> SuiteResult:
     """Directional derivatives against central differences of step
-    GRADCHECK_EPS on random triples."""
+    GRADCHECK_EPS along the solver's Cayley curve, on random triples."""
     res = SuiteResult("gradient_check", seed)
     n_values = (2, 3, 4, 5, 6)
     eps = GRADCHECK_EPS
@@ -390,9 +390,8 @@ def suite_gradient_check(trials: int = 100, seed: int = 0) -> SuiteResult:
         rng = np.random.default_rng(base + 5)
         g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         k = (g - g.conj().T) / 2.0
-        step = _exp_skew(k)
-        f_plus = objective(UnitaryMatrix(step(-eps) @ u.mat), v, prob)
-        f_minus = objective(UnitaryMatrix(step(eps) @ u.mat), v, prob)
+        f_plus = objective(UnitaryMatrix(_cayley(k, -eps) @ u.mat), v, prob)
+        f_minus = objective(UnitaryMatrix(_cayley(k, eps) @ u.mat), v, prob)
         fd = (f_plus - f_minus) / (2.0 * eps)
         inner = float(np.real(np.sum(np.conj(k) * k_u)))
         err = abs(fd - inner) / max(abs(inner), 1e-300)

@@ -270,6 +270,26 @@ class TestSolve:
         assert verify_membership(sol, prob)
 
     @pytest.mark.parametrize("realization", ["glc", "slr"])
+    def test_iterates_stay_in_the_realization_dtype(self, realization):
+        # slr iterates in float64, restarts included (the stalled-start
+        # problem below restarts once), so a slide back to complex
+        # arithmetic fails here.
+        dtype = {"glc": np.complex128, "slr": np.float64}[realization]
+        problems = [
+            OrbitProblem(x=diag_h(2.0, 1.0, 0.0), y=diag_h(1.0, 0.0, 0.0),
+                         kind="exp_product", z=diag_h(1.0, 1.0, 2.0)),
+            OrbitProblem.create(random_real_symmetric_traceless(4, 61),
+                                random_real_symmetric_traceless(4, 62), "spectral"),
+        ]
+        for prob in problems:
+            seen = []
+            sol = solve(prob, seed=3, realization=realization,
+                        on_iterate=lambda u, v, f: seen.append((u.dtype, v.dtype)))
+            assert len(seen) == sol.iterations + sol.restarts + 1
+            assert all(pair == (dtype, dtype) for pair in seen)
+            assert sol.u.mat.dtype == sol.v.mat.dtype == np.complex128
+
+    @pytest.mark.parametrize("realization", ["glc", "slr"])
     def test_stalled_start_restarts(self, realization):
         # Z = P X P* + Y for the reversal P.  At the identity start every
         # matrix is diagonal, so the gradient and the Gauss-Newton direction
@@ -466,12 +486,60 @@ class TestGaussNewtonJacobian:
     @pytest.mark.parametrize("realization,n", [("glc", 1), ("glc", 3), ("slr", 1), ("slr", 3)])
     def test_zero_jacobian_gives_zero_direction(self, realization, n):
         # Scalar A and B commute with every matrix, so the operator is zero:
-        # no system to solve, and no warning.
-        a = 2.0 * np.eye(n, dtype=complex)
-        b = -0.5 * np.eye(n, dtype=complex)
-        r = random_hermitian(n, 17, 1.0).mat
+        # no system to solve, and no warning.  The zero comes back in the
+        # realization's dtype, as every other direction does.
+        dtype = REALIZATIONS[realization].dtype
+        a = 2.0 * np.eye(n, dtype=dtype)
+        b = -0.5 * np.eye(n, dtype=dtype)
+        r = random_real_symmetric_traceless(n, 17).mat.real.astype(dtype)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             s_u, s_v = _gauss_newton_direction(a, b, r)
         assert s_u.shape == s_v.shape == (n, n)
+        assert s_u.dtype == s_v.dtype == dtype
         assert not s_u.any() and not s_v.any()
+
+
+def _exp_neg(k, scale):
+    """Reference: exp(-scale K) for skew-Hermitian K, or each matrix of a
+    stack, from eigh of -iK."""
+    lam, q = np.linalg.eigh(-1j * k)
+    return (q * np.exp(-1j * scale * lam)[..., None, :]) @ q.conj().swapaxes(-1, -2)
+
+
+class TestCayleyRetraction:
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_glc_trial_factor_is_unitary_over_the_armijo_range(self, n):
+        # The descent step tries scales up to 1e3 along the gradient, and
+        # the Gauss-Newton step scales down to 2^-9.
+        for trial, kind in enumerate(("exp_product", "geometric", "spectral")):
+            base = 9600 + 10 * n + trial
+            prob = OrbitProblem.create(
+                random_hermitian(n, base, 1.0), random_hermitian(n, base + 1, 1.0), kind
+            )
+            u, v = random_unitary(n, base + 2), random_unitary(n, base + 3)
+            k = np.stack(riemannian_grad(u, v, prob))
+            for scale in 10.0 ** np.arange(-3, 4):
+                for w in orbit._cayley(k, scale):
+                    assert np.abs(w.conj().T @ w - np.eye(n)).max() <= 1e-13
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_slr_trial_factor_is_real_with_unit_determinant(self, n):
+        a, b, r = (m.real for m in _random_linearization(n, "slr", 9700 + n))
+        s = _gauss_newton_direction(a, b, r)
+        for damp in (1.0, 0.5, 2.0 ** -9):
+            e = orbit._cayley(s, -damp)
+            assert e.dtype == np.float64
+            for w in e:
+                assert np.abs(w.T @ w - np.eye(n)).max() <= 1e-13
+                assert abs(np.linalg.det(w) - 1.0) <= 1e-13
+
+    def test_agrees_with_the_exponential_to_second_order(self):
+        # Cayley(s K) - exp(-s K) = s^3 K^3 / 12 + O(s^4): halving s divides
+        # the gap by about 8.  A wrong sign would leave an O(s) gap.
+        g = np.random.default_rng(3).standard_normal((2, 4, 4, 2)) @ [1.0, 1.0j]
+        k = (g - g.conj().swapaxes(1, 2)) / 2.0
+        gaps = [np.abs(orbit._cayley(k, s) - _exp_neg(k, s)).max() for s in (1e-2, 5e-3)]
+        assert 7.0 <= gaps[0] / gaps[1] <= 9.0
+        norm = np.linalg.norm(k, 2, axis=(1, 2)).max()
+        assert gaps[0] <= (1e-2 * norm) ** 3 / 12.0
