@@ -211,7 +211,23 @@ def eig_hermitian(m: HermitianMatrix) -> EigenPair:
     """
     if m._eig is not None:
         return m._eig
-    vals, qs = eigh_stack(m.mat)
+    return _cache_eig(m, *eigh_stack(m.mat))
+
+
+def eig_hermitian_pair(a: HermitianMatrix, b: HermitianMatrix) -> tuple:
+    """``(eig_hermitian(a), eig_hermitian(b))``, by one ``eigh_stack`` of the
+    stack [a, b] when neither is cached (a matrix gets the same bits in a
+    stack as alone); both results are cached on their inputs."""
+    if a._eig is None and b._eig is None:
+        vals, qs = eigh_stack(np.array([a.mat, b.mat]))
+        _cache_eig(a, vals[0], qs[0])
+        _cache_eig(b, vals[1], qs[1])
+    return eig_hermitian(a), eig_hermitian(b)
+
+
+def _cache_eig(m: HermitianMatrix, vals: np.ndarray, qs: np.ndarray) -> EigenPair:
+    """Wrap ``eigh_stack``'s values and vectors of ``m`` as read-only arrays
+    in an ``EigenPair`` and cache it on ``m``."""
     vals.setflags(write=False)
     qs.setflags(write=False)
     vecs = UnitaryMatrix.__new__(UnitaryMatrix)
@@ -286,6 +302,15 @@ def mat_sqrt(m: SpdMatrix) -> SpdMatrix:
     return mat_pow(m, 0.5)
 
 
+def svd(arr: np.ndarray) -> tuple:
+    """LAPACK's SVD (W, sigma, V*) of an array, sigma descending;
+    ``NoConvergence`` if it fails."""
+    try:
+        return np.linalg.svd(arr)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"singular value decomposition failed: {exc}") from exc
+
+
 def polar(m: ComplexMatrix, side: str = "left") -> tuple[UnitaryMatrix, SpdMatrix]:
     """Polar decomposition of an invertible matrix, through the SVD.
 
@@ -295,10 +320,7 @@ def polar(m: ComplexMatrix, side: str = "left") -> tuple[UnitaryMatrix, SpdMatri
     """
     if side not in ("left", "right"):
         raise DomainError(f"polar side must be 'left' or 'right', got {side!r}")
-    try:
-        w, svals, vh = np.linalg.svd(m.mat)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"singular value decomposition failed: {exc}") from exc
+    w, svals, vh = svd(m.mat)
     if not svals[-1] > SPD_TOL * svals[0]:
         raise SingularInput("polar decomposition requires an invertible input")
     q = w if side == "left" else vh.conj().T

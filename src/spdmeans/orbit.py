@@ -5,7 +5,11 @@ Given Hermitian X and Y, find unitaries U, V with
     U X U* + V Y V* = Z,
 
 where Z is the principal logarithm of e^{X/2} e^Y e^{X/2}, of
-e^{2X} # e^{2Y}, or of e^{2X} @ e^{2Y}.  A zero-residual pair always exists,
+e^{2X} # e^{2Y}, or of e^{2X} @ e^{2Y}.  ``build_target`` writes each of
+these as a Gram product H H* of a square-root factor H and takes Z from the
+SVD of H, so Z's eigenvalues come from singular values; it accepts pairs
+whose Z has an eigenvalue spread below log(1 / SPD_TOL) = 27.6 and raises
+DomainError beyond.  A zero-residual pair always exists,
 and the solver reaches it by monotone descent on the product of two unitary
 groups.  Each iteration takes one damped Gauss-Newton step: the
 minimum-norm Levenberg-Marquardt direction of the linearized residual, from
@@ -30,17 +34,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, MaxIterReached, ParamOutOfRange
+from .errors import DimensionMismatch, DomainError, MaxIterReached, ParamOutOfRange
 from .linalg import (
+    SPD_TOL,
     UNITARY_TOL,
     HermitianMatrix,
-    SpdMatrix,
     UnitaryMatrix,
     eig_hermitian,
-    mat_exp,
-    mat_log,
+    eig_hermitian_pair,
+    svd,
 )
-from .means import _MeanPair
 from .realizations import REALIZATIONS
 
 TARGET_KINDS = ("exp_product", "geometric", "spectral")
@@ -64,25 +67,73 @@ _STALL_WINDOW = 50
 _RIDGE = 1e-12
 
 
+def _gram_log(h: np.ndarray, left: np.ndarray) -> HermitianMatrix:
+    """log(G H H* G*) = G P diag(2 log sigma) P* G* from the SVD P diag(sigma)
+    W* of the factor H, for unitary G = left.
+
+    DomainError unless sigma_min^2 > SPD_TOL * sigma_max^2: the SpdMatrix
+    range, applied to H H*.
+    """
+    p, sig, _ = svd(h)
+    if not sig[-1] ** 2 > SPD_TOL * sig[0] ** 2:
+        raise DomainError(
+            f"target is not positive definite to working precision: Gram "
+            f"eigenvalues in [{sig[-1] ** 2:.3e}, {sig[0] ** 2:.3e}]"
+        )
+    p = left @ p
+    return HermitianMatrix._wrap((p * (2.0 * np.log(sig))) @ p.conj().T)
+
+
 def build_target(x: HermitianMatrix, y: HermitianMatrix, kind: str) -> HermitianMatrix:
     """Z such that U X U* + V Y V* = Z is solvable for the given kind.
 
     kind='exp_product':  Z = log(e^{X/2} e^Y e^{X/2})
     kind='geometric':    Z = log(e^{2X} # e^{2Y})
     kind='spectral':     Z = log(e^{2X} @ e^{2Y})
+
+    Each product or mean is a Gram product H H* of a square-root factor H,
+    and Z = P diag(2 log sigma) P* comes from the SVD of H (Iannazzo's
+    factor form of the geometric mean), so its eigenvalues come from
+    singular values.  With A = e^{2X} and B = e^{2Y}:
+
+      exp_product  H = e^{X/2} e^{Y/2}
+      geometric    A # B = H H*, H = e^X P S^{1/2}, where P S W* is the
+                   SVD of e^{-X} e^Y
+      spectral     C = A^{-1} # B = K K*, K = e^{-X} P S^{1/2} from the SVD
+                   of e^X e^Y, and A @ B = C^{1/2} A C^{1/2} = L L* with
+                   L = C^{1/2} e^X = P_C (S_C P_C* e^X) for the SVD
+                   P_C S_C W_C* of K
+
+    One eigendecomposition of the stack [X, Y] (``eig_hermitian_pair``,
+    cached on X and Y), X = Q_x D_x Q_x* and Y = Q_y D_y Q_y*, gives every
+    exponential.  Each factor is formed in X's eigenbasis, as diagonal
+    scalings of M = Q_x* Q_y (e^{-X} e^Y = Q_x e^{-D_x} M e^{D_y} Q_y*), so
+    no product of two exponentials is formed and an entry's rounding error
+    stays relative to that entry.
+
+    Range: DomainError ('not positive definite') unless the singular
+    values of the last factor satisfy sigma_min^2 > SPD_TOL * sigma_max^2,
+    the SpdMatrix range applied to the matrix whose log is Z: the spread
+    of Z's eigenvalues must be below log(1 / SPD_TOL) = 27.6.  Each SVD
+    that fails raises NoConvergence.
     """
     if x.n != y.n:
         raise DimensionMismatch(f"dimension mismatch: {x.n} vs {y.n}")
+    if kind not in TARGET_KINDS:
+        raise ParamOutOfRange(f"unknown target kind {kind!r}; use one of {TARGET_KINDS}")
+    eig_x, eig_y = eig_hermitian_pair(x, y)
+    lam_x, q_x = eig_x.values, eig_x.vectors.mat
+    lam_y = eig_y.values
+    m = q_x.conj().T @ eig_y.vectors.mat
     if kind == "exp_product":
-        half = mat_exp(x, 0.5)
-        inner = SpdMatrix._wrap(half.mat @ mat_exp(y).mat @ half.mat)
-        return mat_log(inner)
-    pair = _MeanPair(mat_exp(x, 2.0), mat_exp(y, 2.0))
+        return _gram_log(np.exp(0.5 * lam_x)[:, None] * m * np.exp(0.5 * lam_y), q_x)
+    e_x = np.exp(lam_x)
     if kind == "geometric":
-        return mat_log(pair.sharp(0.5))
-    if kind == "spectral":
-        return mat_log(pair.natural(0.5))
-    raise ParamOutOfRange(f"unknown target kind {kind!r}; use one of {TARGET_KINDS}")
+        p, sig, _ = svd(m / e_x[:, None] * np.exp(lam_y))
+        return _gram_log(e_x[:, None] * (p * np.sqrt(sig)), q_x)
+    p, sig, _ = svd(e_x[:, None] * m * np.exp(lam_y))
+    p_c, sig_c, _ = svd(p * np.sqrt(sig) / e_x[:, None])
+    return _gram_log(sig_c[:, None] * p_c.conj().T * e_x, q_x @ p_c)
 
 
 @dataclass

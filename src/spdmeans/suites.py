@@ -29,7 +29,7 @@ each check has one pass rule:
     orbit.ORBIT_TOL            1e-8           orbit, realization
     orbit.MAX_ITER             5000           orbit, realization
     orbit.MAX_RESTARTS         4              orbit, realization
-    GRADCHECK_EPS              1e-6           gradient_check
+    GRADCHECK_EPS              1e-3           gradient_check
     GRADCHECK_TOL              1e-4           gradient_check
     CONJUGATION_TOL            1e-9           kostant
     realizations.UNIT_DET_TOL  1e-8           realization
@@ -101,7 +101,7 @@ IDENTITY_GRIDS = (
 CHAIN_SCALE = 0.5
 SANDWICH_TOL = 1e-10
 TRACE_GAP_TOL = 1e-10
-GRADCHECK_EPS = 1e-6
+GRADCHECK_EPS = 1e-3
 GRADCHECK_TOL = 1e-4
 CONJUGATION_TOL = 1e-9
 
@@ -372,8 +372,11 @@ def suite_orbit(
 
 
 def suite_gradient_check(trials: int = 100, seed: int = 0) -> SuiteResult:
-    """Directional derivatives against central differences of step
-    GRADCHECK_EPS along the solver's Cayley curve, on random triples."""
+    """Directional derivatives against the five-point central difference
+    (8 (f(h) - f(-h)) - (f(2h) - f(-2h))) / 12h, h = GRADCHECK_EPS, of f
+    along the solver's Cayley curve, on random triples: fourth order in h,
+    so h can be large enough that rounding in f stays far below
+    GRADCHECK_TOL."""
     res = SuiteResult("gradient_check", seed)
     n_values = (2, 3, 4, 5, 6)
     eps = GRADCHECK_EPS
@@ -390,9 +393,11 @@ def suite_gradient_check(trials: int = 100, seed: int = 0) -> SuiteResult:
         rng = np.random.default_rng(base + 5)
         g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         k = (g - g.conj().T) / 2.0
-        f_plus = objective(UnitaryMatrix(_cayley(k, -eps) @ u.mat), v, prob)
-        f_minus = objective(UnitaryMatrix(_cayley(k, eps) @ u.mat), v, prob)
-        fd = (f_plus - f_minus) / (2.0 * eps)
+
+        def f(step):
+            return objective(UnitaryMatrix(_cayley(k, -step) @ u.mat), v, prob)
+
+        fd = (8.0 * (f(eps) - f(-eps)) - (f(2.0 * eps) - f(-2.0 * eps))) / (12.0 * eps)
         inner = float(np.real(np.sum(np.conj(k) * k_u)))
         err = abs(fd - inner) / max(abs(inner), 1e-300)
         res.add(trial, n, None, f"{kind}_fd_match", err <= GRADCHECK_TOL, err)

@@ -132,6 +132,21 @@ class TestEigHermitian:
         only = linalg.eigh_stack(stack, vectors=False)
         assert np.abs(only - vals.reshape(6, 5)).max() <= 1e-12 * np.abs(only).max()
 
+    def test_pair_matches_single_decompositions_and_caches(self):
+        a = HermitianMatrix(rand_hermitian_array(5, 11))
+        b = HermitianMatrix(rand_hermitian_array(5, 12))
+        pa, pb = linalg.eig_hermitian_pair(a, b)
+        assert a._eig is pa and b._eig is pb
+        assert linalg.eig_hermitian_pair(a, b) == (pa, pb)
+        for m, pair in ((a, pa), (b, pb)):
+            alone = eig_hermitian(HermitianMatrix(m.mat))
+            assert np.array_equal(pair.values, alone.values)
+            assert np.array_equal(pair.vectors.mat, alone.vectors.mat)
+        # With one side cached, the other is decomposed alone.
+        c = HermitianMatrix(rand_hermitian_array(5, 13))
+        pa2, pc = linalg.eig_hermitian_pair(a, c)
+        assert pa2 is pa and c._eig is pc
+
     def test_canonical_phase(self):
         q = eig_hermitian(HermitianMatrix(rand_hermitian_array(6, 8))).vectors.mat
         top = q[np.abs(q).argmax(axis=0), np.arange(6)]

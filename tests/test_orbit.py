@@ -1,5 +1,7 @@
+import json
 import logging
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +28,8 @@ from spdmeans import (
 from spdmeans import orbit
 from spdmeans.orbit import _gauss_newton_direction
 from spdmeans.realizations import REALIZATIONS
+
+from orbit_stress_set import inputs as stress_inputs
 
 
 def diag_h(*vals):
@@ -80,14 +84,66 @@ class TestBuildTarget:
 
 
     # At scale 12 the product e^{X/2} e^Y e^{X/2} (exp_product) and the mean
-    # e^{2X} @ e^{2Y} (spectral) come out with a negative computed
-    # eigenvalue; their log was NaN.
+    # e^{2X} @ e^{2Y} (spectral) have eigenvalue spreads 38.1 and 33.9 in
+    # log, beyond the range log(1 / SPD_TOL) = 27.6.
     @pytest.mark.parametrize("kind,seed", [("exp_product", 7026), ("spectral", 7042)])
     def test_numerically_indefinite_target_raises(self, kind, seed):
         x = random_hermitian(4, seed, 12.0)
         y = random_hermitian(4, seed + 1, 12.0)
         with pytest.raises(DomainError, match="not positive definite"):
             build_target(x, y, kind)
+
+
+    # Y = 0 gives Z = X for every kind, so the range is the spread of X.
+    @pytest.mark.parametrize("kind", ["exp_product", "geometric", "spectral"])
+    def test_range_is_the_spd_range_of_the_target(self, kind):
+        inside = diag_h(13.7, 0.0, -13.7)
+        z = build_target(inside, diag_h(0.0, 0.0, 0.0), kind)
+        assert np.abs(z.mat - inside.mat).max() <= 1e-13 * 13.7
+        with pytest.raises(DomainError, match="not positive definite"):
+            build_target(diag_h(13.9, 0.0, -13.9), diag_h(0.0, 0.0, 0.0), kind)
+
+
+def _fixture_matrix(entry):
+    arr = np.array(entry["re"], dtype=complex)
+    if "im" in entry:
+        arr += 1j * np.array(entry["im"])
+    return arr
+
+
+# Targets of a sweep of input pairs (glc and slr; n 3..6; scales 1, 3, 6;
+# standard, shared-spectrum and Y ~ -X inputs) to 60 digits, written by
+# tests/make_target_reference.py with mpmath, which the tests do not need.
+TARGET_REFERENCE = json.loads(
+    (Path(__file__).parent / "data" / "orbit_target_reference.json").read_text()
+)["cases"]
+# Bound on each target's max-entry error, relative to max(1, max |Z|), and
+# on its trace gap |tr Z - tr X - tr Y|, relative to max(1, |tr Z|):
+# TARGET_C * e^{spread / 2} * eps, where spread is the sum of the eigenvalue
+# spreads of X and Y: e^{spread} bounds the condition number of e^{-X} e^Y
+# and e^X e^Y, and a Gram product's error is about eps * sqrt(cond).  The
+# worst case of the sweep reads about 11 of TARGET_C.
+TARGET_C = 32.0
+
+
+class TestTargetAccuracy:
+    @pytest.mark.parametrize("realization", ["glc", "slr"])
+    @pytest.mark.parametrize("kind", ["exp_product", "geometric", "spectral"])
+    def test_error_and_trace_gap_within_bound(self, realization, kind):
+        cases = [c for c in TARGET_REFERENCE if c["realization"] == realization]
+        assert len(cases) == 36
+        for case in cases:
+            x = HermitianMatrix(_fixture_matrix(case["x"]))
+            y = HermitianMatrix(_fixture_matrix(case["y"]))
+            want = _fixture_matrix(case["z"][kind])
+            spread = sum(np.ptp(eig_hermitian(m).values) for m in (x, y))
+            bound = TARGET_C * np.exp(spread / 2.0) * np.finfo(float).eps
+            z = build_target(x, y, kind).mat
+            err = np.abs(z - want).max() / max(1.0, np.abs(want).max())
+            gap = abs(np.trace(z - x.mat - y.mat).real) / max(1.0, abs(np.trace(want).real))
+            where = (case["n"], case["family"], case["scale"])
+            assert err <= bound, (where, err, bound)
+            assert gap <= bound, (where, gap, bound)
 
 
 class TestObjectiveAndGradient:
@@ -267,6 +323,27 @@ class TestSolve:
         assert sol.stop_reason == "converged"
         assert sol.gauss_newton_steps == 0
         assert sol.descent_steps == sol.iterations >= 1
+        assert verify_membership(sol, prob)
+
+    @pytest.mark.parametrize(
+        "realization,n,kind,seed",
+        [("glc", 3, "spectral", 141021), ("glc", 6, "geometric", 212014),
+         ("slr", 4, "spectral", 333014)],
+    )
+    def test_shared_spectrum_stress_cases_converge(self, realization, n, kind, seed):
+        # Scale-3 shared-spectrum cases of the stress set
+        # (tests/orbit_stress_set.py).  The first two stalled at residuals
+        # of 1e-8 to 2e-8 with the eigendecomposition target, whose trace
+        # gap was 6e-8: five starts of about 80 iterations, most of them
+        # descent steps.  Each now takes a few Gauss-Newton steps from the
+        # identity.
+        prob = OrbitProblem.create(
+            *stress_inputs(realization, n, "shared_spectrum", 3.0, seed), kind
+        )
+        sol = solve(prob, seed=seed, realization=realization)
+        assert sol.converged
+        assert sol.restarts == sol.descent_steps == 0
+        assert sol.iterations <= 8
         assert verify_membership(sol, prob)
 
     @pytest.mark.parametrize("realization", ["glc", "slr"])

@@ -68,6 +68,15 @@ def test_debug_logging_leaves_solver_rows_unchanged(caplog, name, realization):
     assert [r.as_csv() for r in quiet.rows] == [r.as_csv() for r in loud.rows]
 
 
+def test_gradient_check_near_stationary_row():
+    # At this row the directional derivative is -6.25e-7 against f = 0.161,
+    # so the two-point difference at step 1e-6 read 1.4e-4 on rounding alone,
+    # above GRADCHECK_TOL.  The five-point difference reads about 2e-7.
+    (row,) = suites.suite_gradient_check(trials=1, seed=352002003).rows
+    assert row.passed
+    assert row.margin < 1e-6
+
+
 def test_import_does_not_load_the_suites():
     # Keeps the suites (and what only they import) out of the import time of
     # every program that uses the library alone.
