@@ -77,11 +77,7 @@ from .orbit import (
     solve,
     verify_membership,
 )
-from .realizations import (
-    RealSymmetricTraceless,
-    project_to_realization,
-    run_suites_on_realization,
-)
+from .realizations import run_suites_on_realization
 from .sampling import (
     random_hermitian,
     random_invertible,

@@ -74,7 +74,7 @@ def mean(kind, t, a_path, b_path, out):
 @main.command()
 @click.option("--x", "x_path", type=click.Path(exists=True, dir_okay=False), required=True)
 @click.option("--y", "y_path", type=click.Path(exists=True, dir_okay=False), required=True)
-@click.option("--r-grid", default=None, help="Comma-separated increasing positive values.")
+@click.option("--r-grid", default=None, help="Comma-separated finite, increasing positive values.")
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def scan(x_path, y_path, r_grid, out):
     """Golden-Thompson chain scan; emits CSV rows per grid point."""
@@ -232,7 +232,6 @@ def orbit_solve(kind, input_paths, n, seed, tol, max_iter, realization, out, tra
         "restarts": sol.restarts,
         "stop_reason": sol.stop_reason,
         "gauss_newton_steps": sol.gauss_newton_steps,
-        "descent_steps": sol.descent_steps,
         "u": matio.matrix_to_obj(sol.u.mat),
         "v": matio.matrix_to_obj(sol.v.mat),
         "z": matio.matrix_to_obj(prob.z.mat),

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, ParamOutOfRange
+from .errors import DimensionMismatch, DomainError, ParamOutOfRange
 from .linalg import (
     HermitianMatrix,
     SpdMatrix,
@@ -79,6 +79,9 @@ def scan_chain(
 ) -> ChainScan:
     """Evaluate phi, psi and e^{X+Y} over a strictly increasing positive grid.
 
+    ParamOutOfRange unless the grid is finite, positive and strictly
+    increasing; DomainError naming r if e^{rX} or e^{rY} overflows there.
+
     One stacked ``_MeanPair`` holds (e^{rX}, e^{rY}) for every r, and the
     powers 2/r come from one stacked decomposition of both means.
     """
@@ -90,10 +93,18 @@ def scan_chain(
         b <= a for a, b in zip(grid, grid[1:])
     ):
         raise ParamOutOfRange("r grid must be positive and strictly increasing")
+    if not np.isfinite(grid).all():
+        raise ParamOutOfRange("r grid must be finite")
     r = np.array(grid)
     eig_x, eig_y = eig_hermitian(x), eig_hermitian(y)
-    exp_x = np.exp(r[:, None] * eig_x.values)
-    exp_y = np.exp(r[:, None] * eig_y.values)
+    with np.errstate(over="ignore"):
+        exp_x = np.exp(r[:, None] * eig_x.values)
+        exp_y = np.exp(r[:, None] * eig_y.values)
+    overflow = ~(np.isfinite(exp_x).all(axis=1) & np.isfinite(exp_y).all(axis=1))
+    if overflow.any():
+        raise DomainError(
+            f"e^(rX) or e^(rY) overflows at r = {grid[int(np.argmax(overflow))]:g}"
+        )
     pair = _MeanPair(
         _assemble(eig_x.vectors.mat, exp_x), _assemble(eig_y.vectors.mat, exp_y)
     )

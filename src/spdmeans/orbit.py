@@ -14,11 +14,10 @@ and the solver reaches it by monotone descent on the product of two unitary
 groups.  Each iteration takes one damped Gauss-Newton step: the
 minimum-norm Levenberg-Marquardt direction of the linearized residual, from
 the dual normal equations with a tiny ridge (no basis of the Lie algebra of
-K is built), retracted by the Cayley transform and backtracked until f
-falls.  When that step finds no decrease, an Armijo-backtracked
-steepest-descent step runs instead, and seeded random restarts take over
-when a start stalls above tolerance; each restart and each start that
-stops by stall or budget is logged at DEBUG level.
+K is built), retracted by the Cayley transform and halved, at most nine
+times, until f falls by a relative 1e-4.  A start whose step finds no decrease stalls, and a seeded random restart
+takes over; each restart and each start that stops by stall or budget is
+logged at DEBUG level.
 
 The realization (``realizations.REALIZATIONS``) fixes the group K of the
 factors and the solver's arithmetic: U(n) in complex128 for 'glc', or SO(n)
@@ -57,11 +56,10 @@ MEMBERSHIP_TOL = 1e-10
 
 logger = logging.getLogger(__name__)
 
-_ARMIJO_C = 1e-4
-_BACKTRACK = 0.5
-_ETA_INIT = 1.0
-_STALL_RTOL = 1e-14
-_STALL_WINDOW = 50
+# The Gauss-Newton search's damping factors 1, 1/2, ..., 2^-9 and the
+# relative decrease of f that accepts a trial.
+_DAMPING = tuple(0.5 ** j for j in range(10))
+_DECREASE = 1e-4
 # Levenberg-Marquardt ridge of the Gauss-Newton normal equations, relative
 # to the mean diagonal of J J^T.
 _RIDGE = 1e-12
@@ -166,12 +164,10 @@ class OrbitSolution:
     restarts: int = 0
     converged: bool = True
     # Why the solve ended: 'converged', 'budget' (max_iter spent) or 'stall'
-    # (the last start accepted no step, or made no relative progress for
-    # _STALL_WINDOW iterations).  The counts are accepted steps of each type,
-    # summed over all starts.
+    # (the Gauss-Newton search of the last start found no decrease), and the
+    # accepted steps, summed over all starts.
     stop_reason: str = "converged"
     gauss_newton_steps: int = 0
-    descent_steps: int = 0
 
 
 def objective(u: UnitaryMatrix, v: UnitaryMatrix, prob: OrbitProblem) -> float:
@@ -260,30 +256,28 @@ def solve(
     tol: float = ORBIT_TOL,
     max_iter: int = MAX_ITER,
     seed: int = 0,
-    max_restarts: int = MAX_RESTARTS,
     realization: str = "glc",
     on_iterate=None,
 ) -> OrbitSolution:
     """Drive the residual ||U X U* + V Y V* - Z||_max below tol.
 
-    Every iteration takes one monotone step: damped Gauss-Newton, retracted
-    by the Cayley transform and halved until f falls by a relative 1e-4,
-    or, when that finds no decrease, Armijo steepest descent.  So the
-    objective trace over accepted iterates is non-increasing by
-    construction.  The first start is U = V = I at every n.  A start that
-    accepts no step, or makes no relative progress for _STALL_WINDOW
-    iterations, stalls, and the next start begins from seeded random
-    factors, up to max_restarts times.  Raises MaxIterReached (carrying the
-    best iterate) only if every start stalls above tolerance or the
-    iteration budget runs out.  The solution's stop_reason ('converged',
-    'stall' or 'budget') and step counts say why and how the solve ended.
+    Every iteration takes one damped Gauss-Newton search: the step along
+    the Gauss-Newton direction, retracted by the Cayley transform, is damped
+    by 1, 1/2, ..., 2^-9 until f falls by a relative 1e-4.  So the
+    objective trace is non-increasing by construction.  The first start is
+    U = V = I at every n.  A start whose search finds no decrease stalls,
+    and the next start begins from seeded random factors, up to
+    MAX_RESTARTS times.  Raises MaxIterReached (carrying the best iterate)
+    only if every start stalls above tolerance or the iteration budget runs
+    out.  The solution's stop_reason ('converged', 'stall' or
+    'budget') and gauss_newton_steps say why and how the solve ended.
     """
     if realization not in REALIZATIONS:
         raise ParamOutOfRange(f"unknown realization {realization!r}")
     if not tol > 0.0:
         raise ParamOutOfRange("tol must be positive")
-    if max_iter < 0 or max_restarts < 0:
-        raise ParamOutOfRange("max_iter and max_restarts must be non-negative")
+    if max_iter < 0:
+        raise ParamOutOfRange("max_iter must be non-negative")
     n = prob.n
     space = REALIZATIONS[realization]
     # X, Y and Z in the realization's arithmetic: their real parts in float64.
@@ -298,8 +292,8 @@ def solve(
     best = None
     iterations = 0
     restarts_used = 0
+    gauss_newton_steps = 0
     trace: list = []
-    steps = {"gauss_newton_steps": 0, "descent_steps": 0}
 
     def solution(u, v, resid, trace, stop_reason):
         return OrbitSolution(
@@ -311,23 +305,10 @@ def solve(
             restarts=restarts_used,
             converged=stop_reason == "converged",
             stop_reason=stop_reason,
-            **steps,
+            gauss_newton_steps=gauss_newton_steps,
         )
 
-    def line_search(k, u, v, scale, floor, accept):
-        """Trial steps s = scale, scale * _BACKTRACK, ... while |s| > floor: the
-        first (s, iterate) with accept(s, f'), where the iterate's (U', V') is
-        the Cayley retraction (C_u U, C_v V), [C_u; C_v] = _cayley(k, s), for
-        k = [K_u; K_v]; None if no trial passes."""
-        while abs(scale) > floor:
-            e = _cayley(k, scale)
-            trial = at(e[0] @ u, e[1] @ v)
-            if accept(scale, trial[5]):
-                return scale, trial
-            scale *= _BACKTRACK
-        return None
-
-    for restart in range(max_restarts + 1):
+    for restart in range(MAX_RESTARTS + 1):
         if restart == 0:
             u, v = np.eye(n, dtype=space.dtype), np.eye(n, dtype=space.dtype)
         else:
@@ -340,46 +321,27 @@ def solve(
         trace = [f]
         if on_iterate is not None:
             on_iterate(u, v, f)
-        eta = _ETA_INIT
-        stall = 0
         while iterations < max_iter and resid > tol:
             iterations += 1
-            f_prev = f
-            # Damped Gauss-Newton: quadratic local convergence where plain
-            # descent crawls (near-degenerate instances).
+            # Retract to (C_u U, C_v V), [C_u; C_v] = _cayley(S, -damp), for
+            # the Gauss-Newton direction S, and take the first damping in
+            # _DAMPING with f' <= (1 - _DECREASE) f.
             s = _gauss_newton_direction(a, b, r)
             found = None
             if float(np.abs(s).max()) > 0.0:
-                # Retract along +damp S for damp = 1, 1/2, ..., 2^-9 (_BACKTRACK).
-                found = line_search(
-                    s, u, v, -1.0, 1e-3,
-                    lambda _, f_new: f_new <= f * (1.0 - 1e-4),
-                )
-                if found is not None:
-                    steps["gauss_newton_steps"] += 1
-
-            if found is None:
-                # Armijo-backtracked steepest descent, by the same Cayley
-                # retraction.
-                k = np.stack([r @ a - a @ r, r @ b - b @ r])
-                gnorm2 = float(np.sum(np.abs(k) ** 2))
-                if gnorm2 > 0.0:
-                    found = line_search(
-                        k, u, v, min(eta * 2.0, 1e3), 1e-18,
-                        lambda eta_try, f_new: f_new <= f - _ARMIJO_C * eta_try * gnorm2,
-                    )
-                    if found is not None:
-                        eta = found[0]
-                        steps["descent_steps"] += 1
-
+                for damp in _DAMPING:
+                    e = _cayley(s, -damp)
+                    trial = at(e[0] @ u, e[1] @ v)
+                    if trial[5] <= f * (1.0 - _DECREASE):
+                        found = trial
+                        break
             if found is not None:
-                u, v, a, b, r, f, resid = found[1]
+                gauss_newton_steps += 1
+                u, v, a, b, r, f, resid = found
             trace.append(f)
             if on_iterate is not None:
                 on_iterate(u, v, f)
-            rel_drop = (f_prev - f) / max(f_prev, 1e-300)
-            stall = stall + 1 if rel_drop < _STALL_RTOL else 0
-            if found is None or stall >= _STALL_WINDOW:
+            if found is None:
                 stop_reason = "stall"
                 break
         else:

@@ -17,40 +17,14 @@ from __future__ import annotations
 import numpy as np
 
 from . import sampling
-from .errors import DomainError
 from .gtchain import evaluate_chain, scan_chain
 from .kostant import group_chain_report
-from .linalg import HERMITIAN_TOL, UNITARY_TOL, HermitianMatrix, mat_exp
+from .linalg import UNITARY_TOL, HermitianMatrix, mat_exp
 from .majorization import log_majorization_report
 from .means import _MeanPair, mean_identity_suite, spd_det
 
-TRACE_TOL = 1e-10
 # |det - 1| bound of the exponentials of traceless inputs.
 UNIT_DET_TOL = 1e-8
-
-
-class RealSymmetricTraceless(HermitianMatrix):
-    """Element of the SL(n,R) flat: real symmetric with zero trace."""
-
-    __slots__ = ()
-
-    def __init__(self, mat):
-        arr = np.asarray(mat, dtype=complex)
-        scale = max(1.0, float(np.abs(arr).max()))
-        if float(np.abs(arr.imag).max()) > HERMITIAN_TOL * scale:
-            raise DomainError("realization requires a real matrix")
-        if abs(float(np.trace(arr).real)) > TRACE_TOL * scale:
-            raise DomainError("realization requires a traceless matrix")
-        super().__init__(arr.real.astype(complex))
-
-
-def project_to_realization(x: HermitianMatrix) -> RealSymmetricTraceless:
-    """Nearest real symmetric traceless matrix: real part, symmetrized,
-    trace removed."""
-    arr = np.asarray(x.mat).real
-    sym = (arr + arr.T) / 2.0
-    sym = sym - np.eye(sym.shape[0]) * (np.trace(sym) / sym.shape[0])
-    return RealSymmetricTraceless(sym.astype(complex))
 
 
 class Realization:
@@ -86,7 +60,12 @@ class _RealRealization(Realization):
         return sampling.random_real_symmetric_traceless(n, seed, scale)
 
     def project(self, x):
-        return project_to_realization(x)
+        """Nearest real symmetric traceless matrix: real part, symmetrized,
+        trace removed."""
+        arr = np.asarray(x.mat).real
+        sym = (arr + arr.T) / 2.0
+        sym = sym - np.eye(sym.shape[0]) * (np.trace(sym) / sym.shape[0])
+        return HermitianMatrix._wrap(sym.astype(complex))
 
     def random_factor(self, n, seed):
         return sampling.random_orthogonal(n, seed).mat.real.copy()

@@ -13,7 +13,7 @@ The input families, each projected into the realization's space:
 Each solve runs with the default tolerance and budgets.  A failure is
 ``MaxIterReached``, a solve that did not converge, or ``verify_membership``
 false.  The script prints the totals (solves, failures, iterations,
-restarts, Gauss-Newton and descent steps, solver seconds) and each failed
+restarts, Gauss-Newton steps, solver seconds) and each failed
 case, and exits 1 if any solve failed.  It is not a pytest module; run it
 as
 
@@ -64,7 +64,7 @@ def inputs(realization: str, n: int, family: str, scale: float, s: int):
 
 def run() -> dict:
     totals = {"solves": 0, "failures": 0, "iterations": 0, "restarts": 0,
-              "gauss_newton_steps": 0, "descent_steps": 0, "solve_s": 0.0}
+              "gauss_newton_steps": 0, "solve_s": 0.0}
     failed = []
     grid = itertools.product(REALIZATIONS, SIZES, FAMILIES, SCALES, TARGET_KINDS)
     for cell, (realization, n, family, scale, kind) in enumerate(grid):
@@ -78,7 +78,7 @@ def run() -> dict:
             totals["solve_s"] += time.perf_counter() - start
             ok = sol.converged and verify_membership(sol, prob)
             totals["solves"] += 1
-            for key in ("iterations", "restarts", "gauss_newton_steps", "descent_steps"):
+            for key in ("iterations", "restarts", "gauss_newton_steps"):
                 totals[key] += getattr(sol, key)
             if not ok:
                 totals["failures"] += 1

@@ -2,6 +2,7 @@ import json
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -240,6 +241,22 @@ class TestScanCommand:
         )
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("grid,message", [
+        ("inf", "error: r grid must be finite"),
+        ("1000", "error: e^(rX) or e^(rY) overflows at r = 1000"),
+    ])
+    def test_scan_infinite_or_overflowing_r_exits_2(self, runner, tmp_path, grid, message):
+        eye = tmp_path / "eye.json"
+        save_matrix(eye, np.eye(2))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = runner.invoke(
+                main, ["scan", "--x", str(eye), "--y", str(eye), "--r-grid", grid]
+            )
+        assert result.exit_code == 2
+        assert result.output.startswith(message)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
 
 class TestOrbitSolveCommand:
     def test_seeded_run_emits_json(self, runner, tmp_path):
@@ -269,12 +286,9 @@ class TestOrbitSolveCommand:
         assert result.exit_code == 0
         payload = json.loads(result.output)
         assert payload["stop_reason"] == "converged"
-        steps = [
-            payload[key]
-            for key in ("gauss_newton_steps", "descent_steps")
-        ]
-        assert all(isinstance(count, int) and count >= 0 for count in steps)
-        assert sum(steps) >= payload["iterations"]
+        steps = payload["gauss_newton_steps"]
+        assert isinstance(steps, int)
+        assert steps >= payload["iterations"]
 
     def test_budget_stop_reason_exits_1(self, runner):
         result = runner.invoke(

@@ -74,6 +74,15 @@ class TestScanChain:
         with pytest.raises(ParamOutOfRange):
             scan_chain(x, x, [-1.0, 1.0])
 
+    def test_infinite_or_overflowing_r_rejected(self):
+        x = HermitianMatrix(np.eye(2))
+        with pytest.raises(ParamOutOfRange, match="finite"):
+            scan_chain(x, x, [0.5, np.inf])
+        # e^{1000} overflows; the error names r before any mean is taken.
+        with pytest.raises(DomainError, match="overflows at r = 1000"):
+            scan_chain(x, x, [0.5, 1000.0])
+        scan_chain(x, x, [0.5, 300.0])
+
     def test_commuting_scan_degenerates(self):
         x = diag_h(0.2, -0.1)
         y = diag_h(0.3, 0.4)

@@ -4,16 +4,13 @@ import numpy as np
 import pytest
 
 from spdmeans import (
-    DomainError,
     HermitianMatrix,
     OrbitProblem,
-    RealSymmetricTraceless,
     UnitaryMatrix,
     eig_hermitian,
     geometric_mean,
     mat_exp,
     orbit,
-    project_to_realization,
     random_hermitian,
     random_orthogonal,
     random_real_symmetric_traceless,
@@ -31,27 +28,19 @@ from spdmeans.realizations import REALIZATIONS
 class TestProjection:
     def test_valid_input_unchanged(self):
         x = random_real_symmetric_traceless(4, 3)
-        p = project_to_realization(x)
+        p = REALIZATIONS["slr"].project(x)
         assert np.abs(p.mat - x.mat).max() < 1e-14
 
     def test_identity_projects_to_zero(self):
-        p = project_to_realization(HermitianMatrix(np.eye(3)))
+        p = REALIZATIONS["slr"].project(HermitianMatrix(np.eye(3)))
         assert np.abs(p.mat).max() == 0.0
 
     def test_random_hermitian_lands_in_realization(self):
         x = random_hermitian(5, 9, 1.0)
-        p = project_to_realization(x)
+        p = REALIZATIONS["slr"].project(x)
         assert np.abs(p.mat.imag).max() == 0.0
         assert np.abs(p.mat - p.mat.T).max() == 0.0
         assert abs(np.trace(p.mat)) < 1e-12
-
-    def test_type_rejects_complex(self):
-        with pytest.raises(DomainError):
-            RealSymmetricTraceless([[0.0, 1.0j], [-1.0j, 0.0]])
-
-    def test_type_rejects_trace(self):
-        with pytest.raises(DomainError):
-            RealSymmetricTraceless(np.eye(2))
 
 
 class TestRealizationFacts:
