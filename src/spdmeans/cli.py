@@ -21,7 +21,6 @@ from . import matio, suites
 from .errors import SpdMeansError
 from .gtchain import DEFAULT_R_GRID, evaluate_chain, scan_chain
 from .kostant import kostant_report
-from .linalg import HermitianMatrix
 from .majorization import compound
 from .means import geometric_mean, spectral_mean
 from .orbit import MAX_ITER, ORBIT_TOL, OrbitProblem, solve
@@ -33,6 +32,15 @@ DATA_ERRORS = (SpdMeansError, OSError, ValueError)
 def _fail_data(message: str):
     click.echo(f"error: {message}", err=True)
     sys.exit(2)
+
+
+def _write_text(text: str, out) -> None:
+    """Write a report to the file ``out``, or to stdout when it is None."""
+    if out:
+        with open(out, "w", newline="") as fh:
+            fh.write(text)
+    else:
+        click.echo(text, nl=False)
 
 
 def _print_matrix(mat: np.ndarray, digits: int = 4) -> None:
@@ -79,8 +87,8 @@ def mean(kind, t, a_path, b_path, out):
 def scan(x_path, y_path, r_grid, out):
     """Golden-Thompson chain scan; emits CSV rows per grid point."""
     try:
-        x = HermitianMatrix(matio.load_matrix(x_path).mat)
-        y = HermitianMatrix(matio.load_matrix(y_path).mat)
+        x = matio.load_hermitian(x_path)
+        y = matio.load_hermitian(y_path)
         grid = (
             tuple(float(v) for v in r_grid.split(","))
             if r_grid
@@ -119,12 +127,7 @@ def scan(x_path, y_path, r_grid, out):
             ]
         )
         lines.append(",".join(cells))
-    text = "\n".join(lines) + "\n"
-    if out:
-        with open(out, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        click.echo(text, nl=False)
+    _write_text("\n".join(lines) + "\n", out)
     sys.exit(0 if report.passed else 1)
 
 
@@ -203,10 +206,7 @@ def orbit_solve(kind, input_paths, n, seed, tol, max_iter, realization, out, tra
     space = REALIZATIONS[realization]
     try:
         if input_paths:
-            x_path, y_path = input_paths
-            x = HermitianMatrix(matio.load_matrix(x_path).mat)
-            y = HermitianMatrix(matio.load_matrix(y_path).mat)
-            x, y = space.project(x), space.project(y)
+            x, y = (space.project(matio.load_hermitian(p)) for p in input_paths)
         else:
             x, y = space.sample(n, seed, 1.0), space.sample(n, seed + 1, 1.0)
         prob = OrbitProblem.create(x, y, kind_full)
@@ -236,12 +236,7 @@ def orbit_solve(kind, input_paths, n, seed, tol, max_iter, realization, out, tra
         "v": matio.matrix_to_obj(sol.v.mat),
         "z": matio.matrix_to_obj(prob.z.mat),
     }
-    text = json.dumps(payload, indent=2) + "\n"
-    if out:
-        with open(out, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        click.echo(text, nl=False)
+    _write_text(json.dumps(payload, indent=2) + "\n", out)
     if trace_csv:
         with open(trace_csv, "w", newline="") as fh:
             fh.write("# spdmeans-objective-trace v1\niteration,objective\n")

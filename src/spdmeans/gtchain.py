@@ -24,13 +24,15 @@ from .errors import DimensionMismatch, DomainError, ParamOutOfRange
 from .linalg import (
     HermitianMatrix,
     SpdMatrix,
+    _assemble,
+    _pow,
     eig_hermitian,
     eigh_stack,
     mat_exp,
     require_positive,
 )
 from .majorization import default_tol, log_majorization_report
-from .means import _MeanPair, _assemble, _pow
+from .means import _MeanPair
 
 DEFAULT_R_GRID = tuple(2.0 ** k for k in range(-6, 4))
 # Margins of a chain predicate that fall short by less than this multiple
@@ -80,7 +82,8 @@ def scan_chain(
     """Evaluate phi, psi and e^{X+Y} over a strictly increasing positive grid.
 
     ParamOutOfRange unless the grid is finite, positive and strictly
-    increasing; DomainError naming r if e^{rX} or e^{rY} overflows there.
+    increasing; DomainError naming the first r at which the scan could
+    overflow, before any mean is taken.
 
     One stacked ``_MeanPair`` holds (e^{rX}, e^{rY}) for every r, and the
     powers 2/r come from one stacked decomposition of both means.
@@ -97,20 +100,22 @@ def scan_chain(
         raise ParamOutOfRange("r grid must be finite")
     r = np.array(grid)
     eig_x, eig_y = eig_hermitian(x), eig_hermitian(y)
-    with np.errstate(over="ignore"):
-        exp_x = np.exp(r[:, None] * eig_x.values)
-        exp_y = np.exp(r[:, None] * eig_y.values)
-    overflow = ~(np.isfinite(exp_x).all(axis=1) & np.isfinite(exp_y).all(axis=1))
-    if overflow.any():
+    # In exact arithmetic every exponential, product, power and e^{X+Y} of
+    # the scan is bounded by e^{max(1, r) (max |lambda(X)| + max |lambda(Y)|)}.
+    bound = np.maximum(1.0, r) * (np.abs(eig_x.values).max() + np.abs(eig_y.values).max())
+    over = bound >= np.log(np.finfo(float).max)
+    if over.any():
+        k = int(np.argmax(over))
         raise DomainError(
-            f"e^(rX) or e^(rY) overflows at r = {grid[int(np.argmax(overflow))]:g}"
+            f"the scan overflows at r = {grid[k]:g}: max(1, r) (max |eig X| + "
+            f"max |eig Y|) = {bound[k]:.4g} is not below log(float max)"
         )
-    pair = _MeanPair(
-        _assemble(eig_x.vectors.mat, exp_x), _assemble(eig_y.vectors.mat, exp_y)
-    )
+    exp_x = np.exp(r[:, None] * eig_x.values)
+    exp_y = np.exp(r[:, None] * eig_y.values)
+    pair = _MeanPair(_assemble(eig_x.vectors, exp_x), _assemble(eig_y.vectors, exp_y))
     # A starts from X's decomposition: a fresh eigh of e^{rX} at large r can
     # come out numerically indefinite.
-    pair._eig_a = (exp_x, eig_x.vectors.mat)
+    pair._eig_a = (exp_x, eig_x.vectors)
     vals, q = eigh_stack(np.stack([pair.sharps([0.5])[:, 0], pair.naturals([0.5])[:, 0]]))
     expo = 2.0 / r
     # As mat_pow does, check positivity only where 2/r is not an integer.

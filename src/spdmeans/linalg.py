@@ -4,10 +4,14 @@ Validated matrix types (Hermitian, positive definite, unitary) plus the
 eigendecomposition, matrix-function, polar and spectrum kernels every other
 module builds on.  The decompositions are LAPACK's (``eigh``, ``eigvals``,
 ``svd``) with a canonical eigenvector phase and a stable descending sort, so
-identical inputs give identical outputs run to run.
+identical inputs give identical outputs run to run.  Every spectral
+function Q diag(f(lambda)) Q* of the package is assembled here, by
+``_assemble``, from an ``EigenPair`` or an ``eigh_stack`` result.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -16,6 +20,37 @@ from .errors import DomainError, NoConvergence, SingularInput
 HERMITIAN_TOL = 1e-10
 SPD_TOL = 1e-12
 UNITARY_TOL = 1e-10
+
+
+def _ct(arr: np.ndarray) -> np.ndarray:
+    """Conjugate transpose over the trailing two axes."""
+    return arr.conj().swapaxes(-1, -2)
+
+
+def _herm(arr: np.ndarray) -> np.ndarray:
+    """(M + M*) / 2 for every matrix of a stack."""
+    return (arr + _ct(arr)) / 2.0
+
+
+def _pow(base, expo) -> np.ndarray:
+    """base ** expo on contiguous, explicitly broadcast operands.
+
+    numpy sends broadcast (zero-stride) operands of ``power`` through a
+    scalar loop and contiguous ones through a vector loop, and the two can
+    round differently; with both operands contiguous, every layout takes the
+    same loop.
+    """
+    shape = np.broadcast(base, expo).shape
+    full_base, full_expo = np.empty(shape), np.empty(shape)
+    full_base[...] = base
+    full_expo[...] = expo
+    return np.power(full_base, full_expo, out=full_base)
+
+
+def _assemble(q: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """Q diag(vals) Q*, symmetrized, for every matrix of a stack: the one
+    assembly of a spectral function from an eigendecomposition."""
+    return _herm((q * vals[..., None, :]) @ _ct(q))
 
 
 def _as_square_complex(mat) -> np.ndarray:
@@ -63,7 +98,7 @@ class HermitianMatrix(ComplexMatrix):
                 f"matrix is not Hermitian: asymmetry {defect:.3e} exceeds "
                 f"{HERMITIAN_TOL:.0e} * {scale:.3e}"
             )
-        sym = (arr + arr.conj().T) / 2.0
+        sym = _herm(arr)
         sym.setflags(write=False)
         self.mat = sym
         self._eig = None
@@ -72,7 +107,7 @@ class HermitianMatrix(ComplexMatrix):
     def _wrap(cls, arr: np.ndarray) -> "HermitianMatrix":
         """Internal: wrap an array known to be Hermitian (symmetrized here)."""
         obj = object.__new__(cls)
-        sym = (arr + arr.conj().T) / 2.0
+        sym = _herm(arr)
         sym.setflags(write=False)
         obj.mat = sym
         obj._eig = None
@@ -102,15 +137,9 @@ class SpdMatrix(HermitianMatrix):
     @classmethod
     def _from_eig(cls, q: np.ndarray, vals: np.ndarray) -> "SpdMatrix":
         """Internal: assemble Q diag(vals) Q* and seed the eigen cache."""
-        obj = cls._wrap((q * vals) @ q.conj().T)
+        obj = cls._wrap(_assemble(q, vals))
         order = np.argsort(-vals, kind="stable")
-        vecs = UnitaryMatrix.__new__(UnitaryMatrix)
-        qs = np.ascontiguousarray(q[:, order])
-        qs.setflags(write=False)
-        vecs.mat = qs
-        vs = np.ascontiguousarray(vals[order])
-        vs.setflags(write=False)
-        obj._eig = EigenPair(vs, vecs)
+        _cache_eig(obj, vals[order], np.ascontiguousarray(q[:, order]))
         return obj
 
 
@@ -131,29 +160,16 @@ class UnitaryMatrix(ComplexMatrix):
         self.mat = arr
 
 
-class EigenPair:
-    """Eigendecomposition of a Hermitian matrix.
+class EigenPair(NamedTuple):
+    """Eigendecomposition of a Hermitian matrix, as two read-only arrays
+    (built only by ``_cache_eig``).
 
     ``values`` are real and sorted descending (stable ties); the columns of
     ``vectors`` are the matching orthonormal eigenvectors.
     """
 
-    __slots__ = ("values", "vectors")
-
-    def __init__(self, values: np.ndarray, vectors: UnitaryMatrix):
-        vals = np.asarray(values, dtype=float)
-        vals.setflags(write=False)
-        self.values = vals
-        self.vectors = vectors
-
-    def reconstruct(self) -> np.ndarray:
-        q = self.vectors.mat
-        return (q * self.values) @ q.conj().T
-
-    def apply(self, fn) -> np.ndarray:
-        """Assemble Q diag(fn(values)) Q* as a plain array."""
-        q = self.vectors.mat
-        return (q * fn(self.values)) @ q.conj().T
+    values: np.ndarray
+    vectors: np.ndarray
 
 
 def _canonical_phase(vecs: np.ndarray) -> None:
@@ -226,15 +242,12 @@ def eig_hermitian_pair(a: HermitianMatrix, b: HermitianMatrix) -> tuple:
 
 
 def _cache_eig(m: HermitianMatrix, vals: np.ndarray, qs: np.ndarray) -> EigenPair:
-    """Wrap ``eigh_stack``'s values and vectors of ``m`` as read-only arrays
-    in an ``EigenPair`` and cache it on ``m``."""
+    """Make the eigenvalues and eigenvectors of ``m`` read-only and cache
+    them on ``m`` as its ``EigenPair``."""
     vals.setflags(write=False)
     qs.setflags(write=False)
-    vecs = UnitaryMatrix.__new__(UnitaryMatrix)
-    vecs.mat = qs
-    pair = EigenPair(vals, vecs)
-    m._eig = pair
-    return pair
+    m._eig = EigenPair(vals, qs)
+    return m._eig
 
 
 def require_positive(vals: np.ndarray, what: str) -> None:
@@ -254,17 +267,18 @@ def require_positive(vals: np.ndarray, what: str) -> None:
         )
 
 
-def _positive_eig(m: SpdMatrix) -> EigenPair:
-    """The eigendecomposition of ``m``, after ``require_positive``."""
-    pair = eig_hermitian(m)
-    require_positive(pair.values, "matrix is numerically not positive definite")
-    return pair
-
-
 def mat_exp(m: HermitianMatrix, scale: float = 1.0) -> SpdMatrix:
-    """exp(scale * M) for Hermitian M; the result is positive definite."""
+    """exp(scale * M) for Hermitian M; the result is positive definite.
+    ``DomainError`` when some e^{scale lambda} overflows or underflows to 0."""
     pair = eig_hermitian(m)
-    return SpdMatrix._from_eig(pair.vectors.mat, np.exp(scale * pair.values))
+    with np.errstate(over="ignore"):
+        vals = np.exp(scale * pair.values)
+    if not (np.isfinite(vals) & (vals > 0.0)).all():
+        raise DomainError(
+            f"exp(scale * M) leaves the float range: scale = {scale:g}, "
+            f"eigenvalues of M in [{pair.values[-1]:.3e}, {pair.values[0]:.3e}]"
+        )
+    return SpdMatrix._from_eig(pair.vectors, vals)
 
 
 def mat_log(m: SpdMatrix) -> HermitianMatrix:
@@ -272,7 +286,9 @@ def mat_log(m: SpdMatrix) -> HermitianMatrix:
     when its smallest computed eigenvalue is not positive."""
     if not isinstance(m, SpdMatrix):
         raise DomainError("mat_log requires a positive definite matrix")
-    return HermitianMatrix._wrap(_positive_eig(m).apply(np.log))
+    pair = eig_hermitian(m)
+    require_positive(pair.values, "matrix is numerically not positive definite")
+    return HermitianMatrix._wrap(_assemble(pair.vectors, np.log(pair.values)))
 
 
 def mat_pow(m: HermitianMatrix, t: float) -> HermitianMatrix:
@@ -284,15 +300,16 @@ def mat_pow(m: HermitianMatrix, t: float) -> HermitianMatrix:
     matrix.
     """
     integer = float(t).is_integer()
-    if isinstance(m, SpdMatrix):
-        pair = eig_hermitian(m) if integer else _positive_eig(m)
-        return SpdMatrix._from_eig(pair.vectors.mat, pair.values ** t)
-    if not integer:
+    if not (integer or isinstance(m, SpdMatrix)):
         raise DomainError(
             "fractional matrix powers require a positive definite matrix"
         )
     pair = eig_hermitian(m)
-    return HermitianMatrix._wrap(pair.apply(lambda v: v ** t))
+    if not integer:
+        require_positive(pair.values, "matrix is numerically not positive definite")
+    if isinstance(m, SpdMatrix):
+        return SpdMatrix._from_eig(pair.vectors, pair.values ** t)
+    return HermitianMatrix._wrap(_assemble(pair.vectors, pair.values ** t))
 
 
 def mat_sqrt(m: SpdMatrix) -> SpdMatrix:

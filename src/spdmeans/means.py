@@ -40,6 +40,10 @@ from .linalg import (
     HermitianMatrix,
     SpdMatrix,
     UnitaryMatrix,
+    _assemble,
+    _ct,
+    _herm,
+    _pow,
     eig_hermitian,
     eigh_stack,
     polar,
@@ -75,36 +79,6 @@ def rel_residual(lhs: np.ndarray, rhs: np.ndarray):
     scale = np.maximum(np.maximum(_max_abs(lhs), _max_abs(rhs)), 1e-300)
     res = _max_abs(lhs - rhs) / scale
     return float(res) if res.ndim == 0 else res
-
-
-def _ct(arr: np.ndarray) -> np.ndarray:
-    """Conjugate transpose over the trailing two axes."""
-    return arr.conj().swapaxes(-1, -2)
-
-
-def _herm(arr: np.ndarray) -> np.ndarray:
-    """(M + M*) / 2 for every matrix of a stack."""
-    return (arr + _ct(arr)) / 2.0
-
-
-def _pow(base, expo) -> np.ndarray:
-    """base ** expo on contiguous, explicitly broadcast operands.
-
-    numpy sends broadcast (zero-stride) operands of ``power`` through a
-    scalar loop and contiguous ones through a vector loop, and the two can
-    round differently; with both operands contiguous, every layout takes the
-    same loop.
-    """
-    shape = np.broadcast(base, expo).shape
-    full_base, full_expo = np.empty(shape), np.empty(shape)
-    full_base[...] = base
-    full_expo[...] = expo
-    return np.power(full_base, full_expo, out=full_base)
-
-
-def _assemble(q: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """Q diag(vals) Q*, symmetrized, for every matrix of a stack."""
-    return _herm((q * vals[..., None, :]) @ _ct(q))
 
 
 def _powers(vals: np.ndarray, q: np.ndarray, taus) -> np.ndarray:
@@ -170,8 +144,7 @@ class _MeanPair:
         self._eig_a = None        # (values, vectors) of A, when known
         if not (isinstance(a, np.ndarray) and isinstance(b, np.ndarray)):
             _check_pair(a, b)
-            pair = eig_hermitian(a)
-            self._eig_a = (pair.values, pair.vectors.mat)
+            self._eig_a = eig_hermitian(a)
             a, b = a.mat, b.mat
         self.a = a
         self.b = b

@@ -39,6 +39,7 @@ from .linalg import (
     UNITARY_TOL,
     HermitianMatrix,
     UnitaryMatrix,
+    _assemble,
     eig_hermitian,
     eig_hermitian_pair,
     svd,
@@ -78,8 +79,7 @@ def _gram_log(h: np.ndarray, left: np.ndarray) -> HermitianMatrix:
             f"target is not positive definite to working precision: Gram "
             f"eigenvalues in [{sig[-1] ** 2:.3e}, {sig[0] ** 2:.3e}]"
         )
-    p = left @ p
-    return HermitianMatrix._wrap((p * (2.0 * np.log(sig))) @ p.conj().T)
+    return HermitianMatrix._wrap(_assemble(left @ p, 2.0 * np.log(sig)))
 
 
 def build_target(x: HermitianMatrix, y: HermitianMatrix, kind: str) -> HermitianMatrix:
@@ -120,9 +120,9 @@ def build_target(x: HermitianMatrix, y: HermitianMatrix, kind: str) -> Hermitian
     if kind not in TARGET_KINDS:
         raise ParamOutOfRange(f"unknown target kind {kind!r}; use one of {TARGET_KINDS}")
     eig_x, eig_y = eig_hermitian_pair(x, y)
-    lam_x, q_x = eig_x.values, eig_x.vectors.mat
+    lam_x, q_x = eig_x.values, eig_x.vectors
     lam_y = eig_y.values
-    m = q_x.conj().T @ eig_y.vectors.mat
+    m = q_x.conj().T @ eig_y.vectors
     if kind == "exp_product":
         return _gram_log(np.exp(0.5 * lam_x)[:, None] * m * np.exp(0.5 * lam_y), q_x)
     e_x = np.exp(lam_x)

@@ -16,6 +16,7 @@ from .linalg import (
     HermitianMatrix,
     SpdMatrix,
     UnitaryMatrix,
+    _assemble,
     polar,
 )
 
@@ -78,9 +79,7 @@ def random_hermitian(n: int, seed: int, scale: float = 1.0) -> HermitianMatrix:
         raise ParamOutOfRange(f"scale must be positive, got {scale}")
     rng = np.random.default_rng(seed)
     u, _ = polar(ComplexMatrix(_gaussian_complex(rng, n)), side="right")
-    vals = rng.uniform(-scale, scale, size=n)
-    q = u.mat
-    return HermitianMatrix._wrap((q * vals) @ q.conj().T)
+    return HermitianMatrix._wrap(_assemble(u.mat, rng.uniform(-scale, scale, size=n)))
 
 
 def random_real_symmetric_traceless(n: int, seed: int, scale: float = 1.0) -> HermitianMatrix:
@@ -98,9 +97,7 @@ def random_real_symmetric_traceless(n: int, seed: int, scale: float = 1.0) -> He
     q, _ = polar(ComplexMatrix(rng.standard_normal((n, n)).astype(complex)), "right")
     vals = rng.uniform(-scale, scale, size=n)
     vals -= vals.mean()
-    qm = q.mat.real
-    sym = (qm * vals) @ qm.T
-    return HermitianMatrix(sym.astype(complex))
+    return HermitianMatrix._wrap(_assemble(q.mat.real, vals).astype(complex))
 
 
 def random_invertible(n: int, seed: int) -> ComplexMatrix:

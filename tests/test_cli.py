@@ -241,13 +241,17 @@ class TestScanCommand:
         )
         assert result.exit_code == 2
 
-    @pytest.mark.parametrize("grid,message", [
-        ("inf", "error: r grid must be finite"),
-        ("1000", "error: e^(rX) or e^(rY) overflows at r = 1000"),
+    # X = Y = scale I.  At r = 700 the exponentials are finite and a product
+    # inside a mean overflows; at scale 400 even r = 0.5 overflows e^{X+Y}.
+    @pytest.mark.parametrize("grid,message,scale", [
+        ("inf", "error: r grid must be finite", 1.0),
+        ("1000", "error: the scan overflows at r = 1000", 1.0),
+        ("700", "error: the scan overflows at r = 700", 1.0),
+        ("0.5", "error: the scan overflows at r = 0.5", 400.0),
     ])
-    def test_scan_infinite_or_overflowing_r_exits_2(self, runner, tmp_path, grid, message):
+    def test_scan_infinite_or_overflowing_r_exits_2(self, runner, tmp_path, grid, message, scale):
         eye = tmp_path / "eye.json"
-        save_matrix(eye, np.eye(2))
+        save_matrix(eye, scale * np.eye(2))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             result = runner.invoke(

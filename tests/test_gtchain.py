@@ -74,14 +74,21 @@ class TestScanChain:
         with pytest.raises(ParamOutOfRange):
             scan_chain(x, x, [-1.0, 1.0])
 
-    def test_infinite_or_overflowing_r_rejected(self):
-        x = HermitianMatrix(np.eye(2))
-        with pytest.raises(ParamOutOfRange, match="finite"):
-            scan_chain(x, x, [0.5, np.inf])
-        # e^{1000} overflows; the error names r before any mean is taken.
-        with pytest.raises(DomainError, match="overflows at r = 1000"):
-            scan_chain(x, x, [0.5, 1000.0])
-        scan_chain(x, x, [0.5, 300.0])
+    # X = Y = scale I.  e^{1000} overflows; at r = 700 a product inside a
+    # mean does; at scale 400, e^{X+Y} does at every r.  The error names the
+    # first such r before any mean is taken.
+    @pytest.mark.parametrize("grid,error,match,scale", [
+        ((0.5, np.inf), ParamOutOfRange, "finite", 1.0),
+        ((0.5, 1000.0), DomainError, "overflows at r = 1000", 1.0),
+        ((0.5, 700.0), DomainError, "overflows at r = 700", 1.0),
+        ((0.5,), DomainError, "overflows at r = 0.5", 400.0),
+    ], ids=["r-inf", "r-1000", "r-700", "scale-400"])
+    def test_infinite_or_overflowing_r_rejected(self, grid, error, match, scale):
+        x = HermitianMatrix(scale * np.eye(2))
+        with pytest.raises(error, match=match):
+            scan_chain(x, x, grid)
+        eye = HermitianMatrix(np.eye(2))
+        scan_chain(eye, eye, [0.5, 300.0])
 
     def test_commuting_scan_degenerates(self):
         x = diag_h(0.2, -0.1)

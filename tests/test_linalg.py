@@ -73,7 +73,7 @@ class TestEigHermitian:
     def test_identity(self):
         pair = eig_hermitian(HermitianMatrix(np.eye(3)))
         assert np.array_equal(pair.values, np.ones(3))
-        assert np.array_equal(pair.vectors.mat, np.eye(3))
+        assert np.array_equal(pair.vectors, np.eye(3))
 
     def test_diagonal_sorted_descending(self):
         pair = eig_hermitian(HermitianMatrix(np.diag([1.0, 16.0])))
@@ -82,7 +82,8 @@ class TestEigHermitian:
     def test_seeded_5x5_reconstruction(self):
         h = HermitianMatrix(rand_hermitian_array(5, 7))
         pair = eig_hermitian(h)
-        res = np.abs(pair.reconstruct() - h.mat).max()
+        q = pair.vectors
+        res = np.abs((q * pair.values) @ q.conj().T - h.mat).max()
         assert res <= 1e-12 * np.abs(h.mat).max()
 
     def test_reconstruction_1000_seeded_trials(self):
@@ -93,7 +94,8 @@ class TestEigHermitian:
             h = HermitianMatrix(rand_hermitian_array(n, 10_000 + trial))
             pair = eig_hermitian(h)
             scale = max(np.abs(h.mat).max(), 1e-300)
-            worst = max(worst, np.abs(pair.reconstruct() - h.mat).max() / scale)
+            q = pair.vectors
+            worst = max(worst, np.abs((q * pair.values) @ q.conj().T - h.mat).max() / scale)
         assert worst <= 1e-12
 
     def test_deterministic_for_identical_inputs(self):
@@ -101,7 +103,7 @@ class TestEigHermitian:
         p1 = eig_hermitian(HermitianMatrix(arr))
         p2 = eig_hermitian(HermitianMatrix(arr.copy()))
         assert np.array_equal(p1.values, p2.values)
-        assert np.array_equal(p1.vectors.mat, p2.vectors.mat)
+        assert np.array_equal(p1.vectors, p2.vectors)
 
     def test_no_convergence_signals(self, monkeypatch):
         monkeypatch.setattr(linalg.np.linalg, "eigh", _lapack_failure)
@@ -128,7 +130,7 @@ class TestEigHermitian:
         for k, m in enumerate(stack):
             pair = eig_hermitian(HermitianMatrix(m))
             assert np.array_equal(vals.reshape(6, 5)[k], pair.values)
-            assert np.array_equal(q.reshape(6, 5, 5)[k], pair.vectors.mat)
+            assert np.array_equal(q.reshape(6, 5, 5)[k], pair.vectors)
         only = linalg.eigh_stack(stack, vectors=False)
         assert np.abs(only - vals.reshape(6, 5)).max() <= 1e-12 * np.abs(only).max()
 
@@ -141,23 +143,41 @@ class TestEigHermitian:
         for m, pair in ((a, pa), (b, pb)):
             alone = eig_hermitian(HermitianMatrix(m.mat))
             assert np.array_equal(pair.values, alone.values)
-            assert np.array_equal(pair.vectors.mat, alone.vectors.mat)
+            assert np.array_equal(pair.vectors, alone.vectors)
         # With one side cached, the other is decomposed alone.
         c = HermitianMatrix(rand_hermitian_array(5, 13))
         pa2, pc = linalg.eig_hermitian_pair(a, c)
         assert pa2 is pa and c._eig is pc
 
     def test_canonical_phase(self):
-        q = eig_hermitian(HermitianMatrix(rand_hermitian_array(6, 8))).vectors.mat
+        q = eig_hermitian(HermitianMatrix(rand_hermitian_array(6, 8))).vectors
         top = q[np.abs(q).argmax(axis=0), np.arange(6)]
         assert np.all(top.imag == 0.0) and np.all(top.real > 0.0)
         g = np.random.default_rng(9).standard_normal((6, 6))
-        q = eig_hermitian(HermitianMatrix(g + g.T)).vectors.mat
+        q = eig_hermitian(HermitianMatrix(g + g.T)).vectors
         assert np.abs(q.imag).max() == 0.0
+
+    def test_values_and_vectors_are_read_only_arrays(self):
+        # A decomposition from every builder: eigh, the stacked pair, and
+        # the seeded caches of random_spd, mat_exp and polar's factor.
+        h = HermitianMatrix(rand_hermitian_array(4, 3))
+        g = HermitianMatrix(rand_hermitian_array(4, 4))
+        pairs = [
+            eig_hermitian(HermitianMatrix(rand_hermitian_array(4, 2))),
+            *linalg.eig_hermitian_pair(h, g),
+            eig_hermitian(random_spd(4, 5)),
+            eig_hermitian(mat_exp(h)),
+            eig_hermitian(polar(random_invertible(4, 6))[1]),
+        ]
+        for pair in pairs:
+            for arr in (pair.values, pair.vectors):
+                assert type(arr) is np.ndarray
+                with pytest.raises(ValueError):
+                    arr[0, ...] = 0.0
 
     def test_vector_columns_orthonormal(self):
         h = HermitianMatrix(rand_hermitian_array(9, 5))
-        q = eig_hermitian(h).vectors.mat
+        q = eig_hermitian(h).vectors
         assert np.abs(q.conj().T @ q - np.eye(9)).max() < 1e-12
 
 
@@ -219,6 +239,13 @@ class TestMatFn:
         assert np.allclose(quarter.mat @ quarter.mat, root.mat)
         with pytest.raises(DomainError):
             mat_sqrt(HermitianMatrix(np.diag([1.0, 2.0])))
+
+    def test_exp_out_of_float_range_raises(self):
+        # e^800 overflows and e^-800 underflows to 0; neither is returned.
+        h = HermitianMatrix(np.diag([800.0, 0.0]))
+        for scale in (1.0, -1.0):
+            with pytest.raises(DomainError, match="float range"):
+                mat_exp(h, scale)
 
     def test_exp_returns_spd_log_returns_hermitian(self):
         x = HermitianMatrix(rand_hermitian_array(4, 2))

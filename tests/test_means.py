@@ -273,7 +273,7 @@ class TestIdentitySuite:
 
 def _inverse(m):
     pair = eig_hermitian(m)
-    return SpdMatrix._from_eig(pair.vectors.mat, 1.0 / pair.values)
+    return SpdMatrix._from_eig(pair.vectors, 1.0 / pair.values)
 
 
 def _reference_laws(a, b, t, r, s):

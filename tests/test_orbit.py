@@ -209,7 +209,7 @@ class TestObjectiveAndGradient:
             g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
             k = (g - g.conj().T) / 2.0
             pair = eig_hermitian(HermitianMatrix(-1j * k))
-            q = pair.vectors.mat
+            q = pair.vectors
             fwd = (q * np.exp(1j * eps * pair.values)) @ q.conj().T
             bwd = (q * np.exp(-1j * eps * pair.values)) @ q.conj().T
             f_plus = objective(UnitaryMatrix(fwd @ u.mat), v, prob)
