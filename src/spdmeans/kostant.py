@@ -18,17 +18,16 @@ from .majorization import MajorizationReport, log_majorization_report
 
 
 def hyperbolic_spectrum(g: ComplexMatrix) -> np.ndarray:
-    """Eigenvalue moduli of g sorted descending.
+    """Eigenvalue moduli of g, descending (the order of ``spectrum``).
 
     These are the eigenvalues of the hyperbolic factor in the complete
     multiplicative Jordan decomposition; the decomposition itself is never
     materialized.
     """
     moduli = np.abs(spectrum(g))
-    out = np.sort(moduli)[::-1]
-    if out[0] <= 0.0 or out[-1] <= SPD_TOL * out[0]:
+    if moduli[0] <= 0.0 or moduli[-1] <= SPD_TOL * moduli[0]:
         raise SingularInput("hyperbolic spectrum requires an invertible input")
-    return np.ascontiguousarray(out)
+    return moduli
 
 
 def kostant_report(f: ComplexMatrix, g: ComplexMatrix) -> MajorizationReport:

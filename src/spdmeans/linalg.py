@@ -105,11 +105,12 @@ class HermitianMatrix(ComplexMatrix):
 
     @classmethod
     def _wrap(cls, arr: np.ndarray) -> "HermitianMatrix":
-        """Internal: wrap an array known to be Hermitian (symmetrized here)."""
+        """Internal: wrap ``arr`` as it is, unchecked, and make it read-only.
+        Precondition: ``arr == arr.conj().T`` exactly, as ``_assemble``
+        output is; symmetrize a product P = U X U* to (P + P*)/2 first."""
         obj = object.__new__(cls)
-        sym = _herm(arr)
-        sym.setflags(write=False)
-        obj.mat = sym
+        arr.setflags(write=False)
+        obj.mat = arr
         obj._eig = None
         return obj
 
@@ -361,7 +362,7 @@ def spectrum(m: ComplexMatrix) -> np.ndarray:
     if isinstance(m, HermitianMatrix) or float(
         np.abs(a - a.conj().T).max()
     ) <= HERMITIAN_TOL * scale:
-        herm = m if isinstance(m, HermitianMatrix) else HermitianMatrix._wrap(a)
+        herm = m if isinstance(m, HermitianMatrix) else HermitianMatrix._wrap(_herm(a))
         vals = eig_hermitian(herm).values.astype(complex)
         return _sort_by_modulus(vals)
     try:

@@ -2,7 +2,7 @@
 the checks tying them to the two geometric means.
 
 Comparisons are additive in log space after a relative floor: partial sums
-of sorted vectors may fall short by at most ``maj_tol``, and the totals must
+of sorted vectors may fall short by at most ``default_tol``, and the totals must
 agree within the same slack.  Products spanning many orders of magnitude
 make naive relative comparison of partial products useless, which is why
 ``log_majorizes`` works on logarithms throughout.
@@ -51,14 +51,12 @@ class MajorizationReport:
         return self.total_gap <= self.tol
 
 
-def majorization_report(x, y, tol: float | None = None) -> MajorizationReport:
-    """Partial-sum margins for x < y (x majorized by y)."""
+def majorization_report(x, y) -> MajorizationReport:
+    """Partial-sum margins for x < y (x majorized by y), slack ``default_tol``."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
         raise LengthMismatch(f"vector shapes differ: {x.shape} vs {y.shape}")
-    if tol is None:
-        tol = default_tol(x, y)
     xs = np.sort(x)[::-1]
     ys = np.sort(y)[::-1]
     cx = np.cumsum(xs)
@@ -66,16 +64,16 @@ def majorization_report(x, y, tol: float | None = None) -> MajorizationReport:
     return MajorizationReport(
         partial_margins=(cy - cx)[:-1].copy(),
         total_gap=abs(float(cx[-1] - cy[-1])),
-        tol=tol,
+        tol=default_tol(x, y),
     )
 
 
-def majorizes(x, y, tol: float | None = None) -> bool:
+def majorizes(x, y) -> bool:
     """True iff x < y: partial sums of x are dominated and totals agree."""
-    return majorization_report(x, y, tol).holds
+    return majorization_report(x, y).holds
 
 
-def log_majorization_report(x, y, tol: float | None = None) -> MajorizationReport:
+def log_majorization_report(x, y) -> MajorizationReport:
     """Margins of x <_log y, computed as log x < log y."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -83,13 +81,12 @@ def log_majorization_report(x, y, tol: float | None = None) -> MajorizationRepor
         raise LengthMismatch(f"vector shapes differ: {x.shape} vs {y.shape}")
     if np.any(x <= 0.0) or np.any(y <= 0.0):
         raise NonPositiveEntry("log-majorization needs strictly positive entries")
-    lx, ly = np.log(x), np.log(y)
-    return majorization_report(lx, ly, tol if tol is not None else default_tol(lx, ly))
+    return majorization_report(np.log(x), np.log(y))
 
 
-def log_majorizes(x, y, tol: float | None = None) -> bool:
+def log_majorizes(x, y) -> bool:
     """True iff x <_log y: partial products dominated, total products equal."""
-    return log_majorization_report(x, y, tol).holds
+    return log_majorization_report(x, y).holds
 
 
 def compound(m: ComplexMatrix, k: int) -> ComplexMatrix:

@@ -315,10 +315,9 @@ class _IdentityContext:
     """
 
     def __init__(self, a: SpdMatrix, b: SpdMatrix):
-        _check_pair(a, b)
+        self.pair = _MeanPair(a, b)
         self.a = a.mat
         self.b = b.mat
-        self.pair = _MeanPair(a, b)
         self.swapped = _MeanPair(b, a)
         self.a_inv = _inverse(self.a)
         self.inverse = _MeanPair(self.a_inv, _inverse(self.b))

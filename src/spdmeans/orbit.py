@@ -40,6 +40,7 @@ from .linalg import (
     HermitianMatrix,
     UnitaryMatrix,
     _assemble,
+    _herm,
     eig_hermitian,
     eig_hermitian_pair,
     svd,
@@ -162,12 +163,15 @@ class OrbitSolution:
     iterations: int
     objective_trace: list
     restarts: int = 0
-    converged: bool = True
     # Why the solve ended: 'converged', 'budget' (max_iter spent) or 'stall'
     # (the Gauss-Newton search of the last start found no decrease), and the
     # accepted steps, summed over all starts.
     stop_reason: str = "converged"
     gauss_newton_steps: int = 0
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "converged"
 
 
 def objective(u: UnitaryMatrix, v: UnitaryMatrix, prob: OrbitProblem) -> float:
@@ -303,7 +307,6 @@ def solve(
             iterations=iterations,
             objective_trace=trace,
             restarts=restarts_used,
-            converged=stop_reason == "converged",
             stop_reason=stop_reason,
             gauss_newton_steps=gauss_newton_steps,
         )
@@ -381,8 +384,8 @@ def verify_membership(sol: OrbitSolution, prob: OrbitProblem) -> bool:
         return False
     lam_x = eig_hermitian(prob.x).values
     lam_y = eig_hermitian(prob.y).values
-    lam_ux = eig_hermitian(HermitianMatrix._wrap(a)).values
-    lam_vy = eig_hermitian(HermitianMatrix._wrap(b)).values
+    lam_ux = eig_hermitian(HermitianMatrix._wrap(_herm(a))).values
+    lam_vy = eig_hermitian(HermitianMatrix._wrap(_herm(b))).values
     scale_x = 1.0 + float(np.abs(lam_x).max())
     scale_y = 1.0 + float(np.abs(lam_y).max())
     return bool(

@@ -2,7 +2,8 @@
 
 Every sampler is a pure function of its arguments: the same (n, seed, ...)
 always yields the same matrix, which is what makes batch verification runs
-reproducible byte for byte.
+reproducible byte for byte.  All but ``random_invertible`` start from one
+seeded draw, ``_draw_factor``, whose polar unitary is their eigenbasis.
 """
 
 from __future__ import annotations
@@ -25,22 +26,25 @@ def _gaussian_complex(rng, n: int) -> np.ndarray:
     return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
 
 
-def random_unitary(n: int, seed: int) -> UnitaryMatrix:
-    """Haar-like unitary: polar factor of a seeded complex Gaussian matrix."""
+def _draw_factor(n: int, seed: int, real: bool = False) -> tuple:
+    """The seeded generator and the polar unitary of its first Gaussian
+    draw, a complex one or, with ``real``, a real one cast to complex."""
     if n < 1:
         raise ParamOutOfRange(f"dimension must be >= 1, got {n}")
     rng = np.random.default_rng(seed)
-    u, _ = polar(ComplexMatrix(_gaussian_complex(rng, n)), side="right")
-    return u
+    g = rng.standard_normal((n, n)).astype(complex) if real else _gaussian_complex(rng, n)
+    u, _ = polar(ComplexMatrix(g), side="right")
+    return rng, u
+
+
+def random_unitary(n: int, seed: int) -> UnitaryMatrix:
+    """Haar-like unitary: polar factor of a seeded complex Gaussian matrix."""
+    return _draw_factor(n, seed)[1]
 
 
 def random_orthogonal(n: int, seed: int) -> UnitaryMatrix:
     """Random element of SO(n): polar factor of a real Gaussian, det +1."""
-    if n < 1:
-        raise ParamOutOfRange(f"dimension must be >= 1, got {n}")
-    rng = np.random.default_rng(seed)
-    u, _ = polar(ComplexMatrix(rng.standard_normal((n, n)).astype(complex)), "right")
-    mat = u.mat.real.copy()
+    mat = _draw_factor(n, seed, real=True)[1].mat.real.copy()
     if np.linalg.det(mat) < 0.0:
         mat[:, 0] = -mat[:, 0]
     return UnitaryMatrix(mat.astype(complex))
@@ -54,12 +58,9 @@ def random_spd(n: int, seed: int, spread: float = 2.0) -> SpdMatrix:
     number the SpdMatrix guard would reject (not below 1 / SPD_TOL) raises
     DomainError; the default spread never does.
     """
-    if n < 1:
-        raise ParamOutOfRange(f"dimension must be >= 1, got {n}")
     if not spread > 0.0:
         raise ParamOutOfRange(f"spread must be positive, got {spread}")
-    rng = np.random.default_rng(seed)
-    u, _ = polar(ComplexMatrix(_gaussian_complex(rng, n)), side="right")
+    rng, q = _draw_factor(n, seed)
     logvals = rng.uniform(-spread, spread, size=n)
     span = np.ptp(logvals)
     if not span < -np.log(SPD_TOL):
@@ -67,19 +68,16 @@ def random_spd(n: int, seed: int, spread: float = 2.0) -> SpdMatrix:
             f"random_spd(n={n}, seed={seed}, spread={spread}) drew condition "
             f"number {np.exp(span):.3e}, not below {1.0 / SPD_TOL:.0e}"
         )
-    return SpdMatrix._from_eig(u.mat, np.exp(logvals))
+    return SpdMatrix._from_eig(q.mat, np.exp(logvals))
 
 
 def random_hermitian(n: int, seed: int, scale: float = 1.0) -> HermitianMatrix:
     """Q diag(u) Q* with u uniform in [-scale, scale]; eigenvalues bounded
     by scale, which keeps e^{rX} well conditioned across a chain grid."""
-    if n < 1:
-        raise ParamOutOfRange(f"dimension must be >= 1, got {n}")
     if not scale > 0.0:
         raise ParamOutOfRange(f"scale must be positive, got {scale}")
-    rng = np.random.default_rng(seed)
-    u, _ = polar(ComplexMatrix(_gaussian_complex(rng, n)), side="right")
-    return HermitianMatrix._wrap(_assemble(u.mat, rng.uniform(-scale, scale, size=n)))
+    rng, q = _draw_factor(n, seed)
+    return HermitianMatrix._wrap(_assemble(q.mat, rng.uniform(-scale, scale, size=n)))
 
 
 def random_real_symmetric_traceless(n: int, seed: int, scale: float = 1.0) -> HermitianMatrix:
@@ -89,12 +87,9 @@ def random_real_symmetric_traceless(n: int, seed: int, scale: float = 1.0) -> He
     spectral radius stays below 2 scale; targets derived through e^{2X} then
     remain well conditioned.
     """
-    if n < 1:
-        raise ParamOutOfRange(f"dimension must be >= 1, got {n}")
     if not scale > 0.0:
         raise ParamOutOfRange(f"scale must be positive, got {scale}")
-    rng = np.random.default_rng(seed)
-    q, _ = polar(ComplexMatrix(rng.standard_normal((n, n)).astype(complex)), "right")
+    rng, q = _draw_factor(n, seed, real=True)
     vals = rng.uniform(-scale, scale, size=n)
     vals -= vals.mean()
     return HermitianMatrix._wrap(_assemble(q.mat.real, vals).astype(complex))

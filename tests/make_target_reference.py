@@ -54,7 +54,7 @@ def inputs(realization: str, n: int, family: str, scale: float, s: int):
     space = REALIZATIONS[realization]
     x = space.sample(n, s, scale)
     y = -x.mat + 1e-2 * space.sample(n, s + 1, 1.0).mat
-    return x, space.project(HermitianMatrix._wrap(y))
+    return x, space.project(HermitianMatrix(y))
 
 
 def _mp(arr: np.ndarray) -> mpmath.matrix:

@@ -59,7 +59,7 @@ def inputs(realization: str, n: int, family: str, scale: float, s: int):
             w = w + 1j * rng.standard_normal(n)
         w = w / np.linalg.norm(w)
         y = scale * np.outer(w, w.conj())
-    return x, space.project(HermitianMatrix._wrap(y))
+    return x, space.project(HermitianMatrix(y))
 
 
 def run() -> dict:

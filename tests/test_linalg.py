@@ -1,16 +1,22 @@
 import numpy as np
 import pytest
 
-from spdmeans import linalg
+from spdmeans import linalg, sampling
+from spdmeans.means import _MeanPair
+from spdmeans.realizations import REALIZATIONS
 from spdmeans import (
     ComplexMatrix,
     DomainError,
     HermitianMatrix,
     NoConvergence,
+    OrbitProblem,
+    ParamOutOfRange,
     SingularInput,
     SpdMatrix,
     UnitaryMatrix,
+    build_target,
     eig_hermitian,
+    loewner_leq,
     mat_exp,
     mat_log,
     mat_pow,
@@ -18,8 +24,12 @@ from spdmeans import (
     polar,
     random_hermitian,
     random_invertible,
+    random_real_symmetric_traceless,
     random_spd,
+    scan_chain,
+    solve,
     spectrum,
+    verify_membership,
 )
 
 
@@ -373,3 +383,89 @@ class TestSpectrum:
         m = random_invertible(5, 3)
         with pytest.raises(NoConvergence):
             spectrum(m)
+
+
+def _wrap_producers() -> dict:
+    """Every producer in the package that wraps an array with ``_wrap``, by
+    name; each call runs the producer once on small inputs."""
+    a, b = random_spd(4, 301), random_spd(4, 302)
+    x, y = random_hermitian(4, 303), random_hermitian(4, 304)
+    near = rand_hermitian_array(4, 305)
+    near[0, 1] += 1e-13
+
+    def membership():
+        prob = OrbitProblem.create(random_hermitian(3, 306), random_hermitian(3, 307),
+                                   "exp_product")
+        assert verify_membership(solve(prob, seed=1), prob)
+
+    return {
+        "random_spd": lambda: random_spd(4, 308),
+        "random_hermitian": lambda: random_hermitian(4, 309),
+        "random_real_symmetric_traceless": lambda: random_real_symmetric_traceless(4, 310),
+        "mat_exp": lambda: mat_exp(x),
+        "mat_log": lambda: mat_log(a),
+        "mat_pow_spd": lambda: mat_pow(a, 0.3),
+        "mat_pow_hermitian": lambda: mat_pow(x, 3),
+        "sharp": lambda: _MeanPair(a, b).sharp(0.3),
+        "natural": lambda: _MeanPair(a, b).natural(0.3),
+        "cross": lambda: _MeanPair(a, b).cross(),
+        "build_target_exp_product": lambda: build_target(x, y, "exp_product"),
+        "build_target_geometric": lambda: build_target(x, y, "geometric"),
+        "build_target_spectral": lambda: build_target(x, y, "spectral"),
+        "slr_project": lambda: REALIZATIONS["slr"].project(HermitianMatrix(near)),
+        "loewner_leq": lambda: loewner_leq(a, b),
+        "scan_chain": lambda: scan_chain(x, y, [0.5]),
+        "spectrum_near_hermitian": lambda: spectrum(ComplexMatrix(near)),
+        "verify_membership": membership,
+    }
+
+
+class TestWrapPrecondition:
+    """``HermitianMatrix._wrap`` wraps its array as it is, so every array a
+    producer hands it must already be exactly Hermitian, entry for entry."""
+
+    @pytest.mark.parametrize("name", list(_wrap_producers()))
+    def test_wrapped_arrays_are_exactly_hermitian(self, name, monkeypatch):
+        call = _wrap_producers()[name]
+        wrapped = []
+        wrap = HermitianMatrix._wrap.__func__
+
+        def spy(cls, arr):
+            wrapped.append(arr)
+            return wrap(cls, arr)
+
+        monkeypatch.setattr(HermitianMatrix, "_wrap", classmethod(spy))
+        call()
+        assert wrapped
+        for arr in wrapped:
+            assert np.array_equal(arr, arr.conj().T)
+            assert not arr.flags.writeable
+
+    def test_wrap_keeps_the_array(self):
+        arr = rand_hermitian_array(3, 311)
+        m = HermitianMatrix._wrap(arr)
+        assert m.mat is arr and m._eig is None
+        assert not arr.flags.writeable
+
+
+class TestSamplerParams:
+    """Every sampler rejects a dimension below 1, and the Hermitian samplers
+    a spread or scale that is not positive."""
+
+    @pytest.mark.parametrize("name", [
+        "random_unitary", "random_orthogonal", "random_spd", "random_hermitian",
+        "random_real_symmetric_traceless", "random_invertible",
+    ])
+    def test_dimension_zero(self, name):
+        with pytest.raises(ParamOutOfRange, match="dimension"):
+            getattr(sampling, name)(0, 1)
+
+    @pytest.mark.parametrize("value", [0.0, np.nan])
+    @pytest.mark.parametrize("name, param", [
+        ("random_spd", "spread"),
+        ("random_hermitian", "scale"),
+        ("random_real_symmetric_traceless", "scale"),
+    ])
+    def test_spread_and_scale_must_be_positive(self, name, param, value):
+        with pytest.raises(ParamOutOfRange, match=param):
+            getattr(sampling, name)(3, 1, value)
