@@ -54,6 +54,7 @@ from .majorization import (
     check_compound_mean_identities,
     compound,
     compound_spd,
+    log_majorization_margins,
     log_majorization_report,
     log_majorizes,
     majorization_report,

@@ -11,7 +11,8 @@ both tend to e^{X+Y} as r -> 0, and their traces sandwich tr e^{X+Y}.
 ``phi``, ``psi``, ``golden_thompson_refinement`` and
 ``refinement_from_scan`` read from a scan;
 ``evaluate_chain`` turns a scan into pass/fail margins, one per predicate
-family and grid point.
+family and grid point, its log-majorization margins from one stacked
+reduction.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .linalg import (
     mat_exp,
     require_positive,
 )
-from .majorization import default_tol, log_majorization_report
+from .majorization import default_tol, log_majorization_margins
 from .means import _MeanPair
 
 DEFAULT_R_GRID = tuple(2.0 ** k for k in range(-6, 4))
@@ -121,10 +122,9 @@ def scan_chain(
     # As mat_pow does, check positivity only where 2/r is not an integer.
     frac = expo % 1.0 != 0.0
     require_positive(vals[:, frac], "matrix is numerically not positive definite")
-    phi_mats, psi_mats = (
-        [SpdMatrix._from_eig(qi, vi) for qi, vi in zip(q[k], _pow(vals[k], expo[:, None]))]
-        for k in (0, 1)
-    )
+    n, m = x.n, len(grid)
+    mats = SpdMatrix._from_eigs(q.reshape(-1, n, n), _pow(vals, expo[:, None]).reshape(-1, n))
+    phi_mats, psi_mats = mats[:m], mats[m:]
     exp_sum = mat_exp(HermitianMatrix._wrap(x.mat + y.mat))
     tr_exp = float(np.trace(exp_sum.mat).real)
     traces = [
@@ -171,7 +171,9 @@ def evaluate_chain(scan: ChainScan, spectra: tuple | None = None) -> ChainReport
 
     Chain predicates are exact theorems, so a log-majorization check passes
     within the roundoff band (``ROUNDOFF_BAND`` times its tolerance); a
-    monotonicity check carries the larger r of its grid step.
+    monotonicity check carries the larger r of its grid step.  All 4R - 2
+    log-majorization checks of an R-point grid come from one
+    ``log_majorization_margins`` reduction.
 
     ``spectra`` optionally overrides (phi_spectra, psi_spectra,
     exp_sum_spectrum) so an alternative comparator path (e.g. eigenvalue
@@ -185,19 +187,21 @@ def evaluate_chain(scan: ChainScan, spectra: tuple | None = None) -> ChainReport
         )
     else:
         phis, psis, mid = spectra
-    checks = []
-
-    def add(name: str, r: float, lower, upper) -> None:
-        rep = log_majorization_report(lower, upper)
-        checks.append(ChainCheck(name, r, rep.worst_margin, ROUNDOFF_BAND * rep.tol))
-
+    # One row per log-majorization check, in report order: per r phi below
+    # and psi above e^{X+Y}, then phi decreasing, then psi increasing.
+    rows = []
     for r, lam_phi, lam_psi in zip(scan.r_grid, phis, psis):
-        add("phi_below_exp_sum", r, lam_phi, mid)
-        add("psi_above_exp_sum", r, mid, lam_psi)
-    for r, prev, cur in zip(scan.r_grid[1:], phis, phis[1:]):
-        add("phi_decreasing", r, cur, prev)
-    for r, prev, cur in zip(scan.r_grid[1:], psis, psis[1:]):
-        add("psi_increasing", r, prev, cur)
+        rows.append(("phi_below_exp_sum", r, lam_phi, mid))
+        rows.append(("psi_above_exp_sum", r, mid, lam_psi))
+    steps = scan.r_grid[1:]
+    rows += [("phi_decreasing", r, cur, prev) for r, prev, cur in zip(steps, phis, phis[1:])]
+    rows += [("psi_increasing", r, prev, cur) for r, prev, cur in zip(steps, psis, psis[1:])]
+    names, rs, lower, upper = zip(*rows)
+    worst, tol = log_majorization_margins(np.array(lower), np.array(upper))
+    checks = [
+        ChainCheck(name, r, margin, ROUNDOFF_BAND * slack)
+        for name, r, margin, slack in zip(names, rs, worst.tolist(), tol.tolist())
+    ]
 
     # Trace chain: tr phi(r) <= tr e^{X+Y} <= tr psi(r), monotone in r.
     trace_tol = default_tol(np.array([t for row in scan.traces for t in row]))

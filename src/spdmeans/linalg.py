@@ -138,10 +138,19 @@ class SpdMatrix(HermitianMatrix):
     @classmethod
     def _from_eig(cls, q: np.ndarray, vals: np.ndarray) -> "SpdMatrix":
         """Internal: assemble Q diag(vals) Q* and seed the eigen cache."""
-        obj = cls._wrap(_assemble(q, vals))
-        order = np.argsort(-vals, kind="stable")
-        _cache_eig(obj, vals[order], np.ascontiguousarray(q[:, order]))
-        return obj
+        return cls._from_eigs(q[None], vals[None])[0]
+
+    @classmethod
+    def _from_eigs(cls, q: np.ndarray, vals: np.ndarray) -> list:
+        """Internal: ``_from_eig`` for each matrix of a stack, q (m, n, n)
+        and vals (m, n), with one assembly of the whole stack."""
+        out = []
+        for mat, qi, vi in zip(_assemble(q, vals), q, vals):
+            obj = cls._wrap(mat)
+            order = np.argsort(-vi, kind="stable")
+            _cache_eig(obj, vi[order], np.ascontiguousarray(qi[:, order]))
+            out.append(obj)
+        return out
 
 
 class UnitaryMatrix(ComplexMatrix):

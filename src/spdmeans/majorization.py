@@ -6,6 +6,11 @@ of sorted vectors may fall short by at most ``default_tol``, and the totals must
 agree within the same slack.  Products spanning many orders of magnitude
 make naive relative comparison of partial products useless, which is why
 ``log_majorizes`` works on logarithms throughout.
+
+``log_majorization_margins`` is the stacked kernel: it compares every row
+of two stacks ``(..., n)`` in one reduction and returns each row's worst
+margin and slack.  ``majorization_report`` and ``log_majorization_report``
+are its one-row views, with the margins in full.
 """
 
 from __future__ import annotations
@@ -24,10 +29,52 @@ from .means import _MeanPair, rel_residual
 COMPOUND_TOL = 1e-10
 
 
+def _slack(peak):
+    """1e-9 * (1 + peak), for operands whose largest absolute entry is peak."""
+    return 1e-9 * (1.0 + peak)
+
+
 def default_tol(*vectors) -> float:
     """Additive slack 1e-9 * (1 + max absolute entry over all operands)."""
-    peak = max((float(np.abs(v).max()) for v in vectors if len(v)), default=0.0)
-    return 1e-9 * (1.0 + peak)
+    return _slack(max((float(np.abs(v).max()) for v in vectors if len(v)), default=0.0))
+
+
+def _margins(x: np.ndarray, y: np.ndarray) -> tuple:
+    """Partial-sum margins sum_k y - sum_k x (k = 1..n-1), total gap
+    |sum x - sum y| and slack ``default_tol(x_i, y_i)`` of x_i < y_i, for
+    every row of two float stacks (..., n): the one margin arithmetic."""
+    cx = np.cumsum(np.sort(x)[..., ::-1], axis=-1)
+    cy = np.cumsum(np.sort(y)[..., ::-1], axis=-1)
+    peak = np.maximum(np.abs(x).max(axis=-1), np.abs(y).max(axis=-1))
+    return (cy - cx)[..., :-1], np.abs(cx[..., -1] - cy[..., -1]), _slack(peak)
+
+
+def _worst(partial: np.ndarray, total_gap, tol):
+    """Most negative slack of each row: its least partial margin (none when
+    n = 1) against tol - total_gap."""
+    spare = tol - total_gap
+    if partial.shape[-1]:
+        return np.minimum(partial.min(axis=-1), spare)
+    return np.minimum(0.0, spare)
+
+
+def _pair(x, y, ndim: int | None = None) -> tuple:
+    """x and y as float arrays; LengthMismatch unless their shapes agree,
+    with nonempty rows (and ``ndim`` axes when given)."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.shape != y.shape or x.ndim < 1 or ndim not in (None, x.ndim):
+        raise LengthMismatch(f"vector shapes differ: {x.shape} vs {y.shape}")
+    if x.shape[-1] == 0:
+        raise LengthMismatch("vectors must be nonempty")
+    return x, y
+
+
+def _logs(x: np.ndarray, y: np.ndarray) -> tuple:
+    """log x and log y; NonPositiveEntry for any entry <= 0."""
+    if np.any(x <= 0.0) or np.any(y <= 0.0):
+        raise NonPositiveEntry("log-majorization needs strictly positive entries")
+    return np.log(x), np.log(y)
 
 
 @dataclass
@@ -41,8 +88,7 @@ class MajorizationReport:
     @property
     def worst_margin(self) -> float:
         """Most negative slack across all the defining inequalities."""
-        parts = float(self.partial_margins.min()) if len(self.partial_margins) else 0.0
-        return min(parts, self.tol - self.total_gap)
+        return float(_worst(self.partial_margins, self.total_gap, self.tol))
 
     @property
     def holds(self) -> bool:
@@ -53,19 +99,8 @@ class MajorizationReport:
 
 def majorization_report(x, y) -> MajorizationReport:
     """Partial-sum margins for x < y (x majorized by y), slack ``default_tol``."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape or x.ndim != 1:
-        raise LengthMismatch(f"vector shapes differ: {x.shape} vs {y.shape}")
-    xs = np.sort(x)[::-1]
-    ys = np.sort(y)[::-1]
-    cx = np.cumsum(xs)
-    cy = np.cumsum(ys)
-    return MajorizationReport(
-        partial_margins=(cy - cx)[:-1].copy(),
-        total_gap=abs(float(cx[-1] - cy[-1])),
-        tol=default_tol(x, y),
-    )
+    partial, total_gap, tol = _margins(*_pair(x, y, 1))
+    return MajorizationReport(partial, float(total_gap), float(tol))
 
 
 def majorizes(x, y) -> bool:
@@ -75,13 +110,20 @@ def majorizes(x, y) -> bool:
 
 def log_majorization_report(x, y) -> MajorizationReport:
     """Margins of x <_log y, computed as log x < log y."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape or x.ndim != 1:
-        raise LengthMismatch(f"vector shapes differ: {x.shape} vs {y.shape}")
-    if np.any(x <= 0.0) or np.any(y <= 0.0):
-        raise NonPositiveEntry("log-majorization needs strictly positive entries")
-    return majorization_report(np.log(x), np.log(y))
+    return majorization_report(*_logs(*_pair(x, y, 1)))
+
+
+def log_majorization_margins(x, y) -> tuple:
+    """Worst margin and slack of x_i <_log y_i for every row of two stacks
+    of positive vectors, shape (..., n), in one reduction.
+
+    Returns two arrays of shape (...); row i's numbers are bit for bit
+    ``log_majorization_report(x_i, y_i).worst_margin`` and ``.tol``.
+    LengthMismatch when the shapes differ, NonPositiveEntry when any entry
+    is <= 0.
+    """
+    partial, total_gap, tol = _margins(*_logs(*_pair(x, y)))
+    return _worst(partial, total_gap, tol), tol
 
 
 def log_majorizes(x, y) -> bool:

@@ -20,7 +20,7 @@ from . import sampling
 from .gtchain import evaluate_chain, scan_chain
 from .kostant import group_chain_report
 from .linalg import UNITARY_TOL, HermitianMatrix, mat_exp
-from .majorization import log_majorization_report
+from .majorization import log_majorization_margins
 from .means import _MeanPair, mean_identity_suite, spd_det
 
 # |det - 1| bound of the exponentials of traceless inputs.
@@ -110,7 +110,7 @@ def run_suites_on_realization(
             det_err = max(abs(spd_det(a) - 1.0), abs(spd_det(b) - 1.0))
             add("unit_determinant", det_err < UNIT_DET_TOL, det_err)
             lam_sharp, lam_nat = _MeanPair(a, b).spectra([0.5])
-            margin = log_majorization_report(lam_sharp[0], lam_nat[0]).worst_margin
+            margin = float(log_majorization_margins(lam_sharp, lam_nat)[0][0])
             add("log_majorization", margin >= -LOGMAJ_MARGIN_TOL, margin)
 
             x = slr.sample(n, base + 1, 0.5)

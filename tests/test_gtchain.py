@@ -5,23 +5,27 @@ from spdmeans import (
     DEFAULT_R_GRID,
     DomainError,
     HermitianMatrix,
+    NonPositiveEntry,
     ParamOutOfRange,
     SpdMatrix,
     eig_hermitian,
     evaluate_chain,
     geometric_mean,
     golden_thompson_refinement,
+    hyperbolic_spectrum,
+    log_majorization_report,
     mat_exp,
     mat_pow,
     phi,
     psi,
     random_hermitian,
+    random_real_symmetric_traceless,
     scan_chain,
     spectral_mean,
     trotter_distances,
 )
-from spdmeans import gtchain, suites
-from spdmeans.gtchain import refinement_from_scan
+from spdmeans import gtchain, kostant, majorization, realizations, suites
+from spdmeans.gtchain import ROUNDOFF_BAND, refinement_from_scan
 
 
 def diag_h(*vals):
@@ -212,3 +216,83 @@ class TestGoldenThompsonRefinement:
         monkeypatch.setattr(gtchain, "scan_chain", counted)
         assert suites.suite_chain(trials=3, seed=1).passed
         assert len(calls) == 3
+
+
+def _row_by_row_checks(scan, spectra=None):
+    """The log-majorization checks of ``evaluate_chain``, one
+    ``log_majorization_report`` per check, in report order."""
+    if spectra is None:
+        spectra = (scan.phi_spectra, scan.psi_spectra, scan.exp_sum_spectrum)
+    phis, psis, mid = spectra
+    rows = []
+    for r, lam_phi, lam_psi in zip(scan.r_grid, phis, psis):
+        rows.append(("phi_below_exp_sum", r, lam_phi, mid))
+        rows.append(("psi_above_exp_sum", r, mid, lam_psi))
+    for r, prev, cur in zip(scan.r_grid[1:], phis, phis[1:]):
+        rows.append(("phi_decreasing", r, cur, prev))
+    for r, prev, cur in zip(scan.r_grid[1:], psis, psis[1:]):
+        rows.append(("psi_increasing", r, prev, cur))
+    out = []
+    for name, r, lower, upper in rows:
+        rep = log_majorization_report(lower, upper)
+        out.append((name, r, rep.worst_margin, ROUNDOFF_BAND * rep.tol))
+    return out
+
+
+def _chain_pair(realization, n, seed):
+    sample = {"glc": random_hermitian, "slr": random_real_symmetric_traceless}[realization]
+    return sample(n, seed, 0.5), sample(n, seed + 1, 0.5)
+
+
+class TestEvaluateChainStacked:
+    """evaluate_chain's one reduction against a row-by-row reference."""
+
+    @pytest.mark.parametrize("grid", [DEFAULT_R_GRID, (0.5,)], ids=["default", "one-point"])
+    @pytest.mark.parametrize("n", [1, 2, 5, 8])
+    @pytest.mark.parametrize("realization", ["glc", "slr"])
+    def test_checks_match_row_by_row(self, realization, n, grid):
+        x, y = _chain_pair(realization, n, 7300 + 10 * n)
+        scan = scan_chain(x, y, grid)
+        moduli = (
+            [hyperbolic_spectrum(m) for m in scan.phi_mats],
+            [hyperbolic_spectrum(m) for m in scan.psi_mats],
+            hyperbolic_spectrum(scan.exp_sum),
+        )
+        for spectra in (None, moduli):
+            ref = _row_by_row_checks(scan, spectra)
+            assert len(ref) == 4 * len(grid) - 2
+            checks = evaluate_chain(scan, spectra=spectra).checks
+            got = [(c.name, c.r, c.margin, c.tol) for c in checks[: len(ref)]]
+            assert got == ref
+            assert all(c.name.startswith("trace_") for c in checks[len(ref):])
+
+    def test_zero_modulus_override_raises(self):
+        x, y = _chain_pair("glc", 3, 7400)
+        scan = scan_chain(x, y)
+        phis = [lam.copy() for lam in scan.phi_spectra]
+        phis[4][-1] = 0.0
+        with pytest.raises(NonPositiveEntry):
+            evaluate_chain(scan, spectra=(phis, scan.psi_spectra, scan.exp_sum_spectrum))
+
+    def test_chain_and_t_grid_compare_in_one_reduction(self, monkeypatch):
+        # No per-row log_majorization_report call on the chain or the
+        # log-majorization suite: the kernel runs once per comparator per
+        # scan, and once per trial of the t grid.
+        row_calls, kernel_calls = [], []
+        report, kernel = majorization.log_majorization_report, majorization.log_majorization_margins
+
+        def row_spy(*args, **kwargs):
+            row_calls.append(1)
+            return report(*args, **kwargs)
+
+        def kernel_spy(*args, **kwargs):
+            kernel_calls.append(1)
+            return kernel(*args, **kwargs)
+
+        for module in (majorization, gtchain, kostant, suites, realizations):
+            monkeypatch.setattr(module, "log_majorization_report", row_spy, raising=False)
+            monkeypatch.setattr(module, "log_majorization_margins", kernel_spy, raising=False)
+        assert suites.suite_chain(trials=2, seed=3).passed
+        assert (len(row_calls), len(kernel_calls)) == (0, 4)
+        assert suites.suite_log_majorization(trials=2, seed=3).passed
+        assert (len(row_calls), len(kernel_calls)) == (0, 6)

@@ -14,6 +14,7 @@ from spdmeans import (
     compound,
     compound_spd,
     eig_hermitian,
+    log_majorization_margins,
     log_majorization_report,
     log_majorizes,
     majorization_report,
@@ -115,6 +116,81 @@ class TestLogMajorizes:
 
             svals = np.sqrt(eig_hermitian(HermitianMatrix(gram)).values)
             assert log_majorizes(np.sort(moduli)[::-1], svals)
+
+
+def _row_reports(x, y):
+    """(worst margin, tol) of log_majorization_report on each row pair."""
+    n = x.shape[-1]
+    reps = [log_majorization_report(a, b) for a, b in zip(x.reshape(-1, n), y.reshape(-1, n))]
+    return [rep.worst_margin for rep in reps], [rep.tol for rep in reps]
+
+
+class TestLogMajorizationMargins:
+    """The stacked kernel against the one-row report, compared with ==."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16, 32])
+    def test_random_stacks_match_rows_exactly(self, n):
+        rng = np.random.default_rng(100 + n)
+        x = np.exp(rng.normal(scale=3.0, size=(40, n)))
+        # Half the rows with equal products (y is x reversed, times factors
+        # of product one), so their total gap is roundoff; half arbitrary.
+        y = np.exp(rng.normal(scale=3.0, size=(40, n)))
+        y[:20] = x[:20, ::-1] * np.exp(np.linspace(1.0, -1.0, n))
+        worst, tol = log_majorization_margins(x, y)
+        ref_worst, ref_tol = _row_reports(x, y)
+        assert worst.shape == tol.shape == (40,)
+        assert worst.tolist() == ref_worst
+        assert tol.tolist() == ref_tol
+
+    def test_tied_and_equal_rows(self):
+        rng = np.random.default_rng(7)
+        x = rng.integers(1, 4, size=(30, 6)).astype(float)
+        y = rng.integers(1, 4, size=(30, 6)).astype(float)
+        y[::3] = x[::3]
+        worst, tol = log_majorization_margins(x, y)
+        ref_worst, ref_tol = _row_reports(x, y)
+        assert worst.tolist() == ref_worst and tol.tolist() == ref_tol
+        assert (worst[::3] == 0.0).all()
+
+    def test_one_row_and_higher_stacks(self):
+        rng = np.random.default_rng(8)
+        x = np.exp(rng.normal(size=(3, 4, 5)))
+        y = np.exp(rng.normal(size=(3, 4, 5)))
+        worst, tol = log_majorization_margins(x, y)
+        ref_worst, ref_tol = _row_reports(x, y)
+        assert worst.shape == (3, 4)
+        assert worst.ravel().tolist() == ref_worst and tol.ravel().tolist() == ref_tol
+        worst1, tol1 = log_majorization_margins(x[0, 0], y[0, 0])
+        assert worst1.shape == tol1.shape == ()
+        assert float(worst1) == ref_worst[0] and float(tol1) == ref_tol[0]
+
+    def test_single_entry_rows_have_no_partial_sums(self):
+        x = np.array([[2.0], [3.0], [1.0]])
+        y = np.array([[2.0], [1.0], [1.0 + 1e-12]])
+        worst, tol = log_majorization_margins(x, y)
+        ref_worst, ref_tol = _row_reports(x, y)
+        assert worst.tolist() == ref_worst and tol.tolist() == ref_tol
+        assert worst[0] == 0.0 and worst[1] < 0.0
+
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_one_zero_entry_in_a_large_stack_raises(self, side):
+        rng = np.random.default_rng(9)
+        pair = [np.exp(rng.normal(size=(500, 16))) for _ in range(2)]
+        pair[side][317, 11] = 0.0
+        with pytest.raises(NonPositiveEntry):
+            log_majorization_margins(*pair)
+
+    @pytest.mark.parametrize("xs,ys", [
+        ((5, 4), (5, 3)), ((5, 4), (4, 4)), ((4,), (1, 4)), ((), ()), ((3, 0), (3, 0)),
+    ])
+    def test_shape_mismatch_raises(self, xs, ys):
+        with pytest.raises(LengthMismatch):
+            log_majorization_margins(np.ones(xs), np.ones(ys))
+
+    @pytest.mark.parametrize("report", [majorization_report, log_majorization_report])
+    def test_empty_vectors_raise(self, report):
+        with pytest.raises(LengthMismatch, match="nonempty"):
+            report([], [])
 
 
 class TestCompound:
