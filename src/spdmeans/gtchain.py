@@ -21,16 +21,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError, ParamOutOfRange
+from .errors import DimensionMismatch, ParamOutOfRange
 from .linalg import (
     HermitianMatrix,
     SpdMatrix,
+    _INDEFINITE,
     _assemble,
     _pow,
     eig_hermitian,
     eigh_stack,
     mat_exp,
-    require_positive,
+    require_exp_range,
+    require_spd_range,
 )
 from .majorization import default_tol, log_majorization_margins
 from .means import _MeanPair
@@ -104,13 +106,8 @@ def scan_chain(
     # In exact arithmetic every exponential, product, power and e^{X+Y} of
     # the scan is bounded by e^{max(1, r) (max |lambda(X)| + max |lambda(Y)|)}.
     bound = np.maximum(1.0, r) * (np.abs(eig_x.values).max() + np.abs(eig_y.values).max())
-    over = bound >= np.log(np.finfo(float).max)
-    if over.any():
-        k = int(np.argmax(over))
-        raise DomainError(
-            f"the scan overflows at r = {grid[k]:g}: max(1, r) (max |eig X| + "
-            f"max |eig Y|) = {bound[k]:.4g} is not below log(float max)"
-        )
+    require_exp_range(bound, lambda k: f"the scan overflows at r = {grid[k]:g}: max(1, r) "
+                      "(max |eig X| + max |eig Y|)")
     exp_x = np.exp(r[:, None] * eig_x.values)
     exp_y = np.exp(r[:, None] * eig_y.values)
     pair = _MeanPair(_assemble(eig_x.vectors, exp_x), _assemble(eig_y.vectors, exp_y))
@@ -121,7 +118,7 @@ def scan_chain(
     expo = 2.0 / r
     # As mat_pow does, check positivity only where 2/r is not an integer.
     frac = expo % 1.0 != 0.0
-    require_positive(vals[:, frac], "matrix is numerically not positive definite")
+    require_spd_range(vals[:, frac], _INDEFINITE, ratio=0.0)
     n, m = x.n, len(grid)
     mats = SpdMatrix._from_eigs(q.reshape(-1, n, n), _pow(vals, expo[:, None]).reshape(-1, n))
     phi_mats, psi_mats = mats[:m], mats[m:]

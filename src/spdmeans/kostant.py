@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, SingularInput
 from .gtchain import ChainReport, ChainScan, evaluate_chain
-from .linalg import ComplexMatrix, SPD_TOL, spectrum
+from .linalg import ComplexMatrix, require_spd_range, spectrum
 from .majorization import MajorizationReport, log_majorization_report
 
 
@@ -25,8 +25,8 @@ def hyperbolic_spectrum(g: ComplexMatrix) -> np.ndarray:
     materialized.
     """
     moduli = np.abs(spectrum(g))
-    if moduli[0] <= 0.0 or moduli[-1] <= SPD_TOL * moduli[0]:
-        raise SingularInput("hyperbolic spectrum requires an invertible input")
+    what = "hyperbolic spectrum requires an invertible input: eigenvalue moduli in"
+    require_spd_range(moduli, what, SingularInput)
     return moduli
 
 

@@ -7,6 +7,11 @@ module builds on.  The decompositions are LAPACK's (``eigh``, ``eigvals``,
 identical inputs give identical outputs run to run.  Every spectral
 function Q diag(f(lambda)) Q* of the package is assembled here, by
 ``_assemble``, from an ``EigenPair`` or an ``eigh_stack`` result.
+
+Each range check of the package is one function here, called with the
+caller's message and error class: ``require_spd_range`` (condition number
+below 1e12, or at ratio 0 positive eigenvalues), ``require_exp_range``
+(exponents below log(float max / 2)), ``unitarity_error`` and ``hermitian_error``.
 """
 
 from __future__ import annotations
@@ -20,6 +25,8 @@ from .errors import DomainError, NoConvergence, SingularInput
 HERMITIAN_TOL = 1e-10
 SPD_TOL = 1e-12
 UNITARY_TOL = 1e-10
+_EXP_LIMIT = float(np.log(np.finfo(float).max / 2.0))
+_INDEFINITE = "matrix is numerically not positive definite: computed eigenvalues in"
 
 
 def _ct(arr: np.ndarray) -> np.ndarray:
@@ -62,6 +69,50 @@ def _as_square_complex(mat) -> np.ndarray:
     return arr
 
 
+def require_spd_range(vals, what: str, error=DomainError, ratio: float = SPD_TOL) -> None:
+    """Raise ``error``, with the message ``what`` and the first failing set's
+    range, unless each set of descending values in ``vals`` (shape (..., n))
+    has vals[-1] > ratio * vals[0]: at SPD_TOL a condition number below 1e12,
+    at ratio 0 a positive smallest value (which the log, root or fractional
+    power of a product wrapped unchecked needs)."""
+    lo, hi = vals[..., -1], vals[..., 0]
+    ok = lo > ratio * hi
+    if not ok.all():
+        k = np.unravel_index(np.argmin(ok), ok.shape)
+        raise error(f"{what} [{lo[k]:.3e}, {hi[k]:.3e}]")
+
+
+def require_exp_range(bound, what) -> None:
+    """DomainError unless each entry of ``bound``, a bound on the |x| of the
+    e^x formed, is below log(float max / 2) = 709.09, so e^x and the sum in
+    (M + M*) / 2 stay finite; the message is ``what`` (``what(k)`` for a
+    first offending entry k of a stack) and the bound."""
+    bound = np.atleast_1d(bound)
+    over = ~(bound < _EXP_LIMIT)
+    if over.any():
+        k = int(np.argmax(over))
+        head = what(k) if callable(what) else what
+        raise DomainError(f"{head} = {bound[k]:.4g} is not below log(float max / 2)")
+
+
+def unitarity_error(arr: np.ndarray):
+    """None if max |U*U - I| <= UNITARY_TOL, else a DomainError."""
+    defect = float(np.abs(_ct(arr) @ arr - np.eye(arr.shape[-1])).max())
+    if defect <= UNITARY_TOL:
+        return None
+    return DomainError(f"matrix is not unitary: ‖U*U − I‖_max = {defect:.3e}")
+
+
+def hermitian_error(arr: np.ndarray):
+    """None if max |M - M*| <= HERMITIAN_TOL * max(1, max |M|), else a DomainError."""
+    scale = max(1.0, float(np.abs(arr).max()))
+    defect = float(np.abs(arr - arr.conj().T).max())
+    if defect <= HERMITIAN_TOL * scale:
+        return None
+    msg = f"asymmetry {defect:.3e} exceeds {HERMITIAN_TOL:.0e} * {scale:.3e}"
+    return DomainError(f"matrix is not Hermitian: {msg}")
+
+
 class ComplexMatrix:
     """Square complex matrix with finite entries."""
 
@@ -91,13 +142,8 @@ class HermitianMatrix(ComplexMatrix):
 
     def __init__(self, mat):
         arr = _as_square_complex(mat)
-        scale = max(1.0, float(np.abs(arr).max()))
-        defect = float(np.abs(arr - arr.conj().T).max())
-        if defect > HERMITIAN_TOL * scale:
-            raise DomainError(
-                f"matrix is not Hermitian: asymmetry {defect:.3e} exceeds "
-                f"{HERMITIAN_TOL:.0e} * {scale:.3e}"
-            )
+        if (err := hermitian_error(arr)) is not None:
+            raise err
         sym = _herm(arr)
         sym.setflags(write=False)
         self.mat = sym
@@ -119,21 +165,16 @@ class SpdMatrix(HermitianMatrix):
     """Hermitian positive definite matrix.
 
     The constructor runs a full eigendecomposition to enforce
-    ``lambda_min > SPD_TOL * lambda_max``; the decomposition is cached on the
-    instance so later matrix functions reuse it.
+    ``require_spd_range`` (condition number below 1e12); the decomposition
+    is cached on the instance so later matrix functions reuse it.
     """
 
     __slots__ = ()
 
     def __init__(self, mat):
         super().__init__(mat)
-        pair = eig_hermitian(self)
-        lo, hi = pair.values[-1], pair.values[0]
-        if not (lo > SPD_TOL * hi):
-            raise DomainError(
-                f"matrix is not positive definite: eigenvalue range "
-                f"[{lo:.3e}, {hi:.3e}]"
-            )
+        what = "matrix is not positive definite: eigenvalue range"
+        require_spd_range(eig_hermitian(self).values, what)
 
     @classmethod
     def _from_eig(cls, q: np.ndarray, vals: np.ndarray) -> "SpdMatrix":
@@ -159,15 +200,9 @@ class UnitaryMatrix(ComplexMatrix):
     __slots__ = ()
 
     def __init__(self, mat):
-        arr = _as_square_complex(mat).copy()
-        n = arr.shape[0]
-        defect = float(np.abs(arr.conj().T @ arr - np.eye(n)).max())
-        if defect > UNITARY_TOL:
-            raise DomainError(
-                f"matrix is not unitary: ‖U*U − I‖_max = {defect:.3e}"
-            )
-        arr.setflags(write=False)
-        self.mat = arr
+        super().__init__(mat)
+        if (err := unitarity_error(self.mat)) is not None:
+            raise err
 
 
 class EigenPair(NamedTuple):
@@ -260,35 +295,14 @@ def _cache_eig(m: HermitianMatrix, vals: np.ndarray, qs: np.ndarray) -> EigenPai
     return m._eig
 
 
-def require_positive(vals: np.ndarray, what: str) -> None:
-    """Raise ``DomainError`` unless every set of descending eigenvalues in
-    ``vals`` (shape ``(..., n)``) has a positive smallest member.
-
-    A product of positive definite factors wrapped unchecked (``_wrap``)
-    can come out numerically indefinite; its log, root or fractional power
-    would then be NaN.
-    """
-    low = vals[..., -1]
-    if not (low > 0.0).all():
-        worst = np.unravel_index(np.argmin(low), low.shape)
-        raise DomainError(
-            f"{what}: computed eigenvalues in "
-            f"[{vals[worst][-1]:.3e}, {vals[worst][0]:.3e}]"
-        )
-
-
 def mat_exp(m: HermitianMatrix, scale: float = 1.0) -> SpdMatrix:
     """exp(scale * M) for Hermitian M; the result is positive definite.
-    ``DomainError`` when some e^{scale lambda} overflows or underflows to 0."""
+    ``DomainError`` unless max |scale lambda| passes ``require_exp_range``."""
     pair = eig_hermitian(m)
-    with np.errstate(over="ignore"):
-        vals = np.exp(scale * pair.values)
-    if not (np.isfinite(vals) & (vals > 0.0)).all():
-        raise DomainError(
-            f"exp(scale * M) leaves the float range: scale = {scale:g}, "
-            f"eigenvalues of M in [{pair.values[-1]:.3e}, {pair.values[0]:.3e}]"
-        )
-    return SpdMatrix._from_eig(pair.vectors, vals)
+    expo = scale * pair.values
+    what = f"exp(scale * M) leaves the float range: scale = {scale:g}, max |scale eig M|"
+    require_exp_range(np.abs(expo).max(), what)
+    return SpdMatrix._from_eig(pair.vectors, np.exp(expo))
 
 
 def mat_log(m: SpdMatrix) -> HermitianMatrix:
@@ -297,7 +311,7 @@ def mat_log(m: SpdMatrix) -> HermitianMatrix:
     if not isinstance(m, SpdMatrix):
         raise DomainError("mat_log requires a positive definite matrix")
     pair = eig_hermitian(m)
-    require_positive(pair.values, "matrix is numerically not positive definite")
+    require_spd_range(pair.values, _INDEFINITE, ratio=0.0)
     return HermitianMatrix._wrap(_assemble(pair.vectors, np.log(pair.values)))
 
 
@@ -316,16 +330,14 @@ def mat_pow(m: HermitianMatrix, t: float) -> HermitianMatrix:
         )
     pair = eig_hermitian(m)
     if not integer:
-        require_positive(pair.values, "matrix is numerically not positive definite")
+        require_spd_range(pair.values, _INDEFINITE, ratio=0.0)
     if isinstance(m, SpdMatrix):
         return SpdMatrix._from_eig(pair.vectors, pair.values ** t)
     return HermitianMatrix._wrap(_assemble(pair.vectors, pair.values ** t))
 
 
 def mat_sqrt(m: SpdMatrix) -> SpdMatrix:
-    """Principal square root of a positive definite matrix."""
-    if not isinstance(m, SpdMatrix):
-        raise DomainError("mat_sqrt requires a positive definite matrix")
+    """Principal square root of a positive definite matrix: ``mat_pow(m, 0.5)``."""
     return mat_pow(m, 0.5)
 
 
@@ -348,8 +360,8 @@ def polar(m: ComplexMatrix, side: str = "left") -> tuple[UnitaryMatrix, SpdMatri
     if side not in ("left", "right"):
         raise DomainError(f"polar side must be 'left' or 'right', got {side!r}")
     w, svals, vh = svd(m.mat)
-    if not svals[-1] > SPD_TOL * svals[0]:
-        raise SingularInput("polar decomposition requires an invertible input")
+    what = "polar decomposition requires an invertible input: singular values in"
+    require_spd_range(svals, what, SingularInput)
     q = w if side == "left" else vh.conj().T
     return UnitaryMatrix(w @ vh), SpdMatrix._from_eig(q, svals)
 
@@ -367,10 +379,7 @@ def spectrum(m: ComplexMatrix) -> np.ndarray:
     everything else goes through LAPACK ``eigvals``.
     """
     a = m.mat
-    scale = max(1.0, float(np.abs(a).max()))
-    if isinstance(m, HermitianMatrix) or float(
-        np.abs(a - a.conj().T).max()
-    ) <= HERMITIAN_TOL * scale:
+    if isinstance(m, HermitianMatrix) or hermitian_error(a) is None:
         herm = m if isinstance(m, HermitianMatrix) else HermitianMatrix._wrap(_herm(a))
         vals = eig_hermitian(herm).values.astype(complex)
         return _sort_by_modulus(vals)

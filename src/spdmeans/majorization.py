@@ -20,7 +20,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import LengthMismatch, NonPositiveEntry, ParamOutOfRange
+from .errors import DomainError, LengthMismatch, NonPositiveEntry, ParamOutOfRange
 from .linalg import ComplexMatrix, SpdMatrix
 from .means import _MeanPair, rel_residual
 
@@ -71,10 +71,13 @@ def _pair(x, y, ndim: int | None = None) -> tuple:
 
 
 def _logs(x: np.ndarray, y: np.ndarray) -> tuple:
-    """log x and log y; NonPositiveEntry for any entry <= 0."""
+    """log x and log y; NonPositiveEntry for an entry <= 0, DomainError for inf or NaN."""
     if np.any(x <= 0.0) or np.any(y <= 0.0):
         raise NonPositiveEntry("log-majorization needs strictly positive entries")
-    return np.log(x), np.log(y)
+    lx, ly = np.log(x), np.log(y)
+    if not (np.isfinite(lx).all() and np.isfinite(ly).all()):
+        raise DomainError("log-majorization needs finite entries")
+    return lx, ly
 
 
 @dataclass
@@ -120,7 +123,7 @@ def log_majorization_margins(x, y) -> tuple:
     Returns two arrays of shape (...); row i's numbers are bit for bit
     ``log_majorization_report(x_i, y_i).worst_margin`` and ``.tol``.
     LengthMismatch when the shapes differ, NonPositiveEntry when any entry
-    is <= 0.
+    is <= 0, DomainError when one is infinite or NaN.
     """
     partial, total_gap, tol = _margins(*_logs(*_pair(x, y)))
     return _worst(partial, total_gap, tol), tol

@@ -47,7 +47,7 @@ from .linalg import (
     eig_hermitian,
     eigh_stack,
     polar,
-    require_positive,
+    require_spd_range,
 )
 
 IDENTITY_TOL = 1e-10
@@ -113,11 +113,9 @@ def _positive_product(arr: np.ndarray) -> tuple:
     """
     sym = _herm(arr)
     vals, q = eigh_stack(sym)
-    require_positive(
-        vals,
-        "the pair is too ill-conditioned for its means "
-        "(a product of the pair is numerically indefinite)",
-    )
+    what = ("the pair is too ill-conditioned for its means (a product of the pair is "
+            "numerically indefinite): computed eigenvalues in")
+    require_spd_range(vals, what, ratio=0.0)
     return sym, vals, q
 
 
@@ -391,12 +389,7 @@ class _IdentityContext:
         Triples with r + s > 1 or r >= 1 are skipped (the reparameterization
         laws are not defined there); every other triple is validated.
         """
-        rs = [
-            (r, s)
-            for r in r_values
-            for s in s_values
-            if r + s <= 1.0 + 1e-15 and r < 1.0
-        ]
+        rs = [(r, s) for r in r_values for s in s_values if _rs_defined(r, s)]
         triples = [(t, r, s) for t in t_values for r, s in rs]
         for triple in triples:
             _check_suite_params(*triple)
@@ -423,17 +416,22 @@ class _IdentityContext:
         ]
 
     def evaluate(self, t: float, r: float, s: float) -> MeanIdentityReport:
-        _check_suite_params(t, r, s)
-        return self.grid((t,), (r,), (s,))[0]
+        reports = self.grid((t,), (r,), (s,))  # validates a triple it keeps
+        if not reports:  # a skipped triple, which _check_suite_params rejects
+            _check_suite_params(t, r, s)
+        return reports[0]
+
+
+def _rs_defined(r: float, s: float) -> bool:
+    """Whether the reparameterization laws hold at (r, s): r + s <= 1, r < 1."""
+    return r + s <= 1.0 + 1e-15 and r < 1.0
 
 
 def _check_suite_params(t: float, r: float, s: float) -> None:
     for name, val in (("t", t), ("r", r), ("s", s)):
         _check_unit(name, val)
-    if r + s > 1.0 + 1e-15:
-        raise ParamOutOfRange(f"need r + s <= 1, got r + s = {r + s}")
-    if r >= 1.0:
-        raise ParamOutOfRange("need r < 1 for the reparameterization laws")
+    if not _rs_defined(r, s):
+        raise ParamOutOfRange(f"need r + s <= 1 and r < 1, got r = {r}, s = {s}")
 
 
 def mean_identity_suite(
@@ -464,7 +462,7 @@ def mean_identity_grid(
     Each law is evaluated once over the grid, as stacked array expressions
     (see ``_IdentityContext``).
 
-    Triples with r + s > 1 or r = 1 are skipped (the reparameterization
+    Triples with r + s > 1 or r >= 1 are skipped (the reparameterization
     laws are not defined there).
     """
     return _IdentityContext(a, b).grid(t_values, r_values, s_values)

@@ -7,9 +7,8 @@ Given Hermitian X and Y, find unitaries U, V with
 where Z is the principal logarithm of e^{X/2} e^Y e^{X/2}, of
 e^{2X} # e^{2Y}, or of e^{2X} @ e^{2Y}.  ``build_target`` writes each of
 these as a Gram product H H* of a square-root factor H and takes Z from the
-SVD of H, so Z's eigenvalues come from singular values; it accepts pairs
-whose Z has an eigenvalue spread below log(1 / SPD_TOL) = 27.6 and raises
-DomainError beyond.  A zero-residual pair always exists,
+SVD of H, so Z's eigenvalues come from singular values; its range is in
+its docstring.  A zero-residual pair always exists,
 and the solver reaches it by monotone descent on the product of two unitary
 groups.  Each iteration takes one damped Gauss-Newton step: the
 minimum-norm Levenberg-Marquardt direction of the linearized residual, from
@@ -33,17 +32,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError, MaxIterReached, ParamOutOfRange
+from .errors import DimensionMismatch, MaxIterReached, ParamOutOfRange
 from .linalg import (
-    SPD_TOL,
-    UNITARY_TOL,
     HermitianMatrix,
     UnitaryMatrix,
     _assemble,
     _herm,
     eig_hermitian,
     eig_hermitian_pair,
+    require_exp_range,
+    require_spd_range,
     svd,
+    unitarity_error,
 )
 from .realizations import REALIZATIONS
 
@@ -55,6 +55,8 @@ MAX_ITER = 5000
 MAX_RESTARTS = 4
 # Spectrum preservation of the conjugations, relative to 1 + max |eigenvalue|.
 MEMBERSHIP_TOL = 1e-10
+# (factor, floor): verify_membership's bound max(factor * residual, floor).
+MEMBERSHIP_RESIDUAL = (10.0, 1e-7)
 
 logger = logging.getLogger(__name__)
 
@@ -71,15 +73,14 @@ def _gram_log(h: np.ndarray, left: np.ndarray) -> HermitianMatrix:
     """log(G H H* G*) = G P diag(2 log sigma) P* G* from the SVD P diag(sigma)
     W* of the factor H, for unitary G = left.
 
-    DomainError unless sigma_min^2 > SPD_TOL * sigma_max^2: the SpdMatrix
-    range, applied to H H*.
+    DomainError unless sigma^2 passes ``require_spd_range``, the SpdMatrix
+    range applied to H H*; an inf Gram eigenvalue fails it.
     """
     p, sig, _ = svd(h)
-    if not sig[-1] ** 2 > SPD_TOL * sig[0] ** 2:
-        raise DomainError(
-            f"target is not positive definite to working precision: Gram "
-            f"eigenvalues in [{sig[-1] ** 2:.3e}, {sig[0] ** 2:.3e}]"
-        )
+    with np.errstate(over="ignore"):
+        gram = sig ** 2
+    require_spd_range(gram, "target is not positive definite to working precision: Gram "
+                      "eigenvalues in")
     return HermitianMatrix._wrap(_assemble(left @ p, 2.0 * np.log(sig)))
 
 
@@ -110,11 +111,13 @@ def build_target(x: HermitianMatrix, y: HermitianMatrix, kind: str) -> Hermitian
     no product of two exponentials is formed and an entry's rounding error
     stays relative to that entry.
 
-    Range: DomainError ('not positive definite') unless the singular
-    values of the last factor satisfy sigma_min^2 > SPD_TOL * sigma_max^2,
-    the SpdMatrix range applied to the matrix whose log is Z: the spread
-    of Z's eigenvalues must be below log(1 / SPD_TOL) = 27.6.  Each SVD
-    that fails raises NoConvergence.
+    Range: every exponential, factor entry and singular value above lies in
+    [e^{-b}, e^b] in exact arithmetic, b = max |eig X| + max |eig Y|, so
+    DomainError ('float range') before any exp unless b < log(float max /
+    2) = 709.09; then DomainError ('not positive definite') unless the squared
+    singular values of the last factor pass ``require_spd_range``, the
+    SpdMatrix range of e^Z: Z's eigenvalue spread below log(1 / SPD_TOL) =
+    27.6.  Each SVD that fails raises NoConvergence.
     """
     if x.n != y.n:
         raise DimensionMismatch(f"dimension mismatch: {x.n} vs {y.n}")
@@ -123,6 +126,8 @@ def build_target(x: HermitianMatrix, y: HermitianMatrix, kind: str) -> Hermitian
     eig_x, eig_y = eig_hermitian_pair(x, y)
     lam_x, q_x = eig_x.values, eig_x.vectors
     lam_y = eig_y.values
+    what = "the target's factors leave the float range: max |eig X| + max |eig Y|"
+    require_exp_range(np.abs(lam_x).max() + np.abs(lam_y).max(), what)
     m = q_x.conj().T @ eig_y.vectors
     if kind == "exp_product":
         return _gram_log(np.exp(0.5 * lam_x)[:, None] * m * np.exp(0.5 * lam_y), q_x)
@@ -370,25 +375,21 @@ def solve(
 def verify_membership(sol: OrbitSolution, prob: OrbitProblem) -> bool:
     """Recompute the residual and check both conjugations preserve spectra.
 
-    True iff U and V are unitary to UNITARY_TOL, the orbit-sum equation
-    holds at the solver's reported residual scale, and lambda(U X U*) =
-    lambda(X), lambda(V Y V*) = lambda(Y) within MEMBERSHIP_TOL.
+    True iff U and V are unitary, the orbit-sum equation holds to
+    MEMBERSHIP_RESIDUAL's factor times the reported residual or to its
+    floor, and lambda(U X U*) = lambda(X), lambda(V Y V*) = lambda(Y)
+    within MEMBERSHIP_TOL.
     """
     u, v = sol.u.mat, sol.v.mat
-    n = prob.n
-    for w in (u, v):
-        if float(np.abs(w.conj().T @ w - np.eye(n)).max()) > UNITARY_TOL:
-            return False
-    a, b, r = _residual_terms(u, v, prob.x.mat, prob.y.mat, prob.z.mat)
-    if float(np.abs(r).max()) > max(10.0 * sol.residual, 1e-7):
+    if any(unitarity_error(w) is not None for w in (u, v)):
         return False
-    lam_x = eig_hermitian(prob.x).values
-    lam_y = eig_hermitian(prob.y).values
-    lam_ux = eig_hermitian(HermitianMatrix._wrap(_herm(a))).values
-    lam_vy = eig_hermitian(HermitianMatrix._wrap(_herm(b))).values
-    scale_x = 1.0 + float(np.abs(lam_x).max())
-    scale_y = 1.0 + float(np.abs(lam_y).max())
-    return bool(
-        np.abs(lam_ux - lam_x).max() <= MEMBERSHIP_TOL * scale_x
-        and np.abs(lam_vy - lam_y).max() <= MEMBERSHIP_TOL * scale_y
-    )
+    a, b, r = _residual_terms(u, v, prob.x.mat, prob.y.mat, prob.z.mat)
+    factor, floor = MEMBERSHIP_RESIDUAL
+    if float(np.abs(r).max()) > max(factor * sol.residual, floor):
+        return False
+    for m, conj in ((prob.x, a), (prob.y, b)):
+        lam = eig_hermitian(m).values
+        drift = np.abs(eig_hermitian(HermitianMatrix._wrap(_herm(conj))).values - lam).max()
+        if not drift <= MEMBERSHIP_TOL * (1.0 + float(np.abs(lam).max())):
+            return False
+    return True

@@ -19,7 +19,7 @@ import numpy as np
 from . import sampling
 from .gtchain import evaluate_chain, scan_chain
 from .kostant import group_chain_report
-from .linalg import UNITARY_TOL, HermitianMatrix, mat_exp
+from .linalg import UNITARY_TOL, HermitianMatrix, mat_exp, unitarity_error
 from .majorization import log_majorization_margins
 from .means import _MeanPair, mean_identity_suite, spd_det
 
@@ -47,8 +47,8 @@ class Realization:
         return sampling.random_unitary(n, seed).mat
 
     def contains(self, u: np.ndarray) -> bool:
-        """Whether u is in K, to UNITARY_TOL."""
-        return bool(np.abs(u.conj().T @ u - np.eye(u.shape[0])).max() <= UNITARY_TOL)
+        """Whether u is in K (``unitarity_error``)."""
+        return unitarity_error(u) is None
 
 
 class _RealRealization(Realization):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError, ParamOutOfRange
+from .errors import ParamOutOfRange
 from .linalg import (
     SPD_TOL,
     ComplexMatrix,
@@ -19,6 +19,7 @@ from .linalg import (
     UnitaryMatrix,
     _assemble,
     polar,
+    require_spd_range,
 )
 
 
@@ -54,21 +55,18 @@ def random_spd(n: int, seed: int, spread: float = 2.0) -> SpdMatrix:
     """Q diag(e^{u_i}) Q* with u_i uniform in [-spread, spread].
 
     Q is the polar unitary of a seeded complex Gaussian, so the condition
-    number is e^{max u - min u} by construction.  A draw whose condition
-    number the SpdMatrix guard would reject (not below 1 / SPD_TOL) raises
+    number is e^{max u - min u} by construction.  A draw whose eigenvalues
+    the SpdMatrix guard (``require_spd_range``) would reject raises
     DomainError; the default spread never does.
     """
     if not spread > 0.0:
         raise ParamOutOfRange(f"spread must be positive, got {spread}")
     rng, q = _draw_factor(n, seed)
-    logvals = rng.uniform(-spread, spread, size=n)
-    span = np.ptp(logvals)
-    if not span < -np.log(SPD_TOL):
-        raise DomainError(
-            f"random_spd(n={n}, seed={seed}, spread={spread}) drew condition "
-            f"number {np.exp(span):.3e}, not below {1.0 / SPD_TOL:.0e}"
-        )
-    return SpdMatrix._from_eig(q.mat, np.exp(logvals))
+    with np.errstate(over="ignore"):  # an inf eigenvalue fails the range check
+        vals = np.exp(rng.uniform(-spread, spread, size=n))
+    what = f"random_spd(n={n}, seed={seed}, spread={spread}) drew a condition number not"
+    require_spd_range(np.sort(vals)[::-1], f"{what} below {1.0 / SPD_TOL:.0e}: eigenvalues in")
+    return SpdMatrix._from_eig(q.mat, vals)
 
 
 def random_hermitian(n: int, seed: int, scale: float = 1.0) -> HermitianMatrix:

@@ -29,6 +29,8 @@ each check has one pass rule:
     orbit.ORBIT_TOL            1e-8           orbit, realization
     orbit.MAX_ITER             5000           orbit, realization
     orbit.MAX_RESTARTS         4              orbit, realization
+    orbit.MEMBERSHIP_TOL       1e-10          orbit, realization (spectra)
+    orbit.MEMBERSHIP_RESIDUAL  10, 1e-7       orbit, realization (residual)
     GRADCHECK_EPS              1e-3           gradient_check
     GRADCHECK_TOL              1e-4           gradient_check
     CONJUGATION_TOL            1e-9           kostant

@@ -125,6 +125,7 @@ def test_criterion_chain_suite():
 def test_criterion_orbit_solver():
     assert orbit.TARGET_KINDS == ("exp_product", "geometric", "spectral")
     assert (orbit.ORBIT_TOL, orbit.MAX_ITER, orbit.MAX_RESTARTS) == (1e-8, 5000, 4)
+    assert (orbit.MEMBERSHIP_TOL, orbit.MEMBERSHIP_RESIDUAL) == (1e-10, (10.0, 1e-7))
     budget = 600.0
     start = time.perf_counter()
     complex_result = suites.suite_orbit(

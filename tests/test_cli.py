@@ -340,6 +340,24 @@ class TestOrbitSolveCommand:
         assert result.output.startswith("error: ")
         assert "not positive definite" in result.output
 
+    @pytest.mark.parametrize("kind", ["exp", "geo", "spec"])
+    def test_overflowing_target_exits_2_without_warnings(self, runner, tmp_path, kind):
+        from spdmeans import random_unitary
+
+        u = random_unitary(2, 4).mat
+        x = tmp_path / "x.json"
+        y = tmp_path / "y.json"
+        save_matrix(x, u @ np.diag([400.0, -400.0]) @ u.conj().T)
+        save_matrix(y, np.diag([360.0, -360.0]))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = runner.invoke(
+                main, ["orbit-solve", "--kind", kind, "--input", str(x), str(y)]
+            )
+        assert result.exit_code == 2
+        assert result.output.startswith("error: the target's factors leave the float range")
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
     def test_missing_input_file_exits_2(self, runner, tmp_path):
         from spdmeans import random_hermitian
 

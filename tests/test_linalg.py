@@ -16,6 +16,7 @@ from spdmeans import (
     UnitaryMatrix,
     build_target,
     eig_hermitian,
+    hyperbolic_spectrum,
     loewner_leq,
     mat_exp,
     mat_log,
@@ -326,6 +327,13 @@ class TestRandomSpd:
         with pytest.raises(DomainError, match="condition number"):
             random_spd(4, 1, 16.0)
 
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_huge_spread_raises_without_warnings(self, n):
+        # Seed 4 draws u = 762 at n = 1, whose e^u overflows to inf, and a
+        # span of 1102 at n = 4.
+        with pytest.raises(DomainError, match="condition number"):
+            random_spd(n, 4, 800.0)
+
     def test_returned_matrices_pass_the_guard(self):
         raised = 0
         for seed in range(40):
@@ -469,3 +477,150 @@ class TestSamplerParams:
     def test_spread_and_scale_must_be_positive(self, name, param, value):
         with pytest.raises(ParamOutOfRange, match=param):
             getattr(sampling, name)(3, 1, value)
+
+
+class TestRangePolicy:
+    """Each range decision is one ``linalg`` function, so every caller of it
+    gives the same verdict on each side of the boundary, and rejects through
+    it."""
+
+    LOG_RANGE = np.log(1.0 / linalg.SPD_TOL)  # log(1e12) = 27.63
+    EXP_LIMIT = np.log(np.finfo(float).max / 2.0)  # 709.09
+
+    @staticmethod
+    def _spy(monkeypatch, name):
+        """Wrap ``linalg.<name>`` in every module that imports it; the list
+        returned collects the outcome of each call: the value it returns or
+        the exception it raises."""
+        from spdmeans import gtchain, kostant, means, orbit, realizations
+
+        original = getattr(linalg, name)
+        outcomes = []
+
+        def spy(*args, **kwargs):
+            try:
+                outcomes.append(original(*args, **kwargs))
+            except Exception as exc:
+                outcomes.append(exc)
+                raise
+            return outcomes[-1]
+
+        for mod in (linalg, gtchain, kostant, means, orbit, realizations, sampling):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, spy)
+        return outcomes
+
+    def _spd_range_cases(self, spread):
+        """The four callers of the SPD range on inputs whose log spread (the
+        log condition number of the matrix checked) is ``spread``."""
+        small = np.exp(-spread)
+        zero = HermitianMatrix(np.zeros((2, 2)))
+        return {
+            "SpdMatrix": (DomainError, lambda: SpdMatrix(np.diag([1.0, small]))),
+            "polar": (SingularInput, lambda: polar(ComplexMatrix(np.diag([1.0, small])))),
+            "hyperbolic_spectrum": (
+                SingularInput,
+                lambda: hyperbolic_spectrum(ComplexMatrix(np.diag([1.0, small]))),
+            ),
+            "build_target": (
+                DomainError,
+                lambda: build_target(HermitianMatrix(np.diag([spread, 0.0])), zero, "exp_product"),
+            ),
+        }
+
+    @pytest.mark.parametrize("delta", [1e-6, 1e-3])
+    def test_spd_range_one_verdict(self, monkeypatch, delta):
+        outcomes = self._spy(monkeypatch, "require_spd_range")
+        for name, (_, call) in self._spd_range_cases(self.LOG_RANGE - delta).items():
+            call()  # inside the range: accepted
+            assert outcomes and all(o is None for o in outcomes), name
+        for name, (error, call) in self._spd_range_cases(self.LOG_RANGE + delta).items():
+            with pytest.raises(error) as info:
+                call()
+            assert outcomes[-1] is info.value, name
+
+    def test_spd_range_messages(self):
+        cases = self._spd_range_cases(self.LOG_RANGE + 1e-3)
+        words = {
+            "SpdMatrix": "not positive definite",
+            "polar": "invertible input",
+            "hyperbolic_spectrum": "invertible input",
+            "build_target": "not positive definite",
+        }
+        for name, (error, call) in cases.items():
+            with pytest.raises(error, match=words[name]):
+                call()
+
+    def test_spd_range_reports_the_first_failing_set(self):
+        vals = np.array([[[2.0, 1.0], [4.0, -0.5]], [[3.0, -1.0], [1.0, 1.0]]])
+        with pytest.raises(DomainError, match=r"^x \[-5.000e-01, 4.000e\+00\]$"):
+            linalg.require_spd_range(vals, "x", ratio=0.0)
+        linalg.require_spd_range(vals[0, 0], "x")
+        with pytest.raises(SingularInput, match=r"^y \[1.000e-12, 1.000e\+00\]$"):
+            linalg.require_spd_range(np.array([1.0, 1e-12]), "y", SingularInput)
+
+    @pytest.mark.parametrize("top", [709.0, 709.2])
+    def test_exp_range_one_verdict(self, monkeypatch, top):
+        outcomes = self._spy(monkeypatch, "require_exp_range")
+        h = HermitianMatrix(np.diag([top, 0.0]))
+        half = HermitianMatrix(np.diag([top / 2.0, top / 2.0]))
+        calls = [
+            lambda: mat_exp(h),
+            lambda: mat_exp(h, -1.0),
+            lambda: build_target(half, half, "geometric"),
+        ]
+        for call in calls:
+            if top < self.EXP_LIMIT:
+                call()
+            else:
+                with pytest.raises(DomainError, match="float range") as info:
+                    call()
+                assert outcomes[-1] is info.value
+        assert len(outcomes) == len(calls)
+
+    def test_scan_rejects_through_the_exp_range(self, monkeypatch):
+        outcomes = self._spy(monkeypatch, "require_exp_range")
+        eye = HermitianMatrix(np.eye(2))
+        with pytest.raises(DomainError, match="overflows at r = 400") as info:
+            scan_chain(eye, eye, (0.5, 400.0, 800.0))
+        assert outcomes == [info.value]
+
+    def test_mat_exp_rejects_large_negative_eigenvalues(self):
+        # e^-720 is a subnormal float; the exponent bound is |x| < 709.09.
+        with pytest.raises(DomainError, match="float range"):
+            mat_exp(HermitianMatrix(np.diag([-720.0, 0.0])))
+
+    def test_unitarity_one_verdict(self, monkeypatch):
+        outcomes = self._spy(monkeypatch, "unitarity_error")
+        for eps, inside in ((0.4e-10, True), (0.6e-10, False)):
+            u = np.diag([1.0, 1.0 + eps]).astype(complex)
+            assert REALIZATIONS["glc"].contains(u) == inside
+            assert REALIZATIONS["slr"].contains(u) == inside
+            if inside:
+                UnitaryMatrix(u)
+            else:
+                with pytest.raises(DomainError, match="not unitary") as info:
+                    UnitaryMatrix(u)
+                assert outcomes[-1] is info.value
+        assert len(outcomes) == 6
+
+    def test_membership_checks_unitarity_through_the_one_function(self, monkeypatch):
+        prob = OrbitProblem.create(random_hermitian(3, 5), random_hermitian(3, 6), "geometric")
+        sol = solve(prob)
+        outcomes = self._spy(monkeypatch, "unitarity_error")
+        assert verify_membership(sol, prob)
+        assert outcomes == [None, None]
+
+    def test_hermitian_one_verdict(self, monkeypatch):
+        outcomes = self._spy(monkeypatch, "hermitian_error")
+        for off, inside in ((0.9e-10, True), (1.1e-10, False)):
+            arr = np.array([[1.0, 0.5 + off], [0.5, 1.0]], dtype=complex)
+            spectrum(ComplexMatrix(arr))
+            assert (outcomes[-1] is None) == inside
+            if inside:
+                HermitianMatrix(arr)
+            else:
+                with pytest.raises(DomainError, match="not Hermitian") as info:
+                    HermitianMatrix(arr)
+                assert outcomes[-1] is info.value
+        assert len(outcomes) == 4

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from spdmeans import (
     ComplexMatrix,
+    DomainError,
     LengthMismatch,
     NonPositiveEntry,
     ParamOutOfRange,
@@ -116,6 +117,32 @@ class TestLogMajorizes:
 
             svals = np.sqrt(eig_hermitian(HermitianMatrix(gram)).values)
             assert log_majorizes(np.sort(moduli)[::-1], svals)
+
+
+class TestNonFiniteEntries:
+    """An infinite or NaN entry has no logarithm to compare: DomainError
+    from the one-pair predicate, its report and the stacked kernel."""
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    @pytest.mark.parametrize("side", ["x", "y"])
+    @pytest.mark.parametrize("fn", [log_majorizes, log_majorization_report, log_majorization_margins])
+    def test_raises(self, fn, side, bad):
+        good = np.array([1.0, 1.0])
+        odd = np.array([bad, 1.0])
+        args = (odd, good) if side == "x" else (good, odd)
+        with pytest.raises(DomainError, match="finite entries"):
+            fn(*args)
+
+    def test_stack_with_one_bad_entry(self):
+        x = np.ones((50, 4))
+        y = np.ones((50, 4))
+        y[37, 2] = np.inf
+        with pytest.raises(DomainError):
+            log_majorization_margins(x, y)
+
+    def test_non_positive_checked_first(self):
+        with pytest.raises(NonPositiveEntry):
+            log_majorizes([np.inf, 0.0], [1.0, 1.0])
 
 
 def _row_reports(x, y):

@@ -238,6 +238,49 @@ class TestIdentitySuite:
         with pytest.raises(ParamOutOfRange):
             mean_identity_suite(a, a, 1.2, 0.1, 0.1)
 
+    def test_rs_rule_message(self):
+        a = random_spd(2, 93)
+        for r, s_ in ((0.7, 0.7), (1.0, 0.0)):
+            with pytest.raises(ParamOutOfRange, match="need r \\+ s <= 1 and r < 1"):
+                mean_identity_suite(a, a, 0.5, r, s_)
+
+    def test_unit_check_before_rs_rule(self):
+        # r = 1.5 fails both; as before, the unit check names it first.
+        a = random_spd(2, 93)
+        with pytest.raises(ParamOutOfRange, match="r must lie in"):
+            mean_identity_suite(a, a, 0.5, 1.5, 0.5)
+
+    @pytest.mark.parametrize("triple,raises", [((0.3, 0.25, 0.5), False), ((0.5, 0.7, 0.7), True)])
+    def test_evaluate_validates_once(self, monkeypatch, triple, raises):
+        from spdmeans import means
+
+        calls = []
+        original = means._check_suite_params
+
+        def spy(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(means, "_check_suite_params", spy)
+        a = random_spd(3, 96)
+        if raises:
+            with pytest.raises(ParamOutOfRange):
+                mean_identity_suite(a, a, *triple)
+        else:
+            mean_identity_suite(a, a, *triple)
+        assert calls == [triple]
+
+    def test_grid_filter_is_the_rs_rule(self):
+        from spdmeans.means import _rs_defined
+
+        values = (0.0, 0.1, 0.5, 0.9, 1.0, 1.0 + 1e-16)
+        a = random_spd(2, 97)
+        reports = mean_identity_grid(a, a, [0.5], values, values)
+        kept = [(r, s) for r in values for s in values if _rs_defined(r, s)]
+        assert [rep.params[1:] for rep in reports] == kept
+        assert (0.5, 0.5) in kept and (0.9, 0.1 + 1e-16) not in kept
+        assert not _rs_defined(1.0, 0.0) and _rs_defined(0.1, 0.9)
+
     def test_endpoint_parameters(self):
         a = random_spd(3, 94)
         b = random_spd(3, 95)

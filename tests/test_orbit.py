@@ -104,6 +104,33 @@ class TestBuildTarget:
             build_target(diag_h(13.9, 0.0, -13.9), diag_h(0.0, 0.0, 0.0), kind)
 
 
+def overflow_pair():
+    """X = U diag(400, -400) U* and Y = diag(360, -360): max |eig X| + max
+    |eig Y| = 760, past the exponent bound of the target's factors."""
+    u = random_unitary(2, 4).mat
+    return HermitianMatrix(u @ np.diag([400.0, -400.0]) @ u.conj().T), diag_h(360.0, -360.0)
+
+
+class TestBuildTargetFloatRange:
+    @pytest.mark.parametrize("kind", orbit.TARGET_KINDS)
+    def test_overflowing_factors_raise_before_any_exp(self, kind):
+        x, y = overflow_pair()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="float range: max .eig X. \\+ max .eig Y. = 760"):
+                build_target(x, y, kind)
+
+    @pytest.mark.parametrize("kind", orbit.TARGET_KINDS)
+    def test_inside_the_bound_builds(self, kind):
+        # b = 709 < log(float max / 2) = 709.09; Z = X + Y exactly for
+        # commuting scalar inputs.
+        x = y = diag_h(354.5, 354.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            z = build_target(x, y, kind)
+        assert np.allclose(z.mat, np.diag([709.0, 709.0]), rtol=1e-13, atol=0.0)
+
+
 def _fixture_matrix(entry):
     arr = np.array(entry["re"], dtype=complex)
     if "im" in entry:
