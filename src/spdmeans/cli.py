@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import sys
+import time
 
 import click
 import numpy as np
@@ -144,7 +145,8 @@ def scan(x_path, y_path, r_grid, out):
     help="Space of the orbit suite only; the realization suite always runs slr.",
 )
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
-def verify(suite, run_all, trials, seed, realization, out):
+@click.option("--timings", is_flag=True, help="Print each suite's wall time to stderr.")
+def verify(suite, run_all, trials, seed, realization, out, timings):
     """Run verification suites; exit 1 if any property fails."""
     if not run_all and suite is None:
         _fail_data("choose --suite NAME or --all")
@@ -152,9 +154,12 @@ def verify(suite, run_all, trials, seed, realization, out):
     results = []
     try:
         for name in names:
+            start = time.perf_counter()
             results.append(
                 suites.run_suite(name, seed=seed, trials=trials, realization=realization)
             )
+            if timings:
+                click.echo(f"time {name}: {time.perf_counter() - start:.3f} s", err=True)
     except DATA_ERRORS as exc:
         _fail_data(str(exc))
     if out:

@@ -75,10 +75,11 @@ def require_spd_range(vals, what: str, error=DomainError, ratio: float = SPD_TOL
     has vals[-1] > ratio * vals[0]: at SPD_TOL a condition number below 1e12,
     at ratio 0 a positive smallest value (which the log, root or fractional
     power of a product wrapped unchecked needs)."""
-    lo, hi = vals[..., -1], vals[..., 0]
-    ok = lo > ratio * hi
-    if not ok.all():
-        k = np.unravel_index(np.argmin(ok), ok.shape)
+    # Stack axes reversed, so one set gives numpy scalars, not 0-d arrays.
+    lo, hi = vals.T[-1], vals.T[0]
+    if not all((lo > ratio * hi).flat):
+        lo, hi = lo.T, hi.T
+        k = np.unravel_index(np.argmin(lo > ratio * hi), lo.shape)
         raise error(f"{what} [{lo[k]:.3e}, {hi[k]:.3e}]")
 
 
@@ -88,9 +89,9 @@ def require_exp_range(bound, what) -> None:
     (M + M*) / 2 stay finite; the message is ``what`` (``what(k)`` for a
     first offending entry k of a stack) and the bound."""
     bound = np.atleast_1d(bound)
-    over = ~(bound < _EXP_LIMIT)
-    if over.any():
-        k = int(np.argmax(over))
+    ok = bound < _EXP_LIMIT
+    if not all(ok.flat):
+        k = int(np.argmin(ok))
         head = what(k) if callable(what) else what
         raise DomainError(f"{head} = {bound[k]:.4g} is not below log(float max / 2)")
 
@@ -350,20 +351,28 @@ def svd(arr: np.ndarray) -> tuple:
         raise NoConvergence(f"singular value decomposition failed: {exc}") from exc
 
 
+def _polar_unitary(arr: np.ndarray) -> tuple:
+    """The unitary factor U = W V* of an invertible array with SVD
+    W S V*, and the SVD: (U, W, sigma, V*).  SingularInput unless sigma
+    passes ``require_spd_range``."""
+    w, svals, vh = svd(arr)
+    what = "polar decomposition requires an invertible input: singular values in"
+    require_spd_range(svals, what, SingularInput)
+    return UnitaryMatrix(w @ vh), w, svals, vh
+
+
 def polar(m: ComplexMatrix, side: str = "left") -> tuple[UnitaryMatrix, SpdMatrix]:
     """Polar decomposition of an invertible matrix, through the SVD.
 
-    With M = W S V*, the unitary factor is U = W V* on both sides.
+    With M = W S V*, the unitary factor is U = W V* on both sides
+    (``_polar_unitary``).
     side='left' returns (U, P) with M = P U and P = W S W* = (M M*)^{1/2};
     side='right' returns (U, P) with M = U P and P = V S V* = (M* M)^{1/2}.
     """
     if side not in ("left", "right"):
         raise DomainError(f"polar side must be 'left' or 'right', got {side!r}")
-    w, svals, vh = svd(m.mat)
-    what = "polar decomposition requires an invertible input: singular values in"
-    require_spd_range(svals, what, SingularInput)
-    q = w if side == "left" else vh.conj().T
-    return UnitaryMatrix(w @ vh), SpdMatrix._from_eig(q, svals)
+    u, w, svals, vh = _polar_unitary(m.mat)
+    return u, SpdMatrix._from_eig(w if side == "left" else vh.conj().T, svals)
 
 
 def _sort_by_modulus(vals: np.ndarray) -> np.ndarray:

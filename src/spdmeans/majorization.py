@@ -168,21 +168,27 @@ class CompoundIdentityReport:
         return max(self.sharp_residual, self.natural_residual) <= COMPOUND_TOL
 
 
+def compound_mean_reports(a: SpdMatrix, b: SpdMatrix, t: float, k_values) -> list:
+    """(C_k(A), report) for each k of ``k_values``: the residuals of
+    C_k(A #_t B) = C_k(A) #_t C_k(B) and of the same law for the spectral
+    mean, with the pair's two means at t taken once for every k."""
+    if not (0.0 <= t <= 1.0):
+        raise ParamOutOfRange(f"t must lie in [0, 1], got {t}")
+    pair = _MeanPair(a, b)
+    sharp, natural = pair.sharp(t), pair.natural(t)
+    out = []
+    for k in k_values:
+        ca = compound_spd(a, k)
+        cpair = _MeanPair(ca, compound_spd(b, k))
+        sharp_res = rel_residual(compound(sharp, k).mat, cpair.sharp(t).mat)
+        natural_res = rel_residual(compound(natural, k).mat, cpair.natural(t).mat)
+        out.append((ca, CompoundIdentityReport(k, t, sharp_res, natural_res)))
+    return out
+
+
 def check_compound_mean_identities(
     a: SpdMatrix, b: SpdMatrix, t: float, k: int
 ) -> CompoundIdentityReport:
     """Residuals of C_k(A #_t B) = C_k(A) #_t C_k(B) and the same law for
-    the spectral mean."""
-    if not (0.0 <= t <= 1.0):
-        raise ParamOutOfRange(f"t must lie in [0, 1], got {t}")
-    pair = _MeanPair(a, b)
-    ca = compound_spd(a, k)
-    cb = compound_spd(b, k)
-    cpair = _MeanPair(ca, cb)
-    sharp_res = rel_residual(compound(pair.sharp(t), k).mat, cpair.sharp(t).mat)
-    natural_res = rel_residual(
-        compound(pair.natural(t), k).mat, cpair.natural(t).mat
-    )
-    return CompoundIdentityReport(
-        k=k, t=t, sharp_residual=sharp_res, natural_residual=natural_res
-    )
+    the spectral mean: ``compound_mean_reports`` at the one k."""
+    return compound_mean_reports(a, b, t, (k,))[0][1]

@@ -135,7 +135,8 @@ class _MeanPair:
     (K, n, n).  Every product whose power or root is taken is checked on
     every member of the stack first, and ``DomainError`` is raised if any
     member is numerically indefinite.  ``sharp(t)``, ``natural(t)`` and
-    ``cross()`` are the one-pair, one-parameter views.
+    ``cross()`` are the one-pair, one-parameter views, and ``_rows`` a row
+    gather that reuses the stack's decompositions.
     """
 
     def __init__(self, a, b):
@@ -158,13 +159,32 @@ class _MeanPair:
             self._root_a = ((q * rt) @ qh, (q / rt) @ qh)
         return self._root_a
 
+    def _mid_eig(self) -> tuple:
+        """A^{-1/2} B A^{-1/2}, the generator of the metric mean: its
+        eigendecomposition."""
+        if self._mid is None:
+            ria = self._roots()[1]
+            self._mid = _positive_product(ria @ self.b @ ria)[1:]
+        return self._mid
+
+    def _rows(self, index, b=None) -> "_MeanPair":
+        """The pairs at ``index`` (``...`` for all) of a stack whose B is one
+        matrix, sharing this stack's decompositions: A's roots and, unless
+        ``b`` replaces B, the mid and cross ones computed so far."""
+        out = _MeanPair(self.a[index], self.b if b is None else b)
+
+        def take(parts):
+            return parts and tuple(part[index] for part in parts)
+
+        out._root_a = take(self._roots())
+        if b is None:
+            out._mid, out._cross = take(self._mid), take(self._cross)
+        return out
+
     def sharps(self, taus) -> np.ndarray:
         """A #_tau B for every pair and every tau."""
-        ra, ria = self._roots()
-        if self._mid is None:
-            self._mid = _positive_product(ria @ self.b @ ria)[1:]
-        ra = ra[..., None, :, :]
-        return _herm(ra @ _powers(*self._mid, taus) @ ra)
+        ra = self._roots()[0][..., None, :, :]
+        return _herm(ra @ _powers(*self._mid_eig(), taus) @ ra)
 
     def _cross_eig(self) -> tuple:
         """A^{-1} # B, the generator of the spectral mean, with its
@@ -307,6 +327,9 @@ class _IdentityContext:
     ``_MeanPair`` (the links (A^{-1}, A @_t B) and (inv(B @_t A), B), the
     chain pairs (A #_r B, B) and (A @_r B, B), the interpolation pairs
     (A @_r B, A @_s B)), and each law's residuals are one reduction.  The
+    chain pairs and the A side of the interpolation pairs are decomposed
+    once per distinct r and gathered to the (r, s) rows (``_MeanPair._rows``),
+    and the links to A^{-1} share its roots with the inverse pair.  The
     parameter-free laws ride along the t axis at t = 1/2.  ``grid`` wraps
     each triple's residuals in a report, and ``evaluate`` is the grid on
     one triple.
@@ -335,7 +358,7 @@ class _IdentityContext:
         # inv(B @_t A) # B = (A^{-1} # B)^t.  The first right link is the
         # parameter-free law's inv(A @_1/2 B) # B.
         cross_t = pair.cross_powers(t)
-        c = _MeanPair(self.a_inv, nat).sharps([0.5])[:, 0]
+        c = self.inverse._rows(..., nat).sharps([0.5])[:, 0]
         right = _MeanPair(
             np.concatenate([nat_inv[-1:], _inverse(swap_nat)]), b
         ).sharps([0.5])[:, 0]
@@ -369,12 +392,17 @@ class _IdentityContext:
         (shape (P,)), and the interpolation law over (t, (r, s)) (shape
         (T, P))."""
         pair, b = self.pair, self.b
-        nat_r = pair.naturals(r)
         u = (s / (1.0 - r))[:, None]
-        sharp_chain = _MeanPair(pair.sharps(r), b).sharps(u)[:, 0]
-        natural_chain = _MeanPair(nat_r, b).naturals(u)[:, 0]
+        # The chain pairs at the distinct r, decomposed once, as row stacks.
+        r_set, rows = np.unique(r, return_inverse=True)
+        sharp_r = _MeanPair(pair.sharps(r_set), b)
+        nat_r = _MeanPair(pair.naturals(r_set), b)
+        sharp_r._mid_eig()  # the decompositions the rows share
+        nat_r._cross_eig()
+        sharp_chain = sharp_r._rows(rows).sharps(u)[:, 0]
+        natural_chain = nat_r._rows(rows).naturals(u)[:, 0]
         # Interpolation: (A @_r B) @_t (A @_s B) = A @_{(1-t)r + ts} B.
-        interp = _MeanPair(nat_r, pair.naturals(s)).naturals(t)
+        interp = nat_r._rows(rows, pair.naturals(s)).naturals(t)
         target = pair.naturals((1.0 - t) * r[:, None] + t * s[:, None])
         return {
             "sharp_chain": rel_residual(pair.sharps(r + s), sharp_chain),

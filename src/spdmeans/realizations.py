@@ -21,7 +21,7 @@ from .gtchain import evaluate_chain, scan_chain
 from .kostant import group_chain_report
 from .linalg import UNITARY_TOL, HermitianMatrix, mat_exp, unitarity_error
 from .majorization import log_majorization_margins
-from .means import _MeanPair, mean_identity_suite, spd_det
+from .means import _IdentityContext, spd_det
 
 # |det - 1| bound of the exponentials of traceless inputs.
 UNIT_DET_TOL = 1e-8
@@ -105,11 +105,12 @@ def run_suites_on_realization(
 
             a = mat_exp(slr.sample(n, base))
             b = mat_exp(slr.sample(n, base + 104729))
-            rep = mean_identity_suite(a, b, 0.3, 0.25, 0.5)
+            identities = _IdentityContext(a, b)
+            rep = identities.evaluate(0.3, 0.25, 0.5)
             add("means_identities", rep.passed, rep.max_residual)
             det_err = max(abs(spd_det(a) - 1.0), abs(spd_det(b) - 1.0))
             add("unit_determinant", det_err < UNIT_DET_TOL, det_err)
-            lam_sharp, lam_nat = _MeanPair(a, b).spectra([0.5])
+            lam_sharp, lam_nat = identities.pair.spectra([0.5])
             margin = float(log_majorization_margins(lam_sharp, lam_nat)[0][0])
             add("log_majorization", margin >= -LOGMAJ_MARGIN_TOL, margin)
 
@@ -121,9 +122,8 @@ def run_suites_on_realization(
             _, agree = group_chain_report(scan, chain_rep)
             add("kostant_agreement", agree, 0.0)
 
+            x, y = slr.sample(n, base + 3), slr.sample(n, base + 4)
             for kind in TARGET_KINDS:
-                prob = OrbitProblem.create(
-                    slr.sample(n, base + 3), slr.sample(n, base + 4), kind
-                )
+                prob = OrbitProblem.create(x, y, kind)
                 add("orbit_" + kind, *orbit_verdict("slr", prob, base))
     return res

@@ -3,7 +3,9 @@
 Every sampler is a pure function of its arguments: the same (n, seed, ...)
 always yields the same matrix, which is what makes batch verification runs
 reproducible byte for byte.  All but ``random_invertible`` start from one
-seeded draw, ``_draw_factor``, whose polar unitary is their eigenbasis.
+seeded draw, ``_draw_factor``, whose polar unitary W V* is their eigenbasis;
+the draw forms only that factor (``linalg._polar_unitary``), not the
+positive one that ``polar`` adds.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ from .linalg import (
     SpdMatrix,
     UnitaryMatrix,
     _assemble,
-    polar,
+    _polar_unitary,
+    require_exp_range,
     require_spd_range,
 )
 
@@ -34,8 +37,7 @@ def _draw_factor(n: int, seed: int, real: bool = False) -> tuple:
         raise ParamOutOfRange(f"dimension must be >= 1, got {n}")
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((n, n)).astype(complex) if real else _gaussian_complex(rng, n)
-    u, _ = polar(ComplexMatrix(g), side="right")
-    return rng, u
+    return rng, _polar_unitary(g)[0]
 
 
 def random_unitary(n: int, seed: int) -> UnitaryMatrix:
@@ -56,16 +58,20 @@ def random_spd(n: int, seed: int, spread: float = 2.0) -> SpdMatrix:
 
     Q is the polar unitary of a seeded complex Gaussian, so the condition
     number is e^{max u - min u} by construction.  A draw whose eigenvalues
-    the SpdMatrix guard (``require_spd_range``) would reject raises
-    DomainError; the default spread never does.
+    the SpdMatrix guard (``require_spd_range``) would reject, or whose
+    exponents ``mat_exp`` would (``require_exp_range``), raises DomainError;
+    the default spread never does.
     """
     if not spread > 0.0:
         raise ParamOutOfRange(f"spread must be positive, got {spread}")
     rng, q = _draw_factor(n, seed)
+    expo = rng.uniform(-spread, spread, size=n)
     with np.errstate(over="ignore"):  # an inf eigenvalue fails the range check
-        vals = np.exp(rng.uniform(-spread, spread, size=n))
-    what = f"random_spd(n={n}, seed={seed}, spread={spread}) drew a condition number not"
-    require_spd_range(np.sort(vals)[::-1], f"{what} below {1.0 / SPD_TOL:.0e}: eigenvalues in")
+        vals = np.exp(expo)
+    what = f"random_spd(n={n}, seed={seed}, spread={spread}) drew"
+    require_spd_range(np.sort(vals)[::-1], f"{what} a condition number not below "
+                      f"{1.0 / SPD_TOL:.0e}: eigenvalues in")
+    require_exp_range(np.abs(expo).max(), f"{what} exponents past the float range: max |u|")
     return SpdMatrix._from_eig(q.mat, vals)
 
 

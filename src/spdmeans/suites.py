@@ -66,8 +66,7 @@ from .linalg import (
 )
 from .majorization import (
     COMPOUND_TOL,
-    check_compound_mean_identities,
-    compound_spd,
+    compound_mean_reports,
     log_majorization_margins,
     log_majorization_report,
     log_majorizes,
@@ -251,12 +250,11 @@ def suite_compound(
     for trial in range(trials):
         a, b = _spd_pair(n, seed + 7919, trial)
         lam_a = eig_hermitian(a).values
-        for k in k_values:
-            rep = check_compound_mean_identities(a, b, t, k)
-            sharp, natural = rep.sharp_residual, rep.natural_residual
+        for ca, rep in compound_mean_reports(a, b, t, k_values):
+            k, sharp, natural = rep.k, rep.sharp_residual, rep.natural_residual
             res.add(trial, n, t, f"sharp_commutes_k{k}", sharp <= tol, sharp)
             res.add(trial, n, t, f"natural_commutes_k{k}", natural <= tol, natural)
-            top = eig_hermitian(compound_spd(a, k)).values[0]
+            top = eig_hermitian(ca).values[0]
             target = float(np.prod(lam_a[:k]))
             err = abs(top - target) / abs(target)
             res.add(trial, n, None, f"top_eig_product_k{k}", err <= tol, err)
@@ -349,12 +347,16 @@ def suite_orbit(
     preservation, factors in K)."""
     res = SuiteResult(f"orbit_{realization}", seed)
     space = REALIZATIONS[realization]
+    inputs = {}  # (n, instance) -> (X, Y), drawn once for every kind
     for kind in TARGET_KINDS:
         for n in n_values:
             for inst in range(instances):
                 base = seed * 7 + 1009 * inst + 13 * n
-                x = space.sample(n, base, 1.0)
-                y = space.sample(n, base + 500009, 1.0)
+                if (n, inst) not in inputs:
+                    inputs[n, inst] = (
+                        space.sample(n, base, 1.0), space.sample(n, base + 500009, 1.0)
+                    )
+                x, y = inputs[n, inst]
                 prob = OrbitProblem.create(x, y, kind)
                 tr_gap = abs(
                     float(np.trace(prob.z.mat).real)

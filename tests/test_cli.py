@@ -107,6 +107,24 @@ class TestVerifyCommand:
         assert lines[1] == "suite,seed,trial,n,t,property,status,margin"
         assert len(lines) == 2 + 4 * 2  # two rows per trial
 
+    def test_timings_go_to_stderr_only(self, runner, tmp_path):
+        # --timings prints one wall time per suite to stderr; the CSV and
+        # stdout are byte-identical to a run without it.
+        outputs = []
+        for flags in ([], ["--timings"]):
+            out = tmp_path / f"report{len(flags)}.csv"
+            args = ["verify", "--all", "--trials", "2", "--seed", "3", "--out", str(out)]
+            result = runner.invoke(main, args + flags)
+            assert result.exit_code == 0, result.output
+            outputs.append((out.read_bytes(), result.stdout, result.stderr))
+        (csv0, stdout0, stderr0), (csv1, stdout1, stderr1) = outputs
+        assert csv0 == csv1 and stdout0 == stdout1
+        assert stderr0 == ""
+        lines = stderr1.splitlines()
+        names = [line.split(":")[0].removeprefix("time ") for line in lines]
+        assert names == list(suites.ALL_SUITES)
+        assert all(line.endswith(" s") and float(line.split()[-2]) >= 0.0 for line in lines)
+
     def test_failure_exits_1(self, runner, monkeypatch):
         failing = suites.SuiteResult("fake")
         failing.rows.append(

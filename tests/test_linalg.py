@@ -334,6 +334,12 @@ class TestRandomSpd:
         with pytest.raises(DomainError, match="condition number"):
             random_spd(n, 4, 800.0)
 
+    def test_exponent_past_the_float_range_raises(self):
+        # Seed 0 draws u = -734.4 at n = 1: e^u is the subnormal 1.09e-319,
+        # a draw the ratio check passes and mat_exp's exponent bound rejects.
+        with pytest.raises(DomainError, match="exponents past the float range: max .u. = 734"):
+            random_spd(1, 0, 800.0)
+
     def test_returned_matrices_pass_the_guard(self):
         raised = 0
         for seed in range(40):
@@ -344,6 +350,30 @@ class TestRandomSpd:
                 continue
             SpdMatrix(m.mat)
         assert 0 < raised < 40
+
+
+class TestSeededDraws:
+    # The draws form only the polar unitary; each equals, bit for bit, the
+    # one built through the full polar decomposition of the same Gaussian.
+    @staticmethod
+    def _reference(n, seed):
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        return rng, polar(ComplexMatrix(g), side="right")[0]
+
+    @pytest.mark.parametrize("n", range(1, 33))
+    def test_random_unitary_and_spd_match_polar(self, n):
+        from spdmeans import random_unitary
+
+        seed = 900 + n
+        assert np.array_equal(random_unitary(n, seed).mat, self._reference(n, seed)[1].mat)
+        rng, u = self._reference(n, seed)
+        vals = np.exp(rng.uniform(-2.0, 2.0, size=n))
+        expected = SpdMatrix._from_eig(u.mat, vals)
+        drawn = random_spd(n, seed, 2.0)
+        assert np.array_equal(drawn.mat, expected.mat)
+        assert np.array_equal(eig_hermitian(drawn).vectors, eig_hermitian(expected).vectors)
+        assert np.array_equal(eig_hermitian(drawn).values, eig_hermitian(expected).values)
 
 
 class TestSpectrum:

@@ -154,6 +154,42 @@ class TestIllConditionedPair:
         assert np.all(np.isfinite(_MeanPair(a[good], b[good]).naturals([0.3])))
 
 
+class TestRowGather:
+    """``_MeanPair._rows`` gathers a stack's decompositions to its rows; the
+    means then equal, under ==, those of the full stack decomposed row by row."""
+
+    @pytest.fixture
+    def stacks(self):
+        a, b = random_spd(4, 21), random_spd(4, 22)
+        pair = _MeanPair(a, b)
+        r = np.array([0.1, 0.4, 0.1, 0.25, 0.4, 0.0])
+        r_set, rows = np.unique(r, return_inverse=True)
+        return pair, b.mat, r, r_set, rows
+
+    def test_chain_pairs(self, stacks):
+        pair, b, r, r_set, rows = stacks
+        u = np.linspace(0.0, 1.0, len(r))[:, None]
+        sharp_once = _MeanPair(pair.sharps(r_set), b)
+        nat_once = _MeanPair(pair.naturals(r_set), b)
+        sharp_once._mid_eig(), nat_once._cross_eig()
+        sharp_full = _MeanPair(pair.sharps(r), b).sharps(u)
+        nat_full = _MeanPair(pair.naturals(r), b).naturals(u)
+        assert np.array_equal(sharp_once._rows(rows).sharps(u), sharp_full)
+        assert np.array_equal(nat_once._rows(rows).naturals(u), nat_full)
+
+    def test_new_b_shares_only_the_roots(self, stacks):
+        pair, b, r, r_set, rows = stacks
+        other = pair.naturals(np.array([0.5, 0.2, 0.3, 0.1, 0.0, 0.6]))
+        once = _MeanPair(pair.naturals(r_set), b)
+        once._cross_eig()
+        gathered = once._rows(rows, other)
+        assert gathered._mid is None and gathered._cross is None
+        t = [0.0, 0.3, 1.0]
+        full = _MeanPair(pair.naturals(r), other)
+        assert np.array_equal(gathered.naturals(t), full.naturals(t))
+        assert np.array_equal(gathered.sharps(t), full.sharps(t))
+
+
 class TestSpectralMeanUnitary:
     def test_defining_identity(self):
         a = random_spd(4, 51)

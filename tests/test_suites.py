@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import logging
 import os
@@ -5,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import spdmeans
@@ -66,6 +68,54 @@ def test_debug_logging_leaves_solver_rows_unchanged(caplog, name, realization):
     caplog.set_level(logging.DEBUG, logger="spdmeans.orbit")
     loud = suites.run_suite(name, 42, 25, realization)
     assert [r.as_csv() for r in quiet.rows] == [r.as_csv() for r in loud.rows]
+
+
+class _DecompositionSpy:
+    """Counts the LAPACK decompositions (np.linalg eigh, eigvalsh, svd) of
+    each matrix by entry point and content, each member of a stack apart."""
+
+    def __init__(self, monkeypatch):
+        self.counts = collections.Counter()
+        for name in ("eigh", "eigvalsh", "svd"):
+            monkeypatch.setattr(np.linalg, name, self._spy(name, getattr(np.linalg, name)))
+
+    def _spy(self, name, lapack):
+        def spy(arr, *args, **kwargs):
+            arr = np.asarray(arr)
+            for mat in arr.reshape(-1, *arr.shape[-2:]):
+                self.counts[name, mat.shape, mat.tobytes()] += 1
+            return lapack(arr, *args, **kwargs)
+        return spy
+
+    @property
+    def repeats(self) -> int:
+        return sum(self.counts.values()) - len(self.counts)
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: suites.suite_compound(trials=4, seed=1),
+        lambda: suites.suite_orbit(2, seed=1, n_values=(2, 3)),
+        lambda: suites.suite_orbit(2, seed=1, n_values=(2, 3), realization="slr"),
+        lambda: suites.suite_realization(seed=1, trials=2),
+    ],
+    ids=["compound", "orbit-glc", "orbit-slr", "realization"],
+)
+def test_no_matrix_decomposed_twice(monkeypatch, run):
+    spy = _DecompositionSpy(monkeypatch)
+    run()
+    assert spy.counts and spy.repeats == 0
+
+
+def test_mean_identities_repeats_pinned(monkeypatch):
+    # The five repeats cross between laws: the means at t = 0, 1/4, 1/2
+    # are decomposed as A of their inverses and again as A of the chain
+    # pairs at r = 0, 1/4, 1/2, and the row t = 1/2 of the t grid is the
+    # appended parameter-free row (its inverse and its link to A^{-1}).
+    spy = _DecompositionSpy(monkeypatch)
+    suites.suite_mean_identities(trials=1)
+    assert spy.repeats == 5
 
 
 def test_gradient_check_near_stationary_row():
