@@ -25,17 +25,14 @@ from .errors import DimensionMismatch, ParamOutOfRange
 from .linalg import (
     HermitianMatrix,
     SpdMatrix,
-    _INDEFINITE,
-    _assemble,
     _pow,
     eig_hermitian,
-    eigh_stack,
     mat_exp,
     require_exp_range,
     require_spd_range,
 )
 from .majorization import default_tol, log_majorization_margins
-from .means import _MeanPair
+from .means import _gram_root, _MeanPair
 
 DEFAULT_R_GRID = tuple(2.0 ** k for k in range(-6, 4))
 # Margins of a chain predicate that fall short by less than this multiple
@@ -88,8 +85,10 @@ def scan_chain(
     increasing; DomainError naming the first r at which the scan could
     overflow, before any mean is taken.
 
-    One stacked ``_MeanPair`` holds (e^{rX}, e^{rY}) for every r, and the
-    powers 2/r come from one stacked decomposition of both means.
+    One stacked ``_MeanPair`` holds the roots of (e^{rX}, e^{rY}) for every
+    r, and phi and psi get their eigenpairs (U, sigma^{4/r}) from one SVD
+    U sigma W* of the two means' factors; DomainError unless those
+    eigenvalues pass ``require_spd_range``.
     """
     _check_xy(x, y)
     grid = tuple(float(r) for r in r_grid)
@@ -108,19 +107,16 @@ def scan_chain(
     bound = np.maximum(1.0, r) * (np.abs(eig_x.values).max() + np.abs(eig_y.values).max())
     require_exp_range(bound, lambda k: f"the scan overflows at r = {grid[k]:g}: max(1, r) "
                       "(max |eig X| + max |eig Y|)")
-    exp_x = np.exp(r[:, None] * eig_x.values)
-    exp_y = np.exp(r[:, None] * eig_y.values)
-    pair = _MeanPair(_assemble(eig_x.vectors, exp_x), _assemble(eig_y.vectors, exp_y))
-    # A starts from X's decomposition: a fresh eigh of e^{rX} at large r can
-    # come out numerically indefinite.
-    pair._eig_a = (exp_x, eig_x.vectors)
-    vals, q = eigh_stack(np.stack([pair.sharps([0.5])[:, 0], pair.naturals([0.5])[:, 0]]))
-    expo = 2.0 / r
-    # As mat_pow does, check positivity only where 2/r is not an integer.
-    frac = expo % 1.0 != 0.0
-    require_spd_range(vals[:, frac], _INDEFINITE, ratio=0.0)
+    pair = _MeanPair(*[(np.exp(0.5 * r[:, None] * e.values), e.vectors) for e in (eig_x, eig_y)])
+    factors = zip(pair.sharp_factors([0.5]), pair.natural_factors([0.5]))
+    sig, q = _gram_root(*(np.stack(parts)[:, :, 0] for parts in factors))
+    # Far outside the range sigma^{4/r} can overflow; inf fails the check.
+    with np.errstate(over="ignore"):
+        vals = _pow(sig, 4.0 / r[:, None])
+    require_spd_range(vals, "phi or psi is not positive definite to working precision: "
+                      "eigenvalues in")
     n, m = x.n, len(grid)
-    mats = SpdMatrix._from_eigs(q.reshape(-1, n, n), _pow(vals, expo[:, None]).reshape(-1, n))
+    mats = SpdMatrix._from_eigs(q.reshape(-1, n, n), vals.reshape(-1, n))
     phi_mats, psi_mats = mats[:m], mats[m:]
     exp_sum = mat_exp(HermitianMatrix._wrap(x.mat + y.mat))
     tr_exp = float(np.trace(exp_sum.mat).real)

@@ -342,11 +342,11 @@ def mat_sqrt(m: SpdMatrix) -> SpdMatrix:
     return mat_pow(m, 0.5)
 
 
-def svd(arr: np.ndarray) -> tuple:
-    """LAPACK's SVD (W, sigma, V*) of an array, sigma descending;
-    ``NoConvergence`` if it fails."""
+def svd(arr: np.ndarray, vectors: bool = True):
+    """LAPACK's SVD (W, sigma, V*) of an array, sigma descending (sigma alone
+    unless ``vectors``, as ``eigh_stack``); ``NoConvergence`` if it fails."""
     try:
-        return np.linalg.svd(arr)
+        return np.linalg.svd(arr, compute_uv=vectors)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"singular value decomposition failed: {exc}") from exc
 

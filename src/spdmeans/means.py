@@ -9,27 +9,28 @@ plus the unitary intertwiner relating the spectral mean to
 (A^{1/2} B A^{1/2})^{1/2}, the Loewner order predicate, and a residual
 suite for the algebraic identity laws the means satisfy.
 
-Everything is computed from the defining formulas through
-eigendecompositions; the algebraic shortcuts are exactly the properties the
-test suites check, so they are never used as the computation path.
+Both means come from one algorithm, ``_MeanPair``: Iannazzo's factor form
+(NLAA 2016) in A's eigenbasis.  Each mean is a Gram product F F* whose
+eigenvalues are the squared singular values of F, so it is positive by
+construction and no product of the pair is decomposed.  A mean returned as
+an ``SpdMatrix`` raises ``DomainError`` unless those values pass
+``require_spd_range``, as ``orbit.build_target``'s targets do.  Against the
+60-digit fixture ``tests/data/mean_reference.json`` the max-entry relative
+error stays within 12 sqrt(cond A cond B) eps (``TestMeanAccuracy`` bounds
+it at 32).  The identity laws are never used as the computation path.
 
-The computation works on arrays.  ``_MeanPair`` holds a stack of pairs of
-shape ``(..., n, n)`` and takes the means at every parameter of a set in one
-call, as ``Q diag(lambda^tau) Q*`` over a parameter axis appended to the
-stack.  The base and the exponent of each power are broadcast out and made
-contiguous before numpy's ``power`` runs, so every layout goes through the
-same loop and a pair in a stack gets the same bits as the same two arrays
-alone.  An ``SpdMatrix`` A starts from its cached eigendecomposition when it
-has one (``random_spd`` caches the one it was built from), which can differ
-from a fresh ``eigh`` of A in the last bits.  ``geometric_mean``,
-``spectral_mean`` and ``_MeanPair.sharp`` / ``natural`` / ``cross`` are
-views of one pair at one parameter, and ``_IdentityContext`` evaluates
-the identity laws over a whole parameter grid as a handful of stacked
-expressions.
+``_MeanPair`` works on stacks of pairs ``(..., n, n)`` and takes the means
+at every parameter of a set in one call; powers run on contiguous,
+broadcast-out operands, so a pair in a stack gets the same bits as alone.
+An ``SpdMatrix`` starts from its cached eigendecomposition (``random_spd``
+caches the one it was built from), which can differ from a fresh ``eigh``
+in the last bits.  ``_IdentityContext`` evaluates the identity laws over a
+whole parameter grid as a handful of stacked expressions.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +41,7 @@ from .linalg import (
     HermitianMatrix,
     SpdMatrix,
     UnitaryMatrix,
+    _INDEFINITE,
     _assemble,
     _ct,
     _herm,
@@ -48,10 +50,12 @@ from .linalg import (
     eigh_stack,
     polar,
     require_spd_range,
+    svd,
 )
 
 IDENTITY_TOL = 1e-10
 ORDER_TOL = 1e-12
+_MEAN_RANGE = "mean is not positive definite to working precision: Gram eigenvalues in"
 
 
 def _check_pair(a: SpdMatrix, b: SpdMatrix) -> None:
@@ -81,146 +85,153 @@ def rel_residual(lhs: np.ndarray, rhs: np.ndarray):
     return float(res) if res.ndim == 0 else res
 
 
-def _powers(vals: np.ndarray, q: np.ndarray, taus) -> np.ndarray:
-    """Q diag(vals^tau) Q* for every tau of ``taus``.
-
-    ``vals`` / ``q`` are the eigenvalues ``(..., n)`` and eigenvectors
-    ``(..., n, n)`` of a stack.  The last axis of ``taus`` is the parameter
-    axis; its leading axes broadcast against the stack.  The result has
-    shape stack + (K, n, n).
-    """
-    taus = np.asarray(taus, dtype=float)
-    return _assemble(q[..., None, :, :], _pow(vals[..., None, :], taus[..., None]))
-
-
-def _inverse(arr: np.ndarray) -> np.ndarray:
-    """Inverse of every positive definite matrix of a stack, through its
-    eigendecomposition."""
-    vals, q = eigh_stack(arr)
-    return _assemble(q, 1.0 / vals)
+def _root(m) -> tuple:
+    """(h, Q), M = Q diag(h^2) Q*: a tuple as it is, an ``SpdMatrix`` from
+    its cached eigendecomposition, a stack of arrays from ``eigh_stack``
+    (DomainError unless every smallest computed eigenvalue is positive)."""
+    if isinstance(m, tuple):
+        return m
+    if isinstance(m, SpdMatrix):
+        pair = eig_hermitian(m)
+        return np.sqrt(pair.values), pair.vectors
+    vals, q = eigh_stack(m)
+    require_spd_range(vals, _INDEFINITE, ratio=0.0)
+    return np.sqrt(vals), q
 
 
-def _positive_product(arr: np.ndarray) -> tuple:
-    """Symmetrize a stack of products of positive definite factors whose
-    power or root is taken next, and decompose it, after checking that the
-    smallest eigenvalue of every member is positive.
+def _gram_root(left: np.ndarray, inner: np.ndarray) -> tuple:
+    """The root (sigma, left U) of F F*, F = left @ inner with unitary left,
+    from the SVD U diag(sigma) W* of inner."""
+    u, sig, _ = svd(inner)
+    return sig, left @ u
 
-    The products A^{-1/2} B A^{-1/2} and A^{1/2} B A^{1/2} can have
-    condition numbers up to cond(A) * cond(B).  Past 1/eps their smallest
-    computed eigenvalue can be zero or negative, and its power is NaN.  The
-    eigendecomposition computed here is the one the power then uses.
-    Returns (symmetrized stack, eigenvalues, eigenvectors).
-    """
-    sym = _herm(arr)
-    vals, q = eigh_stack(sym)
-    what = ("the pair is too ill-conditioned for its means (a product of the pair is "
-            "numerically indefinite): computed eigenvalues in")
-    require_spd_range(vals, what, ratio=0.0)
-    return sym, vals, q
+
+def _gram(left: np.ndarray, inner: np.ndarray) -> np.ndarray:
+    """F F* for every factor F = left @ inner of a stack."""
+    f = left @ inner
+    return _herm(f @ _ct(f))
+
+
+def _inverse_factors(left: np.ndarray, inner: np.ndarray) -> tuple:
+    """(left, inner^{-*}), factors of (F F*)^{-1} for F = left @ inner."""
+    return left, _ct(np.linalg.inv(inner))
+
+
+def _factor(left: np.ndarray, inner: np.ndarray) -> tuple:
+    """Gram factors F = left @ inner as the B of a ``_MeanPair``: (1, F)."""
+    return np.ones(inner.shape[-1]), left @ inner
+
+
+def _spd(sig: np.ndarray, q: np.ndarray) -> SpdMatrix:
+    """The root (sigma, Q)'s matrix as an ``SpdMatrix``, its eigenpairs
+    cached; DomainError unless sigma^2 passes ``require_spd_range``."""
+    vals = sig ** 2
+    require_spd_range(vals, _MEAN_RANGE)
+    return SpdMatrix._from_eig(q, vals)
 
 
 class _MeanPair:
-    """Both means of a stack of pairs, sharing their decompositions.
+    """Both means of a stack of pairs, from Gram factors in A's eigenbasis.
 
-    ``a`` and ``b`` are two ``SpdMatrix`` objects, or two arrays of shape
-    ``(..., n, n)`` that broadcast against each other (their broadcast
-    leading shape is the pair's stack; the arrays are trusted to be
-    positive definite, as ``SpdMatrix._wrap`` trusts its input).  A is
-    decomposed afresh for arrays unless the caller sets ``_eig_a``; an
-    ``SpdMatrix`` A reuses its cached decomposition, so a pair at the edge
-    of the accepted range can raise for one kind of input and not the other.
-    ``sharps(taus)`` and ``naturals(taus)`` take the mean of every pair at
-    every parameter of ``taus``, whose last axis is the parameter axis and
-    whose leading axes broadcast against the stack; they return stack +
-    (K, n, n).  Every product whose power or root is taken is checked on
-    every member of the stack first, and ``DomainError`` is raised if any
-    member is numerically indefinite.  ``sharp(t)``, ``natural(t)`` and
-    ``cross()`` are the one-pair, one-parameter views, and ``_rows`` a row
-    gather that reuses the stack's decompositions.
+    A is held as its root (h_a, Q_a), A = Q_a diag(h_a^2) Q_a*, and B as any
+    Gram factor F_b = Q_b diag(h_b) (the means are congruence invariant).
+    With M = Q_a* F_b, the SVDs P sigma W* of h_a^{-1} M, P' sigma' W'* of
+    h_a M and P_C S_C W_C* of h_a^{-1} P' sigma'^{1/2}:
+
+      A #_t B = H H*,  H = Q_a (h_a P sigma^t)
+      A^{-1} # B = C,  C^t = (Q_a P_C) S_C^{2t} (Q_a P_C)*
+      A @_t B = C^t A C^t = L L*,  L = (Q_a P_C) (S_C^{2t} P_C* h_a)
+
+    ``a`` and ``b``: two ``SpdMatrix``, two arrays ``(..., n, n)`` that
+    broadcast against each other, or two tuples (h, Q) (A's a root, B's any
+    factor Q diag(h)), each made (h, Q) by ``_root``.  ``sharp_factors`` and
+    ``natural_factors`` give (left, inner), left unitary, for every pair and
+    every tau of ``taus`` (last axis the parameters, leading axes broadcast
+    against the stack), inner stack + (K, n, n); ``sharps``, ``naturals``,
+    ``cross_powers`` and ``spectra`` (squared singular values of inner) are
+    arrays, and ``sharp(t)``, ``natural(t)``, ``cross()`` the one-pair
+    ``SpdMatrix`` views (DomainError unless in ``require_spd_range``).
     """
 
     def __init__(self, a, b):
-        self._eig_a = None        # (values, vectors) of A, when known
-        if not (isinstance(a, np.ndarray) and isinstance(b, np.ndarray)):
+        if not all(isinstance(m, (np.ndarray, tuple)) for m in (a, b)):
             _check_pair(a, b)
-            self._eig_a = eig_hermitian(a)
-            a, b = a.mat, b.mat
-        self.a = a
-        self.b = b
-        self._root_a = None       # (A^{1/2}, A^{-1/2})
-        self._mid = None          # A^{-1/2} B A^{-1/2}: (values, vectors)
-        self._cross = None        # A^{-1} # B: (matrix, values, vectors)
+        self.h, self.q = _root(a)
+        self._hb, q_b = _root(b)
+        self._m = _ct(self.q) @ q_b  # Q_a* F_b, before the column scaling by h_b
+        self._mid = None          # (P, sigma) of the metric mean
+        self._cross = None        # (Q_a P_C, P_C, S_C) of A^{-1} # B
 
-    def _roots(self):
-        if self._root_a is None:
-            vals, q = self._eig_a or eigh_stack(self.a)
-            rt = np.sqrt(vals)[..., None, :]
-            qh = _ct(q)
-            self._root_a = ((q * rt) @ qh, (q / rt) @ qh)
-        return self._root_a
-
-    def _mid_eig(self) -> tuple:
-        """A^{-1/2} B A^{-1/2}, the generator of the metric mean: its
-        eigendecomposition."""
+    def _mid_svd(self) -> tuple:
         if self._mid is None:
-            ria = self._roots()[1]
-            self._mid = _positive_product(ria @ self.b @ ria)[1:]
+            self._mid = svd(self._m / self.h[..., :, None] * self._hb[..., None, :])[:2]
         return self._mid
 
+    def _cross_svd(self) -> tuple:
+        if self._cross is None:
+            h = self.h[..., :, None]
+            p, sig, _ = svd(h * self._m * self._hb[..., None, :])
+            p_c, s_c, _ = svd(p * np.sqrt(sig)[..., None, :] / h)
+            self._cross = (self.q @ p_c, p_c, s_c)
+        return self._cross
+
     def _rows(self, index, b=None) -> "_MeanPair":
-        """The pairs at ``index`` (``...`` for all) of a stack whose B is one
-        matrix, sharing this stack's decompositions: A's roots and, unless
-        ``b`` replaces B, the mid and cross ones computed so far."""
-        out = _MeanPair(self.a[index], self.b if b is None else b)
-
-        def take(parts):
-            return parts and tuple(part[index] for part in parts)
-
-        out._root_a = take(self._roots())
-        if b is None:
-            out._mid, out._cross = take(self._mid), take(self._cross)
+        """The pairs at ``index`` of a stack whose B is one matrix: A's root
+        and, unless ``b`` replaces B, Q_a* F_b and the SVDs so far."""
+        if b is not None:
+            return _MeanPair((self.h[index], self.q[index]), b)
+        out = copy.copy(self)
+        out.h, out.q, out._m = self.h[index], self.q[index], self._m[index]
+        out._mid = self._mid and tuple(part[index] for part in self._mid)
+        out._cross = self._cross and tuple(part[index] for part in self._cross)
         return out
+
+    def sharp_factors(self, taus) -> tuple:
+        """(Q_a, h_a P sigma^tau): A #_tau B for every pair and every tau."""
+        p, sig = self._mid_svd()
+        powers = _pow(sig[..., None, :], np.asarray(taus, dtype=float)[..., None])
+        inner = self.h[..., None, :, None] * (p[..., None, :, :] * powers[..., None, :])
+        return np.broadcast_to(self.q[..., None, :, :], inner.shape), inner
+
+    def natural_factors(self, taus) -> tuple:
+        """(Q_a P_C, S_C^{2 tau} P_C* h_a): A @_tau B for every pair and
+        every tau."""
+        left, p_c, s_c = self._cross_svd()
+        powers = _pow(s_c[..., None, :], 2.0 * np.asarray(taus, dtype=float)[..., None])
+        inner = powers[..., :, None] * _ct(p_c)[..., None, :, :] * self.h[..., None, None, :]
+        return np.broadcast_to(left[..., None, :, :], inner.shape), inner
 
     def sharps(self, taus) -> np.ndarray:
         """A #_tau B for every pair and every tau."""
-        ra = self._roots()[0][..., None, :, :]
-        return _herm(ra @ _powers(*self._mid_eig(), taus) @ ra)
-
-    def _cross_eig(self) -> tuple:
-        """A^{-1} # B, the generator of the spectral mean, with its
-        eigendecomposition."""
-        if self._cross is None:
-            ra, ria = self._roots()
-            _, vals, q = _positive_product(ra @ self.b @ ra)
-            root = (q * np.sqrt(vals)[..., None, :]) @ _ct(q)
-            self._cross = _positive_product(ria @ root @ ria)
-        return self._cross
-
-    def cross_powers(self, taus) -> np.ndarray:
-        """(A^{-1} # B)^tau for every pair and every tau."""
-        return _powers(*self._cross_eig()[1:], taus)
+        return _gram(*self.sharp_factors(taus))
 
     def naturals(self, taus) -> np.ndarray:
         """A @_tau B for every pair and every tau."""
-        ct = self.cross_powers(taus)
-        return _herm(ct @ self.a[..., None, :, :] @ ct)
+        return _gram(*self.natural_factors(taus))
+
+    def cross_powers(self, taus) -> np.ndarray:
+        """(A^{-1} # B)^tau for every pair and every tau."""
+        left, _, s_c = self._cross_svd()
+        powers = _pow(s_c[..., None, :], 2.0 * np.asarray(taus, dtype=float)[..., None])
+        return _assemble(left[..., None, :, :], powers)
 
     def spectra(self, taus) -> tuple:
-        """Eigenvalues, descending, of A #_tau B and of A @_tau B for every
-        pair and every tau (two arrays stack + (K, n)), from one stacked
-        decomposition."""
-        vals = eigh_stack(np.stack([self.sharps(taus), self.naturals(taus)]), vectors=False)
-        return vals[0], vals[1]
+        """Eigenvalues, descending, of A #_tau B and A @_tau B (two arrays
+        stack + (K, n)): squared singular values, from one stacked SVD."""
+        inner = np.stack([self.sharp_factors(taus)[1], self.natural_factors(taus)[1]])
+        sig = svd(inner, vectors=False)
+        return sig[0] ** 2, sig[1] ** 2
 
     def sharp(self, t: float) -> SpdMatrix:
-        return SpdMatrix._wrap(self.sharps([t])[0])
+        return _spd(*_gram_root(*(part[0] for part in self.sharp_factors([t]))))
 
     def cross(self) -> SpdMatrix:
         """A^{-1} # B, the generator of the spectral mean."""
-        return SpdMatrix._wrap(self._cross_eig()[0])
+        left, _, s_c = self._cross_svd()
+        return _spd(s_c, left)
 
     def natural(self, t: float) -> SpdMatrix:
-        return SpdMatrix._wrap(self.naturals([t])[0])
+        return _spd(*_gram_root(*(part[0] for part in self.natural_factors([t]))))
 
 
 def geometric_mean(a: SpdMatrix, b: SpdMatrix, t: float = 0.5) -> SpdMatrix:
@@ -246,13 +257,13 @@ def spectral_mean(a: SpdMatrix, b: SpdMatrix, t: float = 0.5) -> SpdMatrix:
 def spectral_mean_unitary(a: SpdMatrix, b: SpdMatrix) -> UnitaryMatrix:
     """Unitary U with A @ B = U (A^{1/2} B A^{1/2})^{1/2} U*.
 
-    U is the polar unitary of (A^{-1} # B)^{1/2} A^{1/2}.
+    U is the polar unitary of the t = 1/2 natural factor of ``_MeanPair``
+    taken in the frame of A^{1/2}: L Q_a* = (A^{-1} # B)^{1/2} A^{1/2}, where
+    L L* = A @ B and A = Q_a diag(h_a^2) Q_a*.
     """
     pair = _MeanPair(a, b)
-    ra, _ = pair._roots()
-    g = pair.cross_powers([0.5])[0] @ ra
-    u, _ = polar(ComplexMatrix(g), side="right")
-    return u
+    left, inner = pair.natural_factors([0.5])
+    return polar(ComplexMatrix(left[0] @ inner[0] @ _ct(pair.q)), side="right")[0]
 
 
 def loewner_leq(a: HermitianMatrix, b: HermitianMatrix) -> bool:
@@ -322,26 +333,28 @@ class _IdentityContext:
     - (t, r, s): natural_interpolation.
 
     ``residuals`` evaluates each group once, over a stacked parameter
-    axis: the means at a set of parameters come from one ``sharps`` /
-    ``naturals`` call, each family of derived pairs is one stacked
-    ``_MeanPair`` (the links (A^{-1}, A @_t B) and (inv(B @_t A), B), the
-    chain pairs (A #_r B, B) and (A @_r B, B), the interpolation pairs
-    (A @_r B, A @_s B)), and each law's residuals are one reduction.  The
-    chain pairs and the A side of the interpolation pairs are decomposed
-    once per distinct r and gathered to the (r, s) rows (``_MeanPair._rows``),
-    and the links to A^{-1} share its roots with the inverse pair.  The
-    parameter-free laws ride along the t axis at t = 1/2.  ``grid`` wraps
-    each triple's residuals in a report, and ``evaluate`` is the grid on
-    one triple.
+    axis: the means at a set of parameters come from one factor call, each
+    family of derived pairs is one stacked ``_MeanPair`` (the links
+    (A^{-1}, A @_t B) and (inv(B @_t A), B), the chain pairs (A #_r B, B)
+    and (A @_r B, B), the interpolation pairs (A @_r B, A @_s B)), and each
+    law's residuals are one reduction.  A derived mean enters a pair as B
+    through its Gram factor and as A through that factor's root (an inverse
+    through the inverse factor), and A^{-1}, B^{-1} through the roots
+    (1/h, Q) of A and B, so no derived B is decomposed.  The chain pairs and
+    the A side of the interpolation pairs are rooted once per distinct r and
+    gathered to the (r, s) rows (``_MeanPair._rows``).  The parameter-free
+    laws ride along the t axis at t = 1/2.  ``grid`` wraps each triple's
+    residuals in a report, and ``evaluate`` is the grid on one triple.
     """
 
     def __init__(self, a: SpdMatrix, b: SpdMatrix):
         self.pair = _MeanPair(a, b)
-        self.a = a.mat
-        self.b = b.mat
         self.swapped = _MeanPair(b, a)
-        self.a_inv = _inverse(self.a)
-        self.inverse = _MeanPair(self.a_inv, _inverse(self.b))
+        self.a, self.b = a.mat, b.mat
+        self.a_inv = _assemble(self.pair.q, 1.0 / eig_hermitian(a).values)
+        self.b_root = (self.swapped.h, self.swapped.q)
+        self.inverse = _MeanPair((1.0 / self.pair.h, self.pair.q),
+                                 (1.0 / self.swapped.h, self.swapped.q))
         self._det_a = spd_det(a)
         self._det_b = spd_det(b)
 
@@ -350,21 +363,26 @@ class _IdentityContext:
         laws (scalars)."""
         pair, swapped, a, b = self.pair, self.swapped, self.a, self.b
         th = np.append(t, 0.5)
-        nat = pair.naturals(th)
-        nat_inv = _inverse(nat)
+        nat_factors = pair.natural_factors(th)
+        nat = _gram(*nat_factors)
+        nat_inv_factors = _inverse_factors(*nat_factors)
+        nat_inv = _gram(*nat_inv_factors)
         sharp = pair.sharps(th)
-        swap_nat = swapped.naturals(t)
+        swap_factors = swapped.natural_factors(t)
+        swap_nat = _gram(*swap_factors)
         # Links between the means: A^{-1} # (A @_t B) = (A^{-1} # B)^t, and
         # inv(B @_t A) # B = (A^{-1} # B)^t.  The first right link is the
         # parameter-free law's inv(A @_1/2 B) # B.
         cross_t = pair.cross_powers(t)
-        c = self.inverse._rows(..., nat).sharps([0.5])[:, 0]
-        right = _MeanPair(
-            np.concatenate([nat_inv[-1:], _inverse(swap_nat)]), b
-        ).sharps([0.5])[:, 0]
+        link = _MeanPair((self.inverse.h, self.inverse.q), _factor(*nat_factors))
+        c_factors = [part[:, 0] for part in link.sharp_factors([0.5])]
+        c = _gram(*c_factors)
+        inv_right = [np.concatenate([nat_part[-1:], swap_part]) for nat_part, swap_part
+                     in zip(nat_inv_factors, _inverse_factors(*swap_factors))]
+        right = _MeanPair(_gram_root(*inv_right), self.b_root).sharps([0.5])[:, 0]
         # Conjugation form: with C_t = A^{-1} # (A @_t B),
         # A @_t B = C_t A C_t and B @_t A = C_t^{-1} B C_t^{-1}.
-        c_inv = _inverse(c[:-1])
+        c_inv = _gram(*_inverse_factors(*(part[:-1] for part in c_factors)))
         # Determinant scaling law shared by both means.
         det_target = _pow(self._det_a, 1.0 - t) * _pow(self._det_b, t)
         det_scale = np.maximum(np.abs(det_target), 1e-300)
@@ -391,18 +409,18 @@ class _IdentityContext:
         """Geodesic reparameterization for both means over the (r, s) pairs
         (shape (P,)), and the interpolation law over (t, (r, s)) (shape
         (T, P))."""
-        pair, b = self.pair, self.b
+        pair, b = self.pair, self.b_root
         u = (s / (1.0 - r))[:, None]
-        # The chain pairs at the distinct r, decomposed once, as row stacks.
+        # The chain pairs at the distinct r, rooted once, as row stacks.
         r_set, rows = np.unique(r, return_inverse=True)
-        sharp_r = _MeanPair(pair.sharps(r_set), b)
-        nat_r = _MeanPair(pair.naturals(r_set), b)
-        sharp_r._mid_eig()  # the decompositions the rows share
-        nat_r._cross_eig()
+        sharp_r = _MeanPair(_gram_root(*pair.sharp_factors(r_set)), b)
+        nat_r = _MeanPair(_gram_root(*pair.natural_factors(r_set)), b)
+        sharp_r._mid_svd()  # the SVDs the rows share
+        nat_r._cross_svd()
         sharp_chain = sharp_r._rows(rows).sharps(u)[:, 0]
         natural_chain = nat_r._rows(rows).naturals(u)[:, 0]
         # Interpolation: (A @_r B) @_t (A @_s B) = A @_{(1-t)r + ts} B.
-        interp = nat_r._rows(rows, pair.naturals(s)).naturals(t)
+        interp = nat_r._rows(rows, _factor(*pair.natural_factors(s))).naturals(t)
         target = pair.naturals((1.0 - t) * r[:, None] + t * s[:, None])
         return {
             "sharp_chain": rel_residual(pair.sharps(r + s), sharp_chain),

@@ -42,9 +42,9 @@ from .linalg import (
     eig_hermitian_pair,
     require_exp_range,
     require_spd_range,
-    svd,
     unitarity_error,
 )
+from .means import _gram_root, _MeanPair
 from .realizations import REALIZATIONS
 
 TARGET_KINDS = ("exp_product", "geometric", "spectral")
@@ -76,12 +76,12 @@ def _gram_log(h: np.ndarray, left: np.ndarray) -> HermitianMatrix:
     DomainError unless sigma^2 passes ``require_spd_range``, the SpdMatrix
     range applied to H H*; an inf Gram eigenvalue fails it.
     """
-    p, sig, _ = svd(h)
+    sig, q = _gram_root(left, h)
     with np.errstate(over="ignore"):
         gram = sig ** 2
     require_spd_range(gram, "target is not positive definite to working precision: Gram "
                       "eigenvalues in")
-    return HermitianMatrix._wrap(_assemble(left @ p, 2.0 * np.log(sig)))
+    return HermitianMatrix._wrap(_assemble(q, 2.0 * np.log(sig)))
 
 
 def build_target(x: HermitianMatrix, y: HermitianMatrix, kind: str) -> HermitianMatrix:
@@ -91,25 +91,14 @@ def build_target(x: HermitianMatrix, y: HermitianMatrix, kind: str) -> Hermitian
     kind='geometric':    Z = log(e^{2X} # e^{2Y})
     kind='spectral':     Z = log(e^{2X} @ e^{2Y})
 
-    Each product or mean is a Gram product H H* of a square-root factor H,
-    and Z = P diag(2 log sigma) P* comes from the SVD of H (Iannazzo's
-    factor form of the geometric mean), so its eigenvalues come from
-    singular values.  With A = e^{2X} and B = e^{2Y}:
-
-      exp_product  H = e^{X/2} e^{Y/2}
-      geometric    A # B = H H*, H = e^X P S^{1/2}, where P S W* is the
-                   SVD of e^{-X} e^Y
-      spectral     C = A^{-1} # B = K K*, K = e^{-X} P S^{1/2} from the SVD
-                   of e^X e^Y, and A @ B = C^{1/2} A C^{1/2} = L L* with
-                   L = C^{1/2} e^X = P_C (S_C P_C* e^X) for the SVD
-                   P_C S_C W_C* of K
-
-    One eigendecomposition of the stack [X, Y] (``eig_hermitian_pair``,
-    cached on X and Y), X = Q_x D_x Q_x* and Y = Q_y D_y Q_y*, gives every
-    exponential.  Each factor is formed in X's eigenbasis, as diagonal
-    scalings of M = Q_x* Q_y (e^{-X} e^Y = Q_x e^{-D_x} M e^{D_y} Q_y*), so
-    no product of two exponentials is formed and an entry's rounding error
-    stays relative to that entry.
+    Each product or mean is a Gram product H H*, and Z = P diag(2 log sigma)
+    P* comes from the SVD of H.  One eigendecomposition of the stack [X, Y]
+    (``eig_hermitian_pair``, cached on X and Y), X = Q_x D_x Q_x* and
+    Y = Q_y D_y Q_y*, gives every factor in X's eigenbasis, as diagonal
+    scalings of Q_x* Q_y, so no product of two exponentials is formed:
+    H = Q_x (e^{D_x/2} Q_x* Q_y e^{D_y/2}) Q_y* for exp_product, and for
+    the means the t = 1/2 factors of ``means._MeanPair`` for the roots
+    (e^{D_x}, Q_x) of e^{2X} and (e^{D_y}, Q_y) of e^{2Y}.
 
     Range: every exponential, factor entry and singular value above lies in
     [e^{-b}, e^b] in exact arithmetic, b = max |eig X| + max |eig Y|, so
@@ -125,19 +114,15 @@ def build_target(x: HermitianMatrix, y: HermitianMatrix, kind: str) -> Hermitian
         raise ParamOutOfRange(f"unknown target kind {kind!r}; use one of {TARGET_KINDS}")
     eig_x, eig_y = eig_hermitian_pair(x, y)
     lam_x, q_x = eig_x.values, eig_x.vectors
-    lam_y = eig_y.values
+    lam_y, q_y = eig_y.values, eig_y.vectors
     what = "the target's factors leave the float range: max |eig X| + max |eig Y|"
     require_exp_range(np.abs(lam_x).max() + np.abs(lam_y).max(), what)
-    m = q_x.conj().T @ eig_y.vectors
     if kind == "exp_product":
+        m = q_x.conj().T @ q_y
         return _gram_log(np.exp(0.5 * lam_x)[:, None] * m * np.exp(0.5 * lam_y), q_x)
-    e_x = np.exp(lam_x)
-    if kind == "geometric":
-        p, sig, _ = svd(m / e_x[:, None] * np.exp(lam_y))
-        return _gram_log(e_x[:, None] * (p * np.sqrt(sig)), q_x)
-    p, sig, _ = svd(e_x[:, None] * m * np.exp(lam_y))
-    p_c, sig_c, _ = svd(p * np.sqrt(sig) / e_x[:, None])
-    return _gram_log(sig_c[:, None] * p_c.conj().T * e_x, q_x @ p_c)
+    pair = _MeanPair((np.exp(lam_x), q_x), (np.exp(lam_y), q_y))
+    left, inner = (pair.sharp_factors if kind == "geometric" else pair.natural_factors)([0.5])
+    return _gram_log(inner[0], left[0])
 
 
 @dataclass

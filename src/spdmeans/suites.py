@@ -416,8 +416,8 @@ def suite_kostant(trials: int = 50, seed: int = 0) -> SuiteResult:
         a, b = _spd_pair(n, seed + 11, trial)
         lam_a = eig_hermitian(a).values
         lam_b = eig_hermitian(b).values
-        ga = ComplexMatrix(a.mat)
-        gb = ComplexMatrix(b.mat)
+        ga = HermitianMatrix(a.mat)
+        gb = HermitianMatrix(b.mat)
         agree = kostant_leq(ga, gb) == log_majorizes(lam_a, lam_b) and kostant_leq(
             gb, ga
         ) == log_majorizes(lam_b, lam_a)
@@ -436,9 +436,9 @@ def suite_kostant(trials: int = 50, seed: int = 0) -> SuiteResult:
         sharp = geometric_mean(a, b, 0.5)
         lam_mid = eig_hermitian(sharp).values
         scale_fix = (np.prod(lam_a) / np.prod(lam_mid)) ** (1.0 / n)
-        mid = ComplexMatrix(sharp.mat * scale_fix)
+        mid = HermitianMatrix(sharp.mat * scale_fix)
         scale_b = (np.prod(lam_a) / np.prod(lam_b)) ** (1.0 / n)
-        gb_fixed = ComplexMatrix(b.mat * scale_b)
+        gb_fixed = HermitianMatrix(b.mat * scale_b)
         if kostant_leq(mid, ga) and kostant_leq(ga, gb_fixed):
             res.add(trial, n, None, "transitive", kostant_leq(mid, gb_fixed), 0.0)
     return res

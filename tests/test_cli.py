@@ -60,19 +60,33 @@ class TestMeanCommand:
         )
         assert result.exit_code == 2
 
-    def test_ill_conditioned_pair_exits_2(self, runner, tmp_path):
-        from spdmeans import random_spd
+    def test_ill_conditioned_pair_exits_0(self, runner, tmp_path):
+        # cond(A) cond(B) = 4.4e19, where a product form of the means came
+        # out numerically indefinite.  The printed and saved mean is the
+        # library's, within tests/test_means.py's bound of the fixture.
+        from spdmeans import SpdMatrix, load_matrix, random_spd, spectral_mean
 
-        a = tmp_path / "a.json"
-        b = tmp_path / "b.json"
-        save_matrix(a, random_spd(4, 3002, 14).mat)
-        save_matrix(b, random_spd(4, 3003, 14).mat)
+        fixture = Path(__file__).parent / "data" / "mean_reference.json"
+        (case,) = [c for c in json.loads(fixture.read_text())["cases"]
+                   if c["seeds"] == [3002, 3003]]
+        want = np.array(case["means"]["natural"]["0.3"]["re"]) + 1j * np.array(
+            case["means"]["natural"]["0.3"]["im"]
+        )
+        a_mat, b_mat = random_spd(4, 3002, 14).mat, random_spd(4, 3003, 14).mat
+        a, b, out = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "mean.json"
+        save_matrix(a, a_mat)
+        save_matrix(b, b_mat)
         result = runner.invoke(
             main,
-            ["mean", "--kind", "spectral", "--t", "0.3", "--a", str(a), "--b", str(b)],
+            ["mean", "--kind", "spectral", "--t", "0.3", "--a", str(a), "--b", str(b),
+             "--out", str(out)],
         )
-        assert result.exit_code == 2
-        assert "too ill-conditioned" in result.output
+        assert result.exit_code == 0
+        got = load_matrix(out).mat
+        assert np.array_equal(got, spectral_mean(SpdMatrix(a_mat), SpdMatrix(b_mat), 0.3).mat)
+        conds = [v[-1] / v[0] for v in np.linalg.eigvalsh(np.stack([a_mat, b_mat]))]
+        bound = 32.0 * np.sqrt(np.prod(conds)) * np.finfo(float).eps
+        assert np.abs(got - want).max() / np.abs(want).max() <= bound
 
     def test_out_file(self, runner, reference_pair_files, tmp_path):
         a, b = reference_pair_files
@@ -277,6 +291,23 @@ class TestScanCommand:
             )
         assert result.exit_code == 2
         assert result.output.startswith(message)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+    def test_scan_far_past_the_range_exits_2(self, runner, tmp_path):
+        from spdmeans import random_unitary
+
+        u = random_unitary(2, 4).mat
+        x, y = tmp_path / "x.json", tmp_path / "y.json"
+        save_matrix(x, u @ np.diag([213.0, -213.0]) @ u.conj().T)
+        save_matrix(y, np.zeros((2, 2)))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = runner.invoke(
+                main, ["scan", "--x", str(x), "--y", str(y), "--r-grid", "1"]
+            )
+        assert result.exit_code == 2
+        assert result.output.startswith("error: phi or psi is not positive definite")
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from spdmeans import (
     psi,
     random_hermitian,
     random_real_symmetric_traceless,
+    random_unitary,
     scan_chain,
     spectral_mean,
     trotter_distances,
@@ -124,13 +127,33 @@ class TestScanChain:
         assert all(b <= a + 1e-10 for a, b in zip(tr_phi, tr_phi[1:]))
         assert all(a <= b + 1e-10 for a, b in zip(tr_psi, tr_psi[1:]))
 
-    def test_numerically_indefinite_mean_raises(self):
-        # A mean fed to mat_pow(., 2 / r) comes out with a negative computed
-        # eigenvalue; phi and psi were NaN.
+    def test_wide_pair_matches_reference_traces(self):
+        # cond(e^{8X}) = e^41.  A product form of the mean at r = 8 came out
+        # with a negative computed eigenvalue here; the Gram-factor means are
+        # positive by construction.  Reference traces of phi and psi at
+        # r = 4 and 8: mpmath at 50 digits from the same float64 X and Y.
         x = random_hermitian(4, 8092, 3.0)
         y = random_hermitian(4, 8093, 3.0)
-        with pytest.raises(DomainError, match="not positive definite"):
-            scan_chain(x, y)
+        scan = scan_chain(x, y)
+        assert scan.r_grid[-2:] == (4.0, 8.0)
+        want = [(11.589021506973150656, 171.94603041551401206),
+                (9.8004798342222056976, 189.39834580559454889)]
+        for (tr_phi, tr_psi, _), (ref_phi, ref_psi) in zip(scan.traces[-2:], want):
+            assert abs(tr_phi - ref_phi) <= 1e-8 * ref_phi
+            assert abs(tr_psi - ref_psi) <= 1e-12 * ref_psi
+        assert evaluate_chain(scan).passed
+
+    def test_far_past_the_range_raises_without_warnings(self):
+        # cond(e^X) = e^426, inside the overflow bound (426 < 709.09): the
+        # computed eigenvalues of phi and psi are meaningless, and the range
+        # check on them raises before any is wrapped.
+        u = random_unitary(2, 4).mat
+        x = HermitianMatrix(u @ np.diag([213.0, -213.0]) @ u.conj().T)
+        y = HermitianMatrix(np.zeros((2, 2)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DomainError, match="phi or psi is not positive definite"):
+                scan_chain(x, y, (1.0,))
 
     @pytest.mark.parametrize("n", [2, 5, 8, 16])
     def test_stacked_scan_matches_one_pair_means(self, n):

@@ -1,10 +1,12 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from spdmeans import (
     ComplexMatrix,
     DimensionMismatch,
-    DomainError,
     HermitianMatrix,
     ParamOutOfRange,
     SpdMatrix,
@@ -20,8 +22,40 @@ from spdmeans import (
     spectrum,
 )
 from spdmeans.linalg import mat_pow
-from spdmeans.means import IDENTITY_NAMES, IDENTITY_TOL, _MeanPair, rel_residual, spd_det
+from spdmeans.means import (
+    IDENTITY_NAMES,
+    IDENTITY_TOL,
+    _factor,
+    _gram_root,
+    _MeanPair,
+    _root,
+    rel_residual,
+    spd_det,
+)
 from spdmeans.suites import IDENTITY_GRIDS
+
+MEAN_REFERENCE = json.loads(
+    (Path(__file__).parent / "data" / "mean_reference.json").read_text()
+)["cases"]
+# Bound on each mean's max-entry error, relative to its max entry:
+# MEAN_C * sqrt(cond A * cond B) * eps.  A Gram factor of a mean has the
+# square root of the mean's condition number, and its SVD errs by about eps
+# times that.  The worst case of the fixture reads about 12 of MEAN_C.
+MEAN_C = 32.0
+
+
+def _fixture_matrix(entry):
+    return np.array(entry["re"]) + 1j * np.array(entry["im"])
+
+
+def _mean_bound(a, b) -> float:
+    cond = np.prod([vals[0] / vals[-1] for vals in np.linalg.eigvalsh(np.stack([a, b]))[:, ::-1]])
+    return MEAN_C * np.sqrt(cond) * np.finfo(float).eps
+
+
+def _mean_error(got, want) -> float:
+    return np.abs(got - want).max() / np.abs(want).max()
+
 
 ORDER_CEX_A = [[6.0, -3.0], [-3.0, 4.0]]
 ORDER_CEX_B = [[4.0, -2.0], [-2.0, 5.0]]
@@ -124,39 +158,65 @@ class TestSpectralMean:
             assert np.abs(lhs - rhs).max() <= 1e-10 * np.abs(lhs).max()
 
 
-class TestIllConditionedPair:
-    # cond(A) = 5.7e8 and cond(B) = 7.7e10 pass the SpdMatrix guard, but
-    # A^{-1/2} B A^{-1/2} comes out with a negative computed eigenvalue.
-    def test_raises_domain_error(self):
-        a = random_spd(4, 3002, 14)
-        b = random_spd(4, 3003, 14)
-        with pytest.raises(DomainError, match="too ill-conditioned"):
-            geometric_mean(a, b, 0.3)
+class TestMeanAccuracy:
+    """Both means against the 60-digit fixture (tests/make_target_reference.py):
+    random_spd pairs at n 3..6 and spreads 2 to 13.5, and the edge pair."""
 
-    def test_stack_member_matches_the_pair_alone(self):
-        # The same pair, as arrays, in the middle of a stack of good pairs.
-        # Decomposed afresh, its A^{1/2} B A^{1/2} is numerically indefinite
-        # (so its natural means raise) and its A^{-1/2} B A^{-1/2} is not
-        # (so its sharp means are finite), in the stack as alone.
+    @pytest.mark.parametrize("kind", ["sharp", "natural"])
+    def test_error_within_bound(self, kind):
+        mean = geometric_mean if kind == "sharp" else spectral_mean
+        assert len(MEAN_REFERENCE) == 21
+        for case in MEAN_REFERENCE:
+            a, b = (_fixture_matrix(case[m]) for m in ("a", "b"))
+            bound = _mean_bound(a, b)
+            for t, want in case["means"][kind].items():
+                err = _mean_error(mean(SpdMatrix(a), SpdMatrix(b), float(t)).mat,
+                                  _fixture_matrix(want))
+                assert err <= bound, ((case["n"], case["spread"], t), err, bound)
+
+
+class TestIllConditionedPair:
+    # cond(A) = 5.7e8 and cond(B) = 7.7e10 pass the SpdMatrix guard, and
+    # cond(A) cond(B) = 4.4e19.  A product form of the means, decomposing
+    # A^{-1/2} B A^{-1/2} or A^{1/2} B A^{1/2}, came out numerically
+    # indefinite here; the Gram-factor means match the fixture.
+    @pytest.fixture
+    def edge(self):
+        (case,) = [c for c in MEAN_REFERENCE if c["seeds"] == [3002, 3003]]
+        return case
+
+    def test_matches_reference(self, edge):
+        a, b = random_spd(4, 3002, 14), random_spd(4, 3003, 14)
+        assert np.array_equal(a.mat, _fixture_matrix(edge["a"]))
+        assert np.array_equal(b.mat, _fixture_matrix(edge["b"]))
+        bound = _mean_bound(a.mat, b.mat)
+        for kind, mean in (("sharp", geometric_mean), ("natural", spectral_mean)):
+            for t, want in edge["means"][kind].items():
+                err = _mean_error(mean(a, b, float(t)).mat, _fixture_matrix(want))
+                assert err <= bound, (kind, t, err, bound)
+
+    def test_stack_member_matches_the_pair_alone(self, edge):
+        # The same pair, as arrays, in the middle of a stack of good pairs:
+        # its means get the same bits as the pair alone, and match the
+        # fixture.
         pairs = [(random_spd(4, 10 + 2 * k), random_spd(4, 11 + 2 * k)) for k in range(3)]
         pairs.insert(2, (random_spd(4, 3002, 14), random_spd(4, 3003, 14)))
         a = np.stack([p.mat for p, _ in pairs])
         b = np.stack([q.mat for _, q in pairs])
-        for stack in (_MeanPair(a, b), _MeanPair(a[2], b[2])):
-            with pytest.raises(DomainError, match="too ill-conditioned"):
-                stack.naturals([0.3])
-        stacked = _MeanPair(a, b).sharps([0.3, 0.7])
-        for k in range(len(pairs)):
-            alone = _MeanPair(a[k], b[k]).sharps([0.3, 0.7])
-            assert np.all(np.isfinite(alone))
-            assert np.array_equal(stacked[k], alone)
-        good = [0, 1, 3]
-        assert np.all(np.isfinite(_MeanPair(a[good], b[good]).naturals([0.3])))
+        ts = [0.3, 0.5]
+        stack = _MeanPair(a, b)
+        for kind in ("sharp", "natural"):
+            stacked = getattr(stack, kind + "s")(ts)
+            for k in range(len(pairs)):
+                assert np.array_equal(stacked[k], getattr(_MeanPair(a[k], b[k]), kind + "s")(ts))
+            for got, (t, want) in zip(stacked[2], edge["means"][kind].items()):
+                assert float(t) in ts
+                assert _mean_error(got, _fixture_matrix(want)) <= _mean_bound(a[2], b[2])
 
 
 class TestRowGather:
-    """``_MeanPair._rows`` gathers a stack's decompositions to its rows; the
-    means then equal, under ==, those of the full stack decomposed row by row."""
+    """``_MeanPair._rows`` gathers a stack's SVDs to its rows; the means then
+    equal, under ==, those of the full stack computed row by row."""
 
     @pytest.fixture
     def stacks(self):
@@ -164,28 +224,28 @@ class TestRowGather:
         pair = _MeanPair(a, b)
         r = np.array([0.1, 0.4, 0.1, 0.25, 0.4, 0.0])
         r_set, rows = np.unique(r, return_inverse=True)
-        return pair, b.mat, r, r_set, rows
+        return pair, _root(b), r, r_set, rows
 
     def test_chain_pairs(self, stacks):
         pair, b, r, r_set, rows = stacks
         u = np.linspace(0.0, 1.0, len(r))[:, None]
-        sharp_once = _MeanPair(pair.sharps(r_set), b)
-        nat_once = _MeanPair(pair.naturals(r_set), b)
-        sharp_once._mid_eig(), nat_once._cross_eig()
-        sharp_full = _MeanPair(pair.sharps(r), b).sharps(u)
-        nat_full = _MeanPair(pair.naturals(r), b).naturals(u)
+        sharp_once = _MeanPair(_gram_root(*pair.sharp_factors(r_set)), b)
+        nat_once = _MeanPair(_gram_root(*pair.natural_factors(r_set)), b)
+        sharp_once._mid_svd(), nat_once._cross_svd()
+        sharp_full = _MeanPair(_gram_root(*pair.sharp_factors(r)), b).sharps(u)
+        nat_full = _MeanPair(_gram_root(*pair.natural_factors(r)), b).naturals(u)
         assert np.array_equal(sharp_once._rows(rows).sharps(u), sharp_full)
         assert np.array_equal(nat_once._rows(rows).naturals(u), nat_full)
 
     def test_new_b_shares_only_the_roots(self, stacks):
         pair, b, r, r_set, rows = stacks
-        other = pair.naturals(np.array([0.5, 0.2, 0.3, 0.1, 0.0, 0.6]))
-        once = _MeanPair(pair.naturals(r_set), b)
-        once._cross_eig()
+        other = _factor(*pair.natural_factors([0.5, 0.2, 0.3, 0.1, 0.0, 0.6]))
+        once = _MeanPair(_gram_root(*pair.natural_factors(r_set)), b)
+        once._cross_svd()
         gathered = once._rows(rows, other)
         assert gathered._mid is None and gathered._cross is None
         t = [0.0, 0.3, 1.0]
-        full = _MeanPair(pair.naturals(r), other)
+        full = _MeanPair(_gram_root(*pair.natural_factors(r)), other)
         assert np.array_equal(gathered.naturals(t), full.naturals(t))
         assert np.array_equal(gathered.sharps(t), full.sharps(t))
 

@@ -99,8 +99,9 @@ class _DecompositionSpy:
         lambda: suites.suite_orbit(2, seed=1, n_values=(2, 3)),
         lambda: suites.suite_orbit(2, seed=1, n_values=(2, 3), realization="slr"),
         lambda: suites.suite_realization(seed=1, trials=2),
+        lambda: suites.suite_kostant(trials=5, seed=1),
     ],
-    ids=["compound", "orbit-glc", "orbit-slr", "realization"],
+    ids=["compound", "orbit-glc", "orbit-slr", "realization", "kostant"],
 )
 def test_no_matrix_decomposed_twice(monkeypatch, run):
     spy = _DecompositionSpy(monkeypatch)
@@ -109,13 +110,11 @@ def test_no_matrix_decomposed_twice(monkeypatch, run):
 
 
 def test_mean_identities_repeats_pinned(monkeypatch):
-    # The five repeats cross between laws: the means at t = 0, 1/4, 1/2
-    # are decomposed as A of their inverses and again as A of the chain
-    # pairs at r = 0, 1/4, 1/2, and the row t = 1/2 of the t grid is the
-    # appended parameter-free row (its inverse and its link to A^{-1}).
+    # The one repeat: the row t = 1/2 of the t grid is the appended
+    # parameter-free row, so its link to A^{-1} takes the same SVD twice.
     spy = _DecompositionSpy(monkeypatch)
     suites.suite_mean_identities(trials=1)
-    assert spy.repeats == 5
+    assert spy.repeats == 1
 
 
 def test_gradient_check_near_stationary_row():
