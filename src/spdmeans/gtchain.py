@@ -12,7 +12,8 @@ both tend to e^{X+Y} as r -> 0, and their traces sandwich tr e^{X+Y}.
 ``refinement_from_scan`` read from a scan;
 ``evaluate_chain`` turns a scan into pass/fail margins, one per predicate
 family and grid point, its log-majorization margins from one stacked
-reduction.
+reduction.  phi, psi, e^{X+Y} and e^X, e^Y are ``SpdMatrix`` objects, and
+every ``SpdMatrix`` has condition number below 1e12, else DomainError.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, ParamOutOfRange
+from .errors import ParamOutOfRange
 from .linalg import (
     HermitianMatrix,
     SpdMatrix,
@@ -29,7 +30,7 @@ from .linalg import (
     eig_hermitian,
     mat_exp,
     require_exp_range,
-    require_spd_range,
+    require_same_dimension,
 )
 from .majorization import default_tol, log_majorization_margins
 from .means import _gram_root, _MeanPair
@@ -43,8 +44,7 @@ ROUNDOFF_BAND = 10.0
 def _check_xy(x: HermitianMatrix, y: HermitianMatrix) -> None:
     if not isinstance(x, HermitianMatrix) or not isinstance(y, HermitianMatrix):
         raise ParamOutOfRange("chain functions take Hermitian matrices")
-    if x.n != y.n:
-        raise DimensionMismatch(f"dimension mismatch: {x.n} vs {y.n}")
+    require_same_dimension(x, y)
 
 
 def phi(x: HermitianMatrix, y: HermitianMatrix, r: float) -> SpdMatrix:
@@ -87,8 +87,7 @@ def scan_chain(
 
     One stacked ``_MeanPair`` holds the roots of (e^{rX}, e^{rY}) for every
     r, and phi and psi get their eigenpairs (U, sigma^{4/r}) from one SVD
-    U sigma W* of the two means' factors; DomainError unless those
-    eigenvalues pass ``require_spd_range``.
+    U sigma W* of the two means' factors.
     """
     _check_xy(x, y)
     grid = tuple(float(r) for r in r_grid)
@@ -110,13 +109,12 @@ def scan_chain(
     pair = _MeanPair(*[(np.exp(0.5 * r[:, None] * e.values), e.vectors) for e in (eig_x, eig_y)])
     factors = zip(pair.sharp_factors([0.5]), pair.natural_factors([0.5]))
     sig, q = _gram_root(*(np.stack(parts)[:, :, 0] for parts in factors))
-    # Far outside the range sigma^{4/r} can overflow; inf fails the check.
+    # Far outside the range sigma^{4/r} can overflow; inf fails the SPD range.
     with np.errstate(over="ignore"):
         vals = _pow(sig, 4.0 / r[:, None])
-    require_spd_range(vals, "phi or psi is not positive definite to working precision: "
-                      "eigenvalues in")
     n, m = x.n, len(grid)
-    mats = SpdMatrix._from_eigs(q.reshape(-1, n, n), vals.reshape(-1, n))
+    mats = SpdMatrix._from_eigs(q.reshape(-1, n, n), vals.reshape(-1, n), "phi or psi is not "
+                                "positive definite to working precision: eigenvalues in")
     phi_mats, psi_mats = mats[:m], mats[m:]
     exp_sum = mat_exp(HermitianMatrix._wrap(x.mat + y.mat))
     tr_exp = float(np.trace(exp_sum.mat).real)

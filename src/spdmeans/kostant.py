@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch, SingularInput
+from .errors import SingularInput
 from .gtchain import ChainReport, ChainScan, evaluate_chain
-from .linalg import ComplexMatrix, require_spd_range, spectrum
+from .linalg import ComplexMatrix, require_same_dimension, require_spd_range, spectrum
 from .majorization import MajorizationReport, log_majorization_report
 
 
@@ -32,8 +32,7 @@ def hyperbolic_spectrum(g: ComplexMatrix) -> np.ndarray:
 
 def kostant_report(f: ComplexMatrix, g: ComplexMatrix) -> MajorizationReport:
     """Margins of f <=_G g as log-majorization of hyperbolic spectra."""
-    if f.n != g.n:
-        raise DimensionMismatch(f"dimension mismatch: {f.n} vs {g.n}")
+    require_same_dimension(f, g)
     return log_majorization_report(hyperbolic_spectrum(f), hyperbolic_spectrum(g))
 
 

@@ -11,7 +11,9 @@ function Q diag(f(lambda)) Q* of the package is assembled here, by
 Each range check of the package is one function here, called with the
 caller's message and error class: ``require_spd_range`` (condition number
 below 1e12, or at ratio 0 positive eigenvalues), ``require_exp_range``
-(exponents below log(float max / 2)), ``unitarity_error`` and ``hermitian_error``.
+(exponents below log(float max / 2)), ``require_same_dimension``,
+``unitarity_error`` and ``hermitian_error``.  Every ``SpdMatrix``, however
+it is made, has condition number below 1e12 (see ``SpdMatrix``).
 """
 
 from __future__ import annotations
@@ -20,13 +22,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, NoConvergence, SingularInput
+from .errors import DimensionMismatch, DomainError, NoConvergence, SingularInput
 
 HERMITIAN_TOL = 1e-10
 SPD_TOL = 1e-12
 UNITARY_TOL = 1e-10
 _EXP_LIMIT = float(np.log(np.finfo(float).max / 2.0))
-_INDEFINITE = "matrix is numerically not positive definite: computed eigenvalues in"
+_NOT_SPD = "matrix is not positive definite: eigenvalue range"
 
 
 def _ct(arr: np.ndarray) -> np.ndarray:
@@ -44,14 +46,15 @@ def _pow(base, expo) -> np.ndarray:
 
     numpy sends broadcast (zero-stride) operands of ``power`` through a
     scalar loop and contiguous ones through a vector loop, and the two can
-    round differently; with both operands contiguous, every layout takes the
-    same loop.
+    round differently, as does a one-element power written over its base.
+    With contiguous operands and a fresh output, every layout and size
+    takes the vector loop.
     """
     shape = np.broadcast(base, expo).shape
     full_base, full_expo = np.empty(shape), np.empty(shape)
     full_base[...] = base
     full_expo[...] = expo
-    return np.power(full_base, full_expo, out=full_base)
+    return np.power(full_base, full_expo)
 
 
 def _assemble(q: np.ndarray, vals: np.ndarray) -> np.ndarray:
@@ -73,8 +76,8 @@ def require_spd_range(vals, what: str, error=DomainError, ratio: float = SPD_TOL
     """Raise ``error``, with the message ``what`` and the first failing set's
     range, unless each set of descending values in ``vals`` (shape (..., n))
     has vals[-1] > ratio * vals[0]: at SPD_TOL a condition number below 1e12,
-    at ratio 0 a positive smallest value (which the log, root or fractional
-    power of a product wrapped unchecked needs)."""
+    at ratio 0 a positive smallest value (which the root of an array that a
+    mean decomposes needs)."""
     # Stack axes reversed, so one set gives numpy scalars, not 0-d arrays.
     lo, hi = vals.T[-1], vals.T[0]
     if not all((lo > ratio * hi).flat):
@@ -94,6 +97,12 @@ def require_exp_range(bound, what) -> None:
         k = int(np.argmin(ok))
         head = what(k) if callable(what) else what
         raise DomainError(f"{head} = {bound[k]:.4g} is not below log(float max / 2)")
+
+
+def require_same_dimension(a, b) -> None:
+    """DimensionMismatch unless the matrices ``a`` and ``b`` have the same n."""
+    if a.n != b.n:
+        raise DimensionMismatch(f"dimension mismatch: {a.n} vs {b.n}")
 
 
 def unitarity_error(arr: np.ndarray):
@@ -163,36 +172,38 @@ class HermitianMatrix(ComplexMatrix):
 
 
 class SpdMatrix(HermitianMatrix):
-    """Hermitian positive definite matrix.
+    """Hermitian positive definite matrix with condition number below 1e12.
 
-    The constructor runs a full eigendecomposition to enforce
-    ``require_spd_range`` (condition number below 1e12); the decomposition
-    is cached on the instance so later matrix functions reuse it.
+    Every instance passes ``require_spd_range``, however it is made: the
+    constructor checks its input's eigenvalues and ``_from_eigs``, which
+    every other producer calls, the values it assembles.  The eigenpairs
+    are cached on the instance for later matrix functions.
     """
 
     __slots__ = ()
 
     def __init__(self, mat):
         super().__init__(mat)
-        what = "matrix is not positive definite: eigenvalue range"
-        require_spd_range(eig_hermitian(self).values, what)
+        require_spd_range(eig_hermitian(self).values, _NOT_SPD)
 
     @classmethod
-    def _from_eig(cls, q: np.ndarray, vals: np.ndarray) -> "SpdMatrix":
-        """Internal: assemble Q diag(vals) Q* and seed the eigen cache."""
-        return cls._from_eigs(q[None], vals[None])[0]
+    def _from_eig(cls, q: np.ndarray, vals: np.ndarray, what: str = _NOT_SPD) -> "SpdMatrix":
+        """Internal: ``_from_eigs`` of one matrix."""
+        return cls._from_eigs(q[None], vals[None], what)[0]
 
     @classmethod
-    def _from_eigs(cls, q: np.ndarray, vals: np.ndarray) -> list:
-        """Internal: ``_from_eig`` for each matrix of a stack, q (m, n, n)
-        and vals (m, n), with one assembly of the whole stack."""
-        out = []
-        for mat, qi, vi in zip(_assemble(q, vals), q, vals):
-            obj = cls._wrap(mat)
-            order = np.argsort(-vi, kind="stable")
-            _cache_eig(obj, vi[order], np.ascontiguousarray(qi[:, order]))
-            out.append(obj)
-        return out
+    def _from_eigs(cls, q: np.ndarray, vals: np.ndarray, what: str = _NOT_SPD) -> list:
+        """Internal: Q diag(vals) Q* for each matrix of a stack, q (m, n, n)
+        and vals (m, n), by one assembly, with its eigenpairs sorted and
+        cached.  DomainError with the message ``what`` before the assembly
+        unless every set of values passes ``require_spd_range``."""
+        order = np.argsort(-vals, axis=-1, kind="stable")
+        desc = vals[np.arange(len(vals))[:, None], order]
+        require_spd_range(desc, what)
+        mats = [cls._wrap(mat) for mat in _assemble(q, vals)]
+        for obj, qi, vi, oi in zip(mats, q, desc, order):
+            _cache_eig(obj, vi, np.ascontiguousarray(qi[:, oi]))
+        return mats
 
 
 class UnitaryMatrix(ComplexMatrix):
@@ -298,7 +309,8 @@ def _cache_eig(m: HermitianMatrix, vals: np.ndarray, qs: np.ndarray) -> EigenPai
 
 def mat_exp(m: HermitianMatrix, scale: float = 1.0) -> SpdMatrix:
     """exp(scale * M) for Hermitian M; the result is positive definite.
-    ``DomainError`` unless max |scale lambda| passes ``require_exp_range``."""
+    ``DomainError`` unless max |scale lambda| passes ``require_exp_range``
+    and the result's eigenvalues ``require_spd_range``."""
     pair = eig_hermitian(m)
     expo = scale * pair.values
     what = f"exp(scale * M) leaves the float range: scale = {scale:g}, max |scale eig M|"
@@ -307,31 +319,25 @@ def mat_exp(m: HermitianMatrix, scale: float = 1.0) -> SpdMatrix:
 
 
 def mat_log(m: SpdMatrix) -> HermitianMatrix:
-    """Principal logarithm of a positive definite matrix; ``DomainError``
-    when its smallest computed eigenvalue is not positive."""
+    """Principal logarithm of a positive definite matrix."""
     if not isinstance(m, SpdMatrix):
         raise DomainError("mat_log requires a positive definite matrix")
     pair = eig_hermitian(m)
-    require_spd_range(pair.values, _INDEFINITE, ratio=0.0)
     return HermitianMatrix._wrap(_assemble(pair.vectors, np.log(pair.values)))
 
 
 def mat_pow(m: HermitianMatrix, t: float) -> HermitianMatrix:
     """M^t through the eigendecomposition.
 
-    Non-integer exponents require a positive definite input, and raise
-    ``DomainError`` when its smallest computed eigenvalue is not positive
-    (the power would be NaN); integer exponents are fine on any Hermitian
-    matrix.
+    Non-integer exponents require a positive definite input; integer
+    exponents are fine on any Hermitian matrix.  A power of an
+    ``SpdMatrix`` is one: ``DomainError`` outside ``require_spd_range``.
     """
-    integer = float(t).is_integer()
-    if not (integer or isinstance(m, SpdMatrix)):
+    if not (float(t).is_integer() or isinstance(m, SpdMatrix)):
         raise DomainError(
             "fractional matrix powers require a positive definite matrix"
         )
     pair = eig_hermitian(m)
-    if not integer:
-        require_spd_range(pair.values, _INDEFINITE, ratio=0.0)
     if isinstance(m, SpdMatrix):
         return SpdMatrix._from_eig(pair.vectors, pair.values ** t)
     return HermitianMatrix._wrap(_assemble(pair.vectors, pair.values ** t))

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DomainError, LengthMismatch, NonPositiveEntry, ParamOutOfRange
 from .linalg import ComplexMatrix, SpdMatrix
-from .means import _MeanPair, rel_residual
+from .means import _check_unit, _MeanPair, rel_residual
 
 
 # Relative residual bound of the compound-mean commutation identities.
@@ -172,8 +172,7 @@ def compound_mean_reports(a: SpdMatrix, b: SpdMatrix, t: float, k_values) -> lis
     """(C_k(A), report) for each k of ``k_values``: the residuals of
     C_k(A #_t B) = C_k(A) #_t C_k(B) and of the same law for the spectral
     mean, with the pair's two means at t taken once for every k."""
-    if not (0.0 <= t <= 1.0):
-        raise ParamOutOfRange(f"t must lie in [0, 1], got {t}")
+    _check_unit("t", t)
     pair = _MeanPair(a, b)
     sharp, natural = pair.sharp(t), pair.natural(t)
     out = []

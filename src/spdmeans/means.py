@@ -12,8 +12,9 @@ suite for the algebraic identity laws the means satisfy.
 Both means come from one algorithm, ``_MeanPair``: Iannazzo's factor form
 (NLAA 2016) in A's eigenbasis.  Each mean is a Gram product F F* whose
 eigenvalues are the squared singular values of F, so it is positive by
-construction and no product of the pair is decomposed.  A mean returned as
-an ``SpdMatrix`` raises ``DomainError`` unless those values pass
+construction and no product of the pair is decomposed.  Every
+``SpdMatrix``, however it is made, has condition number below 1e12, so a
+mean returned as one raises ``DomainError`` unless those values pass
 ``require_spd_range``, as ``orbit.build_target``'s targets do.  Against the
 60-digit fixture ``tests/data/mean_reference.json`` the max-entry relative
 error stays within 12 sqrt(cond A cond B) eps (``TestMeanAccuracy`` bounds
@@ -35,20 +36,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, ParamOutOfRange
+from .errors import ParamOutOfRange
 from .linalg import (
-    ComplexMatrix,
     HermitianMatrix,
     SpdMatrix,
     UnitaryMatrix,
-    _INDEFINITE,
     _assemble,
     _ct,
     _herm,
+    _polar_unitary,
     _pow,
     eig_hermitian,
     eigh_stack,
-    polar,
+    require_same_dimension,
     require_spd_range,
     svd,
 )
@@ -61,8 +61,7 @@ _MEAN_RANGE = "mean is not positive definite to working precision: Gram eigenval
 def _check_pair(a: SpdMatrix, b: SpdMatrix) -> None:
     if not isinstance(a, SpdMatrix) or not isinstance(b, SpdMatrix):
         raise ParamOutOfRange("means are defined for positive definite matrices")
-    if a.n != b.n:
-        raise DimensionMismatch(f"dimension mismatch: {a.n} vs {b.n}")
+    require_same_dimension(a, b)
 
 
 def _check_unit(name: str, value: float) -> None:
@@ -95,7 +94,8 @@ def _root(m) -> tuple:
         pair = eig_hermitian(m)
         return np.sqrt(pair.values), pair.vectors
     vals, q = eigh_stack(m)
-    require_spd_range(vals, _INDEFINITE, ratio=0.0)
+    what = "matrix is numerically not positive definite: computed eigenvalues in"
+    require_spd_range(vals, what, ratio=0.0)
     return np.sqrt(vals), q
 
 
@@ -120,14 +120,6 @@ def _inverse_factors(left: np.ndarray, inner: np.ndarray) -> tuple:
 def _factor(left: np.ndarray, inner: np.ndarray) -> tuple:
     """Gram factors F = left @ inner as the B of a ``_MeanPair``: (1, F)."""
     return np.ones(inner.shape[-1]), left @ inner
-
-
-def _spd(sig: np.ndarray, q: np.ndarray) -> SpdMatrix:
-    """The root (sigma, Q)'s matrix as an ``SpdMatrix``, its eigenpairs
-    cached; DomainError unless sigma^2 passes ``require_spd_range``."""
-    vals = sig ** 2
-    require_spd_range(vals, _MEAN_RANGE)
-    return SpdMatrix._from_eig(q, vals)
 
 
 class _MeanPair:
@@ -223,15 +215,17 @@ class _MeanPair:
         return sig[0] ** 2, sig[1] ** 2
 
     def sharp(self, t: float) -> SpdMatrix:
-        return _spd(*_gram_root(*(part[0] for part in self.sharp_factors([t]))))
+        sig, q = _gram_root(*(part[0] for part in self.sharp_factors([t])))
+        return SpdMatrix._from_eig(q, sig ** 2, _MEAN_RANGE)
 
     def cross(self) -> SpdMatrix:
         """A^{-1} # B, the generator of the spectral mean."""
         left, _, s_c = self._cross_svd()
-        return _spd(s_c, left)
+        return SpdMatrix._from_eig(left, s_c ** 2, _MEAN_RANGE)
 
     def natural(self, t: float) -> SpdMatrix:
-        return _spd(*_gram_root(*(part[0] for part in self.natural_factors([t]))))
+        sig, q = _gram_root(*(part[0] for part in self.natural_factors([t])))
+        return SpdMatrix._from_eig(q, sig ** 2, _MEAN_RANGE)
 
 
 def geometric_mean(a: SpdMatrix, b: SpdMatrix, t: float = 0.5) -> SpdMatrix:
@@ -263,14 +257,13 @@ def spectral_mean_unitary(a: SpdMatrix, b: SpdMatrix) -> UnitaryMatrix:
     """
     pair = _MeanPair(a, b)
     left, inner = pair.natural_factors([0.5])
-    return polar(ComplexMatrix(left[0] @ inner[0] @ _ct(pair.q)), side="right")[0]
+    return _polar_unitary(left[0] @ inner[0] @ _ct(pair.q))[0]
 
 
 def loewner_leq(a: HermitianMatrix, b: HermitianMatrix) -> bool:
     """Loewner order: True iff B - A is positive semidefinite (within
     ORDER_TOL relative slack)."""
-    if a.n != b.n:
-        raise DimensionMismatch(f"dimension mismatch: {a.n} vs {b.n}")
+    require_same_dimension(a, b)
     diff = b.mat - a.mat
     scale = float(np.abs(diff).max())
     if scale == 0.0:

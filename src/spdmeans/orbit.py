@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, MaxIterReached, ParamOutOfRange
+from .errors import MaxIterReached, ParamOutOfRange
 from .linalg import (
     HermitianMatrix,
     UnitaryMatrix,
@@ -41,6 +41,7 @@ from .linalg import (
     eig_hermitian,
     eig_hermitian_pair,
     require_exp_range,
+    require_same_dimension,
     require_spd_range,
     unitarity_error,
 )
@@ -108,8 +109,7 @@ def build_target(x: HermitianMatrix, y: HermitianMatrix, kind: str) -> Hermitian
     SpdMatrix range of e^Z: Z's eigenvalue spread below log(1 / SPD_TOL) =
     27.6.  Each SVD that fails raises NoConvergence.
     """
-    if x.n != y.n:
-        raise DimensionMismatch(f"dimension mismatch: {x.n} vs {y.n}")
+    require_same_dimension(x, y)
     if kind not in TARGET_KINDS:
         raise ParamOutOfRange(f"unknown target kind {kind!r}; use one of {TARGET_KINDS}")
     eig_x, eig_y = eig_hermitian_pair(x, y)

@@ -22,7 +22,6 @@ from .linalg import (
     _assemble,
     _polar_unitary,
     require_exp_range,
-    require_spd_range,
 )
 
 
@@ -57,22 +56,22 @@ def random_spd(n: int, seed: int, spread: float = 2.0) -> SpdMatrix:
     """Q diag(e^{u_i}) Q* with u_i uniform in [-spread, spread].
 
     Q is the polar unitary of a seeded complex Gaussian, so the condition
-    number is e^{max u - min u} by construction.  A draw whose eigenvalues
-    the SpdMatrix guard (``require_spd_range``) would reject, or whose
-    exponents ``mat_exp`` would (``require_exp_range``), raises DomainError;
+    number is e^{max u - min u} by construction.  A draw that leaves the
+    SpdMatrix range (``require_spd_range``), or whose exponents ``mat_exp``
+    would reject (``require_exp_range``), raises DomainError, in that order;
     the default spread never does.
     """
     if not spread > 0.0:
         raise ParamOutOfRange(f"spread must be positive, got {spread}")
     rng, q = _draw_factor(n, seed)
     expo = rng.uniform(-spread, spread, size=n)
-    with np.errstate(over="ignore"):  # an inf eigenvalue fails the range check
-        vals = np.exp(expo)
     what = f"random_spd(n={n}, seed={seed}, spread={spread}) drew"
-    require_spd_range(np.sort(vals)[::-1], f"{what} a condition number not below "
-                      f"{1.0 / SPD_TOL:.0e}: eigenvalues in")
+    # inf fails the SPD range before the assembly, an overflow the exponent check.
+    with np.errstate(over="ignore", invalid="ignore"):
+        spd = SpdMatrix._from_eig(q.mat, np.exp(expo), f"{what} a condition number not "
+                                  f"below {1.0 / SPD_TOL:.0e}: eigenvalues in")
     require_exp_range(np.abs(expo).max(), f"{what} exponents past the float range: max |u|")
-    return SpdMatrix._from_eig(q.mat, vals)
+    return spd
 
 
 def random_hermitian(n: int, seed: int, scale: float = 1.0) -> HermitianMatrix:

@@ -212,6 +212,14 @@ class TestGoldenThompsonRefinement:
         with pytest.raises(ParamOutOfRange):
             golden_thompson_refinement(x, x, r_values=(2.0,))
 
+    def test_exponential_outside_the_spd_range_raises(self):
+        # X + Y = 0, so the scan's phi, psi and e^{X+Y} are I, but cond(e^X)
+        # = e^30 is past the SPD range, and e^X is an SpdMatrix.
+        x, y = diag_h(15.0, -15.0), diag_h(-15.0, 15.0)
+        assert np.array_equal(scan_chain(x, y, (0.5, 1.0)).exp_sum.mat, np.eye(2))
+        with pytest.raises(DomainError, match="not positive definite"):
+            golden_thompson_refinement(x, y)
+
     @pytest.mark.parametrize("n", [2, 4, 6])
     def test_from_default_grid_scan_matches_own_scan(self, n):
         # The bits of a grid point do not depend on the rest of the grid.

@@ -6,6 +6,7 @@ from spdmeans.means import _MeanPair
 from spdmeans.realizations import REALIZATIONS
 from spdmeans import (
     ComplexMatrix,
+    DimensionMismatch,
     DomainError,
     HermitianMatrix,
     NoConvergence,
@@ -16,7 +17,9 @@ from spdmeans import (
     UnitaryMatrix,
     build_target,
     eig_hermitian,
+    geometric_mean,
     hyperbolic_spectrum,
+    kostant_report,
     loewner_leq,
     mat_exp,
     mat_log,
@@ -230,16 +233,15 @@ class TestMatFn:
         sq = mat_pow(h, 2)
         assert np.abs(sq.mat - np.diag([4.0, 9.0])).max() < 1e-14
 
-    def test_numerically_indefinite_spd_pow(self):
-        # A trusted product that came out indefinite: its fractional powers
-        # and its log would be NaN and raise; its integer powers are finite.
-        m = SpdMatrix._wrap(np.diag([2.0, -1e-9]))
-        with pytest.raises(DomainError, match="not positive definite"):
-            mat_pow(m, 0.5)
-        with pytest.raises(DomainError, match="not positive definite"):
-            mat_log(m)
-        for t in (1, 2):
-            assert np.all(np.isfinite(mat_pow(m, t).mat))
+    @pytest.mark.parametrize("expo", [0.5, 2.0, 0.3])
+    def test_pow_gives_every_size_the_same_bits(self, expo):
+        # numpy's power written over a one-element base takes a correctly
+        # rounded path at 0.5 and 2, which differs from the vector loop.
+        base = np.random.default_rng(7).uniform(0.1, 100.0, 1000)
+        full = linalg._pow(base, expo)
+        alone = [linalg._pow(base[k:k + 1], expo)[0] for k in range(len(base))]
+        assert np.array_equal(alone, full)
+        assert np.array_equal(linalg._pow(base[:, None], [expo, 1.0])[:, 0], full)
 
     def test_sqrt_is_the_half_power(self):
         s = random_spd(3, 5)
@@ -333,6 +335,13 @@ class TestRandomSpd:
         # span of 1102 at n = 4.
         with pytest.raises(DomainError, match="condition number"):
             random_spd(n, 4, 800.0)
+
+    def test_overflowing_assembly_raises_without_warnings(self):
+        # Seed 302 draws u = 709.54 at n = 1: e^u is finite, so the draw
+        # passes the SPD range and is assembled, and 2 e^u overflows in the
+        # symmetrization, before the exponent bound rejects it.
+        with pytest.raises(DomainError, match="exponents past the float range: max .u. = 709.5"):
+            random_spd(1, 302, 712.0)
 
     def test_exponent_past_the_float_range_raises(self):
         # Seed 0 draws u = -734.4 at n = 1: e^u is the subnormal 1.09e-319,
@@ -541,12 +550,24 @@ class TestRangePolicy:
         return outcomes
 
     def _spd_range_cases(self, spread):
-        """The four callers of the SPD range on inputs whose log spread (the
-        log condition number of the matrix checked) is ``spread``."""
+        """The callers of the SPD range on inputs whose log spread (the log
+        condition number of the matrix checked) is ``spread``: the
+        ``SpdMatrix`` constructor, ``SpdMatrix._from_eigs`` through
+        ``mat_exp`` and integer and fractional ``mat_pow`` (inputs inside the
+        range), and the SingularInput and target checks."""
         small = np.exp(-spread)
         zero = HermitianMatrix(np.zeros((2, 2)))
         return {
             "SpdMatrix": (DomainError, lambda: SpdMatrix(np.diag([1.0, small]))),
+            "mat_exp": (DomainError, lambda: mat_exp(HermitianMatrix(np.diag([spread, 0.0])))),
+            "mat_pow_integer": (
+                DomainError,
+                lambda: mat_pow(SpdMatrix(np.diag([1.0, np.exp(-spread / 2.0)])), 2),
+            ),
+            "mat_pow_fractional": (
+                DomainError,
+                lambda: mat_pow(SpdMatrix(np.diag([1.0, np.exp(-spread / 1.5)])), 1.5),
+            ),
             "polar": (SingularInput, lambda: polar(ComplexMatrix(np.diag([1.0, small])))),
             "hyperbolic_spectrum": (
                 SingularInput,
@@ -573,6 +594,9 @@ class TestRangePolicy:
         cases = self._spd_range_cases(self.LOG_RANGE + 1e-3)
         words = {
             "SpdMatrix": "not positive definite",
+            "mat_exp": "not positive definite",
+            "mat_pow_integer": "not positive definite",
+            "mat_pow_fractional": "not positive definite",
             "polar": "invertible input",
             "hyperbolic_spectrum": "invertible input",
             "build_target": "not positive definite",
@@ -589,10 +613,15 @@ class TestRangePolicy:
         with pytest.raises(SingularInput, match=r"^y \[1.000e-12, 1.000e\+00\]$"):
             linalg.require_spd_range(np.array([1.0, 1e-12]), "y", SingularInput)
 
+    def test_exp_outside_the_spd_range_raises(self):
+        # cond e^30 = 1.07e13: the exponent bound passes, the SPD range not.
+        with pytest.raises(DomainError, match="not positive definite"):
+            mat_exp(HermitianMatrix(np.diag([30.0, 0.0])))
+
     @pytest.mark.parametrize("top", [709.0, 709.2])
     def test_exp_range_one_verdict(self, monkeypatch, top):
         outcomes = self._spy(monkeypatch, "require_exp_range")
-        h = HermitianMatrix(np.diag([top, 0.0]))
+        h = HermitianMatrix(np.diag([top, top - 1.0]))
         half = HermitianMatrix(np.diag([top / 2.0, top / 2.0]))
         calls = [
             lambda: mat_exp(h),
@@ -654,3 +683,28 @@ class TestRangePolicy:
                     HermitianMatrix(arr)
                 assert outcomes[-1] is info.value
         assert len(outcomes) == 4
+
+    def test_pair_dimension_one_verdict(self, monkeypatch):
+        outcomes = self._spy(monkeypatch, "require_same_dimension")
+        spd2, spd3 = SpdMatrix(np.eye(2)), SpdMatrix(np.eye(3))
+        h2, h3 = random_hermitian(2, 1), random_hermitian(3, 2)
+        calls = {
+            "means": lambda: geometric_mean(spd2, spd3),
+            "loewner_leq": lambda: loewner_leq(h2, h3),
+            "gtchain": lambda: scan_chain(h2, h3),
+            "build_target": lambda: build_target(h2, h3, "geometric"),
+            "kostant_report": lambda: kostant_report(ComplexMatrix(np.eye(2)),
+                                                     ComplexMatrix(np.eye(3))),
+        }
+        for name, call in calls.items():
+            with pytest.raises(DimensionMismatch, match="^dimension mismatch: 2 vs 3$") as info:
+                call()
+            assert outcomes[-1] is info.value, name
+        assert len(outcomes) == len(calls)
+
+    def test_pair_type_checks(self):
+        h, spd = random_hermitian(2, 1), SpdMatrix(np.eye(2))
+        with pytest.raises(ParamOutOfRange, match="positive definite matrices"):
+            geometric_mean(h, spd)
+        with pytest.raises(ParamOutOfRange, match="Hermitian matrices"):
+            scan_chain(ComplexMatrix(np.eye(2)), h)

@@ -306,6 +306,10 @@ class TestMeanChecks:
         rep4 = check_compound_mean_identities(a, b, 0.7, 4)
         assert rep4.passed  # order n reduces to the determinant law
 
+    def test_compound_identities_reject_t_outside_the_unit_interval(self):
+        with pytest.raises(ParamOutOfRange, match=r"t must lie in \[0, 1\], got 1.5"):
+            check_compound_mean_identities(random_spd(3, 65), random_spd(3, 66), 1.5, 2)
+
     def test_compound_identities_middle_orders(self):
         a = random_spd(4, 63)
         b = random_spd(4, 64)

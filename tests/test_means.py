@@ -214,6 +214,18 @@ class TestIllConditionedPair:
                 assert _mean_error(got, _fixture_matrix(want)) <= _mean_bound(a[2], b[2])
 
 
+def test_one_by_one_pairs_get_the_same_bits_in_a_stack():
+    # At n = 1 the powers of a pair alone have one element; a pair in a
+    # stack of three gets the same bits.
+    rng = np.random.default_rng(11)
+    a, b = (rng.uniform(0.1, 10.0, (100, 3, 1, 1)).astype(complex) for _ in range(2))
+    for kind in ("sharps", "naturals"):
+        for stack_a, stack_b in zip(a, b):
+            stacked = getattr(_MeanPair(stack_a, stack_b), kind)([0.5])
+            alone = [getattr(_MeanPair(x, y), kind)([0.5]) for x, y in zip(stack_a, stack_b)]
+            assert np.array_equal(stacked, alone), kind
+
+
 class TestRowGather:
     """``_MeanPair._rows`` gathers a stack's SVDs to its rows; the means then
     equal, under ==, those of the full stack computed row by row."""
