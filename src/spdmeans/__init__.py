@@ -24,7 +24,6 @@ from .gtchain import (
     ChainScan,
     DEFAULT_R_GRID,
     evaluate_chain,
-    golden_thompson_refinement,
     phi,
     psi,
     scan_chain,
@@ -46,14 +45,12 @@ from .linalg import (
     mat_exp,
     mat_log,
     mat_pow,
-    mat_sqrt,
     polar,
     spectrum,
 )
 from .majorization import (
     check_compound_mean_identities,
     compound,
-    compound_spd,
     log_majorization_margins,
     log_majorization_report,
     log_majorizes,
@@ -64,8 +61,6 @@ from .matio import load_hermitian, load_matrix, load_spd, save_matrix
 from .means import (
     geometric_mean,
     loewner_leq,
-    mean_identity_grid,
-    mean_identity_suite,
     spectral_mean,
     spectral_mean_unitary,
 )

@@ -92,7 +92,7 @@ def scan(x_path, y_path, r_grid, out):
         y = matio.load_hermitian(y_path)
         grid = (
             tuple(float(v) for v in r_grid.split(","))
-            if r_grid
+            if r_grid is not None
             else DEFAULT_R_GRID
         )
         chain = scan_chain(x, y, grid)

@@ -8,8 +8,7 @@ For Hermitian X, Y and r > 0 the two chain functions
 bracket e^{X+Y} in log-majorization: phi decreases and psi increases in r,
 both tend to e^{X+Y} as r -> 0, and their traces sandwich tr e^{X+Y}.
 ``scan_chain`` evaluates both on a whole r grid in one stacked pass, and
-``phi``, ``psi``, ``golden_thompson_refinement`` and
-``refinement_from_scan`` read from a scan;
+``phi``, ``psi`` and ``refinement_from_scan`` read from a scan;
 ``evaluate_chain`` turns a scan into pass/fail margins, one per predicate
 family and grid point, its log-majorization margins from one stacked
 reduction.  phi, psi, e^{X+Y} and e^X, e^Y are ``SpdMatrix`` objects, and
@@ -228,28 +227,11 @@ def trotter_distances(scan: ChainScan) -> list:
     return out
 
 
-def golden_thompson_refinement(
-    x: HermitianMatrix, y: HermitianMatrix, r_values=(0.5, 1.0)
-) -> list:
-    """Sandwich tr e^{X+Y} <= tr psi(r) <= tr e^X e^Y for 0 < r <= 1.
-
-    At r = 1 the upper end is exact: tr psi(1) = tr e^X e^Y, recovering the
-    classical trace inequality; smaller r tightens the upper bound.
-    Returns (r, tr e^{X+Y}, tr psi(r), tr e^X e^Y) rows, one per r value in
-    the order given; the traces come from one scan over the distinct values.
-    """
-    _check_xy(x, y)
-    r_values = [float(r) for r in r_values]
-    if any(not (0.0 < r <= 1.0) for r in r_values):
-        raise ParamOutOfRange("refinement holds for r in (0, 1]")
-    if not r_values:
-        return []
-    return refinement_from_scan(scan_chain(x, y, sorted(set(r_values))), r_values)
-
-
 def refinement_from_scan(scan: ChainScan, r_values=(0.5, 1.0)) -> list:
-    """``golden_thompson_refinement`` rows read from an existing scan, whose
-    grid must hold every r value, each in (0, 1]."""
+    """Rows (r, tr e^{X+Y}, tr psi(r), tr e^X e^Y) of the Golden-Thompson
+    refinement tr e^{X+Y} <= tr psi(r) <= tr e^X e^Y, one per r of
+    ``r_values`` in the order given, each in (0, 1] and on the scan's grid.
+    At r = 1 the upper end is exact, the classical trace inequality."""
     traces = dict(zip(scan.r_grid, scan.traces))
     if any(not (0.0 < r <= 1.0) or r not in traces for r in r_values):
         raise ParamOutOfRange("refinement r values must be in (0, 1] and on the scan's grid")

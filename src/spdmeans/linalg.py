@@ -10,7 +10,7 @@ function Q diag(f(lambda)) Q* of the package is assembled here, by
 
 Each range check of the package is one function here, called with the
 caller's message and error class: ``require_spd_range`` (condition number
-below 1e12, or at ratio 0 positive eigenvalues), ``require_exp_range``
+below 1e12), ``require_exp_range``
 (exponents below log(float max / 2)), ``require_same_dimension``,
 ``unitarity_error`` and ``hermitian_error``.  Every ``SpdMatrix``, however
 it is made, has condition number below 1e12 (see ``SpdMatrix``).
@@ -72,17 +72,15 @@ def _as_square_complex(mat) -> np.ndarray:
     return arr
 
 
-def require_spd_range(vals, what: str, error=DomainError, ratio: float = SPD_TOL) -> None:
+def require_spd_range(vals, what: str, error=DomainError) -> None:
     """Raise ``error``, with the message ``what`` and the first failing set's
     range, unless each set of descending values in ``vals`` (shape (..., n))
-    has vals[-1] > ratio * vals[0]: at SPD_TOL a condition number below 1e12,
-    at ratio 0 a positive smallest value (which the root of an array that a
-    mean decomposes needs)."""
+    has vals[-1] > SPD_TOL * vals[0]: a condition number below 1e12."""
     # Stack axes reversed, so one set gives numpy scalars, not 0-d arrays.
     lo, hi = vals.T[-1], vals.T[0]
-    if not all((lo > ratio * hi).flat):
+    if not all((lo > SPD_TOL * hi).flat):
         lo, hi = lo.T, hi.T
-        k = np.unravel_index(np.argmin(lo > ratio * hi), lo.shape)
+        k = np.unravel_index(np.argmin(lo > SPD_TOL * hi), lo.shape)
         raise error(f"{what} [{lo[k]:.3e}, {hi[k]:.3e}]")
 
 
@@ -326,26 +324,13 @@ def mat_log(m: SpdMatrix) -> HermitianMatrix:
     return HermitianMatrix._wrap(_assemble(pair.vectors, np.log(pair.values)))
 
 
-def mat_pow(m: HermitianMatrix, t: float) -> HermitianMatrix:
-    """M^t through the eigendecomposition.
-
-    Non-integer exponents require a positive definite input; integer
-    exponents are fine on any Hermitian matrix.  A power of an
-    ``SpdMatrix`` is one: ``DomainError`` outside ``require_spd_range``.
-    """
-    if not (float(t).is_integer() or isinstance(m, SpdMatrix)):
-        raise DomainError(
-            "fractional matrix powers require a positive definite matrix"
-        )
+def mat_pow(m: SpdMatrix, t: float) -> SpdMatrix:
+    """M^t of a positive definite matrix through its eigendecomposition;
+    ``DomainError`` for any other input, and outside ``require_spd_range``."""
+    if not isinstance(m, SpdMatrix):
+        raise DomainError("mat_pow requires a positive definite matrix")
     pair = eig_hermitian(m)
-    if isinstance(m, SpdMatrix):
-        return SpdMatrix._from_eig(pair.vectors, pair.values ** t)
-    return HermitianMatrix._wrap(_assemble(pair.vectors, pair.values ** t))
-
-
-def mat_sqrt(m: SpdMatrix) -> SpdMatrix:
-    """Principal square root of a positive definite matrix: ``mat_pow(m, 0.5)``."""
-    return mat_pow(m, 0.5)
+    return SpdMatrix._from_eig(pair.vectors, pair.values ** t)
 
 
 def svd(arr: np.ndarray, vectors: bool = True):

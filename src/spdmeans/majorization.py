@@ -148,11 +148,6 @@ def compound(m: ComplexMatrix, k: int) -> ComplexMatrix:
     return ComplexMatrix(np.linalg.det(blocks))
 
 
-def compound_spd(m: SpdMatrix, k: int) -> SpdMatrix:
-    """Compound of an SPD matrix, which is again SPD."""
-    return SpdMatrix(compound(m, k).mat)
-
-
 @dataclass
 class CompoundIdentityReport:
     """Residuals of the compound-mean commutation identities, passed iff
@@ -177,8 +172,8 @@ def compound_mean_reports(a: SpdMatrix, b: SpdMatrix, t: float, k_values) -> lis
     sharp, natural = pair.sharp(t), pair.natural(t)
     out = []
     for k in k_values:
-        ca = compound_spd(a, k)
-        cpair = _MeanPair(ca, compound_spd(b, k))
+        ca, cb = (SpdMatrix(compound(m, k).mat) for m in (a, b))
+        cpair = _MeanPair(ca, cb)
         sharp_res = rel_residual(compound(sharp, k).mat, cpair.sharp(t).mat)
         natural_res = rel_residual(compound(natural, k).mat, cpair.natural(t).mat)
         out.append((ca, CompoundIdentityReport(k, t, sharp_res, natural_res)))

@@ -20,13 +20,14 @@ mean returned as one raises ``DomainError`` unless those values pass
 error stays within 12 sqrt(cond A cond B) eps (``TestMeanAccuracy`` bounds
 it at 32).  The identity laws are never used as the computation path.
 
-``_MeanPair`` works on stacks of pairs ``(..., n, n)`` and takes the means
-at every parameter of a set in one call; powers run on contiguous,
-broadcast-out operands, so a pair in a stack gets the same bits as alone.
-An ``SpdMatrix`` starts from its cached eigendecomposition (``random_spd``
-caches the one it was built from), which can differ from a fresh ``eigh``
-in the last bits.  ``_IdentityContext`` evaluates the identity laws over a
-whole parameter grid as a handful of stacked expressions.
+``_MeanPair`` takes two ``SpdMatrix``, or stacks of pairs ``(..., n, n)``
+as roots (h, Q), and takes the means at every parameter of a set in one
+call; powers run on contiguous, broadcast-out operands, so a pair in a
+stack gets the same bits as alone.  An ``SpdMatrix`` starts from its cached
+eigendecomposition (``random_spd`` caches the one it was built from), which
+can differ from a fresh ``eigh`` in the last bits.  ``_IdentityContext``
+evaluates the identity laws over a whole parameter grid as a handful of
+stacked expressions.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ from .linalg import (
     eig_hermitian,
     eigh_stack,
     require_same_dimension,
-    require_spd_range,
     svd,
 )
 
@@ -86,17 +86,11 @@ def rel_residual(lhs: np.ndarray, rhs: np.ndarray):
 
 def _root(m) -> tuple:
     """(h, Q), M = Q diag(h^2) Q*: a tuple as it is, an ``SpdMatrix`` from
-    its cached eigendecomposition, a stack of arrays from ``eigh_stack``
-    (DomainError unless every smallest computed eigenvalue is positive)."""
+    its cached eigendecomposition."""
     if isinstance(m, tuple):
         return m
-    if isinstance(m, SpdMatrix):
-        pair = eig_hermitian(m)
-        return np.sqrt(pair.values), pair.vectors
-    vals, q = eigh_stack(m)
-    what = "matrix is numerically not positive definite: computed eigenvalues in"
-    require_spd_range(vals, what, ratio=0.0)
-    return np.sqrt(vals), q
+    pair = eig_hermitian(m)
+    return np.sqrt(pair.values), pair.vectors
 
 
 def _gram_root(left: np.ndarray, inner: np.ndarray) -> tuple:
@@ -134,19 +128,20 @@ class _MeanPair:
       A^{-1} # B = C,  C^t = (Q_a P_C) S_C^{2t} (Q_a P_C)*
       A @_t B = C^t A C^t = L L*,  L = (Q_a P_C) (S_C^{2t} P_C* h_a)
 
-    ``a`` and ``b``: two ``SpdMatrix``, two arrays ``(..., n, n)`` that
-    broadcast against each other, or two tuples (h, Q) (A's a root, B's any
-    factor Q diag(h)), each made (h, Q) by ``_root``.  ``sharp_factors`` and
-    ``natural_factors`` give (left, inner), left unitary, for every pair and
-    every tau of ``taus`` (last axis the parameters, leading axes broadcast
-    against the stack), inner stack + (K, n, n); ``sharps``, ``naturals``,
-    ``cross_powers`` and ``spectra`` (squared singular values of inner) are
-    arrays, and ``sharp(t)``, ``natural(t)``, ``cross()`` the one-pair
-    ``SpdMatrix`` views (DomainError unless in ``require_spd_range``).
+    ``a`` and ``b``: two ``SpdMatrix``, or two tuples (h, Q) of stacks
+    ``(..., n)`` and ``(..., n, n)`` that broadcast against each other (A's
+    a root, B's any factor Q diag(h)), each made (h, Q) by ``_root``.
+    ``sharp_factors`` and ``natural_factors`` give (left, inner), left
+    unitary, for every pair and every tau of ``taus`` (last axis the
+    parameters, leading axes broadcast against the stack), inner stack +
+    (K, n, n); ``sharps``, ``naturals``, ``cross_powers`` and ``spectra``
+    (squared singular values of inner) are arrays, and ``sharp(t)``,
+    ``natural(t)``, ``cross()`` the one-pair ``SpdMatrix`` views
+    (DomainError unless in ``require_spd_range``).
     """
 
     def __init__(self, a, b):
-        if not all(isinstance(m, (np.ndarray, tuple)) for m in (a, b)):
+        if not (isinstance(a, tuple) and isinstance(b, tuple)):
             _check_pair(a, b)
         self.h, self.q = _root(a)
         self._hb, q_b = _root(b)
@@ -282,7 +277,6 @@ class MeanIdentityReport:
     """Named residuals from one identity-suite evaluation, passed iff all
     are at most IDENTITY_TOL."""
 
-    params: tuple
     residuals: dict
 
     @property
@@ -336,8 +330,8 @@ class _IdentityContext:
     (1/h, Q) of A and B, so no derived B is decomposed.  The chain pairs and
     the A side of the interpolation pairs are rooted once per distinct r and
     gathered to the (r, s) rows (``_MeanPair._rows``).  The parameter-free
-    laws ride along the t axis at t = 1/2.  ``grid`` wraps each triple's
-    residuals in a report, and ``evaluate`` is the grid on one triple.
+    laws ride along the t axis at t = 1/2.  ``evaluate`` wraps the residuals
+    of one triple in a report.
     """
 
     def __init__(self, a: SpdMatrix, b: SpdMatrix):
@@ -446,19 +440,13 @@ class _IdentityContext:
         )
         return triples, table.reshape(len(triples), len(IDENTITY_NAMES))
 
-    def grid(self, t_values, r_values, s_values) -> list[MeanIdentityReport]:
-        """One report per triple of ``residuals``."""
-        triples, table = self.residuals(t_values, r_values, s_values)
-        return [
-            MeanIdentityReport(params=triple, residuals=dict(zip(IDENTITY_NAMES, row)))
-            for triple, row in zip(triples, table.tolist())
-        ]
-
     def evaluate(self, t: float, r: float, s: float) -> MeanIdentityReport:
-        reports = self.grid((t,), (r,), (s,))  # validates a triple it keeps
-        if not reports:  # a skipped triple, which _check_suite_params rejects
+        """The report of the laws at (t, r, s); ParamOutOfRange unless
+        r + s <= 1 and r < 1, so the reparameterization laws are well posed."""
+        triples, table = self.residuals((t,), (r,), (s,))  # validates a triple it keeps
+        if not triples:  # a skipped triple, which _check_suite_params rejects
             _check_suite_params(t, r, s)
-        return reports[0]
+        return MeanIdentityReport(dict(zip(IDENTITY_NAMES, table.tolist()[0])))
 
 
 def _rs_defined(r: float, s: float) -> bool:
@@ -471,37 +459,3 @@ def _check_suite_params(t: float, r: float, s: float) -> None:
         _check_unit(name, val)
     if not _rs_defined(r, s):
         raise ParamOutOfRange(f"need r + s <= 1 and r < 1, got r = {r}, s = {s}")
-
-
-def mean_identity_suite(
-    a: SpdMatrix,
-    b: SpdMatrix,
-    t: float = 0.5,
-    r: float = 0.25,
-    s: float = 0.5,
-) -> MeanIdentityReport:
-    """Residuals of the algebraic laws both means satisfy at (t, r, s).
-
-    Requires r + s <= 1 and r < 1 so the geodesic reparameterization laws
-    are well posed.  The same computation as ``mean_identity_grid`` on the
-    one-triple grid.
-    """
-    return _IdentityContext(a, b).evaluate(t, r, s)
-
-
-def mean_identity_grid(
-    a: SpdMatrix,
-    b: SpdMatrix,
-    t_values,
-    r_values,
-    s_values,
-) -> list[MeanIdentityReport]:
-    """Identity suite over a full (t, r, s) grid, one report per triple.
-
-    Each law is evaluated once over the grid, as stacked array expressions
-    (see ``_IdentityContext``).
-
-    Triples with r + s > 1 or r >= 1 are skipped (the reparameterization
-    laws are not defined there).
-    """
-    return _IdentityContext(a, b).grid(t_values, r_values, s_values)

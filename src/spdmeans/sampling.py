@@ -29,6 +29,13 @@ def _gaussian_complex(rng, n: int) -> np.ndarray:
     return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
 
 
+def _check_scale(name: str, value: float) -> None:
+    """ParamOutOfRange unless value > 0 and the width 2 * value of the
+    uniform draw on [-value, value] is finite."""
+    if not (value > 0.0 and np.isfinite(2.0 * float(value))):
+        raise ParamOutOfRange(f"{name} must be positive, with 2 * {name} finite, got {value}")
+
+
 def _draw_factor(n: int, seed: int, real: bool = False) -> tuple:
     """The seeded generator and the polar unitary of its first Gaussian
     draw, a complex one or, with ``real``, a real one cast to complex."""
@@ -61,8 +68,7 @@ def random_spd(n: int, seed: int, spread: float = 2.0) -> SpdMatrix:
     would reject (``require_exp_range``), raises DomainError, in that order;
     the default spread never does.
     """
-    if not spread > 0.0:
-        raise ParamOutOfRange(f"spread must be positive, got {spread}")
+    _check_scale("spread", spread)
     rng, q = _draw_factor(n, seed)
     expo = rng.uniform(-spread, spread, size=n)
     what = f"random_spd(n={n}, seed={seed}, spread={spread}) drew"
@@ -77,8 +83,7 @@ def random_spd(n: int, seed: int, spread: float = 2.0) -> SpdMatrix:
 def random_hermitian(n: int, seed: int, scale: float = 1.0) -> HermitianMatrix:
     """Q diag(u) Q* with u uniform in [-scale, scale]; eigenvalues bounded
     by scale, which keeps e^{rX} well conditioned across a chain grid."""
-    if not scale > 0.0:
-        raise ParamOutOfRange(f"scale must be positive, got {scale}")
+    _check_scale("scale", scale)
     rng, q = _draw_factor(n, seed)
     return HermitianMatrix._wrap(_assemble(q.mat, rng.uniform(-scale, scale, size=n)))
 
@@ -90,8 +95,7 @@ def random_real_symmetric_traceless(n: int, seed: int, scale: float = 1.0) -> He
     spectral radius stays below 2 scale; targets derived through e^{2X} then
     remain well conditioned.
     """
-    if not scale > 0.0:
-        raise ParamOutOfRange(f"scale must be positive, got {scale}")
+    _check_scale("scale", scale)
     rng, q = _draw_factor(n, seed, real=True)
     vals = rng.uniform(-scale, scale, size=n)
     vals -= vals.mean()

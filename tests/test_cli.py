@@ -268,10 +268,13 @@ class TestScanCommand:
 
         x = tmp_path / "x.json"
         save_matrix(x, random_hermitian(2, 5, 0.5).mat)
-        result = runner.invoke(
-            main, ["scan", "--x", str(x), "--y", str(x), "--r-grid", "2,1"]
-        )
-        assert result.exit_code == 2
+        # A decreasing grid, and an empty or blank one that was given.
+        for grid in ("2,1", "", " "):
+            result = runner.invoke(
+                main, ["scan", "--x", str(x), "--y", str(x), "--r-grid", grid]
+            )
+            assert result.exit_code == 2, grid
+            assert result.output.startswith("error: "), grid
 
     # X = Y = scale I.  At r = 700 the exponentials are finite and a product
     # inside a mean overflows; at scale 400 even r = 0.5 overflows e^{X+Y}.

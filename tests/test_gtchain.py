@@ -13,7 +13,6 @@ from spdmeans import (
     eig_hermitian,
     evaluate_chain,
     geometric_mean,
-    golden_thompson_refinement,
     hyperbolic_spectrum,
     log_majorization_report,
     mat_exp,
@@ -188,37 +187,39 @@ class TestGoldenThompsonRefinement:
     def test_sandwich_rows(self):
         x = random_hermitian(4, 77, 0.5)
         y = random_hermitian(4, 88, 0.5)
-        for r, lo, mid, hi in golden_thompson_refinement(x, y):
+        for r, lo, mid, hi in refinement_from_scan(scan_chain(x, y, (0.5, 1.0))):
             assert lo <= mid + 1e-12
             assert mid <= hi + 1e-12
 
     def test_r_one_upper_end_exact(self):
         x = random_hermitian(3, 7, 0.5)
         y = random_hermitian(3, 8, 0.5)
-        rows = golden_thompson_refinement(x, y, r_values=(1.0,))
+        rows = refinement_from_scan(scan_chain(x, y, (1.0,)), (1.0,))
         _, _, mid, hi = rows[0]
         assert abs(mid - hi) <= 1e-10 * abs(hi)
 
     def test_rows_in_the_order_given(self):
         x = random_hermitian(4, 77, 0.5)
         y = random_hermitian(4, 88, 0.5)
-        rows = golden_thompson_refinement(x, y, (1.0, 0.5))
+        scan = scan_chain(x, y, (0.5, 1.0))
+        rows = refinement_from_scan(scan, (1.0, 0.5))
         assert [row[0] for row in rows] == [1.0, 0.5]
-        assert rows == [golden_thompson_refinement(x, y, (r,))[0] for r in (1.0, 0.5)]
-        assert golden_thompson_refinement(x, y, (0.5, 1.0, 0.5)) == rows[::-1] + rows[1:]
+        assert rows == [refinement_from_scan(scan, (r,))[0] for r in (1.0, 0.5)]
+        assert refinement_from_scan(scan, (0.5, 1.0, 0.5)) == rows[::-1] + rows[1:]
 
     def test_rejects_out_of_range_r(self):
         x = random_hermitian(2, 9, 0.5)
         with pytest.raises(ParamOutOfRange):
-            golden_thompson_refinement(x, x, r_values=(2.0,))
+            refinement_from_scan(scan_chain(x, x, (2.0,)), (2.0,))
 
     def test_exponential_outside_the_spd_range_raises(self):
         # X + Y = 0, so the scan's phi, psi and e^{X+Y} are I, but cond(e^X)
         # = e^30 is past the SPD range, and e^X is an SpdMatrix.
         x, y = diag_h(15.0, -15.0), diag_h(-15.0, 15.0)
-        assert np.array_equal(scan_chain(x, y, (0.5, 1.0)).exp_sum.mat, np.eye(2))
+        scan = scan_chain(x, y, (0.5, 1.0))
+        assert np.array_equal(scan.exp_sum.mat, np.eye(2))
         with pytest.raises(DomainError, match="not positive definite"):
-            golden_thompson_refinement(x, y)
+            refinement_from_scan(scan)
 
     @pytest.mark.parametrize("n", [2, 4, 6])
     def test_from_default_grid_scan_matches_own_scan(self, n):
@@ -226,7 +227,7 @@ class TestGoldenThompsonRefinement:
         x = random_hermitian(n, 300 + n, 0.5)
         y = random_hermitian(n, 400 + n, 0.5)
         rows = refinement_from_scan(scan_chain(x, y))
-        assert rows == golden_thompson_refinement(x, y)
+        assert rows == refinement_from_scan(scan_chain(x, y, (0.5, 1.0)))
 
     def test_from_scan_rejects_r_off_grid_or_above_one(self):
         x = random_hermitian(3, 9, 0.5)

@@ -24,7 +24,6 @@ from spdmeans import (
     mat_exp,
     mat_log,
     mat_pow,
-    mat_sqrt,
     polar,
     random_hermitian,
     random_invertible,
@@ -221,17 +220,20 @@ class TestMatFn:
             mat_log(HermitianMatrix(np.diag([1.0, -1.0])))
 
     def test_sqrt_requires_spd(self):
-        with pytest.raises(DomainError):
-            mat_sqrt(HermitianMatrix(np.diag([1.0, -1.0])))
+        # A positive definite HermitianMatrix that is not an SpdMatrix.
+        with pytest.raises(DomainError, match="requires a positive definite"):
+            mat_pow(HermitianMatrix(np.diag([1.0, 2.0])), 0.5)
 
     def test_fractional_pow_requires_spd(self):
         with pytest.raises(DomainError):
             mat_pow(HermitianMatrix(np.diag([1.0, -1.0])), 0.5)
 
     def test_integer_pow_on_hermitian(self):
-        h = HermitianMatrix(np.diag([2.0, -3.0]))
-        sq = mat_pow(h, 2)
-        assert np.abs(sq.mat - np.diag([4.0, 9.0])).max() < 1e-14
+        # Integer powers, too, take an SpdMatrix only: 1/0 and (1e200)^2
+        # would be NaN and inf entries.
+        for diag, t in (([2.0, -3.0], 2), ([1.0, 0.0], -1), ([1e200, 1.0], 2)):
+            with pytest.raises(DomainError, match="requires a positive definite"):
+                mat_pow(HermitianMatrix(np.diag(diag)), t)
 
     @pytest.mark.parametrize("expo", [0.5, 2.0, 0.3])
     def test_pow_gives_every_size_the_same_bits(self, expo):
@@ -245,13 +247,10 @@ class TestMatFn:
 
     def test_sqrt_is_the_half_power(self):
         s = random_spd(3, 5)
-        root = mat_sqrt(s)
-        assert np.allclose(root.mat, mat_pow(s, 0.5).mat)
+        root = mat_pow(s, 0.5)
         assert np.allclose(root.mat @ root.mat, s.mat)
         quarter = mat_pow(s, 0.25)
         assert np.allclose(quarter.mat @ quarter.mat, root.mat)
-        with pytest.raises(DomainError):
-            mat_sqrt(HermitianMatrix(np.diag([1.0, 2.0])))
 
     def test_exp_out_of_float_range_raises(self):
         # e^800 overflows and e^-800 underflows to 0; neither is returned.
@@ -405,7 +404,7 @@ class TestSpectrum:
         assert np.abs(vals.imag).max() < 1e-10
         assert vals.real.min() > 0.0
         # Similarity oracle: same spectrum as the SPD matrix A^{1/2} B A^{1/2}.
-        roota = mat_sqrt(a).mat
+        roota = mat_pow(a, 0.5).mat
         sym = SpdMatrix(roota @ b.mat @ roota)
         ref = eig_hermitian(sym).values
         assert np.abs(np.sort(vals.real) - np.sort(ref)).max() <= 1e-10 * ref.max()
@@ -445,6 +444,12 @@ def _wrap_producers() -> dict:
                                    "exp_product")
         assert verify_membership(solve(prob, seed=1), prob)
 
+    def pow_hermitian():
+        # An integer power of a Hermitian input raises; of its exponential, wraps.
+        with pytest.raises(DomainError):
+            mat_pow(x, 3)
+        mat_pow(mat_exp(x), 3)
+
     return {
         "random_spd": lambda: random_spd(4, 308),
         "random_hermitian": lambda: random_hermitian(4, 309),
@@ -452,7 +457,7 @@ def _wrap_producers() -> dict:
         "mat_exp": lambda: mat_exp(x),
         "mat_log": lambda: mat_log(a),
         "mat_pow_spd": lambda: mat_pow(a, 0.3),
-        "mat_pow_hermitian": lambda: mat_pow(x, 3),
+        "mat_pow_hermitian": pow_hermitian,
         "sharp": lambda: _MeanPair(a, b).sharp(0.3),
         "natural": lambda: _MeanPair(a, b).natural(0.3),
         "cross": lambda: _MeanPair(a, b).cross(),
@@ -497,7 +502,7 @@ class TestWrapPrecondition:
 
 class TestSamplerParams:
     """Every sampler rejects a dimension below 1, and the Hermitian samplers
-    a spread or scale that is not positive."""
+    a spread or scale that is not positive or whose draw width overflows."""
 
     @pytest.mark.parametrize("name", [
         "random_unitary", "random_orthogonal", "random_spd", "random_hermitian",
@@ -507,7 +512,9 @@ class TestSamplerParams:
         with pytest.raises(ParamOutOfRange, match="dimension"):
             getattr(sampling, name)(0, 1)
 
-    @pytest.mark.parametrize("value", [0.0, np.nan])
+    # inf and 1e308 are positive, but the width 2 * value of the uniform
+    # draw on [-value, value] overflows.
+    @pytest.mark.parametrize("value", [0.0, np.nan, np.inf, 1e308])
     @pytest.mark.parametrize("name, param", [
         ("random_spd", "spread"),
         ("random_hermitian", "scale"),
@@ -608,7 +615,7 @@ class TestRangePolicy:
     def test_spd_range_reports_the_first_failing_set(self):
         vals = np.array([[[2.0, 1.0], [4.0, -0.5]], [[3.0, -1.0], [1.0, 1.0]]])
         with pytest.raises(DomainError, match=r"^x \[-5.000e-01, 4.000e\+00\]$"):
-            linalg.require_spd_range(vals, "x", ratio=0.0)
+            linalg.require_spd_range(vals, "x")
         linalg.require_spd_range(vals[0, 0], "x")
         with pytest.raises(SingularInput, match=r"^y \[1.000e-12, 1.000e\+00\]$"):
             linalg.require_spd_range(np.array([1.0, 1e-12]), "y", SingularInput)

@@ -13,20 +13,18 @@ from spdmeans import (
     eig_hermitian,
     geometric_mean,
     loewner_leq,
-    mat_sqrt,
-    mean_identity_grid,
-    mean_identity_suite,
     random_spd,
     spectral_mean,
     spectral_mean_unitary,
     spectrum,
 )
-from spdmeans.linalg import mat_pow
+from spdmeans.linalg import eigh_stack, mat_pow
 from spdmeans.means import (
     IDENTITY_NAMES,
     IDENTITY_TOL,
     _factor,
     _gram_root,
+    _IdentityContext,
     _MeanPair,
     _root,
     rel_residual,
@@ -196,22 +194,30 @@ class TestIllConditionedPair:
                 assert err <= bound, (kind, t, err, bound)
 
     def test_stack_member_matches_the_pair_alone(self, edge):
-        # The same pair, as arrays, in the middle of a stack of good pairs:
-        # its means get the same bits as the pair alone, and match the
-        # fixture.
+        # The same pair, as array roots, in the middle of a stack of good
+        # pairs: its means get the same bits as the pair alone, and match
+        # the fixture.
         pairs = [(random_spd(4, 10 + 2 * k), random_spd(4, 11 + 2 * k)) for k in range(3)]
         pairs.insert(2, (random_spd(4, 3002, 14), random_spd(4, 3003, 14)))
         a = np.stack([p.mat for p, _ in pairs])
         b = np.stack([q.mat for _, q in pairs])
         ts = [0.3, 0.5]
-        stack = _MeanPair(a, b)
+        stack = _MeanPair(_array_root(a), _array_root(b))
         for kind in ("sharp", "natural"):
             stacked = getattr(stack, kind + "s")(ts)
             for k in range(len(pairs)):
-                assert np.array_equal(stacked[k], getattr(_MeanPair(a[k], b[k]), kind + "s")(ts))
+                alone = _MeanPair(_array_root(a[k]), _array_root(b[k]))
+                assert np.array_equal(stacked[k], getattr(alone, kind + "s")(ts))
             for got, (t, want) in zip(stacked[2], edge["means"][kind].items()):
                 assert float(t) in ts
                 assert _mean_error(got, _fixture_matrix(want)) <= _mean_bound(a[2], b[2])
+
+
+def _array_root(arr):
+    """The root (h, Q) of a stack of positive definite arrays, from
+    ``eigh_stack``."""
+    vals, q = eigh_stack(arr)
+    return np.sqrt(vals), q
 
 
 def test_one_by_one_pairs_get_the_same_bits_in_a_stack():
@@ -221,8 +227,9 @@ def test_one_by_one_pairs_get_the_same_bits_in_a_stack():
     a, b = (rng.uniform(0.1, 10.0, (100, 3, 1, 1)).astype(complex) for _ in range(2))
     for kind in ("sharps", "naturals"):
         for stack_a, stack_b in zip(a, b):
-            stacked = getattr(_MeanPair(stack_a, stack_b), kind)([0.5])
-            alone = [getattr(_MeanPair(x, y), kind)([0.5]) for x, y in zip(stack_a, stack_b)]
+            stacked = getattr(_MeanPair(_array_root(stack_a), _array_root(stack_b)), kind)([0.5])
+            alone = [getattr(_MeanPair(_array_root(x), _array_root(y)), kind)([0.5])
+                     for x, y in zip(stack_a, stack_b)]
             assert np.array_equal(stacked, alone), kind
 
 
@@ -267,8 +274,8 @@ class TestSpectralMeanUnitary:
         a = random_spd(4, 51)
         b = random_spd(4, 52)
         u = spectral_mean_unitary(a, b)
-        ra = mat_sqrt(a).mat
-        inner = mat_sqrt(SpdMatrix(ra @ b.mat @ ra)).mat
+        ra = mat_pow(a, 0.5).mat
+        inner = mat_pow(SpdMatrix(ra @ b.mat @ ra), 0.5).mat
         lhs = u.mat @ inner @ u.mat.conj().T
         rhs = spectral_mean(a, b, 0.5).mat
         assert np.abs(lhs - rhs).max() <= 1e-10 * np.abs(rhs).max()
@@ -323,40 +330,40 @@ class TestLoewner:
 class TestIdentitySuite:
     def test_fixed_point(self):
         a = random_spd(4, 71)
-        rep = mean_identity_suite(a, a, 0.3, 0.25, 0.5)
+        rep = _IdentityContext(a, a).evaluate(0.3, 0.25, 0.5)
         assert rep.passed
 
     def test_random_pair_all_identities(self):
         a = random_spd(5, 81)
         b = random_spd(5, 82)
-        rep = mean_identity_suite(a, b, 0.3, 0.25, 0.5)
+        rep = _IdentityContext(a, b).evaluate(0.3, 0.25, 0.5)
         assert rep.passed, rep.residuals
 
     def test_grid_skips_invalid_triples(self):
         a = random_spd(2, 91)
         b = random_spd(2, 92)
-        reports = mean_identity_grid(a, b, [0.5], [0.8, 1.0], [0.5])
+        triples, table = _IdentityContext(a, b).residuals([0.5], [0.8, 1.0], [0.5])
         # r=0.8,s=0.5 exceeds r+s<=1 and r=1.0 is excluded: nothing valid.
-        assert reports == []
+        assert triples == [] and table.shape == (0, len(IDENTITY_NAMES))
 
     def test_param_out_of_range(self):
         a = random_spd(2, 93)
         with pytest.raises(ParamOutOfRange):
-            mean_identity_suite(a, a, 0.5, 0.7, 0.7)
+            _IdentityContext(a, a).evaluate(0.5, 0.7, 0.7)
         with pytest.raises(ParamOutOfRange):
-            mean_identity_suite(a, a, 1.2, 0.1, 0.1)
+            _IdentityContext(a, a).evaluate(1.2, 0.1, 0.1)
 
     def test_rs_rule_message(self):
         a = random_spd(2, 93)
         for r, s_ in ((0.7, 0.7), (1.0, 0.0)):
             with pytest.raises(ParamOutOfRange, match="need r \\+ s <= 1 and r < 1"):
-                mean_identity_suite(a, a, 0.5, r, s_)
+                _IdentityContext(a, a).evaluate(0.5, r, s_)
 
     def test_unit_check_before_rs_rule(self):
         # r = 1.5 fails both; as before, the unit check names it first.
         a = random_spd(2, 93)
         with pytest.raises(ParamOutOfRange, match="r must lie in"):
-            mean_identity_suite(a, a, 0.5, 1.5, 0.5)
+            _IdentityContext(a, a).evaluate(0.5, 1.5, 0.5)
 
     @pytest.mark.parametrize("triple,raises", [((0.3, 0.25, 0.5), False), ((0.5, 0.7, 0.7), True)])
     def test_evaluate_validates_once(self, monkeypatch, triple, raises):
@@ -373,9 +380,9 @@ class TestIdentitySuite:
         a = random_spd(3, 96)
         if raises:
             with pytest.raises(ParamOutOfRange):
-                mean_identity_suite(a, a, *triple)
+                _IdentityContext(a, a).evaluate(*triple)
         else:
-            mean_identity_suite(a, a, *triple)
+            _IdentityContext(a, a).evaluate(*triple)
         assert calls == [triple]
 
     def test_grid_filter_is_the_rs_rule(self):
@@ -383,18 +390,18 @@ class TestIdentitySuite:
 
         values = (0.0, 0.1, 0.5, 0.9, 1.0, 1.0 + 1e-16)
         a = random_spd(2, 97)
-        reports = mean_identity_grid(a, a, [0.5], values, values)
+        triples, _ = _IdentityContext(a, a).residuals([0.5], values, values)
         kept = [(r, s) for r in values for s in values if _rs_defined(r, s)]
-        assert [rep.params[1:] for rep in reports] == kept
+        assert [triple[1:] for triple in triples] == kept
         assert (0.5, 0.5) in kept and (0.9, 0.1 + 1e-16) not in kept
         assert not _rs_defined(1.0, 0.0) and _rs_defined(0.1, 0.9)
 
     def test_endpoint_parameters(self):
         a = random_spd(3, 94)
         b = random_spd(3, 95)
-        rep = mean_identity_suite(a, b, 0.0, 0.0, 1.0)
+        rep = _IdentityContext(a, b).evaluate(0.0, 0.0, 1.0)
         assert rep.passed
-        rep = mean_identity_suite(a, b, 1.0, 0.5, 0.5)
+        rep = _IdentityContext(a, b).evaluate(1.0, 0.5, 0.5)
         assert rep.passed
 
     def test_grid_matches_single_evaluations(self):
@@ -411,15 +418,13 @@ class TestIdentitySuite:
         for n in (2, 3, 4, 5, 6):
             a = random_spd(n, 300 + n)
             b = random_spd(n, 400 + n)
-            reports = mean_identity_grid(a, b, *IDENTITY_GRIDS)
-            assert [rep.params for rep in reports] == triples
-            for rep in reports:
-                single = mean_identity_suite(a, b, *rep.params)
-                assert list(rep.residuals) == list(IDENTITY_NAMES)
-                for name in IDENTITY_NAMES:
-                    assert rep.residuals[name] == single.residuals[name], (
-                        n, rep.params, name,
-                    )
+            got, table = _IdentityContext(a, b).residuals(*IDENTITY_GRIDS)
+            assert got == triples
+            for triple, row in zip(triples, table.tolist()):
+                single = _IdentityContext(a, b).evaluate(*triple)
+                assert list(single.residuals) == list(IDENTITY_NAMES)
+                for name, value in zip(IDENTITY_NAMES, row):
+                    assert value == single.residuals[name], (n, triple, name)
 
 
 def _inverse(m):
@@ -476,9 +481,10 @@ def test_grid_matches_per_triple_reference(n):
     # The stacked grid against every law evaluated one triple at a time.
     a = random_spd(n, 500 + n)
     b = random_spd(n, 600 + n)
-    for rep in mean_identity_grid(a, b, *IDENTITY_GRIDS):
-        ref = _reference_laws(a, b, *rep.params)
-        for name in IDENTITY_NAMES:
-            got, want = rep.residuals[name], ref[name]
-            assert abs(got - want) <= 1e-12, (rep.params, name, got, want)
+    triples, table = _IdentityContext(a, b).residuals(*IDENTITY_GRIDS)
+    for triple, row in zip(triples, table.tolist()):
+        ref = _reference_laws(a, b, *triple)
+        for name, got in zip(IDENTITY_NAMES, row):
+            want = ref[name]
+            assert abs(got - want) <= 1e-12, (triple, name, got, want)
             assert (got <= IDENTITY_TOL) == (want <= IDENTITY_TOL)
