@@ -44,6 +44,6 @@ class MaxIterReached(SpdMeansError):
     Carries the best iterate found so far in ``self.solution``.
     """
 
-    def __init__(self, message, solution=None):
+    def __init__(self, message, solution):
         super().__init__(message)
         self.solution = solution

@@ -27,6 +27,7 @@ from .linalg import (
     SpdMatrix,
     _pow,
     eig_hermitian,
+    eig_hermitian_pair,
     mat_exp,
     require_exp_range,
     require_same_dimension,
@@ -38,6 +39,8 @@ DEFAULT_R_GRID = tuple(2.0 ** k for k in range(-6, 4))
 # Margins of a chain predicate that fall short by less than this multiple
 # of the comparison's tolerance are roundoff, not violations.
 ROUNDOFF_BAND = 10.0
+# The r of the Golden-Thompson refinement rows, in row order.
+REFINEMENT_R = (0.5, 1.0)
 
 
 def _check_xy(x: HermitianMatrix, y: HermitianMatrix) -> None:
@@ -84,9 +87,10 @@ def scan_chain(
     increasing; DomainError naming the first r at which the scan could
     overflow, before any mean is taken.
 
-    One stacked ``_MeanPair`` holds the roots of (e^{rX}, e^{rY}) for every
-    r, and phi and psi get their eigenpairs (U, sigma^{4/r}) from one SVD
-    U sigma W* of the two means' factors.
+    One ``eig_hermitian_pair`` of [X, Y] gives one stacked ``_MeanPair`` of
+    the roots of (e^{rX}, e^{rY}) for every r, and phi and psi get their
+    eigenpairs (U, sigma^{4/r}) from one SVD U sigma W* of the two means'
+    factors.
     """
     _check_xy(x, y)
     grid = tuple(float(r) for r in r_grid)
@@ -99,7 +103,7 @@ def scan_chain(
     if not np.isfinite(grid).all():
         raise ParamOutOfRange("r grid must be finite")
     r = np.array(grid)
-    eig_x, eig_y = eig_hermitian(x), eig_hermitian(y)
+    eig_x, eig_y = eig_hermitian_pair(x, y)
     # In exact arithmetic every exponential, product, power and e^{X+Y} of
     # the scan is bounded by e^{max(1, r) (max |lambda(X)| + max |lambda(Y)|)}.
     bound = np.maximum(1.0, r) * (np.abs(eig_x.values).max() + np.abs(eig_y.values).max())
@@ -227,13 +231,14 @@ def trotter_distances(scan: ChainScan) -> list:
     return out
 
 
-def refinement_from_scan(scan: ChainScan, r_values=(0.5, 1.0)) -> list:
+def refinement_from_scan(scan: ChainScan) -> list:
     """Rows (r, tr e^{X+Y}, tr psi(r), tr e^X e^Y) of the Golden-Thompson
     refinement tr e^{X+Y} <= tr psi(r) <= tr e^X e^Y, one per r of
-    ``r_values`` in the order given, each in (0, 1] and on the scan's grid.
-    At r = 1 the upper end is exact, the classical trace inequality."""
+    ``REFINEMENT_R`` in that order; ParamOutOfRange unless the scan's grid
+    holds each.  At r = 1 the upper end is exact, the classical trace
+    inequality."""
     traces = dict(zip(scan.r_grid, scan.traces))
-    if any(not (0.0 < r <= 1.0) or r not in traces for r in r_values):
-        raise ParamOutOfRange("refinement r values must be in (0, 1] and on the scan's grid")
+    if any(r not in traces for r in REFINEMENT_R):
+        raise ParamOutOfRange(f"the scan's grid must hold the refinement r values {REFINEMENT_R}")
     tr_prod = float(np.trace(mat_exp(scan.x).mat @ mat_exp(scan.y).mat).real)
-    return [(float(r), traces[r][2], traces[r][1], tr_prod) for r in r_values]
+    return [(r, traces[r][2], traces[r][1], tr_prod) for r in REFINEMENT_R]

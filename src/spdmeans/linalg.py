@@ -305,15 +305,13 @@ def _cache_eig(m: HermitianMatrix, vals: np.ndarray, qs: np.ndarray) -> EigenPai
     return m._eig
 
 
-def mat_exp(m: HermitianMatrix, scale: float = 1.0) -> SpdMatrix:
-    """exp(scale * M) for Hermitian M; the result is positive definite.
-    ``DomainError`` unless max |scale lambda| passes ``require_exp_range``
-    and the result's eigenvalues ``require_spd_range``."""
+def mat_exp(m: HermitianMatrix) -> SpdMatrix:
+    """exp(M) for Hermitian M; the result is positive definite.
+    ``DomainError`` unless max |lambda| passes ``require_exp_range`` and the
+    result's eigenvalues ``require_spd_range``."""
     pair = eig_hermitian(m)
-    expo = scale * pair.values
-    what = f"exp(scale * M) leaves the float range: scale = {scale:g}, max |scale eig M|"
-    require_exp_range(np.abs(expo).max(), what)
-    return SpdMatrix._from_eig(pair.vectors, np.exp(expo))
+    require_exp_range(np.abs(pair.values).max(), "exp(M) leaves the float range: max |eig M|")
+    return SpdMatrix._from_eig(pair.vectors, np.exp(pair.values))
 
 
 def mat_log(m: SpdMatrix) -> HermitianMatrix:

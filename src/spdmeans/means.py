@@ -415,21 +415,17 @@ class _IdentityContext:
             "natural_interpolation": rel_residual(interp, target).T,
         }
 
-    def residuals(self, t_values, r_values, s_values) -> tuple[list, np.ndarray]:
-        """The grid's triples, t outermost, then r, then s, and their
-        residuals: an array (triple, law), laws in ``IDENTITY_NAMES`` order.
-
-        Triples with r + s > 1 or r >= 1 are skipped (the reparameterization
-        laws are not defined there); every other triple is validated.
-        """
-        rs = [(r, s) for r in r_values for s in s_values if _rs_defined(r, s)]
-        triples = [(t, r, s) for t in t_values for r, s in rs]
-        for triple in triples:
-            _check_suite_params(*triple)
-        if not triples:
-            return [], np.zeros((0, len(IDENTITY_NAMES)))
+    def residuals(self, t_values, r_values, s_values) -> np.ndarray:
+        """The residuals of every grid triple, an array (triple, law): rows
+        in grid order (t outermost, then r, then s), laws in
+        ``IDENTITY_NAMES`` order.  ParamOutOfRange, before any law is
+        evaluated, at the first triple that ``evaluate`` rejects."""
+        rs = [(r, s) for r in r_values for s in s_values]
+        for t in t_values:
+            for r, s in rs:
+                _check_suite_params(t, r, s)
         t = np.array(t_values, dtype=float)
-        r, s = np.array(rs, dtype=float).T
+        r, s = np.array(rs, dtype=float).reshape(-1, 2).T
         laws = {
             **{name: np.asarray(val)[..., None] for name, val in self._t_laws(t).items()},
             **self._rs_laws(t, r, s),
@@ -438,24 +434,17 @@ class _IdentityContext:
         table = np.stack(
             [np.broadcast_to(laws[name], shape) for name in IDENTITY_NAMES], axis=-1
         )
-        return triples, table.reshape(len(triples), len(IDENTITY_NAMES))
+        return table.reshape(-1, len(IDENTITY_NAMES))
 
     def evaluate(self, t: float, r: float, s: float) -> MeanIdentityReport:
         """The report of the laws at (t, r, s); ParamOutOfRange unless
         r + s <= 1 and r < 1, so the reparameterization laws are well posed."""
-        triples, table = self.residuals((t,), (r,), (s,))  # validates a triple it keeps
-        if not triples:  # a skipped triple, which _check_suite_params rejects
-            _check_suite_params(t, r, s)
+        table = self.residuals((t,), (r,), (s,))
         return MeanIdentityReport(dict(zip(IDENTITY_NAMES, table.tolist()[0])))
-
-
-def _rs_defined(r: float, s: float) -> bool:
-    """Whether the reparameterization laws hold at (r, s): r + s <= 1, r < 1."""
-    return r + s <= 1.0 + 1e-15 and r < 1.0
 
 
 def _check_suite_params(t: float, r: float, s: float) -> None:
     for name, val in (("t", t), ("r", r), ("s", s)):
         _check_unit(name, val)
-    if not _rs_defined(r, s):
+    if not (r + s <= 1.0 + 1e-15 and r < 1.0):
         raise ParamOutOfRange(f"need r + s <= 1 and r < 1, got r = {r}, s = {s}")

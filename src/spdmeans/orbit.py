@@ -261,10 +261,11 @@ def solve(
     objective trace is non-increasing by construction.  The first start is
     U = V = I at every n.  A start whose search finds no decrease stalls,
     and the next start begins from seeded random factors, up to
-    MAX_RESTARTS times.  Raises MaxIterReached (carrying the best iterate)
-    only if every start stalls above tolerance or the iteration budget runs
-    out.  The solution's stop_reason ('converged', 'stall' or
-    'budget') and gauss_newton_steps say why and how the solve ended.
+    MAX_RESTARTS times.  The first start that reaches tol ends the solve and
+    is returned.  If every start stalls above tol or the iteration budget
+    runs out, MaxIterReached carries the start with the least f.  The
+    solution's stop_reason ('converged', or the last start's 'stall' or
+    'budget'), restarts and gauss_newton_steps say why and how it ended.
     """
     if realization not in REALIZATIONS:
         raise ParamOutOfRange(f"unknown realization {realization!r}")
@@ -284,28 +285,11 @@ def solve(
         return u, v, a, b, r, 0.5 * float(np.sum(np.abs(r) ** 2)), float(np.abs(r).max())
 
     best = None
-    iterations = 0
-    restarts_used = 0
-    gauss_newton_steps = 0
-    trace: list = []
-
-    def solution(u, v, resid, trace, stop_reason):
-        return OrbitSolution(
-            u=UnitaryMatrix(u),
-            v=UnitaryMatrix(v),
-            residual=resid,
-            iterations=iterations,
-            objective_trace=trace,
-            restarts=restarts_used,
-            stop_reason=stop_reason,
-            gauss_newton_steps=gauss_newton_steps,
-        )
-
+    iterations = gauss_newton_steps = 0
     for restart in range(MAX_RESTARTS + 1):
         if restart == 0:
             u, v = np.eye(n, dtype=space.dtype), np.eye(n, dtype=space.dtype)
         else:
-            restarts_used = restart
             base = seed * 8191 + restart * 2
             u, v = space.random_factor(n, base), space.random_factor(n, base + 1)
         u, v, a, b, r, f, resid = at(u, v)
@@ -314,6 +298,7 @@ def solve(
         trace = [f]
         if on_iterate is not None:
             on_iterate(u, v, f)
+        stop_reason = "budget"
         while iterations < max_iter and resid > tol:
             iterations += 1
             # Retract to (C_u U, C_v V), [C_u; C_v] = _cayley(S, -damp), for
@@ -337,24 +322,24 @@ def solve(
             if found is None:
                 stop_reason = "stall"
                 break
-        else:
-            stop_reason = "converged" if resid <= tol else "budget"
-
-        if best is None or f < best[2]:
-            best = (u, v, f, resid, list(trace))
         if resid <= tol:
-            return solution(u, v, resid, trace, "converged")
+            best, stop_reason = (u, v, f, resid, trace), "converged"
+            break
+        if best is None or f < best[2]:
+            best = (u, v, f, resid, trace)
         logger.debug("start %d stopped (%s) at f %.3e, residual %.3e after %d "
                      "iterations", restart, stop_reason, f, resid, iterations)
         if iterations >= max_iter:
             break
 
-    u, v, f, resid, trace = best
-    raise MaxIterReached(
-        f"orbit solve stopped ({stop_reason}) at residual {resid:.3e} after "
-        f"{iterations} iterations and {restarts_used} restarts",
-        solution=solution(u, v, resid, trace, stop_reason),
-    )
+    u, v, _, resid, trace = best
+    sol = OrbitSolution(UnitaryMatrix(u), UnitaryMatrix(v), residual=resid,
+                        iterations=iterations, objective_trace=trace, restarts=restart,
+                        stop_reason=stop_reason, gauss_newton_steps=gauss_newton_steps)
+    if sol.converged:
+        return sol
+    raise MaxIterReached(f"orbit solve stopped ({stop_reason}) at residual {resid:.3e} after "
+                         f"{iterations} iterations and {restart} restarts", sol)
 
 
 def verify_membership(sol: OrbitSolution, prob: OrbitProblem) -> bool:

@@ -22,6 +22,7 @@ from .linalg import (
     _assemble,
     _polar_unitary,
     require_exp_range,
+    svd,
 )
 
 
@@ -93,9 +94,12 @@ def random_real_symmetric_traceless(n: int, seed: int, scale: float = 1.0) -> He
 
     Built as Q diag(u - mean u) Q^T with u uniform in [-scale, scale], so the
     spectral radius stays below 2 scale; targets derived through e^{2X} then
-    remain well conditioned.
+    remain well conditioned.  ParamOutOfRange before the draw unless
+    n * scale, the bound of the sum of u, is finite.
     """
     _check_scale("scale", scale)
+    if not np.isfinite(float(n) * float(scale)):
+        raise ParamOutOfRange(f"n * scale must be finite, got n = {n}, scale = {scale}")
     rng, q = _draw_factor(n, seed, real=True)
     vals = rng.uniform(-scale, scale, size=n)
     vals -= vals.mean()
@@ -109,7 +113,7 @@ def random_invertible(n: int, seed: int) -> ComplexMatrix:
     rng = np.random.default_rng(seed)
     for _ in range(16):
         g = _gaussian_complex(rng, n)
-        svals = np.linalg.svd(g, compute_uv=False)
+        svals = svd(g, vectors=False)
         if svals[-1] > 1e-8 * svals[0]:
             return ComplexMatrix(g)
     raise ParamOutOfRange("could not draw a well-conditioned matrix")

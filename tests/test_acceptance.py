@@ -15,6 +15,7 @@ from spdmeans import (
     SpdMatrix,
     eig_hermitian,
     geometric_mean,
+    gtchain,
     loewner_leq,
     log_majorizes,
     orbit,
@@ -108,6 +109,9 @@ def test_criterion_compound_identities():
 
 
 def test_criterion_chain_suite():
+    assert gtchain.DEFAULT_R_GRID == tuple(2.0 ** k for k in range(-6, 4))
+    assert (gtchain.ROUNDOFF_BAND, gtchain.REFINEMENT_R) == (10.0, (0.5, 1.0))
+    assert (suites.CHAIN_SCALE, suites.SANDWICH_TOL) == (0.5, 1e-10)
     budget = 120.0
     start = time.perf_counter()
     result = suites.suite_chain(trials=200, seed=42, n_values=(2, 3, 4, 5, 6))

@@ -27,7 +27,7 @@ from spdmeans import (
     trotter_distances,
 )
 from spdmeans import gtchain, kostant, majorization, realizations, suites
-from spdmeans.gtchain import ROUNDOFF_BAND, refinement_from_scan
+from spdmeans.gtchain import REFINEMENT_R, ROUNDOFF_BAND, refinement_from_scan
 
 
 def diag_h(*vals):
@@ -163,7 +163,7 @@ class TestScanChain:
         assert np.abs(x.mat @ y.mat - y.mat @ x.mat).max() > 1e-3
         scan = scan_chain(x, y)
         for i, r in enumerate(DEFAULT_R_GRID):
-            ea, eb = mat_exp(x, r), mat_exp(y, r)
+            ea, eb = (mat_exp(HermitianMatrix(r * m.mat)) for m in (x, y))
             for got, mean in (
                 (scan.phi_mats[i], geometric_mean(ea, eb)),
                 (scan.psi_mats[i], spectral_mean(ea, eb)),
@@ -194,23 +194,24 @@ class TestGoldenThompsonRefinement:
     def test_r_one_upper_end_exact(self):
         x = random_hermitian(3, 7, 0.5)
         y = random_hermitian(3, 8, 0.5)
-        rows = refinement_from_scan(scan_chain(x, y, (1.0,)), (1.0,))
-        _, _, mid, hi = rows[0]
+        r, _, mid, hi = refinement_from_scan(scan_chain(x, y, (0.5, 1.0)))[1]
+        assert r == 1.0
         assert abs(mid - hi) <= 1e-10 * abs(hi)
 
     def test_rows_in_the_order_given(self):
+        # One row per REFINEMENT_R value, in its order, whatever else the
+        # scan's grid holds.
+        assert REFINEMENT_R == (0.5, 1.0)
         x = random_hermitian(4, 77, 0.5)
         y = random_hermitian(4, 88, 0.5)
-        scan = scan_chain(x, y, (0.5, 1.0))
-        rows = refinement_from_scan(scan, (1.0, 0.5))
-        assert [row[0] for row in rows] == [1.0, 0.5]
-        assert rows == [refinement_from_scan(scan, (r,))[0] for r in (1.0, 0.5)]
-        assert refinement_from_scan(scan, (0.5, 1.0, 0.5)) == rows[::-1] + rows[1:]
+        rows = refinement_from_scan(scan_chain(x, y, (0.25, 0.5, 1.0, 2.0)))
+        assert [row[0] for row in rows] == list(REFINEMENT_R)
+        assert rows == refinement_from_scan(scan_chain(x, y, REFINEMENT_R))
 
     def test_rejects_out_of_range_r(self):
         x = random_hermitian(2, 9, 0.5)
-        with pytest.raises(ParamOutOfRange):
-            refinement_from_scan(scan_chain(x, x, (2.0,)), (2.0,))
+        with pytest.raises(ParamOutOfRange, match="refinement r values"):
+            refinement_from_scan(scan_chain(x, x, (2.0,)))
 
     def test_exponential_outside_the_spd_range_raises(self):
         # X + Y = 0, so the scan's phi, psi and e^{X+Y} are I, but cond(e^X)
@@ -232,10 +233,10 @@ class TestGoldenThompsonRefinement:
     def test_from_scan_rejects_r_off_grid_or_above_one(self):
         x = random_hermitian(3, 9, 0.5)
         y = random_hermitian(3, 10, 0.5)
-        with pytest.raises(ParamOutOfRange):
-            refinement_from_scan(scan_chain(x, y, (0.25, 1.0)))
-        with pytest.raises(ParamOutOfRange):
-            refinement_from_scan(scan_chain(x, y), (2.0,))
+        # A grid without 0.5, and one without 1.
+        for grid in ((0.25, 1.0), (0.5, 2.0)):
+            with pytest.raises(ParamOutOfRange, match="refinement r values"):
+                refinement_from_scan(scan_chain(x, y, grid))
 
     def test_suite_chain_scans_each_pair_once(self, monkeypatch):
         calls = []

@@ -254,10 +254,9 @@ class TestMatFn:
 
     def test_exp_out_of_float_range_raises(self):
         # e^800 overflows and e^-800 underflows to 0; neither is returned.
-        h = HermitianMatrix(np.diag([800.0, 0.0]))
-        for scale in (1.0, -1.0):
-            with pytest.raises(DomainError, match="float range"):
-                mat_exp(h, scale)
+        for sign in (1.0, -1.0):
+            with pytest.raises(DomainError, match="float range: max \\|eig M\\|"):
+                mat_exp(HermitianMatrix(np.diag([sign * 800.0, 0.0])))
 
     def test_exp_returns_spd_log_returns_hermitian(self):
         x = HermitianMatrix(rand_hermitian_array(4, 2))
@@ -524,6 +523,19 @@ class TestSamplerParams:
         with pytest.raises(ParamOutOfRange, match=param):
             getattr(sampling, name)(3, 1, value)
 
+    @pytest.mark.filterwarnings("error")
+    def test_traceless_scale_bounds_the_sum_of_the_draws(self):
+        # 2 * scale is finite, but the sum of 8 draws in the mean can
+        # overflow; n = 2 keeps the sum finite and is accepted.
+        with pytest.raises(ParamOutOfRange, match="n \\* scale must be finite"):
+            random_real_symmetric_traceless(8, 3, 8.9e307)
+        assert np.isfinite(random_real_symmetric_traceless(2, 3, 8.9e307).mat).all()
+
+    def test_invertible_draw_svd_failure_signals(self, monkeypatch):
+        monkeypatch.setattr(linalg.np.linalg, "svd", _lapack_failure)
+        with pytest.raises(NoConvergence):
+            random_invertible(3, 1)
+
 
 class TestRangePolicy:
     """Each range decision is one ``linalg`` function, so every caller of it
@@ -632,7 +644,7 @@ class TestRangePolicy:
         half = HermitianMatrix(np.diag([top / 2.0, top / 2.0]))
         calls = [
             lambda: mat_exp(h),
-            lambda: mat_exp(h, -1.0),
+            lambda: mat_exp(HermitianMatrix(-h.mat)),
             lambda: build_target(half, half, "geometric"),
         ]
         for call in calls:

@@ -340,11 +340,15 @@ class TestIdentitySuite:
         assert rep.passed, rep.residuals
 
     def test_grid_skips_invalid_triples(self):
+        # The grid skips no triple: r=0.8,s=0.5 exceeds r+s<=1 and raises
+        # the message evaluate gives, before r=1.0 is reached.
         a = random_spd(2, 91)
         b = random_spd(2, 92)
-        triples, table = _IdentityContext(a, b).residuals([0.5], [0.8, 1.0], [0.5])
-        # r=0.8,s=0.5 exceeds r+s<=1 and r=1.0 is excluded: nothing valid.
-        assert triples == [] and table.shape == (0, len(IDENTITY_NAMES))
+        with pytest.raises(ParamOutOfRange, match="need r \\+ s <= 1 and r < 1, got r = 0.8"):
+            _IdentityContext(a, b).residuals([0.5], [0.8, 1.0], [0.5])
+        # An empty grid has no triple, and its table no row.
+        table = _IdentityContext(a, b).residuals([0.5], [], [0.5])
+        assert table.shape == (0, len(IDENTITY_NAMES))
 
     def test_param_out_of_range(self):
         a = random_spd(2, 93)
@@ -386,15 +390,24 @@ class TestIdentitySuite:
         assert calls == [triple]
 
     def test_grid_filter_is_the_rs_rule(self):
-        from spdmeans.means import _rs_defined
-
+        # A grid of one (r, s) is evaluated iff r + s <= 1 (to 1e-15) and
+        # r < 1, and raises evaluate's message otherwise; a larger grid
+        # raises on its first undefined pair, in grid order.
         values = (0.0, 0.1, 0.5, 0.9, 1.0, 1.0 + 1e-16)
         a = random_spd(2, 97)
-        triples, _ = _IdentityContext(a, a).residuals([0.5], values, values)
-        kept = [(r, s) for r in values for s in values if _rs_defined(r, s)]
-        assert [triple[1:] for triple in triples] == kept
-        assert (0.5, 0.5) in kept and (0.9, 0.1 + 1e-16) not in kept
-        assert not _rs_defined(1.0, 0.0) and _rs_defined(0.1, 0.9)
+        ctx = _IdentityContext(a, a)
+        for r in values:
+            for s_ in values:
+                if r + s_ <= 1.0 + 1e-15 and r < 1.0:
+                    assert ctx.residuals([0.5], [r], [s_]).shape == (1, len(IDENTITY_NAMES))
+                else:
+                    with pytest.raises(ParamOutOfRange, match="need r \\+ s <= 1 and r < 1"):
+                        ctx.residuals([0.5], [r], [s_])
+        with pytest.raises(ParamOutOfRange, match="got r = 0.1, s = 1.0$"):
+            ctx.residuals([0.5], values, values)
+        ctx.evaluate(0.5, 0.1, 0.9)
+        with pytest.raises(ParamOutOfRange, match="need r \\+ s <= 1"):
+            ctx.evaluate(0.5, 1.0, 0.0)
 
     def test_endpoint_parameters(self):
         a = random_spd(3, 94)
@@ -408,18 +421,12 @@ class TestIdentitySuite:
         # The grid shares work between triples; every report must still be
         # the one a fresh evaluation of its triple gives, bit for bit.
         t_grid, r_grid, s_grid = IDENTITY_GRIDS
-        triples = [
-            (t, r, s)
-            for t in t_grid
-            for r in r_grid
-            for s in s_grid
-            if r + s <= 1.0 + 1e-15 and r < 1.0
-        ]
+        triples = [(t, r, s) for t in t_grid for r in r_grid for s in s_grid]
         for n in (2, 3, 4, 5, 6):
             a = random_spd(n, 300 + n)
             b = random_spd(n, 400 + n)
-            got, table = _IdentityContext(a, b).residuals(*IDENTITY_GRIDS)
-            assert got == triples
+            table = _IdentityContext(a, b).residuals(*IDENTITY_GRIDS)
+            assert table.shape == (len(triples), len(IDENTITY_NAMES))
             for triple, row in zip(triples, table.tolist()):
                 single = _IdentityContext(a, b).evaluate(*triple)
                 assert list(single.residuals) == list(IDENTITY_NAMES)
@@ -481,7 +488,10 @@ def test_grid_matches_per_triple_reference(n):
     # The stacked grid against every law evaluated one triple at a time.
     a = random_spd(n, 500 + n)
     b = random_spd(n, 600 + n)
-    triples, table = _IdentityContext(a, b).residuals(*IDENTITY_GRIDS)
+    t_grid, r_grid, s_grid = IDENTITY_GRIDS
+    triples = [(t, r, s) for t in t_grid for r in r_grid for s in s_grid]
+    table = _IdentityContext(a, b).residuals(*IDENTITY_GRIDS)
+    assert table.shape == (len(triples), len(IDENTITY_NAMES))
     for triple, row in zip(triples, table.tolist()):
         ref = _reference_laws(a, b, *triple)
         for name, got in zip(IDENTITY_NAMES, row):
