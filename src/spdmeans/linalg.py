@@ -29,6 +29,7 @@ SPD_TOL = 1e-12
 UNITARY_TOL = 1e-10
 _EXP_LIMIT = float(np.log(np.finfo(float).max / 2.0))
 _NOT_SPD = "matrix is not positive definite: eigenvalue range"
+_SINGULAR = "polar decomposition requires an invertible input: singular values in"
 
 
 def _ct(arr: np.ndarray) -> np.ndarray:
@@ -185,19 +186,21 @@ class SpdMatrix(HermitianMatrix):
         require_spd_range(eig_hermitian(self).values, _NOT_SPD)
 
     @classmethod
-    def _from_eig(cls, q: np.ndarray, vals: np.ndarray, what: str = _NOT_SPD) -> "SpdMatrix":
+    def _from_eig(cls, q: np.ndarray, vals: np.ndarray, what: str = _NOT_SPD,
+                  error=DomainError) -> "SpdMatrix":
         """Internal: ``_from_eigs`` of one matrix."""
-        return cls._from_eigs(q[None], vals[None], what)[0]
+        return cls._from_eigs(q[None], vals[None], what, error)[0]
 
     @classmethod
-    def _from_eigs(cls, q: np.ndarray, vals: np.ndarray, what: str = _NOT_SPD) -> list:
+    def _from_eigs(cls, q: np.ndarray, vals: np.ndarray, what: str = _NOT_SPD,
+                   error=DomainError) -> list:
         """Internal: Q diag(vals) Q* for each matrix of a stack, q (m, n, n)
         and vals (m, n), by one assembly, with its eigenpairs sorted and
-        cached.  DomainError with the message ``what`` before the assembly
-        unless every set of values passes ``require_spd_range``."""
+        cached.  ``error`` (DomainError) with the message ``what`` before
+        the assembly unless every set of values passes ``require_spd_range``."""
         order = np.argsort(-vals, axis=-1, kind="stable")
         desc = vals[np.arange(len(vals))[:, None], order]
-        require_spd_range(desc, what)
+        require_spd_range(desc, what, error)
         mats = [cls._wrap(mat) for mat in _assemble(q, vals)]
         for obj, qi, vi, oi in zip(mats, q, desc, order):
             _cache_eig(obj, vi, np.ascontiguousarray(qi[:, oi]))
@@ -340,28 +343,28 @@ def svd(arr: np.ndarray, vectors: bool = True):
         raise NoConvergence(f"singular value decomposition failed: {exc}") from exc
 
 
-def _polar_unitary(arr: np.ndarray) -> tuple:
-    """The unitary factor U = W V* of an invertible array with SVD
-    W S V*, and the SVD: (U, W, sigma, V*).  SingularInput unless sigma
-    passes ``require_spd_range``."""
+def _polar_unitary(arr: np.ndarray) -> UnitaryMatrix:
+    """The unitary factor U = W V* of an invertible array with SVD W S V*.
+    SingularInput unless S passes ``require_spd_range``."""
     w, svals, vh = svd(arr)
-    what = "polar decomposition requires an invertible input: singular values in"
-    require_spd_range(svals, what, SingularInput)
-    return UnitaryMatrix(w @ vh), w, svals, vh
+    require_spd_range(svals, _SINGULAR, SingularInput)
+    return UnitaryMatrix(w @ vh)
 
 
 def polar(m: ComplexMatrix, side: str = "left") -> tuple[UnitaryMatrix, SpdMatrix]:
     """Polar decomposition of an invertible matrix, through the SVD.
 
-    With M = W S V*, the unitary factor is U = W V* on both sides
-    (``_polar_unitary``).
+    With M = W S V*, the unitary factor is U = W V* on both sides, as in
+    ``_polar_unitary``; SingularInput, from P's range check, unless S
+    passes ``require_spd_range``.
     side='left' returns (U, P) with M = P U and P = W S W* = (M M*)^{1/2};
     side='right' returns (U, P) with M = U P and P = V S V* = (M* M)^{1/2}.
     """
     if side not in ("left", "right"):
         raise DomainError(f"polar side must be 'left' or 'right', got {side!r}")
-    u, w, svals, vh = _polar_unitary(m.mat)
-    return u, SpdMatrix._from_eig(w if side == "left" else vh.conj().T, svals)
+    w, svals, vh = svd(m.mat)
+    p = SpdMatrix._from_eig(w if side == "left" else _ct(vh), svals, _SINGULAR, SingularInput)
+    return UnitaryMatrix(w @ vh), p
 
 
 def _sort_by_modulus(vals: np.ndarray) -> np.ndarray:

@@ -32,9 +32,6 @@ stacked expressions.
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ParamOutOfRange
@@ -162,17 +159,6 @@ class _MeanPair:
             self._cross = (self.q @ p_c, p_c, s_c)
         return self._cross
 
-    def _rows(self, index, b=None) -> "_MeanPair":
-        """The pairs at ``index`` of a stack whose B is one matrix: A's root
-        and, unless ``b`` replaces B, Q_a* F_b and the SVDs so far."""
-        if b is not None:
-            return _MeanPair((self.h[index], self.q[index]), b)
-        out = copy.copy(self)
-        out.h, out.q, out._m = self.h[index], self.q[index], self._m[index]
-        out._mid = self._mid and tuple(part[index] for part in self._mid)
-        out._cross = self._cross and tuple(part[index] for part in self._cross)
-        return out
-
     def sharp_factors(self, taus) -> tuple:
         """(Q_a, h_a P sigma^tau): A #_tau B for every pair and every tau."""
         p, sig = self._mid_svd()
@@ -252,7 +238,7 @@ def spectral_mean_unitary(a: SpdMatrix, b: SpdMatrix) -> UnitaryMatrix:
     """
     pair = _MeanPair(a, b)
     left, inner = pair.natural_factors([0.5])
-    return _polar_unitary(left[0] @ inner[0] @ _ct(pair.q))[0]
+    return _polar_unitary(left[0] @ inner[0] @ _ct(pair.q))
 
 
 def loewner_leq(a: HermitianMatrix, b: HermitianMatrix) -> bool:
@@ -270,22 +256,6 @@ def loewner_leq(a: HermitianMatrix, b: HermitianMatrix) -> bool:
 def spd_det(m: SpdMatrix) -> float:
     """Determinant via the cached eigenvalues."""
     return float(np.prod(eig_hermitian(m).values))
-
-
-@dataclass
-class MeanIdentityReport:
-    """Named residuals from one identity-suite evaluation, passed iff all
-    are at most IDENTITY_TOL."""
-
-    residuals: dict
-
-    @property
-    def max_residual(self) -> float:
-        return max(self.residuals.values())
-
-    @property
-    def passed(self) -> bool:
-        return self.max_residual <= IDENTITY_TOL
 
 
 IDENTITY_NAMES = (
@@ -327,11 +297,13 @@ class _IdentityContext:
     law's residuals are one reduction.  A derived mean enters a pair as B
     through its Gram factor and as A through that factor's root (an inverse
     through the inverse factor), and A^{-1}, B^{-1} through the roots
-    (1/h, Q) of A and B, so no derived B is decomposed.  The chain pairs and
-    the A side of the interpolation pairs are rooted once per distinct r and
-    gathered to the (r, s) rows (``_MeanPair._rows``).  The parameter-free
-    laws ride along the t axis at t = 1/2.  ``evaluate`` wraps the residuals
-    of one triple in a report.
+    (1/h, Q) of A and B, so no derived B is decomposed.  Each group is
+    taken on its own array axes, as ``_MeanPair`` broadcasts them: the chain
+    pairs are rooted once per r, a stack (R,) taking the parameters
+    u = s / (1 - r) of shape (R, S), and the interpolation pairs broadcast
+    A's roots (R, 1) against B's factors (1, S) and take t on the last
+    axis.  The parameter-free laws ride along the t axis at t = 1/2.
+    ``evaluate`` returns the residuals of one triple as a dict.
     """
 
     def __init__(self, a: SpdMatrix, b: SpdMatrix):
@@ -393,54 +365,50 @@ class _IdentityContext:
         }
 
     def _rs_laws(self, t: np.ndarray, r: np.ndarray, s: np.ndarray) -> dict:
-        """Geodesic reparameterization for both means over the (r, s) pairs
-        (shape (P,)), and the interpolation law over (t, (r, s)) (shape
-        (T, P))."""
+        """Geodesic reparameterization for both means over (r, s) (shape
+        (R, S)), and the interpolation law over (t, r, s) (shape (T, R, S))."""
         pair, b = self.pair, self.b_root
-        u = (s / (1.0 - r))[:, None]
-        # The chain pairs at the distinct r, rooted once, as row stacks.
-        r_set, rows = np.unique(r, return_inverse=True)
-        sharp_r = _MeanPair(_gram_root(*pair.sharp_factors(r_set)), b)
-        nat_r = _MeanPair(_gram_root(*pair.natural_factors(r_set)), b)
-        sharp_r._mid_svd()  # the SVDs the rows share
-        nat_r._cross_svd()
-        sharp_chain = sharp_r._rows(rows).sharps(u)[:, 0]
-        natural_chain = nat_r._rows(rows).naturals(u)[:, 0]
+        rs = r[:, None] + s
+        u = s / (1.0 - r[:, None])
+        sharp_r = _MeanPair(_gram_root(*pair.sharp_factors(r)), b)
+        nat_r = _MeanPair(_gram_root(*pair.natural_factors(r)), b)
         # Interpolation: (A @_r B) @_t (A @_s B) = A @_{(1-t)r + ts} B.
-        interp = nat_r._rows(rows, _factor(*pair.natural_factors(s))).naturals(t)
-        target = pair.naturals((1.0 - t) * r[:, None] + t * s[:, None])
+        interp = _MeanPair((nat_r.h[:, None], nat_r.q[:, None]),
+                           _factor(*pair.natural_factors(s))).naturals(t)
+        target = pair.naturals((1.0 - t) * r[:, None, None] + t * s[:, None])
         return {
-            "sharp_chain": rel_residual(pair.sharps(r + s), sharp_chain),
-            "natural_chain": rel_residual(pair.naturals(r + s), natural_chain),
-            "natural_interpolation": rel_residual(interp, target).T,
+            "sharp_chain": rel_residual(pair.sharps(rs), sharp_r.sharps(u)),
+            "natural_chain": rel_residual(pair.naturals(rs), nat_r.naturals(u)),
+            "natural_interpolation": np.moveaxis(rel_residual(interp, target), -1, 0),
         }
 
     def residuals(self, t_values, r_values, s_values) -> np.ndarray:
         """The residuals of every grid triple, an array (triple, law): rows
         in grid order (t outermost, then r, then s), laws in
         ``IDENTITY_NAMES`` order.  ParamOutOfRange, before any law is
-        evaluated, at the first triple that ``evaluate`` rejects."""
-        rs = [(r, s) for r in r_values for s in s_values]
+        evaluated, at the first triple that ``evaluate`` rejects.  Each law
+        is taken on (t, r, s) array axes, so a value repeated in a grid is
+        evaluated once per occurrence (no caller repeats one)."""
         for t in t_values:
-            for r, s in rs:
-                _check_suite_params(t, r, s)
-        t = np.array(t_values, dtype=float)
-        r, s = np.array(rs, dtype=float).reshape(-1, 2).T
+            for r in r_values:
+                for s in s_values:
+                    _check_suite_params(t, r, s)
+        t, r, s = (np.array(values, dtype=float) for values in (t_values, r_values, s_values))
         laws = {
-            **{name: np.asarray(val)[..., None] for name, val in self._t_laws(t).items()},
+            **{name: np.asarray(val)[..., None, None] for name, val in self._t_laws(t).items()},
             **self._rs_laws(t, r, s),
         }
-        shape = (len(t), len(rs))
+        shape = (len(t), len(r), len(s))
         table = np.stack(
             [np.broadcast_to(laws[name], shape) for name in IDENTITY_NAMES], axis=-1
         )
         return table.reshape(-1, len(IDENTITY_NAMES))
 
-    def evaluate(self, t: float, r: float, s: float) -> MeanIdentityReport:
-        """The report of the laws at (t, r, s); ParamOutOfRange unless
-        r + s <= 1 and r < 1, so the reparameterization laws are well posed."""
-        table = self.residuals((t,), (r,), (s,))
-        return MeanIdentityReport(dict(zip(IDENTITY_NAMES, table.tolist()[0])))
+    def evaluate(self, t: float, r: float, s: float) -> dict:
+        """The residual of each law at (t, r, s), law name -> float;
+        ParamOutOfRange unless r + s <= 1 and r < 1, so the
+        reparameterization laws are well posed."""
+        return dict(zip(IDENTITY_NAMES, self.residuals((t,), (r,), (s,)).tolist()[0]))
 
 
 def _check_suite_params(t: float, r: float, s: float) -> None:

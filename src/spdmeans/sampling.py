@@ -44,7 +44,7 @@ def _draw_factor(n: int, seed: int, real: bool = False) -> tuple:
         raise ParamOutOfRange(f"dimension must be >= 1, got {n}")
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((n, n)).astype(complex) if real else _gaussian_complex(rng, n)
-    return rng, _polar_unitary(g)[0]
+    return rng, _polar_unitary(g)
 
 
 def random_unitary(n: int, seed: int) -> UnitaryMatrix:

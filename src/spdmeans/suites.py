@@ -484,7 +484,7 @@ _CLI_SUITES = {
     "kostant": lambda seed, trials, realization: suite_kostant(trials, seed),
     "gradcheck": lambda seed, trials, realization: suite_gradient_check(trials, seed),
     "loewner": lambda seed, trials, realization: suite_loewner(trials, seed),
-    "realization": lambda seed, trials, realization: suite_realization(seed),
+    "realization": lambda seed, trials, realization: suite_realization(seed, max(1, trials // 8)),
 }
 ALL_SUITES = tuple(_CLI_SUITES)
 

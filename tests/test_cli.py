@@ -241,6 +241,16 @@ class TestVerifyCommand:
 
         assert len(rows) == 3 * len(IDENTITY_NAMES)
 
+    @pytest.mark.parametrize("trials,rows", [("8", 24), ("25", 72)])
+    def test_realization_row_count_follows_trials(self, runner, tmp_path, trials, rows):
+        # trials // 8 trials (at least one), each of 8 rows at n = 2, 3, 4.
+        out = tmp_path / "realization.csv"
+        result = runner.invoke(
+            main, ["verify", "--suite", "realization", "--trials", trials, "--out", str(out)]
+        )
+        assert result.exit_code == 0, result.output
+        assert len(out.read_text().splitlines()[2:]) == rows
+
 
 class TestScanCommand:
     def test_scan_csv(self, runner, tmp_path):

@@ -22,7 +22,6 @@ from spdmeans.linalg import eigh_stack, mat_pow
 from spdmeans.means import (
     IDENTITY_NAMES,
     IDENTITY_TOL,
-    _factor,
     _gram_root,
     _IdentityContext,
     _MeanPair,
@@ -233,40 +232,37 @@ def test_one_by_one_pairs_get_the_same_bits_in_a_stack():
             assert np.array_equal(stacked, alone), kind
 
 
-class TestRowGather:
-    """``_MeanPair._rows`` gathers a stack's SVDs to its rows; the means then
-    equal, under ==, those of the full stack computed row by row."""
+class TestGridAxes:
+    """The identity grid is taken on plain (t, r, s) array axes, through the
+    broadcast contract of ``_MeanPair``: parameters on the last axis, leading
+    axes against the stack."""
 
-    @pytest.fixture
-    def stacks(self):
+    def test_parameter_array_matches_rows(self):
+        # A stack (R,) of pairs at an (R, S) parameter array equals, under ==,
+        # each pair alone at its own row of parameters.
         a, b = random_spd(4, 21), random_spd(4, 22)
         pair = _MeanPair(a, b)
-        r = np.array([0.1, 0.4, 0.1, 0.25, 0.4, 0.0])
-        r_set, rows = np.unique(r, return_inverse=True)
-        return pair, _root(b), r, r_set, rows
+        r = np.array([0.1, 0.4, 0.1, 0.25, 0.0])
+        u = np.linspace(0.0, 1.0, 3 * len(r)).reshape(len(r), 3)
+        for factors in (pair.sharp_factors, pair.natural_factors):
+            h, q = _gram_root(*factors(r))
+            stack = _MeanPair((h, q), _root(b))
+            for kind in ("sharps", "naturals"):
+                rows = [getattr(_MeanPair((h[i], q[i]), _root(b)), kind)(u[i])
+                        for i in range(len(r))]
+                assert np.array_equal(getattr(stack, kind)(u), rows), kind
 
-    def test_chain_pairs(self, stacks):
-        pair, b, r, r_set, rows = stacks
-        u = np.linspace(0.0, 1.0, len(r))[:, None]
-        sharp_once = _MeanPair(_gram_root(*pair.sharp_factors(r_set)), b)
-        nat_once = _MeanPair(_gram_root(*pair.natural_factors(r_set)), b)
-        sharp_once._mid_svd(), nat_once._cross_svd()
-        sharp_full = _MeanPair(_gram_root(*pair.sharp_factors(r)), b).sharps(u)
-        nat_full = _MeanPair(_gram_root(*pair.natural_factors(r)), b).naturals(u)
-        assert np.array_equal(sharp_once._rows(rows).sharps(u), sharp_full)
-        assert np.array_equal(nat_once._rows(rows).naturals(u), nat_full)
-
-    def test_new_b_shares_only_the_roots(self, stacks):
-        pair, b, r, r_set, rows = stacks
-        other = _factor(*pair.natural_factors([0.5, 0.2, 0.3, 0.1, 0.0, 0.6]))
-        once = _MeanPair(_gram_root(*pair.natural_factors(r_set)), b)
-        once._cross_svd()
-        gathered = once._rows(rows, other)
-        assert gathered._mid is None and gathered._cross is None
-        t = [0.0, 0.3, 1.0]
-        full = _MeanPair(_gram_root(*pair.natural_factors(r)), other)
-        assert np.array_equal(gathered.naturals(t), full.naturals(t))
-        assert np.array_equal(gathered.sharps(t), full.sharps(t))
+    def test_repeated_unsorted_grid_matches_single_evaluations(self):
+        # A repeated r is evaluated once per occurrence, so each row still
+        # equals a fresh evaluation of its triple, in grid order.
+        a, b = random_spd(4, 23), random_spd(4, 24)
+        grid = ((0.5, 0.2), (0.25, 0.0, 0.25), (0.5, 0.1))
+        triples = [(t, r, s_) for t in grid[0] for r in grid[1] for s_ in grid[2]]
+        table = _IdentityContext(a, b).residuals(*grid)
+        assert table.shape == (len(triples), len(IDENTITY_NAMES))
+        for triple, row in zip(triples, table.tolist()):
+            single = _IdentityContext(a, b).evaluate(*triple)
+            assert row == [single[name] for name in IDENTITY_NAMES], triple
 
 
 class TestSpectralMeanUnitary:
@@ -331,13 +327,13 @@ class TestIdentitySuite:
     def test_fixed_point(self):
         a = random_spd(4, 71)
         rep = _IdentityContext(a, a).evaluate(0.3, 0.25, 0.5)
-        assert rep.passed
+        assert max(rep.values()) <= IDENTITY_TOL
 
     def test_random_pair_all_identities(self):
         a = random_spd(5, 81)
         b = random_spd(5, 82)
         rep = _IdentityContext(a, b).evaluate(0.3, 0.25, 0.5)
-        assert rep.passed, rep.residuals
+        assert max(rep.values()) <= IDENTITY_TOL, rep
 
     def test_grid_skips_invalid_triples(self):
         # The grid skips no triple: r=0.8,s=0.5 exceeds r+s<=1 and raises
@@ -413,9 +409,9 @@ class TestIdentitySuite:
         a = random_spd(3, 94)
         b = random_spd(3, 95)
         rep = _IdentityContext(a, b).evaluate(0.0, 0.0, 1.0)
-        assert rep.passed
+        assert max(rep.values()) <= IDENTITY_TOL
         rep = _IdentityContext(a, b).evaluate(1.0, 0.5, 0.5)
-        assert rep.passed
+        assert max(rep.values()) <= IDENTITY_TOL
 
     def test_grid_matches_single_evaluations(self):
         # The grid shares work between triples; every report must still be
@@ -429,9 +425,9 @@ class TestIdentitySuite:
             assert table.shape == (len(triples), len(IDENTITY_NAMES))
             for triple, row in zip(triples, table.tolist()):
                 single = _IdentityContext(a, b).evaluate(*triple)
-                assert list(single.residuals) == list(IDENTITY_NAMES)
+                assert list(single) == list(IDENTITY_NAMES)
                 for name, value in zip(IDENTITY_NAMES, row):
-                    assert value == single.residuals[name], (n, triple, name)
+                    assert value == single[name], (n, triple, name)
 
 
 def _inverse(m):
