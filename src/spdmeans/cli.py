@@ -6,7 +6,10 @@ emit compound matrices.  Reports are CSV/JSON with fixed float formatting,
 so a fixed seed reproduces byte-identical output.
 
 Exit codes: 0 all checks passed, 1 a mathematical property failed beyond
-tolerance, 2 bad input or configuration.
+tolerance, 2 bad input or configuration.  An output path that cannot be
+written exits 2, after the work is done.  A data error outranks a failed
+property (exit 2, not 1): one boundary on the command group turns every
+library, file or value error into one ``error:`` line on stderr and exit 2.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import click
 import numpy as np
 
 from . import matio, suites
-from .errors import SpdMeansError
+from .errors import MaxIterReached, SpdMeansError
 from .gtchain import DEFAULT_R_GRID, evaluate_chain, scan_chain
 from .kostant import kostant_report
 from .majorization import compound
@@ -55,7 +58,20 @@ def _print_matrix(mat: np.ndarray, digits: int = 4) -> None:
             )
 
 
-@click.group()
+class _Boundary(click.Group):
+    """Sends a data error from reading, computing or writing to ``_fail_data``;
+    a broken stdout pipe is left to click."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except BrokenPipeError:
+            raise
+        except DATA_ERRORS as exc:
+            _fail_data(str(exc))
+
+
+@click.group(cls=_Boundary)
 def main():
     """Geometric/spectral matrix means, majorization checks, orbit solver."""
 
@@ -68,13 +84,10 @@ def main():
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def mean(kind, t, a_path, b_path, out):
     """Compute a matrix mean of two SPD matrices from JSON files."""
-    try:
-        a = matio.load_spd(a_path)
-        b = matio.load_spd(b_path)
-        fn = geometric_mean if kind == "geometric" else spectral_mean
-        result = fn(a, b, t)
-    except DATA_ERRORS as exc:
-        _fail_data(str(exc))
+    a = matio.load_spd(a_path)
+    b = matio.load_spd(b_path)
+    fn = geometric_mean if kind == "geometric" else spectral_mean
+    result = fn(a, b, t)
     _print_matrix(result.mat)
     if out:
         matio.save_matrix(out, result.mat)
@@ -87,18 +100,15 @@ def mean(kind, t, a_path, b_path, out):
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def scan(x_path, y_path, r_grid, out):
     """Golden-Thompson chain scan; emits CSV rows per grid point."""
-    try:
-        x = matio.load_hermitian(x_path)
-        y = matio.load_hermitian(y_path)
-        grid = (
-            tuple(float(v) for v in r_grid.split(","))
-            if r_grid is not None
-            else DEFAULT_R_GRID
-        )
-        chain = scan_chain(x, y, grid)
-        report = evaluate_chain(chain)
-    except DATA_ERRORS as exc:
-        _fail_data(str(exc))
+    x = matio.load_hermitian(x_path)
+    y = matio.load_hermitian(y_path)
+    grid = (
+        tuple(float(v) for v in r_grid.split(","))
+        if r_grid is not None
+        else DEFAULT_R_GRID
+    )
+    chain = scan_chain(x, y, grid)
+    report = evaluate_chain(chain)
     n = x.n
     header = (
         ["r"]
@@ -152,16 +162,13 @@ def verify(suite, run_all, trials, seed, realization, out, timings):
         _fail_data("choose --suite NAME or --all")
     names = suites.ALL_SUITES if run_all else (suite,)
     results = []
-    try:
-        for name in names:
-            start = time.perf_counter()
-            results.append(
-                suites.run_suite(name, seed=seed, trials=trials, realization=realization)
-            )
-            if timings:
-                click.echo(f"time {name}: {time.perf_counter() - start:.3f} s", err=True)
-    except DATA_ERRORS as exc:
-        _fail_data(str(exc))
+    for name in names:
+        start = time.perf_counter()
+        results.append(
+            suites.run_suite(name, seed=seed, trials=trials, realization=realization)
+        )
+        if timings:
+            click.echo(f"time {name}: {time.perf_counter() - start:.3f} s", err=True)
     if out:
         suites.write_report(out, results)
     all_ok = True
@@ -209,24 +216,18 @@ def orbit_solve(kind, input_paths, n, seed, tol, max_iter, realization, out, tra
     """Solve U X U* + V Y V* = Z for the chosen target kind."""
     kind_full = {"exp": "exp_product", "geo": "geometric", "spec": "spectral"}[kind]
     space = REALIZATIONS[realization]
-    try:
-        if input_paths:
-            x, y = (space.project(matio.load_hermitian(p)) for p in input_paths)
-        else:
-            x, y = space.sample(n, seed, 1.0), space.sample(n, seed + 1, 1.0)
-        prob = OrbitProblem.create(x, y, kind_full)
-    except DATA_ERRORS as exc:
-        _fail_data(str(exc))
+    if input_paths:
+        x, y = (space.project(matio.load_hermitian(p)) for p in input_paths)
+    else:
+        x, y = space.sample(n, seed, 1.0), space.sample(n, seed + 1, 1.0)
+    prob = OrbitProblem.create(x, y, kind_full)
     try:
         sol = solve(
             prob, tol=tol, max_iter=max_iter, seed=seed, realization=realization
         )
         converged = True
-    except SpdMeansError as exc:
-        sol = getattr(exc, "solution", None)
-        if sol is None:
-            _fail_data(str(exc))
-        converged = False
+    except MaxIterReached as exc:
+        sol, converged = exc.solution, False
     payload = {
         "kind": kind_full,
         "n": prob.n,
@@ -255,12 +256,9 @@ def orbit_solve(kind, input_paths, n, seed, tol, max_iter, realization, out, tra
 @click.option("--g", "g_path", type=click.Path(exists=True, dir_okay=False), required=True)
 def kostant(f_path, g_path):
     """Compare two invertible matrices in the Kostant pre-order."""
-    try:
-        f = matio.load_matrix(f_path)
-        g = matio.load_matrix(g_path)
-        report = kostant_report(f, g)
-    except DATA_ERRORS as exc:
-        _fail_data(str(exc))
+    f = matio.load_matrix(f_path)
+    g = matio.load_matrix(g_path)
+    report = kostant_report(f, g)
     verdict = "f <=_G g" if report.holds else "NOT f <=_G g"
     click.echo(verdict)
     for k, margin in enumerate(report.partial_margins, start=1):
@@ -275,11 +273,8 @@ def kostant(f_path, g_path):
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def compound_cmd(in_path, k, out):
     """k-th compound matrix of the input."""
-    try:
-        m = matio.load_matrix(in_path)
-        result = compound(m, k)
-    except DATA_ERRORS as exc:
-        _fail_data(str(exc))
+    m = matio.load_matrix(in_path)
+    result = compound(m, k)
     _print_matrix(result.mat, digits=6)
     if out:
         matio.save_matrix(out, result.mat)

@@ -1,3 +1,4 @@
+import errno
 import json
 import shlex
 import subprocess
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from spdmeans import MaxIterReached, orbit, save_matrix, suites
+from spdmeans import MaxIterReached, gtchain, orbit, save_matrix, suites
 from spdmeans.cli import main
 
 
@@ -323,6 +324,28 @@ class TestScanCommand:
         assert result.output.startswith("error: phi or psi is not positive definite")
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
+    def test_failed_chain_check_exits_1_and_writes_the_csv(self, runner, tmp_path, monkeypatch):
+        # One phi_below_exp_sum check pushed below its tolerance: a failed
+        # property, so exit 1, and the report is still written with its cell.
+        from spdmeans import random_hermitian
+
+        def failing(chain):
+            report = gtchain.evaluate_chain(chain)
+            check = next(c for c in report.checks if c.name == "phi_below_exp_sum")
+            check.margin = -check.tol - 1.0
+            return report
+
+        monkeypatch.setattr("spdmeans.cli.evaluate_chain", failing)
+        x, y, out = tmp_path / "x.json", tmp_path / "y.json", tmp_path / "scan.csv"
+        save_matrix(x, random_hermitian(3, 5, 0.5).mat)
+        save_matrix(y, random_hermitian(3, 6, 0.5).mat)
+        result = runner.invoke(
+            main, ["scan", "--x", str(x), "--y", str(y), "--r-grid", "0.5,1", "--out", str(out)]
+        )
+        assert result.exit_code == 1, result.output
+        rows = [line.split(",") for line in out.read_text().splitlines()[2:]]
+        assert [row[-2:] for row in rows] == [["false", "true"], ["true", "true"]]
+
 
 class TestOrbitSolveCommand:
     def test_seeded_run_emits_json(self, runner, tmp_path):
@@ -365,6 +388,12 @@ class TestOrbitSolveCommand:
         payload = json.loads(result.output)
         assert payload["converged"] is False
         assert payload["stop_reason"] == "budget"
+
+    def test_zero_tol_exits_2(self, runner):
+        # solve raises ParamOutOfRange, which carries no solution: bad input.
+        result = runner.invoke(main, ["orbit-solve", "--kind", "exp", "--tol", "0"])
+        assert result.exit_code == 2
+        assert result.output.startswith("error: tol must be positive")
 
     def test_input_files_and_slr(self, runner, tmp_path):
         from spdmeans import random_real_symmetric_traceless
@@ -513,6 +542,52 @@ class TestMatrixFileValidation:
         result = runner.invoke(main, ["compound", "--input", str(path), "--k", "1"])
         assert result.exit_code == 2
         assert result.output.startswith("error: ")
+
+
+class TestErrorBoundary:
+    """A report path that cannot be written exits 2 with one ``error:`` line
+    on stderr, after the work is done, and without a traceback."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["mean", "--kind", "geometric", "--a", "{a}", "--b", "{b}", "--out", "{out}"],
+            ["scan", "--x", "{x}", "--y", "{y}", "--r-grid", "0.5,1", "--out", "{out}"],
+            ["verify", "--suite", "golden", "--out", "{out}"],
+            ["orbit-solve", "--kind", "exp", "--n", "3", "--seed", "4", "--out", "{out}"],
+            ["orbit-solve", "--kind", "exp", "--n", "3", "--seed", "4", "--trace-csv", "{out}"],
+            ["compound", "--input", "{m}", "--k", "2", "--out", "{out}"],
+        ],
+        ids=["mean", "scan", "verify", "orbit-solve-out", "orbit-solve-trace", "compound"],
+    )
+    def test_missing_directory_exits_2(self, runner, tmp_path, reference_pair_files, args):
+        from spdmeans import random_hermitian
+
+        a, b = reference_pair_files
+        paths = {"a": a, "b": b, "out": str(tmp_path / "missing" / "report")}
+        for name, mat in (
+            ("x", random_hermitian(3, 5, 0.5).mat),
+            ("y", random_hermitian(3, 6, 0.5).mat),
+            ("m", np.diag([1.0, 2.0, 3.0]).astype(complex)),
+        ):
+            paths[name] = str(tmp_path / f"{name}.json")
+            save_matrix(paths[name], mat)
+        result = runner.invoke(main, [arg.format(**paths) for arg in args])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+        assert "Traceback" not in result.output
+        assert not (tmp_path / "missing").exists()
+
+    def test_broken_pipe_is_left_to_click(self, runner, monkeypatch):
+        # click turns a broken stdout pipe into a quiet exit 1.
+        def closed(text, out):
+            raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+        monkeypatch.setattr("spdmeans.cli._write_text", closed)
+        result = runner.invoke(main, ["orbit-solve", "--kind", "exp", "--n", "3"])
+        assert result.exit_code == 1
+        assert "error:" not in result.output
 
 
 class TestDeterminism:
