@@ -96,7 +96,11 @@ def mean(kind, t, a_path, b_path, out):
 @main.command()
 @click.option("--x", "x_path", type=click.Path(exists=True, dir_okay=False), required=True)
 @click.option("--y", "y_path", type=click.Path(exists=True, dir_okay=False), required=True)
-@click.option("--r-grid", default=None, help="Comma-separated finite, increasing positive values.")
+@click.option(
+    "--r-grid",
+    default=None,
+    help="Comma-separated finite, strictly increasing values, each at least MIN_R = 2^-10.",
+)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def scan(x_path, y_path, r_grid, out):
     """Golden-Thompson chain scan; emits CSV rows per grid point."""
@@ -116,27 +120,14 @@ def scan(x_path, y_path, r_grid, out):
         + [f"psi_cumlog_{k+1}" for k in range(n)]
         + ["tr_phi", "tr_psi", "tr_exp_sum", "phi_below_exp", "psi_above_exp"]
     )
-    by_r = {}
-    for check in report.checks:
-        if check.name in ("phi_below_exp_sum", "psi_above_exp_sum"):
-            by_r.setdefault(check.r, {})[check.name] = check.holds
+    m = len(chain.r_grid)
+    spectra = np.stack([chain.phi_spectra, chain.psi_spectra], axis=1)
+    values = np.hstack([np.cumsum(np.log(spectra), axis=-1).reshape(m, 2 * n), chain.traces])
+    # The first 2R checks are phi below and psi above e^{X+Y}, two per r.
+    verdicts = [str(c.holds).lower() for c in report.checks[: 2 * m]]
     lines = ["# spdmeans-scan v1", ",".join(header)]
-    for r, lam_phi, lam_psi, traces in zip(
-        chain.r_grid, chain.phi_spectra, chain.psi_spectra, chain.traces
-    ):
-        cum_phi = np.cumsum(np.log(lam_phi))
-        cum_psi = np.cumsum(np.log(lam_psi))
-        verdicts = by_r.get(r, {})
-        cells = (
-            [f"{r:.6g}"]
-            + [f"{v:.12e}" for v in cum_phi]
-            + [f"{v:.12e}" for v in cum_psi]
-            + [f"{t:.12e}" for t in traces]
-            + [
-                str(verdicts.get("phi_below_exp_sum", "")).lower(),
-                str(verdicts.get("psi_above_exp_sum", "")).lower(),
-            ]
-        )
+    for k, (r, row) in enumerate(zip(chain.r_grid, values)):
+        cells = [f"{r:.6g}", *(f"{v:.12e}" for v in row), *verdicts[2 * k: 2 * k + 2]]
         lines.append(",".join(cells))
     _write_text("\n".join(lines) + "\n", out)
     sys.exit(0 if report.passed else 1)

@@ -7,17 +7,20 @@ For Hermitian X, Y and r > 0 the two chain functions
 
 bracket e^{X+Y} in log-majorization: phi decreases and psi increases in r,
 both tend to e^{X+Y} as r -> 0, and their traces sandwich tr e^{X+Y}.
-``scan_chain`` evaluates both on a whole r grid in one stacked pass, and
-``phi``, ``psi`` and ``refinement_from_scan`` read from a scan;
-``evaluate_chain`` turns a scan into pass/fail margins, one per predicate
-family and grid point, its log-majorization margins from one stacked
-reduction.  phi, psi, e^{X+Y} and e^X, e^Y are ``SpdMatrix`` objects, and
-every ``SpdMatrix`` has condition number below 1e12, else DomainError.
+``scan_chain`` evaluates both on a whole r grid (r >= ``MIN_R``) in one
+stacked pass into a ``ChainScan``: the matrices, their spectra stacked
+(R, n) and the traces (R, 3).  ``phi``, ``psi`` and
+``refinement_from_scan`` read from a scan; ``evaluate_chain`` turns a scan
+into pass/fail margins, one per predicate family and grid point, every
+check laid out once by ``_chain_layout`` and its log-majorization margins
+from one stacked reduction.  phi, psi, e^{X+Y} and e^X, e^Y are
+``SpdMatrix`` objects, and every ``SpdMatrix`` has condition number below
+1e12, else DomainError.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,6 +39,9 @@ from .majorization import default_tol, log_majorization_margins
 from .means import _gram_root, _MeanPair
 
 DEFAULT_R_GRID = tuple(2.0 ** k for k in range(-6, 4))
+# The least r of a scan: sigma^{4/r} multiplies the SVD's relative error by
+# 4/r, so below it the chain checks fail from rounding alone.
+MIN_R = 2.0 ** -10
 # Margins of a chain predicate that fall short by less than this multiple
 # of the comparison's tolerance are roundoff, not violations.
 ROUNDOFF_BAND = 10.0
@@ -50,41 +56,40 @@ def _check_xy(x: HermitianMatrix, y: HermitianMatrix) -> None:
 
 
 def phi(x: HermitianMatrix, y: HermitianMatrix, r: float) -> SpdMatrix:
-    """(e^{rX} # e^{rY})^{2/r} for r > 0, from the one-point scan."""
+    """(e^{rX} # e^{rY})^{2/r} for r >= MIN_R, from the one-point scan."""
     return scan_chain(x, y, (r,)).phi_mats[0]
 
 
 def psi(x: HermitianMatrix, y: HermitianMatrix, r: float) -> SpdMatrix:
-    """(e^{rX} @ e^{rY})^{2/r} for r > 0, from the one-point scan."""
+    """(e^{rX} @ e^{rY})^{2/r} for r >= MIN_R, from the one-point scan."""
     return scan_chain(x, y, (r,)).psi_mats[0]
 
 
 @dataclass
 class ChainScan:
-    """phi/psi spectra, traces and matrices over an increasing r grid."""
+    """phi/psi matrices over an increasing r grid, their spectra stacked
+    (R, n), the spectrum of e^{X+Y} and the traces (R, 3), whose columns
+    are (tr phi, tr psi, tr e^{X+Y})."""
 
     x: HermitianMatrix
     y: HermitianMatrix
     r_grid: tuple
     exp_sum: SpdMatrix
-    phi_mats: list = field(default_factory=list)
-    psi_mats: list = field(default_factory=list)
-    phi_spectra: list = field(default_factory=list)
-    psi_spectra: list = field(default_factory=list)
-    traces: list = field(default_factory=list)  # (tr phi, tr psi, tr e^{X+Y})
-
-    @property
-    def exp_sum_spectrum(self) -> np.ndarray:
-        return eig_hermitian(self.exp_sum).values
+    phi_mats: list
+    psi_mats: list
+    phi_spectra: np.ndarray
+    psi_spectra: np.ndarray
+    exp_sum_spectrum: np.ndarray
+    traces: np.ndarray
 
 
 def scan_chain(
     x: HermitianMatrix, y: HermitianMatrix, r_grid=DEFAULT_R_GRID
 ) -> ChainScan:
-    """Evaluate phi, psi and e^{X+Y} over a strictly increasing positive grid.
+    """Evaluate phi, psi and e^{X+Y} over a strictly increasing grid of r >= MIN_R.
 
-    ParamOutOfRange unless the grid is finite, positive and strictly
-    increasing; DomainError naming the first r at which the scan could
+    ParamOutOfRange unless the grid is finite, strictly increasing and at
+    least ``MIN_R``; DomainError naming the first r at which the scan could
     overflow, before any mean is taken.
 
     One ``eig_hermitian_pair`` of [X, Y] gives one stacked ``_MeanPair`` of
@@ -96,12 +101,11 @@ def scan_chain(
     grid = tuple(float(r) for r in r_grid)
     if len(grid) == 0:
         raise ParamOutOfRange("r grid must be nonempty")
-    if any(not r > 0.0 for r in grid) or any(
-        b <= a for a, b in zip(grid, grid[1:])
-    ):
-        raise ParamOutOfRange("r grid must be positive and strictly increasing")
     if not np.isfinite(grid).all():
         raise ParamOutOfRange("r grid must be finite")
+    if grid[0] < MIN_R or any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ParamOutOfRange(f"r grid must be strictly increasing from MIN_R = 2^-10 = {MIN_R:g} "
+                              "up: below it the chain fails from rounding alone")
     r = np.array(grid)
     eig_x, eig_y = eig_hermitian_pair(x, y)
     # In exact arithmetic every exponential, product, power and e^{X+Y} of
@@ -120,13 +124,12 @@ def scan_chain(
                                 "positive definite to working precision: eigenvalues in")
     phi_mats, psi_mats = mats[:m], mats[m:]
     exp_sum = mat_exp(HermitianMatrix._wrap(x.mat + y.mat))
-    tr_exp = float(np.trace(exp_sum.mat).real)
-    traces = [
-        (float(np.trace(p.mat).real), float(np.trace(s.mat).real), tr_exp)
-        for p, s in zip(phi_mats, psi_mats)
-    ]
-    spectra = ([eig_hermitian(m).values for m in mats] for mats in (phi_mats, psi_mats))
-    return ChainScan(x, y, grid, exp_sum, phi_mats, psi_mats, *spectra, traces)
+    tr_exp = np.trace(exp_sum.mat).real
+    traces = np.array([(np.trace(p.mat).real, np.trace(s.mat).real, tr_exp)
+                       for p, s in zip(phi_mats, psi_mats)])
+    spectra = np.array([eig_hermitian(mat).values for mat in mats]).reshape(2, m, n)
+    return ChainScan(x, y, grid, exp_sum, phi_mats, psi_mats, *spectra,
+                     eig_hermitian(exp_sum).values, traces)
 
 
 @dataclass
@@ -160,54 +163,51 @@ class ChainReport:
         return min(self.checks, key=lambda c: c.margin + c.tol)
 
 
-def evaluate_chain(scan: ChainScan, spectra: tuple | None = None) -> ChainReport:
-    """Margins for every chain predicate on a scan.
+# The names of the chain check families, by ``_chain_layout``'s family index:
+# the log-majorization checks', then the trace checks'.
+_FAMILIES = ("phi_below_exp_sum", "psi_above_exp_sum", "phi_decreasing", "psi_increasing")
+_TRACE_FAMILIES = ("trace_phi_below", "trace_psi_above", "trace_phi_decreasing",
+                   "trace_psi_increasing")
+
+
+def _chain_layout(r_grid: tuple, phis: np.ndarray, psis: np.ndarray, mid) -> tuple:
+    """Family index, r, lower and upper operand of every chain check, in
+    report order: per r, phi below and psi above e^{X+Y}; then per grid
+    step, carrying its larger r, phi decreasing and psi increasing.  phis
+    and psis stack one operand per r, mid is that of e^{X+Y}; the operands
+    come back stacked (4R - 2, ...)."""
+    m = len(r_grid)
+    rows = [row for k, r in enumerate(r_grid) for row in ((0, r, k, 2 * m), (1, r, 2 * m, m + k))]
+    rows += [(2, r_grid[k], k, k - 1) for k in range(1, m)]
+    rows += [(3, r_grid[k], m + k - 1, m + k) for k in range(1, m)]
+    family, rs, lower, upper = zip(*rows)
+    operands = np.concatenate([phis, psis, [mid]])
+    return family, rs, operands[list(lower)], operands[list(upper)]
+
+
+def evaluate_chain(scan: ChainScan) -> ChainReport:
+    """Margins for every chain predicate on a scan, upper minus lower
+    operand of ``_chain_layout``: its 4R - 2 log-majorization checks of
+    the spectra, then its 4R - 2 checks of the traces.
 
     Chain predicates are exact theorems, so a log-majorization check passes
-    within the roundoff band (``ROUNDOFF_BAND`` times its tolerance); a
-    monotonicity check carries the larger r of its grid step.  All 4R - 2
-    log-majorization checks of an R-point grid come from one
-    ``log_majorization_margins`` reduction.
-
-    ``spectra`` optionally overrides (phi_spectra, psi_spectra,
-    exp_sum_spectrum) so an alternative comparator path (e.g. eigenvalue
-    moduli of the group elements) can be scored by the same machinery.
+    within the roundoff band (``ROUNDOFF_BAND`` times its tolerance), all
+    from one ``log_majorization_margins`` reduction; a trace check passes
+    within ``default_tol`` of every trace.
     """
-    if spectra is None:
-        phis, psis, mid = (
-            scan.phi_spectra,
-            scan.psi_spectra,
-            scan.exp_sum_spectrum,
-        )
-    else:
-        phis, psis, mid = spectra
-    # One row per log-majorization check, in report order: per r phi below
-    # and psi above e^{X+Y}, then phi decreasing, then psi increasing.
-    rows = []
-    for r, lam_phi, lam_psi in zip(scan.r_grid, phis, psis):
-        rows.append(("phi_below_exp_sum", r, lam_phi, mid))
-        rows.append(("psi_above_exp_sum", r, mid, lam_psi))
-    steps = scan.r_grid[1:]
-    rows += [("phi_decreasing", r, cur, prev) for r, prev, cur in zip(steps, phis, phis[1:])]
-    rows += [("psi_increasing", r, prev, cur) for r, prev, cur in zip(steps, psis, psis[1:])]
-    names, rs, lower, upper = zip(*rows)
-    worst, tol = log_majorization_margins(np.array(lower), np.array(upper))
+    family, rs, lower, upper = _chain_layout(
+        scan.r_grid, scan.phi_spectra, scan.psi_spectra, scan.exp_sum_spectrum)
+    worst, slack = log_majorization_margins(lower, upper)
     checks = [
-        ChainCheck(name, r, margin, ROUNDOFF_BAND * slack)
-        for name, r, margin, slack in zip(names, rs, worst.tolist(), tol.tolist())
+        ChainCheck(_FAMILIES[f], r, margin, ROUNDOFF_BAND * tol)
+        for f, r, margin, tol in zip(family, rs, worst.tolist(), slack.tolist())
     ]
-
-    # Trace chain: tr phi(r) <= tr e^{X+Y} <= tr psi(r), monotone in r.
-    trace_tol = default_tol(np.array([t for row in scan.traces for t in row]))
-    for r, (tp, ts, te) in zip(scan.r_grid, scan.traces):
-        checks.append(ChainCheck("trace_phi_below", r, te - tp, trace_tol))
-        checks.append(ChainCheck("trace_psi_above", r, ts - te, trace_tol))
-    tr_phi = [row[0] for row in scan.traces]
-    tr_psi = [row[1] for row in scan.traces]
-    for r, d in zip(scan.r_grid[1:], np.diff(tr_phi)):
-        checks.append(ChainCheck("trace_phi_decreasing", r, -float(d), trace_tol))
-    for r, d in zip(scan.r_grid[1:], np.diff(tr_psi)):
-        checks.append(ChainCheck("trace_psi_increasing", r, float(d), trace_tol))
+    _, _, lower, upper = _chain_layout(scan.r_grid, *scan.traces[:, :2].T, scan.traces[0, 2])
+    trace_tol = default_tol(scan.traces)
+    checks += [
+        ChainCheck(_TRACE_FAMILIES[f], r, margin, trace_tol)
+        for f, r, margin in zip(family, rs, (upper - lower).tolist())
+    ]
     return ChainReport(checks=checks)
 
 
@@ -237,7 +237,7 @@ def refinement_from_scan(scan: ChainScan) -> list:
     ``REFINEMENT_R`` in that order; ParamOutOfRange unless the scan's grid
     holds each.  At r = 1 the upper end is exact, the classical trace
     inequality."""
-    traces = dict(zip(scan.r_grid, scan.traces))
+    traces = dict(zip(scan.r_grid, scan.traces.tolist()))
     if any(r not in traces for r in REFINEMENT_R):
         raise ParamOutOfRange(f"the scan's grid must hold the refinement r values {REFINEMENT_R}")
     tr_prod = float(np.trace(mat_exp(scan.x).mat @ mat_exp(scan.y).mat).real)

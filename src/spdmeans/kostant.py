@@ -9,6 +9,8 @@ log-spectra is exactly majorization with total-sum equality.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .errors import SingularInput
@@ -46,16 +48,19 @@ def group_chain_report(
 ) -> tuple[ChainReport, bool]:
     """Golden-Thompson chain scored with the group pre-order comparator.
 
-    Re-evaluates the scan's chain predicates using eigenvalue moduli of the
-    chain elements as group elements.  On positive definite elements the
-    moduli equal the eigenvalues, so the verdicts must agree with the
-    log-majorization comparator's ``plain_rep = evaluate_chain(scan)``
-    verdict for verdict; the returned flag records that agreement.
+    Re-evaluates the scan's chain predicates on a copy of the scan whose
+    spectra are the eigenvalue moduli of the chain elements as group
+    elements.  On positive definite elements the moduli equal the
+    eigenvalues, so the verdicts must agree with the log-majorization
+    comparator's ``plain_rep = evaluate_chain(scan)`` verdict for verdict;
+    the returned flag records that agreement.
     """
-    phi_mod = [hyperbolic_spectrum(m) for m in scan.phi_mats]
-    psi_mod = [hyperbolic_spectrum(m) for m in scan.psi_mats]
-    mid_mod = hyperbolic_spectrum(scan.exp_sum)
-    group_rep = evaluate_chain(scan, spectra=(phi_mod, psi_mod, mid_mod))
+    group_rep = evaluate_chain(replace(
+        scan,
+        phi_spectra=np.array([hyperbolic_spectrum(m) for m in scan.phi_mats]),
+        psi_spectra=np.array([hyperbolic_spectrum(m) for m in scan.psi_mats]),
+        exp_sum_spectrum=hyperbolic_spectrum(scan.exp_sum),
+    ))
     agree = len(group_rep.checks) == len(plain_rep.checks) and all(
         a.holds == b.holds for a, b in zip(group_rep.checks, plain_rep.checks)
     )

@@ -34,7 +34,7 @@ PUBLIC_NAMES = [
 PUBLIC_PARAMETERS = {
     "ChainScan": (
         "x", "y", "r_grid", "exp_sum", "phi_mats", "psi_mats", "phi_spectra",
-        "psi_spectra", "traces",
+        "psi_spectra", "exp_sum_spectrum", "traces",
     ),
     "ComplexMatrix": ("mat",),
     "DimensionMismatch": ("*args",),
@@ -60,7 +60,7 @@ PUBLIC_PARAMETERS = {
     "check_compound_mean_identities": ("a", "b", "t", "k"),
     "compound": ("m", "k"),
     "eig_hermitian": ("m",),
-    "evaluate_chain": ("scan", "spectra"),
+    "evaluate_chain": ("scan",),
     "geometric_mean": ("a", "b", "t"),
     "group_chain_report": ("scan", "plain_rep"),
     "hyperbolic_spectrum": ("g",),

@@ -291,6 +291,9 @@ class TestScanCommand:
     # inside a mean overflows; at scale 400 even r = 0.5 overflows e^{X+Y}.
     @pytest.mark.parametrize("grid,message,scale", [
         ("inf", "error: r grid must be finite", 1.0),
+        ("nan", "error: r grid must be finite", 1.0),
+        ("1e-6,1", "error: r grid must be strictly increasing from MIN_R = 2^-10", 1.0),
+        ("1e-30,1", "error: r grid must be strictly increasing from MIN_R = 2^-10", 1.0),
         ("1000", "error: the scan overflows at r = 1000", 1.0),
         ("700", "error: the scan overflows at r = 700", 1.0),
         ("0.5", "error: the scan overflows at r = 0.5", 400.0),
@@ -345,6 +348,45 @@ class TestScanCommand:
         assert result.exit_code == 1, result.output
         rows = [line.split(",") for line in out.read_text().splitlines()[2:]]
         assert [row[-2:] for row in rows] == [["false", "true"], ["true", "true"]]
+
+    @pytest.mark.parametrize("n,grid", [(6, None), (6, "0.5"), (1, None)],
+                             ids=["default-grid", "one-point", "n1"])
+    def test_scan_cells_match_the_report(self, runner, tmp_path, monkeypatch, n, grid):
+        # Every third check fails, out of step with the two verdict cells
+        # per r, so a row whose cells are not its r's phi_below_exp_sum and
+        # psi_above_exp_sum checks (looked up by name here) shows.  The
+        # cumulative-log cells are a per-row cumsum of the logs.
+        from spdmeans import DEFAULT_R_GRID, random_hermitian
+
+        reports = []
+
+        def failing(chain):
+            report = gtchain.evaluate_chain(chain)
+            for check in report.checks[::3]:
+                check.margin = -check.tol - 1.0
+            reports.append(report)
+            return report
+
+        monkeypatch.setattr("spdmeans.cli.evaluate_chain", failing)
+        xm, ym = random_hermitian(n, 42, 0.5), random_hermitian(n, 43, 0.5)
+        x, y, out = tmp_path / "x.json", tmp_path / "y.json", tmp_path / "scan.csv"
+        save_matrix(x, xm.mat)
+        save_matrix(y, ym.mat)
+        args = ["scan", "--x", str(x), "--y", str(y), "--out", str(out)]
+        result = runner.invoke(main, args + (["--r-grid", grid] if grid else []))
+        assert result.exit_code == 1, result.output
+        scan = gtchain.scan_chain(xm, ym, (0.5,) if grid else DEFAULT_R_GRID)
+        holds = {(c.name, c.r): str(c.holds).lower() for c in reports[0].checks}
+        rows = [line.split(",") for line in out.read_text().splitlines()[2:]]
+        assert len(rows) == len(scan.r_grid)
+        for row, r, lam_phi, lam_psi, traces in zip(
+            rows, scan.r_grid, scan.phi_spectra, scan.psi_spectra, scan.traces
+        ):
+            cumlogs = [*np.cumsum(np.log(lam_phi)), *np.cumsum(np.log(lam_psi))]
+            assert row[0] == f"{r:.6g}"
+            assert row[1:-2] == [f"{v:.12e}" for v in (*cumlogs, *traces)]
+            assert row[-2:] == [holds["phi_below_exp_sum", r], holds["psi_above_exp_sum", r]]
+        assert {cell for row in rows for cell in row[-2:]} == {"true", "false"}
 
 
 class TestOrbitSolveCommand:

@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,7 +28,8 @@ from spdmeans import (
     trotter_distances,
 )
 from spdmeans import gtchain, kostant, majorization, realizations, suites
-from spdmeans.gtchain import REFINEMENT_R, ROUNDOFF_BAND, refinement_from_scan
+from spdmeans.gtchain import MIN_R, REFINEMENT_R, ROUNDOFF_BAND, refinement_from_scan
+from spdmeans.majorization import default_tol
 
 
 def diag_h(*vals):
@@ -80,15 +82,26 @@ class TestScanChain:
         with pytest.raises(ParamOutOfRange):
             scan_chain(x, x, [-1.0, 1.0])
 
+    def test_r_floor(self):
+        # Below MIN_R, sigma^{4/r} magnifies the SVD's rounding past the
+        # roundoff band, so the grid is refused rather than scanned.
+        x, y = random_hermitian(4, 11, 1.0), random_hermitian(4, 12, 1.0)
+        assert MIN_R == 2.0 ** -10
+        assert evaluate_chain(scan_chain(x, y, (MIN_R, 1.0))).passed
+        for r in (2.0 ** -11, 1e-6, 1e-30, 0.0):
+            with pytest.raises(ParamOutOfRange, match="MIN_R = 2\\^-10"):
+                scan_chain(x, y, (r, 1.0))
+
     # X = Y = scale I.  e^{1000} overflows; at r = 700 a product inside a
     # mean does; at scale 400, e^{X+Y} does at every r.  The error names the
     # first such r before any mean is taken.
     @pytest.mark.parametrize("grid,error,match,scale", [
         ((0.5, np.inf), ParamOutOfRange, "finite", 1.0),
+        ((np.nan, 1.0), ParamOutOfRange, "finite", 1.0),
         ((0.5, 1000.0), DomainError, "overflows at r = 1000", 1.0),
         ((0.5, 700.0), DomainError, "overflows at r = 700", 1.0),
         ((0.5,), DomainError, "overflows at r = 0.5", 400.0),
-    ], ids=["r-inf", "r-1000", "r-700", "scale-400"])
+    ], ids=["r-inf", "r-nan", "r-1000", "r-700", "scale-400"])
     def test_infinite_or_overflowing_r_rejected(self, grid, error, match, scale):
         x = HermitianMatrix(scale * np.eye(2))
         with pytest.raises(error, match=match):
@@ -251,12 +264,11 @@ class TestGoldenThompsonRefinement:
         assert len(calls) == 3
 
 
-def _row_by_row_checks(scan, spectra=None):
-    """The log-majorization checks of ``evaluate_chain``, one
-    ``log_majorization_report`` per check, in report order."""
-    if spectra is None:
-        spectra = (scan.phi_spectra, scan.psi_spectra, scan.exp_sum_spectrum)
-    phis, psis, mid = spectra
+def _row_by_row_checks(scan):
+    """The checks of ``evaluate_chain``, in report order: each
+    log-majorization check from one ``log_majorization_report``, then each
+    trace check from its own subtraction."""
+    phis, psis, mid = scan.phi_spectra, scan.psi_spectra, scan.exp_sum_spectrum
     rows = []
     for r, lam_phi, lam_psi in zip(scan.r_grid, phis, psis):
         rows.append(("phi_below_exp_sum", r, lam_phi, mid))
@@ -269,6 +281,15 @@ def _row_by_row_checks(scan, spectra=None):
     for name, r, lower, upper in rows:
         rep = log_majorization_report(lower, upper)
         out.append((name, r, rep.worst_margin, ROUNDOFF_BAND * rep.tol))
+    tr_phi, tr_psi, tr_mid = (scan.traces[:, j].tolist() for j in range(3))
+    tol = default_tol(np.array(tr_phi + tr_psi + tr_mid))
+    for r, tp, ts, te in zip(scan.r_grid, tr_phi, tr_psi, tr_mid):
+        out.append(("trace_phi_below", r, te - tp, tol))
+        out.append(("trace_psi_above", r, ts - te, tol))
+    for k, r in enumerate(scan.r_grid[1:], start=1):
+        out.append(("trace_phi_decreasing", r, -(tr_phi[k] - tr_phi[k - 1]), tol))
+    for k, r in enumerate(scan.r_grid[1:], start=1):
+        out.append(("trace_psi_increasing", r, tr_psi[k] - tr_psi[k - 1], tol))
     return out
 
 
@@ -286,26 +307,25 @@ class TestEvaluateChainStacked:
     def test_checks_match_row_by_row(self, realization, n, grid):
         x, y = _chain_pair(realization, n, 7300 + 10 * n)
         scan = scan_chain(x, y, grid)
-        moduli = (
-            [hyperbolic_spectrum(m) for m in scan.phi_mats],
-            [hyperbolic_spectrum(m) for m in scan.psi_mats],
-            hyperbolic_spectrum(scan.exp_sum),
+        moduli = replace(
+            scan,
+            phi_spectra=np.array([hyperbolic_spectrum(m) for m in scan.phi_mats]),
+            psi_spectra=np.array([hyperbolic_spectrum(m) for m in scan.psi_mats]),
+            exp_sum_spectrum=hyperbolic_spectrum(scan.exp_sum),
         )
-        for spectra in (None, moduli):
-            ref = _row_by_row_checks(scan, spectra)
-            assert len(ref) == 4 * len(grid) - 2
-            checks = evaluate_chain(scan, spectra=spectra).checks
-            got = [(c.name, c.r, c.margin, c.tol) for c in checks[: len(ref)]]
+        for case in (scan, moduli):
+            ref = _row_by_row_checks(case)
+            assert len(ref) == 2 * (4 * len(grid) - 2)
+            got = [(c.name, c.r, c.margin, c.tol) for c in evaluate_chain(case).checks]
             assert got == ref
-            assert all(c.name.startswith("trace_") for c in checks[len(ref):])
 
     def test_zero_modulus_override_raises(self):
         x, y = _chain_pair("glc", 3, 7400)
         scan = scan_chain(x, y)
-        phis = [lam.copy() for lam in scan.phi_spectra]
-        phis[4][-1] = 0.0
+        phis = scan.phi_spectra.copy()
+        phis[4, -1] = 0.0
         with pytest.raises(NonPositiveEntry):
-            evaluate_chain(scan, spectra=(phis, scan.psi_spectra, scan.exp_sum_spectrum))
+            evaluate_chain(replace(scan, phi_spectra=phis))
 
     def test_chain_and_t_grid_compare_in_one_reduction(self, monkeypatch):
         # No per-row log_majorization_report call on the chain or the
