@@ -99,7 +99,8 @@ def mean(kind, t, a_path, b_path, out):
 @click.option(
     "--r-grid",
     default=None,
-    help="Comma-separated finite, strictly increasing values, each at least MIN_R = 2^-10.",
+    help="Comma-separated finite, strictly increasing values, each at least MIN_R = 2^-10, "
+    "with r * spread(X or Y) below log(1e12) = 27.6.",
 )
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def scan(x_path, y_path, r_grid, out):

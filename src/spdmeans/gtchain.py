@@ -15,7 +15,7 @@ into pass/fail margins, one per predicate family and grid point, every
 check laid out once by ``_chain_layout`` and its log-majorization margins
 from one stacked reduction.  phi, psi, e^{X+Y} and e^X, e^Y are
 ``SpdMatrix`` objects, and every ``SpdMatrix`` has condition number below
-1e12, else DomainError.
+1e12, else DomainError; so must e^{rX} and e^{rY} at each r of a scan.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from .linalg import (
     mat_exp,
     require_exp_range,
     require_same_dimension,
+    require_spd_range,
 )
 from .majorization import default_tol, log_majorization_margins
 from .means import _gram_root, _MeanPair
@@ -90,7 +91,10 @@ def scan_chain(
 
     ParamOutOfRange unless the grid is finite, strictly increasing and at
     least ``MIN_R``; DomainError naming the first r at which the scan could
-    overflow, before any mean is taken.
+    overflow, then DomainError unless e^{rX} and e^{rY} pass
+    ``require_spd_range`` at every r (r * spread(X or Y) below log(1e12)
+    = 27.6: past it the means' small eigenvalues are rounding), both
+    before any mean is taken.
 
     One ``eig_hermitian_pair`` of [X, Y] gives one stacked ``_MeanPair`` of
     the roots of (e^{rX}, e^{rY}) for every r, and phi and psi get their
@@ -113,7 +117,10 @@ def scan_chain(
     bound = np.maximum(1.0, r) * (np.abs(eig_x.values).max() + np.abs(eig_y.values).max())
     require_exp_range(bound, lambda k: f"the scan overflows at r = {grid[k]:g}: max(1, r) "
                       "(max |eig X| + max |eig Y|)")
-    pair = _MeanPair(*[(np.exp(0.5 * r[:, None] * e.values), e.vectors) for e in (eig_x, eig_y)])
+    roots = [(np.exp(0.5 * r[:, None] * e.values), e.vectors) for e in (eig_x, eig_y)]
+    require_spd_range(np.concatenate([root for root, _ in roots]) ** 2, "e^{rX} or e^{rY} is not "
+                      "positive definite to working precision: eigenvalues in")
+    pair = _MeanPair(*roots)
     factors = zip(pair.sharp_factors([0.5]), pair.natural_factors([0.5]))
     sig, q = _gram_root(*(np.stack(parts)[:, :, 0] for parts in factors))
     # Far outside the range sigma^{4/r} can overflow; inf fails the SPD range.

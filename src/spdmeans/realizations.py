@@ -9,7 +9,8 @@ solves in complex128, and slr in float64 on the real parts of its inputs.
 ``run_suites_on_realization`` re-runs the means, log-majorization, chain,
 pre-order and orbit checks on real symmetric traceless inputs, each by the
 pass rule of its complex suite, and returns the rows of the ``realization``
-suite.
+suite: the suites' runner over the cases (trial, n), n outermost, and the
+row function ``_realization_rows``.
 """
 
 from __future__ import annotations
@@ -78,12 +79,11 @@ class _RealRealization(Realization):
 REALIZATIONS = {"glc": Realization(), "slr": _RealRealization()}
 
 
-def run_suites_on_realization(
-    seed: int = 0, n_values=(2, 3, 4), trials: int = 3
-) -> "SuiteResult":
+def run_suites_on_realization(seed: int = 0, n_values=(2, 3, 4), trials: int = 3) -> "SuiteResult":
     """Re-run the mean, chain, orbit and pre-order checks on real inputs.
 
-    Each (n, trial) gives eight rows of the ``realization`` suite.  Orbit
+    Each case (trial, n), n outermost, gives the eight rows of
+    ``_realization_rows``, the ``realization`` suite's row function.  Orbit
     factors are constrained to SO(n).  A row that a complex suite also
     checks passes by that suite's rule: the identity laws by IDENTITY_TOL,
     log-majorization by LOGMAJ_MARGIN_TOL, the chain by its roundoff band
@@ -91,39 +91,38 @@ def run_suites_on_realization(
     """
     # orbit and suites import this module.  Importing suites here also keeps
     # it out of a plain ``import spdmeans``.
+    from .suites import _run
+
+    cases = [(trial, n) for n in n_values for trial in range(trials)]
+    return _run("realization", seed, cases, _realization_rows)
+
+
+def _realization_rows(seed, trial, n):
     from .orbit import TARGET_KINDS, OrbitProblem
-    from .suites import LOGMAJ_MARGIN_TOL, SuiteResult, orbit_verdict
+    from .suites import LOGMAJ_MARGIN_TOL, orbit_verdict
 
     slr = REALIZATIONS["slr"]
-    res = SuiteResult("realization", seed)
-    for n in n_values:
-        for trial in range(trials):
-            base = seed + 10007 * trial + 101 * n
+    base = seed + 10007 * trial + 101 * n
+    a = mat_exp(slr.sample(n, base))
+    b = mat_exp(slr.sample(n, base + 104729))
+    identities = _IdentityContext(a, b)
+    worst = max(identities.evaluate(0.3, 0.25, 0.5).values())
+    yield None, "means_identities", worst <= IDENTITY_TOL, worst
+    det_err = max(abs(spd_det(a) - 1.0), abs(spd_det(b) - 1.0))
+    yield None, "unit_determinant", det_err < UNIT_DET_TOL, det_err
+    lam_sharp, lam_nat = identities.pair.spectra([0.5])
+    margin = float(log_majorization_margins(lam_sharp, lam_nat)[0][0])
+    yield None, "log_majorization", margin >= -LOGMAJ_MARGIN_TOL, margin
 
-            def add(prop, passed, margin):
-                res.add(trial, n, None, prop, passed, margin)
+    x = slr.sample(n, base + 1, 0.5)
+    y = slr.sample(n, base + 2, 0.5)
+    scan = scan_chain(x, y, tuple(2.0 ** k for k in range(-3, 2)))
+    chain_rep = evaluate_chain(scan)
+    yield None, "chain", chain_rep.passed, chain_rep.worst.margin
+    _, agree = group_chain_report(scan, chain_rep)
+    yield None, "kostant_agreement", agree, 0.0
 
-            a = mat_exp(slr.sample(n, base))
-            b = mat_exp(slr.sample(n, base + 104729))
-            identities = _IdentityContext(a, b)
-            worst = max(identities.evaluate(0.3, 0.25, 0.5).values())
-            add("means_identities", worst <= IDENTITY_TOL, worst)
-            det_err = max(abs(spd_det(a) - 1.0), abs(spd_det(b) - 1.0))
-            add("unit_determinant", det_err < UNIT_DET_TOL, det_err)
-            lam_sharp, lam_nat = identities.pair.spectra([0.5])
-            margin = float(log_majorization_margins(lam_sharp, lam_nat)[0][0])
-            add("log_majorization", margin >= -LOGMAJ_MARGIN_TOL, margin)
-
-            x = slr.sample(n, base + 1, 0.5)
-            y = slr.sample(n, base + 2, 0.5)
-            scan = scan_chain(x, y, tuple(2.0 ** k for k in range(-3, 2)))
-            chain_rep = evaluate_chain(scan)
-            add("chain", chain_rep.passed, chain_rep.worst.margin)
-            _, agree = group_chain_report(scan, chain_rep)
-            add("kostant_agreement", agree, 0.0)
-
-            x, y = slr.sample(n, base + 3), slr.sample(n, base + 4)
-            for kind in TARGET_KINDS:
-                prob = OrbitProblem.create(x, y, kind)
-                add("orbit_" + kind, *orbit_verdict("slr", prob, base))
-    return res
+    x, y = slr.sample(n, base + 3), slr.sample(n, base + 4)
+    for kind in TARGET_KINDS:
+        prob = OrbitProblem.create(x, y, kind)
+        yield None, "orbit_" + kind, *orbit_verdict("slr", prob, base)

@@ -6,6 +6,13 @@ checked property, written by ``write_report`` as the CSV columns
 ``suite,seed,trial,n,t,property,status,margin``.  ``run_suite`` calls each
 suite at CLI scale; the acceptance tests call them at their contract scales.
 
+A suite is one call of the runner ``_run`` on its cases and its row
+function.  A case is (trial, n, *extra), in report order; ``_cycle`` gives
+the cases (trial, n) with n cycling through the suite's sizes.  The row
+function ``_<suite>_rows(seed, trial, n, *extra)`` draws the case's inputs
+from its own seed formula and yields (t, property, passed, margin) per
+row, so the rows of one case recompute from that case alone.
+
 The suites take sizes and seeds only.  Every grid, tolerance and budget
 they read is one named constant, defined here unless a module is named, and
 each check has one pass rule:
@@ -138,9 +145,6 @@ class SuiteResult:
     seed: int = 0
     rows: list = field(default_factory=list)
 
-    def add(self, trial: int, n: int, t, prop: str, passed, margin) -> None:
-        self.rows.append(Row(self.name, self.seed, trial, n, t, prop, passed, margin))
-
     @property
     def passed(self) -> bool:
         return all(r.passed for r in self.rows)
@@ -163,36 +167,40 @@ def write_report(path, results) -> None:
                 fh.write(row.as_csv() + "\n")
 
 
+def _run(name: str, seed: int, cases, rows) -> SuiteResult:
+    """The suite ``name`` at ``seed``: for each case (trial, n, *extra) of
+    ``cases`` in order, one ``Row`` per (t, property, passed, margin) that
+    ``rows(seed, trial, n, *extra)`` yields."""
+    return SuiteResult(name, seed, [Row(name, seed, case[0], case[1], *row)
+                                    for case in cases for row in rows(seed, *case)])
+
+
+def _cycle(trials: int, n_values) -> list:
+    """The cases (trial, n) of ``trials`` trials, n cycling through n_values."""
+    return [(trial, n_values[trial % len(n_values)]) for trial in range(trials)]
+
+
 def _spd_pair(n: int, seed: int, trial: int):
     a = random_spd(n, seed * 1_000_003 + 2 * trial)
     b = random_spd(n, seed * 1_000_003 + 2 * trial + 1)
     return a, b
 
 
-def suite_counterexample_goldens(seed: int = 0) -> SuiteResult:
-    """The two printed counterexample pairs, checked to half-ulp of 4 decimals."""
-    res = SuiteResult("counterexamples", seed)
-
-    def add(prop, passed, margin):
-        res.add(0, 2, 0.5, prop, passed, margin)
-
+def _golden_rows(seed, trial, n):
     a = SpdMatrix(np.diag([16.0, 1.0]))
     b1 = SpdMatrix(np.diag([2.0, 4.0]))
     b2 = SpdMatrix(np.diag([1.0, 8.0]))
     lam_b1 = eig_hermitian(b1).values
     lam_b2 = eig_hermitian(b2).values
-    add("inputs_log_majorized", log_majorizes(lam_b1, lam_b2), 0.0)
+    yield 0.5, "inputs_log_majorized", log_majorizes(lam_b1, lam_b2), 0.0
     s1 = geometric_mean(a, b1, 0.5)
     s2 = geometric_mean(a, b2, 0.5)
     d1 = rel_residual(s1.mat, np.diag([4.0 * math.sqrt(2.0), 2.0]))
     d2 = rel_residual(s2.mat, np.diag([4.0, 2.0 * math.sqrt(2.0)]))
-    add("sharp_b1_exact", d1 <= EXACT_TOL, d1)
-    add("sharp_b2_exact", d2 <= EXACT_TOL, d2)
-    add(
-        "means_not_log_majorized",
-        not log_majorizes(eig_hermitian(s1).values, eig_hermitian(s2).values),
-        0.0,
-    )
+    yield 0.5, "sharp_b1_exact", d1 <= EXACT_TOL, d1
+    yield 0.5, "sharp_b2_exact", d2 <= EXACT_TOL, d2
+    apart = not log_majorizes(eig_hermitian(s1).values, eig_hermitian(s2).values)
+    yield 0.5, "means_not_log_majorized", apart, 0.0
 
     a = SpdMatrix([[6.0, -3.0], [-3.0, 4.0]])
     b = SpdMatrix([[4.0, -2.0], [-2.0, 5.0]])
@@ -202,121 +210,109 @@ def suite_counterexample_goldens(seed: int = 0) -> SuiteResult:
     natural_ref = np.array([[4.8992, -2.4896], [-2.4896, 4.4273]])
     ds = float(np.abs(sharp.mat - sharp_ref).max())
     dn = float(np.abs(natural.mat - natural_ref).max())
-    add("sharp_matches_print", ds <= GOLDEN_TOL, ds)
-    add("natural_matches_print", dn <= GOLDEN_TOL, dn)
+    yield 0.5, "sharp_matches_print", ds <= GOLDEN_TOL, ds
+    yield 0.5, "natural_matches_print", dn <= GOLDEN_TOL, dn
     diff = HermitianMatrix(natural.mat - sharp.mat)
     lam = eig_hermitian(diff).values
     gap = float(np.abs(np.sort(lam) - np.sort(np.array([0.0651, -0.0246]))).max())
-    add("difference_eigenvalues", gap <= GOLDEN_TOL, gap)
-    add("loewner_fails", not loewner_leq(sharp, natural), 0.0)
+    yield 0.5, "difference_eigenvalues", gap <= GOLDEN_TOL, gap
+    yield 0.5, "loewner_fails", not loewner_leq(sharp, natural), 0.0
     lm = log_majorization_report(
         eig_hermitian(sharp).values, eig_hermitian(natural).values
     )
-    add("log_majorization_holds", lm.holds, lm.worst_margin)
-    return res
+    yield 0.5, "log_majorization_holds", lm.holds, lm.worst_margin
 
 
-def suite_log_majorization(
-    trials: int = 100,
-    seed: int = 0,
-    n_values=(2, 3, 4, 5, 6, 7, 8),
-) -> SuiteResult:
+def suite_counterexample_goldens(seed: int = 0) -> SuiteResult:
+    """The two printed counterexample pairs, checked to half-ulp of 4 decimals."""
+    return _run("counterexamples", seed, [(0, 2)], _golden_rows)
+
+
+def _log_majorization_rows(seed, trial, n):
+    ts = np.asarray(LOGMAJ_T_GRID, dtype=float)
+    a, b = _spd_pair(n, seed, trial)
+    lam_sharp, lam_nat = _MeanPair(a, b).spectra(ts)
+    worst_margin = float(log_majorization_margins(lam_sharp, lam_nat)[0].min())
+    target = spd_det(a) ** (1.0 - ts) * spd_det(b) ** ts
+    dets = np.prod([lam_sharp, lam_nat], axis=-1)
+    worst_det = float((np.abs(dets - target) / np.abs(target)).max())
+    yield None, "sharp_log_majorized_by_natural", worst_margin >= -LOGMAJ_MARGIN_TOL, worst_margin
+    yield None, "determinant_equality", worst_det <= DET_TOL, worst_det
+
+
+def suite_log_majorization(trials: int = 100, seed: int = 0,
+                           n_values=(2, 3, 4, 5, 6, 7, 8)) -> SuiteResult:
     """lambda(A #_t B) <_log lambda(A @_t B) plus the determinant law, over
     LOGMAJ_T_GRID."""
-    res = SuiteResult("log_majorization", seed)
-    ts = np.asarray(LOGMAJ_T_GRID, dtype=float)
-    for trial in range(trials):
-        n = n_values[trial % len(n_values)]
-        a, b = _spd_pair(n, seed, trial)
-        lam_sharp, lam_nat = _MeanPair(a, b).spectra(ts)
-        worst_margin = float(log_majorization_margins(lam_sharp, lam_nat)[0].min())
-        target = spd_det(a) ** (1.0 - ts) * spd_det(b) ** ts
-        dets = np.prod([lam_sharp, lam_nat], axis=-1)
-        worst_det = float((np.abs(dets - target) / np.abs(target)).max())
-        res.add(
-            trial, n, None, "sharp_log_majorized_by_natural",
-            worst_margin >= -LOGMAJ_MARGIN_TOL, worst_margin,
-        )
-        res.add(trial, n, None, "determinant_equality", worst_det <= DET_TOL, worst_det)
-    return res
+    return _run("log_majorization", seed, _cycle(trials, n_values), _log_majorization_rows)
 
 
-def suite_compound(
-    trials: int = 100,
-    seed: int = 0,
-    n: int = 4,
-    k_values=(2, 3),
-) -> SuiteResult:
+def _compound_rows(seed, trial, n, k_values):
+    t, tol = COMPOUND_T, COMPOUND_TOL
+    a, b = _spd_pair(n, seed + 7919, trial)
+    lam_a = eig_hermitian(a).values
+    for ca, rep in compound_mean_reports(a, b, t, k_values):
+        k, sharp, natural = rep.k, rep.sharp_residual, rep.natural_residual
+        yield t, f"sharp_commutes_k{k}", sharp <= tol, sharp
+        yield t, f"natural_commutes_k{k}", natural <= tol, natural
+        top = eig_hermitian(ca).values[0]
+        target = float(np.prod(lam_a[:k]))
+        err = abs(top - target) / abs(target)
+        yield None, f"top_eig_product_k{k}", err <= tol, err
+
+
+def suite_compound(trials: int = 100, seed: int = 0, n: int = 4, k_values=(2, 3)) -> SuiteResult:
     """Compound-mean commutation at COMPOUND_T and the top-eigenvalue product
     identity."""
-    res = SuiteResult("compound", seed)
-    t, tol = COMPOUND_T, COMPOUND_TOL
-    for trial in range(trials):
-        a, b = _spd_pair(n, seed + 7919, trial)
-        lam_a = eig_hermitian(a).values
-        for ca, rep in compound_mean_reports(a, b, t, k_values):
-            k, sharp, natural = rep.k, rep.sharp_residual, rep.natural_residual
-            res.add(trial, n, t, f"sharp_commutes_k{k}", sharp <= tol, sharp)
-            res.add(trial, n, t, f"natural_commutes_k{k}", natural <= tol, natural)
-            top = eig_hermitian(ca).values[0]
-            target = float(np.prod(lam_a[:k]))
-            err = abs(top - target) / abs(target)
-            res.add(trial, n, None, f"top_eig_product_k{k}", err <= tol, err)
-    return res
+    return _run("compound", seed, [(trial, n, k_values) for trial in range(trials)],
+                _compound_rows)
 
 
-def suite_mean_identities(
-    trials: int = 100,
-    seed: int = 0,
-    n_values=(2, 3, 4, 5, 6),
-) -> SuiteResult:
+def _mean_identities_rows(seed, trial, n):
+    a, b = _spd_pair(n, seed + 104729, trial)
+    table = _IdentityContext(a, b).residuals(*IDENTITY_GRIDS)
+    for name, worst in zip(IDENTITY_NAMES, table.max(axis=0).tolist()):
+        yield None, name, worst <= IDENTITY_TOL, worst
+
+
+def suite_mean_identities(trials: int = 100, seed: int = 0,
+                          n_values=(2, 3, 4, 5, 6)) -> SuiteResult:
     """Every identity law on the (t, r, s) grid IDENTITY_GRIDS; one row per
     (pair, law)."""
-    res = SuiteResult("mean_identities", seed)
-    for trial in range(trials):
-        n = n_values[trial % len(n_values)]
-        a, b = _spd_pair(n, seed + 104729, trial)
-        table = _IdentityContext(a, b).residuals(*IDENTITY_GRIDS)
-        for name, worst in zip(IDENTITY_NAMES, table.max(axis=0).tolist()):
-            res.add(trial, n, None, name, worst <= IDENTITY_TOL, worst)
-    return res
+    return _run("mean_identities", seed, _cycle(trials, n_values), _mean_identities_rows)
 
 
-def suite_chain(
-    trials: int = 50,
-    seed: int = 0,
-    n_values=(2, 3, 4, 5, 6),
-) -> SuiteResult:
+def _chain_rows(seed, trial, n):
+    x = random_hermitian(n, seed * 99991 + 2 * trial, CHAIN_SCALE)
+    y = random_hermitian(n, seed * 99991 + 2 * trial + 1, CHAIN_SCALE)
+    scan = scan_chain(x, y, DEFAULT_R_GRID)
+    chain_rep = evaluate_chain(scan)
+    tightest: dict = {}
+    for check in chain_rep.checks:
+        cur = tightest.get(check.name)
+        if cur is None or check.margin + check.tol < cur.margin + cur.tol:
+            tightest[check.name] = check
+    for name, check in sorted(tightest.items()):
+        yield None, name, check.holds, check.margin
+    # Lie-Trotter: the distance to e^{X+Y} at the smallest grid r is
+    # below the one at the largest.  Step-by-step decrease is no theorem.
+    dists = trotter_distances(scan)
+    yield None, "trotter_phi_shrinks", dists[0][1] < dists[-1][1], 0.0
+    yield None, "trotter_psi_shrinks", dists[0][2] < dists[-1][2], 0.0
+    for r, lo, mid, hi in refinement_from_scan(scan):
+        ok = lo <= mid + SANDWICH_TOL and mid <= hi + SANDWICH_TOL
+        yield r, "gt_refinement_sandwich", ok, min(mid - lo, hi - mid)
+    _, agree = group_chain_report(scan, chain_rep)
+    yield None, "kostant_agreement", agree, 0.0
+
+
+def suite_chain(trials: int = 50, seed: int = 0, n_values=(2, 3, 4, 5, 6)) -> SuiteResult:
     """Chain monotonicity, sandwich, traces, Lie-Trotter shrinkage, the
     Golden-Thompson refinement at r = 0.5 and 1 and the group-comparator
     agreement, per random Hermitian pair of scale CHAIN_SCALE, all from one
     scan over DEFAULT_R_GRID.  Each chain predicate family gives one row:
     its check with the least slack."""
-    res = SuiteResult("chain", seed)
-    for trial in range(trials):
-        n = n_values[trial % len(n_values)]
-        x = random_hermitian(n, seed * 99991 + 2 * trial, CHAIN_SCALE)
-        y = random_hermitian(n, seed * 99991 + 2 * trial + 1, CHAIN_SCALE)
-        scan = scan_chain(x, y, DEFAULT_R_GRID)
-        chain_rep = evaluate_chain(scan)
-        tightest: dict = {}
-        for check in chain_rep.checks:
-            cur = tightest.get(check.name)
-            if cur is None or check.margin + check.tol < cur.margin + cur.tol:
-                tightest[check.name] = check
-        for name, check in sorted(tightest.items()):
-            res.add(trial, n, None, name, check.holds, check.margin)
-        # Lie-Trotter: the distance to e^{X+Y} at the smallest grid r is
-        # below the one at the largest.  Step-by-step decrease is no theorem.
-        dists = trotter_distances(scan)
-        res.add(trial, n, None, "trotter_phi_shrinks", dists[0][1] < dists[-1][1], 0.0)
-        res.add(trial, n, None, "trotter_psi_shrinks", dists[0][2] < dists[-1][2], 0.0)
-        for r, lo, mid, hi in refinement_from_scan(scan):
-            ok = lo <= mid + SANDWICH_TOL and mid <= hi + SANDWICH_TOL
-            res.add(trial, n, r, "gt_refinement_sandwich", ok, min(mid - lo, hi - mid))
-        _, agree = group_chain_report(scan, chain_rep)
-        res.add(trial, n, None, "kostant_agreement", agree, 0.0)
-    return res
+    return _run("chain", seed, _cycle(trials, n_values), _chain_rows)
 
 
 def orbit_verdict(realization: str, prob: OrbitProblem, seed: int) -> tuple[bool, float]:
@@ -340,41 +336,52 @@ def orbit_verdict(realization: str, prob: OrbitProblem, seed: int) -> tuple[bool
     return ok, sol.residual
 
 
-def suite_orbit(
-    instances: int = 10,
-    seed: int = 0,
-    n_values=(2, 3, 4, 5, 6),
-    realization: str = "glc",
-) -> SuiteResult:
+def _orbit_rows(seed, inst, n, kind, realization, base, x, y):
+    prob = OrbitProblem.create(x, y, kind)
+    tr_z = float(np.trace(prob.z.mat).real)
+    tr_gap = abs(tr_z - float(np.trace(x.mat).real) - float(np.trace(y.mat).real))
+    yield None, f"{kind}_trace_condition", tr_gap <= TRACE_GAP_TOL * max(1.0, abs(tr_z)), tr_gap
+    yield None, f"{kind}_solved", *orbit_verdict(realization, prob, base)
+
+
+def suite_orbit(instances: int = 10, seed: int = 0, n_values=(2, 3, 4, 5, 6),
+                realization: str = "glc") -> SuiteResult:
     """Orbit-sum solves of every target kind: the trace condition, then
     ``orbit_verdict`` (residual, monotone trace, restart budget, eigenvalue
-    preservation, factors in K)."""
-    res = SuiteResult(f"orbit_{realization}", seed)
+    preservation, factors in K).  Cases run kind-major, and the three kinds
+    share each (n, instance)'s pair and solve seed, carried in the case."""
     space = REALIZATIONS[realization]
-    inputs = {}  # (n, instance) -> (X, Y), drawn once for every kind
-    for kind in TARGET_KINDS:
-        for n in n_values:
-            for inst in range(instances):
-                base = seed * 7 + 1009 * inst + 13 * n
-                if (n, inst) not in inputs:
-                    inputs[n, inst] = (
-                        space.sample(n, base, 1.0), space.sample(n, base + 500009, 1.0)
-                    )
-                x, y = inputs[n, inst]
-                prob = OrbitProblem.create(x, y, kind)
-                tr_gap = abs(
-                    float(np.trace(prob.z.mat).real)
-                    - float(np.trace(x.mat).real)
-                    - float(np.trace(y.mat).real)
-                )
-                res.add(
-                    inst, n, None, f"{kind}_trace_condition",
-                    tr_gap <= TRACE_GAP_TOL * max(1.0, abs(np.trace(prob.z.mat).real)),
-                    tr_gap,
-                )
-                passed, residual = orbit_verdict(realization, prob, base)
-                res.add(inst, n, None, f"{kind}_solved", passed, residual)
-    return res
+    draws = {}  # (n, instance) -> (base, X, Y), drawn once for every kind
+    for n in n_values:
+        for inst in range(instances):
+            base = seed * 7 + 1009 * inst + 13 * n
+            draws[n, inst] = base, space.sample(n, base, 1.0), space.sample(n, base + 500009, 1.0)
+    cases = [(inst, n, kind, realization, *draws[n, inst])
+             for kind in TARGET_KINDS for n in n_values for inst in range(instances)]
+    return _run(f"orbit_{realization}", seed, cases, _orbit_rows)
+
+
+def _gradient_check_rows(seed, trial, n):
+    eps = GRADCHECK_EPS
+    kind = TARGET_KINDS[trial % len(TARGET_KINDS)]
+    base = seed + 31 * trial
+    x = random_hermitian(n, base, 1.0)
+    y = random_hermitian(n, base + 17, 1.0)
+    prob = OrbitProblem.create(x, y, kind)
+    u = random_unitary(n, base + 3)
+    v = random_unitary(n, base + 4)
+    k_u, k_v = riemannian_grad(u, v, prob)
+    rng = np.random.default_rng(base + 5)
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    k = (g - g.conj().T) / 2.0
+
+    def f(step):
+        return objective(UnitaryMatrix(_cayley(k, -step) @ u.mat), v, prob)
+
+    fd = (8.0 * (f(eps) - f(-eps)) - (f(2.0 * eps) - f(-2.0 * eps))) / (12.0 * eps)
+    inner = float(np.real(np.sum(np.conj(k) * k_u)))
+    err = abs(fd - inner) / max(abs(inner), 1e-300)
+    yield None, f"{kind}_fd_match", err <= GRADCHECK_TOL, err
 
 
 def suite_gradient_check(trials: int = 100, seed: int = 0) -> SuiteResult:
@@ -383,86 +390,62 @@ def suite_gradient_check(trials: int = 100, seed: int = 0) -> SuiteResult:
     along the solver's Cayley curve, on random triples: fourth order in h,
     so h can be large enough that rounding in f stays far below
     GRADCHECK_TOL."""
-    res = SuiteResult("gradient_check", seed)
-    n_values = (2, 3, 4, 5, 6)
-    eps = GRADCHECK_EPS
-    for trial in range(trials):
-        n = n_values[trial % len(n_values)]
-        kind = TARGET_KINDS[trial % len(TARGET_KINDS)]
-        base = seed + 31 * trial
-        x = random_hermitian(n, base, 1.0)
-        y = random_hermitian(n, base + 17, 1.0)
-        prob = OrbitProblem.create(x, y, kind)
-        u = random_unitary(n, base + 3)
-        v = random_unitary(n, base + 4)
-        k_u, k_v = riemannian_grad(u, v, prob)
-        rng = np.random.default_rng(base + 5)
-        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        k = (g - g.conj().T) / 2.0
+    return _run("gradient_check", seed, _cycle(trials, (2, 3, 4, 5, 6)), _gradient_check_rows)
 
-        def f(step):
-            return objective(UnitaryMatrix(_cayley(k, -step) @ u.mat), v, prob)
 
-        fd = (8.0 * (f(eps) - f(-eps)) - (f(2.0 * eps) - f(-2.0 * eps))) / (12.0 * eps)
-        inner = float(np.real(np.sum(np.conj(k) * k_u)))
-        err = abs(fd - inner) / max(abs(inner), 1e-300)
-        res.add(trial, n, None, f"{kind}_fd_match", err <= GRADCHECK_TOL, err)
-    return res
+def _kostant_rows(seed, trial, n):
+    base = seed + 37 * trial
+    a, b = _spd_pair(n, seed + 11, trial)
+    lam_a = eig_hermitian(a).values
+    lam_b = eig_hermitian(b).values
+    ga = HermitianMatrix(a.mat)
+    gb = HermitianMatrix(b.mat)
+    agree = kostant_leq(ga, gb) == log_majorizes(lam_a, lam_b) and kostant_leq(
+        gb, ga
+    ) == log_majorizes(lam_b, lam_a)
+    yield None, "spd_agreement", agree, 0.0
+    yield None, "reflexive", kostant_leq(ga, ga), 0.0
+    g = random_invertible(n, base)
+    s = random_invertible(n, base + 1)
+    h1 = hyperbolic_spectrum(g)
+    h2 = hyperbolic_spectrum(
+        ComplexMatrix(s.mat @ g.mat @ np.linalg.inv(s.mat))
+    )
+    err = float(np.abs(h1 - h2).max()) / float(h1.max())
+    yield None, "conjugation_invariance", err <= CONJUGATION_TOL, err
+    # Transitivity on a witnessed chain p <= p#q <= q ordering by det-1
+    # scaling: use scalar multiples to manufacture comparable elements.
+    sharp = geometric_mean(a, b, 0.5)
+    lam_mid = eig_hermitian(sharp).values
+    scale_fix = (np.prod(lam_a) / np.prod(lam_mid)) ** (1.0 / n)
+    mid = HermitianMatrix(sharp.mat * scale_fix)
+    scale_b = (np.prod(lam_a) / np.prod(lam_b)) ** (1.0 / n)
+    gb_fixed = HermitianMatrix(b.mat * scale_b)
+    if kostant_leq(mid, ga) and kostant_leq(ga, gb_fixed):
+        yield None, "transitive", kostant_leq(mid, gb_fixed), 0.0
 
 
 def suite_kostant(trials: int = 50, seed: int = 0) -> SuiteResult:
     """Pre-order sanity: SPD agreement with log-majorization, reflexivity,
     transitivity on witnessed triples, conjugation invariance."""
-    res = SuiteResult("kostant", seed)
-    for trial in range(trials):
-        n = 2 + trial % 5
-        base = seed + 37 * trial
-        a, b = _spd_pair(n, seed + 11, trial)
-        lam_a = eig_hermitian(a).values
-        lam_b = eig_hermitian(b).values
-        ga = HermitianMatrix(a.mat)
-        gb = HermitianMatrix(b.mat)
-        agree = kostant_leq(ga, gb) == log_majorizes(lam_a, lam_b) and kostant_leq(
-            gb, ga
-        ) == log_majorizes(lam_b, lam_a)
-        res.add(trial, n, None, "spd_agreement", agree, 0.0)
-        res.add(trial, n, None, "reflexive", kostant_leq(ga, ga), 0.0)
-        g = random_invertible(n, base)
-        s = random_invertible(n, base + 1)
-        h1 = hyperbolic_spectrum(g)
-        h2 = hyperbolic_spectrum(
-            ComplexMatrix(s.mat @ g.mat @ np.linalg.inv(s.mat))
-        )
-        err = float(np.abs(h1 - h2).max()) / float(h1.max())
-        res.add(trial, n, None, "conjugation_invariance", err <= CONJUGATION_TOL, err)
-        # Transitivity on a witnessed chain p <= p#q <= q ordering by det-1
-        # scaling: use scalar multiples to manufacture comparable elements.
-        sharp = geometric_mean(a, b, 0.5)
-        lam_mid = eig_hermitian(sharp).values
-        scale_fix = (np.prod(lam_a) / np.prod(lam_mid)) ** (1.0 / n)
-        mid = HermitianMatrix(sharp.mat * scale_fix)
-        scale_b = (np.prod(lam_a) / np.prod(lam_b)) ** (1.0 / n)
-        gb_fixed = HermitianMatrix(b.mat * scale_b)
-        if kostant_leq(mid, ga) and kostant_leq(ga, gb_fixed):
-            res.add(trial, n, None, "transitive", kostant_leq(mid, gb_fixed), 0.0)
-    return res
+    return _run("kostant", seed, _cycle(trials, (2, 3, 4, 5, 6)), _kostant_rows)
+
+
+def _loewner_rows(seed, trial, n):
+    a, b = _spd_pair(n, seed + 3571, trial)
+    rng = np.random.default_rng(seed + 7000 + trial)
+    ga = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    gbm = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    c = SpdMatrix(a.mat + 0.5 * ga @ ga.conj().T)
+    d = SpdMatrix(b.mat + 0.5 * gbm @ gbm.conj().T)
+    t = (trial % 11) / 10.0
+    ok = loewner_leq(geometric_mean(a, b, t), geometric_mean(c, d, t))
+    yield t, "sharp_joint_monotone", ok, 0.0
 
 
 def suite_loewner(trials: int = 50, seed: int = 0) -> SuiteResult:
     """Joint monotonicity of the metric mean in the Loewner order."""
-    res = SuiteResult("loewner", seed)
-    for trial in range(trials):
-        n = 2 + trial % 4
-        a, b = _spd_pair(n, seed + 3571, trial)
-        rng = np.random.default_rng(seed + 7000 + trial)
-        ga = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        gbm = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        c = SpdMatrix(a.mat + 0.5 * ga @ ga.conj().T)
-        d = SpdMatrix(b.mat + 0.5 * gbm @ gbm.conj().T)
-        t = (trial % 11) / 10.0
-        ok = loewner_leq(geometric_mean(a, b, t), geometric_mean(c, d, t))
-        res.add(trial, n, t, "sharp_joint_monotone", ok, 0.0)
-    return res
+    return _run("loewner", seed, _cycle(trials, (2, 3, 4, 5)), _loewner_rows)
 
 
 def suite_realization(seed: int = 0, trials: int = 3, n_values=(2, 3, 4)) -> SuiteResult:

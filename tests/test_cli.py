@@ -152,9 +152,10 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("realization", ["glc", "slr"])
     def test_failure_lines_and_reproduction(self, runner, monkeypatch, realization):
-        failing = suites.SuiteResult("fake", seed=5)
-        failing.add(3, 4, 0.25, "broken_property", False, -1.0)
-        failing.add(4, 2, None, "other_property", False, 2.5e-3)
+        failing = suites.SuiteResult("fake", seed=5, rows=[
+            suites.Row("fake", 5, 3, 4, 0.25, "broken_property", False, -1.0),
+            suites.Row("fake", 5, 4, 2, None, "other_property", False, 2.5e-3),
+        ])
         monkeypatch.setattr(suites, "run_suite", lambda *a, **k: failing)
         result = runner.invoke(
             main,
@@ -324,7 +325,7 @@ class TestScanCommand:
                 main, ["scan", "--x", str(x), "--y", str(y), "--r-grid", "1"]
             )
         assert result.exit_code == 2
-        assert result.output.startswith("error: phi or psi is not positive definite")
+        assert result.output.startswith("error: e^{rX} or e^{rY} is not positive definite")
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_failed_chain_check_exits_1_and_writes_the_csv(self, runner, tmp_path, monkeypatch):

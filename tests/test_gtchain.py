@@ -140,32 +140,46 @@ class TestScanChain:
         assert all(a <= b + 1e-10 for a, b in zip(tr_psi, tr_psi[1:]))
 
     def test_wide_pair_matches_reference_traces(self):
-        # cond(e^{8X}) = e^41.  A product form of the mean at r = 8 came out
-        # with a negative computed eigenvalue here; the Gram-factor means are
-        # positive by construction.  Reference traces of phi and psi at
-        # r = 4 and 8: mpmath at 50 digits from the same float64 X and Y.
+        # cond(e^{4X}) = e^20.5, inside the SPD range.  A product form of the
+        # mean came out with a negative computed eigenvalue on this pair; the
+        # Gram-factor means are positive by construction.  Reference traces
+        # of phi and psi at r = 4: mpmath at 50 digits from the same float64
+        # X and Y.  At r = 8, cond(e^{8X}) = e^41 is past the range.
         x = random_hermitian(4, 8092, 3.0)
         y = random_hermitian(4, 8093, 3.0)
-        scan = scan_chain(x, y)
-        assert scan.r_grid[-2:] == (4.0, 8.0)
-        want = [(11.589021506973150656, 171.94603041551401206),
-                (9.8004798342222056976, 189.39834580559454889)]
-        for (tr_phi, tr_psi, _), (ref_phi, ref_psi) in zip(scan.traces[-2:], want):
-            assert abs(tr_phi - ref_phi) <= 1e-8 * ref_phi
-            assert abs(tr_psi - ref_psi) <= 1e-12 * ref_psi
+        scan = scan_chain(x, y, DEFAULT_R_GRID[:-1])
+        assert scan.r_grid[-1] == 4.0
+        tr_phi, tr_psi, _ = scan.traces[-1]
+        ref_phi, ref_psi = 11.589021506973150656, 171.94603041551401206
+        assert abs(tr_phi - ref_phi) <= 1e-8 * ref_phi
+        assert abs(tr_psi - ref_psi) <= 1e-12 * ref_psi
         assert evaluate_chain(scan).passed
+        with pytest.raises(DomainError, match=r"e\^\{rX\} or e\^\{rY\} is not positive definite"):
+            scan_chain(x, y, (8.0,))
 
     def test_far_past_the_range_raises_without_warnings(self):
-        # cond(e^X) = e^426, inside the overflow bound (426 < 709.09): the
-        # computed eigenvalues of phi and psi are meaningless, and the range
-        # check on them raises before any is wrapped.
+        # cond(e^X) = e^426, inside the overflow bound (426 < 709.09) but
+        # far past the SPD range: the range check on e^{rX} raises before
+        # any mean is taken.
+        u = random_unitary(2, 4).mat
+        x = HermitianMatrix(u @ np.diag([213.0, -213.0]) @ u.conj().T)
+        y = HermitianMatrix(np.zeros((2, 2)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DomainError, match=r"e\^\{rX\} or e\^\{rY\} is not positive"):
+                scan_chain(x, y, (1.0,))
+
+    def test_chain_function_past_the_range_raises_without_warnings(self):
+        # The same pair at r = MIN_R: cond(e^{rX}) = e^0.42 is in range, but
+        # phi and psi tend to e^{X+Y}, of condition number e^426, and the
+        # range check on their eigenvalues raises before any is wrapped.
         u = random_unitary(2, 4).mat
         x = HermitianMatrix(u @ np.diag([213.0, -213.0]) @ u.conj().T)
         y = HermitianMatrix(np.zeros((2, 2)))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(DomainError, match="phi or psi is not positive definite"):
-                scan_chain(x, y, (1.0,))
+                scan_chain(x, y, (MIN_R,))
 
     @pytest.mark.parametrize("n", [2, 5, 8, 16])
     def test_stacked_scan_matches_one_pair_means(self, n):
@@ -227,13 +241,11 @@ class TestGoldenThompsonRefinement:
             refinement_from_scan(scan_chain(x, x, (2.0,)))
 
     def test_exponential_outside_the_spd_range_raises(self):
-        # X + Y = 0, so the scan's phi, psi and e^{X+Y} are I, but cond(e^X)
-        # = e^30 is past the SPD range, and e^X is an SpdMatrix.
+        # X + Y = 0, so phi, psi and e^{X+Y} would be I, but cond(e^{rX})
+        # = e^30 at r = 1 is past the SPD range, and the scan raises.
         x, y = diag_h(15.0, -15.0), diag_h(-15.0, 15.0)
-        scan = scan_chain(x, y, (0.5, 1.0))
-        assert np.array_equal(scan.exp_sum.mat, np.eye(2))
-        with pytest.raises(DomainError, match="not positive definite"):
-            refinement_from_scan(scan)
+        with pytest.raises(DomainError, match=r"e\^\{rX\} or e\^\{rY\} is not positive"):
+            scan_chain(x, y, (0.5, 1.0))
 
     @pytest.mark.parametrize("n", [2, 4, 6])
     def test_from_default_grid_scan_matches_own_scan(self, n):

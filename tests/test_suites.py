@@ -70,6 +70,36 @@ def test_debug_logging_leaves_solver_rows_unchanged(caplog, name, realization):
     assert [r.as_csv() for r in quiet.rows] == [r.as_csv() for r in loud.rows]
 
 
+@pytest.mark.parametrize("name", suites.ALL_SUITES)
+def test_rows_recompute_from_their_case_alone(monkeypatch, name):
+    # Five seeded-random cases of each suite at CLI scale: the row function
+    # run on one case alone gives that case's rows of the report, every
+    # cell, margins included.
+    runner = suites._run
+    runs = []
+
+    def recorded(suite, seed, cases, rows):
+        sizes = []
+
+        def counted(*case):
+            out = list(rows(*case))
+            sizes.append(len(out))
+            return out
+
+        runs.append((cases, rows, sizes))
+        return runner(suite, seed, cases, counted)
+
+    monkeypatch.setattr(suites, "_run", recorded)
+    report = suites.run_suite(name, 42, 25)
+    ((cases, rows, sizes),) = runs
+    starts = np.cumsum([0] + sizes)
+    picks = np.random.default_rng(5).choice(len(cases), min(5, len(cases)), replace=False)
+    for k in sorted(picks):
+        alone = runner(report.name, 42, [cases[k]], rows)
+        case_rows = report.rows[starts[k]:starts[k + 1]]
+        assert [r.as_csv() for r in alone.rows] == [r.as_csv() for r in case_rows]
+
+
 class _DecompositionSpy:
     """Counts the LAPACK decompositions (np.linalg eigh, eigvalsh, svd) of
     each matrix by entry point and content, each member of a stack apart."""
