@@ -125,11 +125,10 @@ def scan(x_path, y_path, r_grid, out):
     spectra = np.stack([chain.phi_spectra, chain.psi_spectra], axis=1)
     values = np.hstack([np.cumsum(np.log(spectra), axis=-1).reshape(m, 2 * n), chain.traces])
     # The first 2R checks are phi below and psi above e^{X+Y}, two per r.
-    verdicts = [str(c.holds).lower() for c in report.checks[: 2 * m]]
+    verdicts = np.where(report.holds[: 2 * m], "true", "false").reshape(m, 2)
     lines = ["# spdmeans-scan v1", ",".join(header)]
-    for k, (r, row) in enumerate(zip(chain.r_grid, values)):
-        cells = [f"{r:.6g}", *(f"{v:.12e}" for v in row), *verdicts[2 * k: 2 * k + 2]]
-        lines.append(",".join(cells))
+    for r, row, cells in zip(chain.r_grid, values, verdicts):
+        lines.append(",".join([f"{r:.6g}", *(f"{v:.12e}" for v in row), *cells]))
     _write_text("\n".join(lines) + "\n", out)
     sys.exit(0 if report.passed else 1)
 

@@ -11,11 +11,13 @@ both tend to e^{X+Y} as r -> 0, and their traces sandwich tr e^{X+Y}.
 stacked pass into a ``ChainScan``: the matrices, their spectra stacked
 (R, n) and the traces (R, 3).  ``phi``, ``psi`` and
 ``refinement_from_scan`` read from a scan; ``evaluate_chain`` turns a scan
-into pass/fail margins, one per predicate family and grid point, every
-check laid out once by ``_chain_layout`` and its log-majorization margins
-from one stacked reduction.  phi, psi, e^{X+Y} and e^X, e^Y are
-``SpdMatrix`` objects, and every ``SpdMatrix`` has condition number below
-1e12, else DomainError; so must e^{rX} and e^{rY} at each r of a scan.
+into a ``ChainReport``, the family, r, margin and tolerance of every check
+as four aligned arrays: the checks laid out once by ``_chain_layout``,
+their log-majorization margins from one stacked reduction.  phi, psi,
+e^{X+Y} and e^X, e^Y are ``SpdMatrix`` objects, and every ``SpdMatrix``
+has condition number below 1e12, else DomainError; so must e^{rX} and
+e^{rY} at each r of a scan, else DomainError naming the first of them and
+its r.
 """
 
 from __future__ import annotations
@@ -110,7 +112,7 @@ def scan_chain(
     if grid[0] < MIN_R or any(b <= a for a, b in zip(grid, grid[1:])):
         raise ParamOutOfRange(f"r grid must be strictly increasing from MIN_R = 2^-10 = {MIN_R:g} "
                               "up: below it the chain fails from rounding alone")
-    r = np.array(grid)
+    r, n, m = np.array(grid), x.n, len(grid)
     eig_x, eig_y = eig_hermitian_pair(x, y)
     # In exact arithmetic every exponential, product, power and e^{X+Y} of
     # the scan is bounded by e^{max(1, r) (max |lambda(X)| + max |lambda(Y)|)}.
@@ -118,84 +120,79 @@ def scan_chain(
     require_exp_range(bound, lambda k: f"the scan overflows at r = {grid[k]:g}: max(1, r) "
                       "(max |eig X| + max |eig Y|)")
     roots = [(np.exp(0.5 * r[:, None] * e.values), e.vectors) for e in (eig_x, eig_y)]
-    require_spd_range(np.concatenate([root for root, _ in roots]) ** 2, "e^{rX} or e^{rY} is not "
-                      "positive definite to working precision: eigenvalues in")
+    require_spd_range(np.concatenate([root for root, _ in roots]) ** 2, lambda k: (
+        f"e^{{r{'XY'[k // m]}}} at r = {grid[k % m]:g} is not positive "
+        "definite to working precision: eigenvalues in"))
     pair = _MeanPair(*roots)
     factors = zip(pair.sharp_factors([0.5]), pair.natural_factors([0.5]))
     sig, q = _gram_root(*(np.stack(parts)[:, :, 0] for parts in factors))
     # Far outside the range sigma^{4/r} can overflow; inf fails the SPD range.
     with np.errstate(over="ignore"):
         vals = _pow(sig, 4.0 / r[:, None])
-    n, m = x.n, len(grid)
-    mats = SpdMatrix._from_eigs(q.reshape(-1, n, n), vals.reshape(-1, n), "phi or psi is not "
-                                "positive definite to working precision: eigenvalues in")
-    phi_mats, psi_mats = mats[:m], mats[m:]
+    mats, stack, spectra = SpdMatrix._from_eigs(
+        q.reshape(-1, n, n), vals.reshape(-1, n),
+        "phi or psi is not positive definite to working precision: eigenvalues in")
     exp_sum = mat_exp(HermitianMatrix._wrap(x.mat + y.mat))
-    tr_exp = np.trace(exp_sum.mat).real
-    traces = np.array([(np.trace(p.mat).real, np.trace(s.mat).real, tr_exp)
-                       for p, s in zip(phi_mats, psi_mats)])
-    spectra = np.array([eig_hermitian(mat).values for mat in mats]).reshape(2, m, n)
-    return ChainScan(x, y, grid, exp_sum, phi_mats, psi_mats, *spectra,
+    tr_exp = np.full(m, np.trace(exp_sum.mat).real)
+    traces = np.column_stack([*np.trace(stack, axis1=1, axis2=2).real.reshape(2, m), tr_exp])
+    return ChainScan(x, y, grid, exp_sum, mats[:m], mats[m:], *spectra.reshape(2, m, n),
                      eig_hermitian(exp_sum).values, traces)
 
 
-@dataclass
-class ChainCheck:
-    """One chain predicate at grid point r with its margin (>= -tol passes).
-
-    ``name`` is the predicate family (``phi_decreasing``, ``trace_psi_above``,
-    ...); a family has one check per grid point or grid step.
-    """
-
-    name: str
-    r: float
-    margin: float
-    tol: float
-
-    @property
-    def holds(self) -> bool:
-        return self.margin >= -self.tol
+# The chain check families, by the family index of a ``ChainReport``: the
+# log-majorization checks', then the trace checks', each in
+# ``_chain_layout``'s order.
+CHAIN_FAMILIES = ("phi_below_exp_sum", "psi_above_exp_sum", "phi_decreasing", "psi_increasing",
+                  "trace_phi_below", "trace_psi_above", "trace_phi_decreasing",
+                  "trace_psi_increasing")
 
 
 @dataclass
 class ChainReport:
-    checks: list
+    """Every chain check of a scan as four aligned arrays, in
+    ``evaluate_chain``'s order: ``family`` indexes ``CHAIN_FAMILIES``, ``r``
+    is the check's grid point (a grid step's check carries its larger r),
+    and a check holds iff its ``margin >= -tol``."""
+
+    family: np.ndarray
+    r: np.ndarray
+    margin: np.ndarray
+    tol: np.ndarray
+
+    @property
+    def holds(self) -> np.ndarray:
+        return self.margin >= -self.tol
 
     @property
     def passed(self) -> bool:
-        return all(c.holds for c in self.checks)
+        return bool(self.holds.all())
 
     @property
-    def worst(self) -> "ChainCheck":
-        return min(self.checks, key=lambda c: c.margin + c.tol)
-
-
-# The names of the chain check families, by ``_chain_layout``'s family index:
-# the log-majorization checks', then the trace checks'.
-_FAMILIES = ("phi_below_exp_sum", "psi_above_exp_sum", "phi_decreasing", "psi_increasing")
-_TRACE_FAMILIES = ("trace_phi_below", "trace_psi_above", "trace_phi_decreasing",
-                   "trace_psi_increasing")
+    def worst(self) -> int:
+        """Index of the check with the least margin + tol; the first on a tie."""
+        return int(np.argmin(self.margin + self.tol))
 
 
 def _chain_layout(r_grid: tuple, phis: np.ndarray, psis: np.ndarray, mid) -> tuple:
     """Family index, r, lower and upper operand of every chain check, in
     report order: per r, phi below and psi above e^{X+Y}; then per grid
     step, carrying its larger r, phi decreasing and psi increasing.  phis
-    and psis stack one operand per r, mid is that of e^{X+Y}; the operands
-    come back stacked (4R - 2, ...)."""
+    and psis stack one operand per r, mid is that of e^{X+Y}; all four
+    come back as arrays, the operands stacked (4R - 2, ...)."""
     m = len(r_grid)
     rows = [row for k, r in enumerate(r_grid) for row in ((0, r, k, 2 * m), (1, r, 2 * m, m + k))]
     rows += [(2, r_grid[k], k, k - 1) for k in range(1, m)]
     rows += [(3, r_grid[k], m + k - 1, m + k) for k in range(1, m)]
-    family, rs, lower, upper = zip(*rows)
+    family, rs, lower, upper = (np.array(col) for col in zip(*rows))
     operands = np.concatenate([phis, psis, [mid]])
-    return family, rs, operands[list(lower)], operands[list(upper)]
+    return family, rs, operands[lower], operands[upper]
 
 
 def evaluate_chain(scan: ChainScan) -> ChainReport:
     """Margins for every chain predicate on a scan, upper minus lower
     operand of ``_chain_layout``: its 4R - 2 log-majorization checks of
-    the spectra, then its 4R - 2 checks of the traces.
+    the spectra, then its 4R - 2 checks of the traces, whose family index
+    is 4 above.
 
     Chain predicates are exact theorems, so a log-majorization check passes
     within the roundoff band (``ROUNDOFF_BAND`` times its tolerance), all
@@ -205,37 +202,27 @@ def evaluate_chain(scan: ChainScan) -> ChainReport:
     family, rs, lower, upper = _chain_layout(
         scan.r_grid, scan.phi_spectra, scan.psi_spectra, scan.exp_sum_spectrum)
     worst, slack = log_majorization_margins(lower, upper)
-    checks = [
-        ChainCheck(_FAMILIES[f], r, margin, ROUNDOFF_BAND * tol)
-        for f, r, margin, tol in zip(family, rs, worst.tolist(), slack.tolist())
-    ]
-    _, _, lower, upper = _chain_layout(scan.r_grid, *scan.traces[:, :2].T, scan.traces[0, 2])
-    trace_tol = default_tol(scan.traces)
-    checks += [
-        ChainCheck(_TRACE_FAMILIES[f], r, margin, trace_tol)
-        for f, r, margin in zip(family, rs, (upper - lower).tolist())
-    ]
-    return ChainReport(checks=checks)
+    _, _, tr_lower, tr_upper = _chain_layout(scan.r_grid, *scan.traces[:, :2].T,
+                                             scan.traces[0, 2])
+    return ChainReport(
+        family=np.concatenate([family, family + 4]),
+        r=np.concatenate([rs, rs]),
+        margin=np.concatenate([worst, tr_upper - tr_lower]),
+        tol=np.concatenate([ROUNDOFF_BAND * slack, np.full(len(rs), default_tol(scan.traces))]),
+    )
 
 
 def trotter_distances(scan: ChainScan) -> list:
-    """Max-norm distances of phi(r) and psi(r) from e^{X+Y} per grid point.
+    """Max-norm distances of phi(r) and psi(r) from e^{X+Y} per grid point,
+    as rows (r, d_phi, d_psi).
 
     Both shrink to zero as r -> 0 (Lie-Trotter).  The decrease need not be
     monotone from one grid point to the next: on a halving grid the distance
     can rise between neighbouring r before it falls.
     """
-    target = scan.exp_sum.mat
-    out = []
-    for r, pm, sm in zip(scan.r_grid, scan.phi_mats, scan.psi_mats):
-        out.append(
-            (
-                r,
-                float(np.abs(pm.mat - target).max()),
-                float(np.abs(sm.mat - target).max()),
-            )
-        )
-    return out
+    mats = np.array([m.mat for m in scan.phi_mats + scan.psi_mats])
+    dists = np.abs(mats - scan.exp_sum.mat).max(axis=(1, 2)).reshape(2, -1)
+    return list(zip(scan.r_grid, *dists.tolist()))
 
 
 def refinement_from_scan(scan: ChainScan) -> list:

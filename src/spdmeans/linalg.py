@@ -73,16 +73,18 @@ def _as_square_complex(mat) -> np.ndarray:
     return arr
 
 
-def require_spd_range(vals, what: str, error=DomainError) -> None:
-    """Raise ``error``, with the message ``what`` and the first failing set's
-    range, unless each set of descending values in ``vals`` (shape (..., n))
-    has vals[-1] > SPD_TOL * vals[0]: a condition number below 1e12."""
+def require_spd_range(vals, what, error=DomainError) -> None:
+    """Raise ``error`` unless each set of descending values in ``vals``
+    (shape (..., n)) has vals[-1] > SPD_TOL * vals[0]: a condition number
+    below 1e12.  The message is ``what`` (``what(k)`` for a first failing
+    set k of the stack, in flat order) and that set's range."""
     # Stack axes reversed, so one set gives numpy scalars, not 0-d arrays.
     lo, hi = vals.T[-1], vals.T[0]
     if not all((lo > SPD_TOL * hi).flat):
-        lo, hi = lo.T, hi.T
-        k = np.unravel_index(np.argmin(lo > SPD_TOL * hi), lo.shape)
-        raise error(f"{what} [{lo[k]:.3e}, {hi[k]:.3e}]")
+        lo, hi = np.ravel(lo.T), np.ravel(hi.T)
+        k = int(np.argmin(lo > SPD_TOL * hi))
+        head = what(k) if callable(what) else what
+        raise error(f"{head} [{lo[k]:.3e}, {hi[k]:.3e}]")
 
 
 def require_exp_range(bound, what) -> None:
@@ -188,23 +190,28 @@ class SpdMatrix(HermitianMatrix):
     @classmethod
     def _from_eig(cls, q: np.ndarray, vals: np.ndarray, what: str = _NOT_SPD,
                   error=DomainError) -> "SpdMatrix":
-        """Internal: ``_from_eigs`` of one matrix."""
-        return cls._from_eigs(q[None], vals[None], what, error)[0]
+        """Internal: the one matrix of ``_from_eigs``."""
+        return cls._from_eigs(q[None], vals[None], what, error)[0][0]
 
     @classmethod
     def _from_eigs(cls, q: np.ndarray, vals: np.ndarray, what: str = _NOT_SPD,
-                   error=DomainError) -> list:
+                   error=DomainError) -> tuple:
         """Internal: Q diag(vals) Q* for each matrix of a stack, q (m, n, n)
         and vals (m, n), by one assembly, with its eigenpairs sorted and
-        cached.  ``error`` (DomainError) with the message ``what`` before
-        the assembly unless every set of values passes ``require_spd_range``."""
+        cached: (the matrices, their stack (m, n, n), their eigenvalues
+        descending (m, n)), both arrays read-only and viewed by the matrices.
+        ``error`` (DomainError) with the message ``what`` before the assembly
+        unless every set of values passes ``require_spd_range``."""
         order = np.argsort(-vals, axis=-1, kind="stable")
         desc = vals[np.arange(len(vals))[:, None], order]
         require_spd_range(desc, what, error)
-        mats = [cls._wrap(mat) for mat in _assemble(q, vals)]
+        stack = _assemble(q, vals)
+        stack.setflags(write=False)
+        desc.setflags(write=False)
+        mats = [cls._wrap(mat) for mat in stack]
         for obj, qi, vi, oi in zip(mats, q, desc, order):
             _cache_eig(obj, vi, np.ascontiguousarray(qi[:, oi]))
-        return mats
+        return mats, stack, desc
 
 
 class UnitaryMatrix(ComplexMatrix):

@@ -118,7 +118,7 @@ def _realization_rows(seed, trial, n):
     y = slr.sample(n, base + 2, 0.5)
     scan = scan_chain(x, y, tuple(2.0 ** k for k in range(-3, 2)))
     chain_rep = evaluate_chain(scan)
-    yield None, "chain", chain_rep.passed, chain_rep.worst.margin
+    yield None, "chain", chain_rep.passed, float(chain_rep.margin[chain_rep.worst])
     _, agree = group_chain_report(scan, chain_rep)
     yield None, "kostant_agreement", agree, 0.0
 

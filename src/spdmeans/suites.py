@@ -61,6 +61,7 @@ import numpy as np
 
 from .errors import MaxIterReached
 from .gtchain import (
+    CHAIN_FAMILIES,
     DEFAULT_R_GRID,
     evaluate_chain,
     refinement_from_scan,
@@ -287,13 +288,11 @@ def _chain_rows(seed, trial, n):
     y = random_hermitian(n, seed * 99991 + 2 * trial + 1, CHAIN_SCALE)
     scan = scan_chain(x, y, DEFAULT_R_GRID)
     chain_rep = evaluate_chain(scan)
-    tightest: dict = {}
-    for check in chain_rep.checks:
-        cur = tightest.get(check.name)
-        if cur is None or check.margin + check.tol < cur.margin + cur.tol:
-            tightest[check.name] = check
-    for name, check in sorted(tightest.items()):
-        yield None, name, check.holds, check.margin
+    slack, holds = chain_rep.margin + chain_rep.tol, chain_rep.holds
+    for name in sorted(CHAIN_FAMILIES):
+        family = np.flatnonzero(chain_rep.family == CHAIN_FAMILIES.index(name))
+        k = family[np.argmin(slack[family])]
+        yield None, name, bool(holds[k]), float(chain_rep.margin[k])
     # Lie-Trotter: the distance to e^{X+Y} at the smallest grid r is
     # below the one at the largest.  Step-by-step decrease is no theorem.
     dists = trotter_distances(scan)

@@ -13,12 +13,13 @@ and the solve seed is s.  At a solution both conjugates are diagonal and
 commute, so the linearized residual loses rank there, and a start can
 stall or spend its budget.  Each solve runs with the default tolerance and
 budgets.  A failure is a solve that does not converge or a converged one
-that fails ``verify_membership`` (counted also as unverified).  The script
-prints the totals (solves, failures, unverified, iterations, restarts,
-Gauss-Newton steps, solver seconds) and each failed case.  It exits 1
-only if a solve raises something other than ``MaxIterReached`` or a
-converged solve fails ``verify_membership``.  It is not a pytest module;
-run it as
+that ``suites.orbit_verdict`` would also reject: ``verify_membership``
+false or a factor outside the realization's K (counted also as
+unverified).  The script prints the totals (solves, failures, unverified,
+iterations, restarts, Gauss-Newton steps, solver seconds) and each failed
+case.  It exits 1 only if a solve raises something other than
+``MaxIterReached`` or a converged solve is unverified.  It is not a
+pytest module; run it as
 
     PYTHONPATH=src python tests/orbit_boundary_probe.py
 """
@@ -34,8 +35,10 @@ import numpy as np
 
 from spdmeans import HermitianMatrix, OrbitProblem, eig_hermitian
 from spdmeans.errors import MaxIterReached
-from spdmeans.orbit import solve, verify_membership
+from spdmeans.orbit import solve
 from spdmeans.realizations import REALIZATIONS
+
+from orbit_stress_set import verified
 
 SIZES = tuple(range(2, 7))
 SEEDS = tuple(range(30))
@@ -70,9 +73,9 @@ def run() -> dict:
         totals["solves"] += 1
         for key in ("iterations", "restarts", "gauss_newton_steps"):
             totals[key] += getattr(sol, key)
-        verified = sol.converged and verify_membership(sol, prob)
-        totals["unverified"] += sol.converged and not verified
-        if verified:
+        ok = sol.converged and verified(sol, prob, realization)
+        totals["unverified"] += sol.converged and not ok
+        if ok:
             continue
         totals["failures"] += 1
         failed.append(f"{realization} n={n} seed={s} {arrangement} {sol.stop_reason} "

@@ -11,11 +11,12 @@ The input families, each projected into the realization's space:
     rank_one        Y = scale w w* for a seeded random unit vector w
 
 Each solve runs with the default tolerance and budgets.  A failure is
-``MaxIterReached``, a solve that did not converge, or ``verify_membership``
-false.  The script prints the totals (solves, failures, iterations,
-restarts, Gauss-Newton steps, solver seconds) and each failed
-case, and exits 1 if any solve failed.  It is not a pytest module; run it
-as
+``MaxIterReached``, a solve that did not converge, or one that
+``suites.orbit_verdict`` would also reject: ``verify_membership`` false or
+a factor outside the realization's K (``contains``).  The script prints
+the totals (solves, failures, iterations, restarts, Gauss-Newton steps,
+solver seconds) and each failed case, and exits 1 if any solve failed.
+It is not a pytest module; run it as
 
     PYTHONPATH=src python tests/orbit_stress_set.py
 """
@@ -62,6 +63,14 @@ def inputs(realization: str, n: int, family: str, scale: float, s: int):
     return x, space.project(HermitianMatrix(y))
 
 
+def verified(sol, prob: OrbitProblem, realization: str) -> bool:
+    """Whether a converged solve passes ``verify_membership`` and both its
+    factors lie in the realization's K, as in ``suites.orbit_verdict``."""
+    space = REALIZATIONS[realization]
+    return (verify_membership(sol, prob) and space.contains(sol.u.mat)
+            and space.contains(sol.v.mat))
+
+
 def run() -> dict:
     totals = {"solves": 0, "failures": 0, "iterations": 0, "restarts": 0,
               "gauss_newton_steps": 0, "solve_s": 0.0}
@@ -76,7 +85,7 @@ def run() -> dict:
             except MaxIterReached as exc:
                 sol = exc.solution
             totals["solve_s"] += time.perf_counter() - start
-            ok = sol.converged and verify_membership(sol, prob)
+            ok = sol.converged and verified(sol, prob, realization)
             totals["solves"] += 1
             for key in ("iterations", "restarts", "gauss_newton_steps"):
                 totals[key] += getattr(sol, key)

@@ -23,6 +23,7 @@ import sys
 
 from spdmeans import evaluate_chain, random_hermitian, scan_chain
 from spdmeans.errors import DomainError
+from spdmeans.gtchain import CHAIN_FAMILIES
 
 SIZES = (2, 4, 8)
 SCALES = (2.0, 3.0, 4.0, 5.0, 6.0)
@@ -45,9 +46,10 @@ def run() -> dict:
         totals["accepted"] += 1
         if not report.passed:
             totals["failures"] += 1
-            worst = report.worst
-            failed.append(f"n={n} scale={scale:g} k={k} r={r:g} {worst.name} at r = "
-                          f"{worst.r:g}: margin {worst.margin:.3e}, tol {worst.tol:.3e}")
+            w = report.worst
+            failed.append(f"n={n} scale={scale:g} k={k} r={r:g} "
+                          f"{CHAIN_FAMILIES[report.family[w]]} at r = {report.r[w]:g}: "
+                          f"margin {report.margin[w]:.3e}, tol {report.tol[w]:.3e}")
     return {**totals, "failed": failed}
 
 

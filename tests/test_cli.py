@@ -325,7 +325,7 @@ class TestScanCommand:
                 main, ["scan", "--x", str(x), "--y", str(y), "--r-grid", "1"]
             )
         assert result.exit_code == 2
-        assert result.output.startswith("error: e^{rX} or e^{rY} is not positive definite")
+        assert result.output.startswith("error: e^{rX} at r = 1 is not positive definite")
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_failed_chain_check_exits_1_and_writes_the_csv(self, runner, tmp_path, monkeypatch):
@@ -335,8 +335,8 @@ class TestScanCommand:
 
         def failing(chain):
             report = gtchain.evaluate_chain(chain)
-            check = next(c for c in report.checks if c.name == "phi_below_exp_sum")
-            check.margin = -check.tol - 1.0
+            k = list(report.family).index(gtchain.CHAIN_FAMILIES.index("phi_below_exp_sum"))
+            report.margin[k] = -report.tol[k] - 1.0
             return report
 
         monkeypatch.setattr("spdmeans.cli.evaluate_chain", failing)
@@ -363,8 +363,7 @@ class TestScanCommand:
 
         def failing(chain):
             report = gtchain.evaluate_chain(chain)
-            for check in report.checks[::3]:
-                check.margin = -check.tol - 1.0
+            report.margin[::3] = -report.tol[::3] - 1.0
             reports.append(report)
             return report
 
@@ -377,7 +376,9 @@ class TestScanCommand:
         result = runner.invoke(main, args + (["--r-grid", grid] if grid else []))
         assert result.exit_code == 1, result.output
         scan = gtchain.scan_chain(xm, ym, (0.5,) if grid else DEFAULT_R_GRID)
-        holds = {(c.name, c.r): str(c.holds).lower() for c in reports[0].checks}
+        rep = reports[0]
+        holds = {(gtchain.CHAIN_FAMILIES[f], r): str(h).lower()
+                 for f, r, h in zip(rep.family, rep.r.tolist(), rep.holds)}
         rows = [line.split(",") for line in out.read_text().splitlines()[2:]]
         assert len(rows) == len(scan.r_grid)
         for row, r, lam_phi, lam_psi, traces in zip(

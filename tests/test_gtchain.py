@@ -28,7 +28,14 @@ from spdmeans import (
     trotter_distances,
 )
 from spdmeans import gtchain, kostant, majorization, realizations, suites
-from spdmeans.gtchain import MIN_R, REFINEMENT_R, ROUNDOFF_BAND, refinement_from_scan
+from spdmeans.gtchain import (
+    CHAIN_FAMILIES,
+    MIN_R,
+    REFINEMENT_R,
+    ROUNDOFF_BAND,
+    ChainReport,
+    refinement_from_scan,
+)
 from spdmeans.majorization import default_tol
 
 
@@ -154,7 +161,7 @@ class TestScanChain:
         assert abs(tr_phi - ref_phi) <= 1e-8 * ref_phi
         assert abs(tr_psi - ref_psi) <= 1e-12 * ref_psi
         assert evaluate_chain(scan).passed
-        with pytest.raises(DomainError, match=r"e\^\{rX\} or e\^\{rY\} is not positive definite"):
+        with pytest.raises(DomainError, match=r"^e\^\{rX\} at r = 8 is not positive definite"):
             scan_chain(x, y, (8.0,))
 
     def test_far_past_the_range_raises_without_warnings(self):
@@ -166,7 +173,7 @@ class TestScanChain:
         y = HermitianMatrix(np.zeros((2, 2)))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            with pytest.raises(DomainError, match=r"e\^\{rX\} or e\^\{rY\} is not positive"):
+            with pytest.raises(DomainError, match=r"^e\^\{rX\} at r = 1 is not positive"):
                 scan_chain(x, y, (1.0,))
 
     def test_chain_function_past_the_range_raises_without_warnings(self):
@@ -244,8 +251,22 @@ class TestGoldenThompsonRefinement:
         # X + Y = 0, so phi, psi and e^{X+Y} would be I, but cond(e^{rX})
         # = e^30 at r = 1 is past the SPD range, and the scan raises.
         x, y = diag_h(15.0, -15.0), diag_h(-15.0, 15.0)
-        with pytest.raises(DomainError, match=r"e\^\{rX\} or e\^\{rY\} is not positive"):
+        with pytest.raises(DomainError, match=r"^e\^\{rX\} at r = 1 is not positive"):
             scan_chain(x, y, (0.5, 1.0))
+
+    @pytest.mark.parametrize("x,y,grid,head", [
+        ((2, 7000, 6.0), (2, 8000, 6.0), DEFAULT_R_GRID, "e^{rX} at r = 8"),
+        ((2, 8000, 6.0), (2, 7000, 6.0), DEFAULT_R_GRID, "e^{rY} at r = 8"),
+        ((3, 71, 0.5), (3, 72, 30.0), (0.5, 1.0, 2.0), "e^{rY} at r = 1"),
+    ], ids=["x-at-8", "y-at-8", "y-at-1"])
+    def test_spd_range_error_names_the_exponential_and_r(self, x, y, grid, head):
+        # The message names the first failing exponential, X's before Y's,
+        # and its r, then that exponential's eigenvalue range.
+        x, y = random_hermitian(*x), random_hermitian(*y)
+        with pytest.raises(DomainError) as caught:
+            scan_chain(x, y, grid)
+        assert str(caught.value).startswith(
+            f"{head} is not positive definite to working precision: eigenvalues in [")
 
     @pytest.mark.parametrize("n", [2, 4, 6])
     def test_from_default_grid_scan_matches_own_scan(self, n):
@@ -328,7 +349,9 @@ class TestEvaluateChainStacked:
         for case in (scan, moduli):
             ref = _row_by_row_checks(case)
             assert len(ref) == 2 * (4 * len(grid) - 2)
-            got = [(c.name, c.r, c.margin, c.tol) for c in evaluate_chain(case).checks]
+            rep = evaluate_chain(case)
+            got = list(zip([CHAIN_FAMILIES[f] for f in rep.family], *(
+                col.tolist() for col in (rep.r, rep.margin, rep.tol))))
             assert got == ref
 
     def test_zero_modulus_override_raises(self):
@@ -361,3 +384,73 @@ class TestEvaluateChainStacked:
         assert (len(row_calls), len(kernel_calls)) == (0, 4)
         assert suites.suite_log_majorization(trials=2, seed=3).passed
         assert (len(row_calls), len(kernel_calls)) == (0, 6)
+
+
+def _per_check_chain_rows(report):
+    """The family rows of ``suites._chain_rows`` by a loop over the checks:
+    per family the check of least margin + tol, the first on a tie (strict
+    <), rows sorted by family name."""
+    tightest: dict = {}
+    columns = (report.family, report.r, report.margin, report.tol)
+    for f, r, margin, tol in zip(*(col.tolist() for col in columns)):
+        name = CHAIN_FAMILIES[f]
+        cur = tightest.get(name)
+        if cur is None or margin + tol < cur[0] + cur[1]:
+            tightest[name] = (margin, tol)
+    return [(None, name, margin >= -tol, margin)
+            for name, (margin, tol) in sorted(tightest.items())]
+
+
+class TestChainRows:
+    """suites._chain_rows reads the tightest check of each family off the
+    report's arrays."""
+
+    @staticmethod
+    def _rows_and_report(monkeypatch, seed, n):
+        reports = []
+
+        def recorded(scan):
+            reports.append(evaluate_chain(scan))
+            return reports[-1]
+
+        monkeypatch.setattr(suites, "evaluate_chain", recorded)
+        rows = list(suites._chain_rows(seed, 0, n))
+        return rows[:len(CHAIN_FAMILIES)], reports[0]
+
+    @pytest.mark.parametrize("realization", ["glc", "slr"])
+    def test_rows_match_a_per_check_reference(self, monkeypatch, realization):
+        sample = {"glc": random_hermitian, "slr": random_real_symmetric_traceless}[realization]
+        monkeypatch.setattr(suites, "random_hermitian", sample)
+        for seed in range(10):
+            for n in range(2, 7):
+                rows, report = self._rows_and_report(monkeypatch, seed, n)
+                assert rows == _per_check_chain_rows(report), (seed, n)
+                assert [row[1] for row in rows] == sorted(CHAIN_FAMILIES)
+
+    def test_tie_reports_the_first_check(self, monkeypatch):
+        # Two phi_below_exp_sum checks tie on margin + tol = 0.25, every
+        # other check of the family has more slack: the first of the two
+        # (margin 0.0) is the row, not the later one nor the lesser margin.
+        def tied(scan):
+            report = evaluate_chain(scan)
+            family = np.flatnonzero(report.family == 0)
+            report.margin[family], report.tol[family] = 1.0, 0.0
+            report.margin[family[[2, 5]]] = 0.0, -0.25
+            report.tol[family[[2, 5]]] = 0.25, 0.5
+            return report
+
+        monkeypatch.setattr(suites, "evaluate_chain", tied)
+        rows = {row[1]: row for row in suites._chain_rows(0, 0, 3)}
+        assert rows["phi_below_exp_sum"] == (None, "phi_below_exp_sum", True, 0.0)
+
+    def test_report_holds_passed_and_worst(self):
+        report = ChainReport(family=np.zeros(4, dtype=int), r=np.array([0.5, 1.0, 2.0, 4.0]),
+                             margin=np.array([1.0, 0.0, -0.25, -0.75]),
+                             tol=np.array([0.0, 0.25, 0.5, 0.5]))
+        assert report.holds.tolist() == [True, True, True, False]
+        assert report.passed is False
+        assert report.worst == 3
+        report.margin[3] = 0.0
+        assert report.passed is True
+        # Checks 1 and 2 tie on margin + tol = 0.25: the first is the worst.
+        assert report.worst == 1
