@@ -29,10 +29,10 @@ each check has one pass rule:
     means.IDENTITY_TOL         1e-10          mean_identities, realization
     gtchain.DEFAULT_R_GRID     2^-6, .., 2^3  chain
     gtchain.ROUNDOFF_BAND      10             chain, realization
-    CHAIN_SCALE                0.5            chain
+    CHAIN_SCALE                0.5            chain, realization
     SANDWICH_TOL               1e-10          chain (refinement sandwich)
     gtchain.REFINEMENT_R       0.5, 1         chain (refinement sandwich)
-    orbit.TARGET_KINDS         three kinds    orbit, gradient_check
+    orbit.TARGET_KINDS         three kinds    orbit, gradient_check, realization
     TRACE_GAP_TOL              1e-10          orbit (trace condition)
     orbit.ORBIT_TOL            1e-8           orbit, realization
     orbit.MAX_ITER             5000           orbit, realization
@@ -42,14 +42,17 @@ each check has one pass rule:
     GRADCHECK_EPS              1e-3           gradient_check
     GRADCHECK_TOL              1e-4           gradient_check
     CONJUGATION_TOL            1e-9           kostant
-    realizations.UNIT_DET_TOL  1e-8           realization
+    UNIT_DET_TOL               1e-8           realization
+    REALIZATION_R_GRID         2^-3, .., 2^1  realization (chain)
+    REALIZATION_TRIPLE         (0.3, .25, .5) realization (identity laws)
 
 A log-majorization row passes iff its worst margin is at least
 -LOGMAJ_MARGIN_TOL in log_majorization and realization, within
 ``MajorizationReport.holds`` (``majorization.default_tol``) in
 counterexamples and kostant's spd_agreement, and within ROUNDOFF_BAND times
 that tolerance in chain and in realization's chain row.  An orbit solve
-passes iff ``orbit_verdict`` says so, in every suite that checks one.
+passes iff ``solve_passes`` says so, in every suite that checks one and in
+the orbit probes under tests/.
 """
 
 from __future__ import annotations
@@ -75,6 +78,7 @@ from .linalg import (
     SpdMatrix,
     UnitaryMatrix,
     eig_hermitian,
+    mat_exp,
 )
 from .majorization import (
     COMPOUND_TOL,
@@ -95,8 +99,8 @@ from .means import (
     spectral_mean,
 )
 from .orbit import (
-    MAX_RESTARTS, ORBIT_TOL, TARGET_KINDS, OrbitProblem, _cayley, objective,
-    riemannian_grad, solve, verify_membership,
+    MAX_RESTARTS, ORBIT_TOL, TARGET_KINDS, OrbitProblem, OrbitSolution, _cayley,
+    objective, riemannian_grad, solve, verify_membership,
 )
 from .realizations import REALIZATIONS, run_suites_on_realization
 from .sampling import random_hermitian, random_invertible, random_spd, random_unitary
@@ -118,6 +122,9 @@ TRACE_GAP_TOL = 1e-10
 GRADCHECK_EPS = 1e-3
 GRADCHECK_TOL = 1e-4
 CONJUGATION_TOL = 1e-9
+UNIT_DET_TOL = 1e-8  # |det - 1| of the exponentials of traceless inputs
+REALIZATION_R_GRID = tuple(2.0 ** k for k in range(-3, 2))
+REALIZATION_TRIPLE = (0.3, 0.25, 0.5)
 
 
 @dataclass
@@ -314,25 +321,28 @@ def suite_chain(trials: int = 50, seed: int = 0, n_values=(2, 3, 4, 5, 6)) -> Su
     return _run("chain", seed, _cycle(trials, n_values), _chain_rows)
 
 
-def orbit_verdict(realization: str, prob: OrbitProblem, seed: int) -> tuple[bool, float]:
-    """Solve prob in the realization and judge the solve: (passed, residual).
-
-    Passes iff the residual is at most ORBIT_TOL, the objective trace is
-    monotone, the restarts are within MAX_RESTARTS, ``verify_membership``
-    holds and both factors lie in the realization's K.  A solve that stops
-    above tolerance (``MaxIterReached``) fails with its best residual.
-    """
+def solve_passes(realization: str, prob: OrbitProblem, sol: OrbitSolution) -> bool:
+    """Whether sol solves prob in the realization: the residual is at most
+    ORBIT_TOL, the objective trace is monotone, the restarts are within
+    MAX_RESTARTS, ``verify_membership`` holds and both factors lie in the
+    realization's K."""
     space = REALIZATIONS[realization]
+    trace = sol.objective_trace
+    mono = all(later <= earlier for earlier, later in zip(trace, trace[1:]))
+    return (sol.residual <= ORBIT_TOL and mono and sol.restarts <= MAX_RESTARTS
+            and verify_membership(sol, prob)
+            and space.contains(sol.u.mat) and space.contains(sol.v.mat))
+
+
+def orbit_verdict(realization: str, prob: OrbitProblem, seed: int) -> tuple[bool, float]:
+    """Solve prob in the realization and judge the solve by ``solve_passes``:
+    (passed, residual).  A solve that stops above tolerance
+    (``MaxIterReached``) fails with its best residual."""
     try:
         sol = solve(prob, seed=seed, realization=realization)
     except MaxIterReached as exc:
         return False, exc.solution.residual
-    trace = sol.objective_trace
-    mono = all(later <= earlier for earlier, later in zip(trace, trace[1:]))
-    ok = sol.residual <= ORBIT_TOL and mono and sol.restarts <= MAX_RESTARTS
-    ok = ok and verify_membership(sol, prob)
-    ok = ok and space.contains(sol.u.mat) and space.contains(sol.v.mat)
-    return ok, sol.residual
+    return solve_passes(realization, prob, sol), sol.residual
 
 
 def _orbit_rows(seed, inst, n, kind, realization, base, x, y):
@@ -346,7 +356,7 @@ def _orbit_rows(seed, inst, n, kind, realization, base, x, y):
 def suite_orbit(instances: int = 10, seed: int = 0, n_values=(2, 3, 4, 5, 6),
                 realization: str = "glc") -> SuiteResult:
     """Orbit-sum solves of every target kind: the trace condition, then
-    ``orbit_verdict`` (residual, monotone trace, restart budget, eigenvalue
+    ``solve_passes`` (residual, monotone trace, restart budget, eigenvalue
     preservation, factors in K).  Cases run kind-major, and the three kinds
     share each (n, instance)'s pair and solve seed, carried in the case."""
     space = REALIZATIONS[realization]
@@ -447,8 +457,37 @@ def suite_loewner(trials: int = 50, seed: int = 0) -> SuiteResult:
     return _run("loewner", seed, _cycle(trials, (2, 3, 4, 5)), _loewner_rows)
 
 
+def _realization_rows(seed, trial, n):
+    slr = REALIZATIONS["slr"]
+    base = seed + 10007 * trial + 101 * n
+    a = mat_exp(slr.sample(n, base))
+    b = mat_exp(slr.sample(n, base + 104729))
+    identities = _IdentityContext(a, b)
+    worst = max(identities.evaluate(*REALIZATION_TRIPLE).values())
+    yield None, "means_identities", worst <= IDENTITY_TOL, worst
+    det_err = max(abs(spd_det(a) - 1.0), abs(spd_det(b) - 1.0))
+    yield None, "unit_determinant", det_err < UNIT_DET_TOL, det_err
+    lam_sharp, lam_nat = identities.pair.spectra([0.5])
+    margin = float(log_majorization_margins(lam_sharp, lam_nat)[0][0])
+    yield None, "log_majorization", margin >= -LOGMAJ_MARGIN_TOL, margin
+
+    x = slr.sample(n, base + 1, CHAIN_SCALE)
+    y = slr.sample(n, base + 2, CHAIN_SCALE)
+    scan = scan_chain(x, y, REALIZATION_R_GRID)
+    chain_rep = evaluate_chain(scan)
+    yield None, "chain", chain_rep.passed, float(chain_rep.margin[chain_rep.worst])
+    _, agree = group_chain_report(scan, chain_rep)
+    yield None, "kostant_agreement", agree, 0.0
+
+    x, y = slr.sample(n, base + 3), slr.sample(n, base + 4)
+    for kind in TARGET_KINDS:
+        prob = OrbitProblem.create(x, y, kind)
+        yield None, "orbit_" + kind, *orbit_verdict("slr", prob, base)
+
+
 def suite_realization(seed: int = 0, trials: int = 3, n_values=(2, 3, 4)) -> SuiteResult:
-    """The checks re-run on the real realization SL(n,R)/SO(n)."""
+    """The checks re-run on the real realization SL(n,R)/SO(n), eight rows
+    per case (trial, n); the orbit rows solve in slr under any --realization."""
     return run_suites_on_realization(seed=seed, n_values=n_values, trials=trials)
 
 

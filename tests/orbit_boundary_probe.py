@@ -12,12 +12,12 @@ diagonal, on the boundary of the sum of the orbits of X and Y:
 and the solve seed is s.  At a solution both conjugates are diagonal and
 commute, so the linearized residual loses rank there, and a start can
 stall or spend its budget.  Each solve runs with the default tolerance and
-budgets.  A failure is a solve that does not converge or a converged one
-that ``suites.orbit_verdict`` would also reject: ``verify_membership``
-false or a factor outside the realization's K (counted also as
-unverified).  The script prints the totals (solves, failures, unverified,
-iterations, restarts, Gauss-Newton steps, solver seconds) and each failed
-case.  It exits 1 only if a solve raises something other than
+budgets.  A failure is a solve that ``suites.solve_passes`` rejects, the
+judgment of the orbit suites; a converged solve that it rejects (a
+non-monotone trace, too many restarts, ``verify_membership`` false or a
+factor outside the realization's K) counts also as unverified.  The
+script prints the totals (solves, failures, unverified, iterations,
+restarts, Gauss-Newton steps, solver seconds) and each failed case.  It exits 1 only if a solve raises something other than
 ``MaxIterReached`` or a converged solve is unverified.  It is not a
 pytest module; run it as
 
@@ -37,8 +37,7 @@ from spdmeans import HermitianMatrix, OrbitProblem, eig_hermitian
 from spdmeans.errors import MaxIterReached
 from spdmeans.orbit import solve
 from spdmeans.realizations import REALIZATIONS
-
-from orbit_stress_set import verified
+from spdmeans.suites import solve_passes
 
 SIZES = tuple(range(2, 7))
 SEEDS = tuple(range(30))
@@ -73,7 +72,7 @@ def run() -> dict:
         totals["solves"] += 1
         for key in ("iterations", "restarts", "gauss_newton_steps"):
             totals[key] += getattr(sol, key)
-        ok = sol.converged and verified(sol, prob, realization)
+        ok = solve_passes(realization, prob, sol)
         totals["unverified"] += sol.converged and not ok
         if ok:
             continue

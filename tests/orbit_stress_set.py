@@ -10,10 +10,11 @@ The input families, each projected into the realization's space:
     shared_spectrum Y = Q diag(lambda(X)) Q*, Q = random_factor(n, s + 2)
     rank_one        Y = scale w w* for a seeded random unit vector w
 
-Each solve runs with the default tolerance and budgets.  A failure is
-``MaxIterReached``, a solve that did not converge, or one that
-``suites.orbit_verdict`` would also reject: ``verify_membership`` false or
-a factor outside the realization's K (``contains``).  The script prints
+Each solve runs with the default tolerance and budgets.  A failure is a
+solve that ``suites.solve_passes`` rejects, the judgment of the orbit
+suites: residual above ORBIT_TOL (``MaxIterReached`` included), a
+non-monotone objective trace, too many restarts, ``verify_membership``
+false or a factor outside the realization's K.  The script prints
 the totals (solves, failures, iterations, restarts, Gauss-Newton steps,
 solver seconds) and each failed case, and exits 1 if any solve failed.
 It is not a pytest module; run it as
@@ -32,8 +33,9 @@ import numpy as np
 
 from spdmeans import HermitianMatrix, OrbitProblem, eig_hermitian
 from spdmeans.errors import MaxIterReached
-from spdmeans.orbit import TARGET_KINDS, solve, verify_membership
+from spdmeans.orbit import TARGET_KINDS, solve
 from spdmeans.realizations import REALIZATIONS
+from spdmeans.suites import solve_passes
 
 FAMILIES = ("standard", "near_commuting", "shared_spectrum", "rank_one")
 SIZES = tuple(range(2, 9))
@@ -63,14 +65,6 @@ def inputs(realization: str, n: int, family: str, scale: float, s: int):
     return x, space.project(HermitianMatrix(y))
 
 
-def verified(sol, prob: OrbitProblem, realization: str) -> bool:
-    """Whether a converged solve passes ``verify_membership`` and both its
-    factors lie in the realization's K, as in ``suites.orbit_verdict``."""
-    space = REALIZATIONS[realization]
-    return (verify_membership(sol, prob) and space.contains(sol.u.mat)
-            and space.contains(sol.v.mat))
-
-
 def run() -> dict:
     totals = {"solves": 0, "failures": 0, "iterations": 0, "restarts": 0,
               "gauss_newton_steps": 0, "solve_s": 0.0}
@@ -85,7 +79,7 @@ def run() -> dict:
             except MaxIterReached as exc:
                 sol = exc.solution
             totals["solve_s"] += time.perf_counter() - start
-            ok = sol.converged and verified(sol, prob, realization)
+            ok = solve_passes(realization, prob, sol)
             totals["solves"] += 1
             for key in ("iterations", "restarts", "gauss_newton_steps"):
                 totals[key] += getattr(sol, key)

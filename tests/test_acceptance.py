@@ -31,6 +31,7 @@ def _report(name: str, passed: bool, elapsed: float, budget: float) -> None:
 
 
 def test_criterion_diagonal_counterexample_goldens():
+    assert suites.EXACT_TOL == 1e-12
     budget = 1.0
     start = time.perf_counter()
     a = SpdMatrix(np.diag([16.0, 1.0]))
@@ -49,6 +50,7 @@ def test_criterion_diagonal_counterexample_goldens():
 
 
 def test_criterion_order_counterexample_goldens():
+    assert suites.GOLDEN_TOL == 5e-5
     budget = 1.0
     start = time.perf_counter()
     a = SpdMatrix([[6.0, -3.0], [-3.0, 4.0]])
@@ -130,6 +132,7 @@ def test_criterion_orbit_solver():
     assert orbit.TARGET_KINDS == ("exp_product", "geometric", "spectral")
     assert (orbit.ORBIT_TOL, orbit.MAX_ITER, orbit.MAX_RESTARTS) == (1e-8, 5000, 4)
     assert (orbit.MEMBERSHIP_TOL, orbit.MEMBERSHIP_RESIDUAL) == (1e-10, (10.0, 1e-7))
+    assert suites.TRACE_GAP_TOL == 1e-10
     budget = 600.0
     start = time.perf_counter()
     complex_result = suites.suite_orbit(
@@ -189,6 +192,12 @@ def test_criterion_gradient_correctness():
 
 
 def test_criterion_determinism(tmp_path):
+    # verify --all also runs the kostant and realization suites, which no
+    # other criterion runs; their constants are pinned here.
+    assert suites.CONJUGATION_TOL == 1e-9
+    assert suites.UNIT_DET_TOL == 1e-8
+    assert suites.REALIZATION_R_GRID == tuple(2.0 ** k for k in range(-3, 2))
+    assert suites.REALIZATION_TRIPLE == (0.3, 0.25, 0.5)
     budget = 300.0
     start = time.perf_counter()
     payloads = []

@@ -1,3 +1,4 @@
+import ast
 import collections
 import hashlib
 import logging
@@ -92,6 +93,7 @@ def test_rows_recompute_from_their_case_alone(monkeypatch, name):
     monkeypatch.setattr(suites, "_run", recorded)
     report = suites.run_suite(name, 42, 25)
     ((cases, rows, sizes),) = runs
+    assert rows.__module__ == "spdmeans.suites"
     starts = np.cumsum([0] + sizes)
     picks = np.random.default_rng(5).choice(len(cases), min(5, len(cases)), replace=False)
     for k in sorted(picks):
@@ -167,3 +169,22 @@ def test_import_does_not_load_the_suites():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_realizations_is_a_leaf_with_one_deferred_import():
+    # realizations imports only numpy, sampling and linalg at module level.
+    # The one function-level import keeps suites out of a plain
+    # ``import spdmeans``.
+    imports = (ast.Import, ast.ImportFrom)
+    nested, leaf = [], set()
+    for path in sorted(Path(spdmeans.__file__).resolve().parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        nested += [(path.stem, fn.name) for fn in ast.walk(tree)
+                   if isinstance(fn, ast.FunctionDef)
+                   for node in ast.walk(fn) if isinstance(node, imports)]
+        if path.stem == "realizations":
+            leaf = {getattr(node, "module", None) or alias.name
+                    for node in tree.body if isinstance(node, imports)
+                    for alias in node.names}
+    assert nested == [("realizations", "run_suites_on_realization")]
+    assert leaf == {"__future__", "numpy", "sampling", "linalg"}
