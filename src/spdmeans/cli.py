@@ -149,8 +149,8 @@ def scan(x_path, y_path, r_grid, out):
 @click.option("--timings", is_flag=True, help="Print each suite's wall time to stderr.")
 def verify(suite, run_all, trials, seed, realization, out, timings):
     """Run verification suites; exit 1 if any property fails."""
-    if not run_all and suite is None:
-        _fail_data("choose --suite NAME or --all")
+    if run_all == (suite is not None):
+        _fail_data("choose --suite NAME or --all" + (", not both" if run_all else ""))
     names = suites.ALL_SUITES if run_all else (suite,)
     results = []
     for name in names:

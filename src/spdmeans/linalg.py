@@ -6,7 +6,9 @@ module builds on.  The decompositions are LAPACK's (``eigh``, ``eigvals``,
 ``svd``) with a canonical eigenvector phase and a stable descending sort, so
 identical inputs give identical outputs run to run.  Every spectral
 function Q diag(f(lambda)) Q* of the package is assembled here, by
-``_assemble``, from an ``EigenPair`` or an ``eigh_stack`` result.
+``_assemble``; a Hermitian one, each seeded draw among them, by
+``HermitianMatrix._from_eigs``, which caches (Q, f(lambda)) on it, so its
+``eig_hermitian`` runs no ``eigh``.
 
 Each range check of the package is one function here, called with the
 caller's message and error class: ``require_spd_range`` (condition number
@@ -171,6 +173,30 @@ class HermitianMatrix(ComplexMatrix):
         obj._eig = None
         return obj
 
+    @classmethod
+    def _from_eig(cls, q: np.ndarray, vals: np.ndarray, *args) -> "HermitianMatrix":
+        """Internal: the one matrix of ``_from_eigs``."""
+        return cls._from_eigs(q[None], vals[None], *args)[0][0]
+
+    @classmethod
+    def _from_eigs(cls, q: np.ndarray, vals: np.ndarray, check=None) -> tuple:
+        """Internal: Q diag(vals) Q* for each matrix of a stack, q (m, n, n)
+        and vals (m, n), by one assembly in q's dtype cast to complex, with
+        the eigenpairs it is built from sorted and cached: (the matrices,
+        their stack, their eigenvalues descending (m, n)), both read-only.
+        ``check``, if given, sees the descending values before the assembly."""
+        order = np.argsort(-vals, axis=-1, kind="stable")
+        desc = vals[np.arange(len(vals))[:, None], order]
+        if check is not None:
+            check(desc)
+        stack = _assemble(q, vals).astype(complex, copy=False)
+        stack.setflags(write=False)
+        desc.setflags(write=False)
+        mats = [cls._wrap(mat) for mat in stack]
+        for obj, qi, vi, oi in zip(mats, q, desc, order):
+            _cache_eig(obj, vi, np.ascontiguousarray(qi[:, oi]))
+        return mats, stack, desc
+
 
 class SpdMatrix(HermitianMatrix):
     """Hermitian positive definite matrix with condition number below 1e12.
@@ -188,30 +214,10 @@ class SpdMatrix(HermitianMatrix):
         require_spd_range(eig_hermitian(self).values, _NOT_SPD)
 
     @classmethod
-    def _from_eig(cls, q: np.ndarray, vals: np.ndarray, what: str = _NOT_SPD,
-                  error=DomainError) -> "SpdMatrix":
-        """Internal: the one matrix of ``_from_eigs``."""
-        return cls._from_eigs(q[None], vals[None], what, error)[0][0]
-
-    @classmethod
     def _from_eigs(cls, q: np.ndarray, vals: np.ndarray, what: str = _NOT_SPD,
                    error=DomainError) -> tuple:
-        """Internal: Q diag(vals) Q* for each matrix of a stack, q (m, n, n)
-        and vals (m, n), by one assembly, with its eigenpairs sorted and
-        cached: (the matrices, their stack (m, n, n), their eigenvalues
-        descending (m, n)), both arrays read-only and viewed by the matrices.
-        ``error`` (DomainError) with the message ``what`` before the assembly
-        unless every set of values passes ``require_spd_range``."""
-        order = np.argsort(-vals, axis=-1, kind="stable")
-        desc = vals[np.arange(len(vals))[:, None], order]
-        require_spd_range(desc, what, error)
-        stack = _assemble(q, vals)
-        stack.setflags(write=False)
-        desc.setflags(write=False)
-        mats = [cls._wrap(mat) for mat in stack]
-        for obj, qi, vi, oi in zip(mats, q, desc, order):
-            _cache_eig(obj, vi, np.ascontiguousarray(qi[:, oi]))
-        return mats, stack, desc
+        """Internal: ``HermitianMatrix._from_eigs`` checked by ``require_spd_range``."""
+        return super()._from_eigs(q, vals, lambda desc: require_spd_range(desc, what, error))
 
 
 class UnitaryMatrix(ComplexMatrix):
@@ -230,7 +236,7 @@ class EigenPair(NamedTuple):
     (built only by ``_cache_eig``).
 
     ``values`` are real and sorted descending (stable ties); the columns of
-    ``vectors`` are the matching orthonormal eigenvectors.
+    ``vectors`` (real if built from a real Q) are the matching orthonormal eigenvectors.
     """
 
     values: np.ndarray
@@ -329,7 +335,7 @@ def mat_log(m: SpdMatrix) -> HermitianMatrix:
     if not isinstance(m, SpdMatrix):
         raise DomainError("mat_log requires a positive definite matrix")
     pair = eig_hermitian(m)
-    return HermitianMatrix._wrap(_assemble(pair.vectors, np.log(pair.values)))
+    return HermitianMatrix._from_eig(pair.vectors, np.log(pair.values))
 
 
 def mat_pow(m: SpdMatrix, t: float) -> SpdMatrix:

@@ -24,10 +24,10 @@ it at 32).  The identity laws are never used as the computation path.
 as roots (h, Q), and takes the means at every parameter of a set in one
 call; powers run on contiguous, broadcast-out operands, so a pair in a
 stack gets the same bits as alone.  An ``SpdMatrix`` starts from its cached
-eigendecomposition (``random_spd`` caches the one it was built from), which
-can differ from a fresh ``eigh`` in the last bits.  ``_IdentityContext``
-evaluates the identity laws over a whole parameter grid as a handful of
-stacked expressions.
+eigendecomposition (a seeded draw, or ``mat_exp`` of one, caches the pair it
+is built from), which can differ from a fresh ``eigh`` in the last bits.
+``_IdentityContext`` evaluates the identity laws over a whole parameter grid
+as a handful of stacked expressions.
 """
 
 from __future__ import annotations

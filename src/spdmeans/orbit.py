@@ -36,7 +36,6 @@ from .errors import MaxIterReached, ParamOutOfRange
 from .linalg import (
     HermitianMatrix,
     UnitaryMatrix,
-    _assemble,
     _herm,
     eig_hermitian,
     eig_hermitian_pair,
@@ -82,7 +81,7 @@ def _gram_log(h: np.ndarray, left: np.ndarray) -> HermitianMatrix:
         gram = sig ** 2
     require_spd_range(gram, "target is not positive definite to working precision: Gram "
                       "eigenvalues in")
-    return HermitianMatrix._wrap(_assemble(q, 2.0 * np.log(sig)))
+    return HermitianMatrix._from_eig(q, 2.0 * np.log(sig))
 
 
 def build_target(x: HermitianMatrix, y: HermitianMatrix, kind: str) -> HermitianMatrix:
@@ -93,8 +92,8 @@ def build_target(x: HermitianMatrix, y: HermitianMatrix, kind: str) -> Hermitian
     kind='spectral':     Z = log(e^{2X} @ e^{2Y})
 
     Each product or mean is a Gram product H H*, and Z = P diag(2 log sigma)
-    P* comes from the SVD of H.  One eigendecomposition of the stack [X, Y]
-    (``eig_hermitian_pair``, cached on X and Y), X = Q_x D_x Q_x* and
+    P* comes from the SVD of H.  The eigenpairs of X and Y (a seeded draw's
+    cached pairs, else one ``eig_hermitian_pair``), X = Q_x D_x Q_x* and
     Y = Q_y D_y Q_y*, gives every factor in X's eigenbasis, as diagonal
     scalings of Q_x* Q_y, so no product of two exponentials is formed:
     H = Q_x (e^{D_x/2} Q_x* Q_y e^{D_y/2}) Q_y* for exp_product, and for

@@ -3,9 +3,9 @@
 Every sampler is a pure function of its arguments: the same (n, seed, ...)
 always yields the same matrix, which is what makes batch verification runs
 reproducible byte for byte.  All but ``random_invertible`` start from one
-seeded draw, ``_draw_factor``, whose polar unitary W V* is their eigenbasis;
-the draw forms only that factor (``linalg._polar_unitary``), not the
-positive one that ``polar`` adds.
+seeded draw, ``_draw_factor``, whose polar unitary Q = W V*
+(``linalg._polar_unitary``) is their eigenbasis, and every Q diag(v) Q* they
+return carries its generating pair (Q, v) as its cached ``EigenPair``.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from .linalg import (
     HermitianMatrix,
     SpdMatrix,
     UnitaryMatrix,
-    _assemble,
     _polar_unitary,
     require_exp_range,
     svd,
@@ -86,7 +85,7 @@ def random_hermitian(n: int, seed: int, scale: float = 1.0) -> HermitianMatrix:
     by scale, which keeps e^{rX} well conditioned across a chain grid."""
     _check_scale("scale", scale)
     rng, q = _draw_factor(n, seed)
-    return HermitianMatrix._wrap(_assemble(q.mat, rng.uniform(-scale, scale, size=n)))
+    return HermitianMatrix._from_eig(q.mat, rng.uniform(-scale, scale, size=n))
 
 
 def random_real_symmetric_traceless(n: int, seed: int, scale: float = 1.0) -> HermitianMatrix:
@@ -103,7 +102,7 @@ def random_real_symmetric_traceless(n: int, seed: int, scale: float = 1.0) -> He
     rng, q = _draw_factor(n, seed, real=True)
     vals = rng.uniform(-scale, scale, size=n)
     vals -= vals.mean()
-    return HermitianMatrix._wrap(_assemble(q.mat.real, vals).astype(complex))
+    return HermitianMatrix._from_eig(q.mat.real, vals)
 
 
 def random_invertible(n: int, seed: int) -> ComplexMatrix:

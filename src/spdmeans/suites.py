@@ -18,6 +18,7 @@ they read is one named constant, defined here unless a module is named, and
 each check has one pass rule:
 
     constant                   value          read by
+    GOLDEN_T                   0.5            counterexamples
     GOLDEN_TOL                 5e-5           counterexamples (printed values)
     EXACT_TOL                  1e-12          counterexamples (exact values)
     LOGMAJ_T_GRID              0, 0.1, .., 1  log_majorization
@@ -41,10 +42,12 @@ each check has one pass rule:
     orbit.MEMBERSHIP_RESIDUAL  10, 1e-7       orbit, realization (residual)
     GRADCHECK_EPS              1e-3           gradient_check
     GRADCHECK_TOL              1e-4           gradient_check
+    LOEWNER_T_GRID             0, 0.1, .., 1  loewner (trial k at t[k % 11])
     CONJUGATION_TOL            1e-9           kostant
     UNIT_DET_TOL               1e-8           realization
     REALIZATION_R_GRID         2^-3, .., 2^1  realization (chain)
     REALIZATION_TRIPLE         (0.3, .25, .5) realization (identity laws)
+    REALIZATION_LOGMAJ_T       0.5            realization (log-majorization)
 
 A log-majorization row passes iff its worst margin is at least
 -LOGMAJ_MARGIN_TOL in log_majorization and realization, within
@@ -105,6 +108,7 @@ from .orbit import (
 from .realizations import REALIZATIONS, run_suites_on_realization
 from .sampling import random_hermitian, random_invertible, random_spd, random_unitary
 
+GOLDEN_T = 0.5
 GOLDEN_TOL = 5e-5  # half-ulp of values printed to four decimals
 EXACT_TOL = 1e-12
 LOGMAJ_T_GRID = tuple(k / 10.0 for k in range(11))
@@ -121,10 +125,12 @@ SANDWICH_TOL = 1e-10
 TRACE_GAP_TOL = 1e-10
 GRADCHECK_EPS = 1e-3
 GRADCHECK_TOL = 1e-4
+LOEWNER_T_GRID = tuple(k / 10.0 for k in range(11))
 CONJUGATION_TOL = 1e-9
 UNIT_DET_TOL = 1e-8  # |det - 1| of the exponentials of traceless inputs
 REALIZATION_R_GRID = tuple(2.0 ** k for k in range(-3, 2))
 REALIZATION_TRIPLE = (0.3, 0.25, 0.5)
+REALIZATION_LOGMAJ_T = 0.5
 
 
 @dataclass
@@ -200,35 +206,35 @@ def _golden_rows(seed, trial, n):
     b2 = SpdMatrix(np.diag([1.0, 8.0]))
     lam_b1 = eig_hermitian(b1).values
     lam_b2 = eig_hermitian(b2).values
-    yield 0.5, "inputs_log_majorized", log_majorizes(lam_b1, lam_b2), 0.0
-    s1 = geometric_mean(a, b1, 0.5)
-    s2 = geometric_mean(a, b2, 0.5)
+    yield GOLDEN_T, "inputs_log_majorized", log_majorizes(lam_b1, lam_b2), 0.0
+    s1 = geometric_mean(a, b1, GOLDEN_T)
+    s2 = geometric_mean(a, b2, GOLDEN_T)
     d1 = rel_residual(s1.mat, np.diag([4.0 * math.sqrt(2.0), 2.0]))
     d2 = rel_residual(s2.mat, np.diag([4.0, 2.0 * math.sqrt(2.0)]))
-    yield 0.5, "sharp_b1_exact", d1 <= EXACT_TOL, d1
-    yield 0.5, "sharp_b2_exact", d2 <= EXACT_TOL, d2
+    yield GOLDEN_T, "sharp_b1_exact", d1 <= EXACT_TOL, d1
+    yield GOLDEN_T, "sharp_b2_exact", d2 <= EXACT_TOL, d2
     apart = not log_majorizes(eig_hermitian(s1).values, eig_hermitian(s2).values)
-    yield 0.5, "means_not_log_majorized", apart, 0.0
+    yield GOLDEN_T, "means_not_log_majorized", apart, 0.0
 
     a = SpdMatrix([[6.0, -3.0], [-3.0, 4.0]])
     b = SpdMatrix([[4.0, -2.0], [-2.0, 5.0]])
-    sharp = geometric_mean(a, b, 0.5)
-    natural = spectral_mean(a, b, 0.5)
+    sharp = geometric_mean(a, b, GOLDEN_T)
+    natural = spectral_mean(a, b, GOLDEN_T)
     sharp_ref = np.array([[4.8990, -2.4495], [-2.4495, 4.3870]])
     natural_ref = np.array([[4.8992, -2.4896], [-2.4896, 4.4273]])
     ds = float(np.abs(sharp.mat - sharp_ref).max())
     dn = float(np.abs(natural.mat - natural_ref).max())
-    yield 0.5, "sharp_matches_print", ds <= GOLDEN_TOL, ds
-    yield 0.5, "natural_matches_print", dn <= GOLDEN_TOL, dn
+    yield GOLDEN_T, "sharp_matches_print", ds <= GOLDEN_TOL, ds
+    yield GOLDEN_T, "natural_matches_print", dn <= GOLDEN_TOL, dn
     diff = HermitianMatrix(natural.mat - sharp.mat)
     lam = eig_hermitian(diff).values
     gap = float(np.abs(np.sort(lam) - np.sort(np.array([0.0651, -0.0246]))).max())
-    yield 0.5, "difference_eigenvalues", gap <= GOLDEN_TOL, gap
-    yield 0.5, "loewner_fails", not loewner_leq(sharp, natural), 0.0
+    yield GOLDEN_T, "difference_eigenvalues", gap <= GOLDEN_TOL, gap
+    yield GOLDEN_T, "loewner_fails", not loewner_leq(sharp, natural), 0.0
     lm = log_majorization_report(
         eig_hermitian(sharp).values, eig_hermitian(natural).values
     )
-    yield 0.5, "log_majorization_holds", lm.holds, lm.worst_margin
+    yield GOLDEN_T, "log_majorization_holds", lm.holds, lm.worst_margin
 
 
 def suite_counterexample_goldens(seed: int = 0) -> SuiteResult:
@@ -447,7 +453,7 @@ def _loewner_rows(seed, trial, n):
     gbm = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     c = SpdMatrix(a.mat + 0.5 * ga @ ga.conj().T)
     d = SpdMatrix(b.mat + 0.5 * gbm @ gbm.conj().T)
-    t = (trial % 11) / 10.0
+    t = LOEWNER_T_GRID[trial % len(LOEWNER_T_GRID)]
     ok = loewner_leq(geometric_mean(a, b, t), geometric_mean(c, d, t))
     yield t, "sharp_joint_monotone", ok, 0.0
 
@@ -467,7 +473,7 @@ def _realization_rows(seed, trial, n):
     yield None, "means_identities", worst <= IDENTITY_TOL, worst
     det_err = max(abs(spd_det(a) - 1.0), abs(spd_det(b) - 1.0))
     yield None, "unit_determinant", det_err < UNIT_DET_TOL, det_err
-    lam_sharp, lam_nat = identities.pair.spectra([0.5])
+    lam_sharp, lam_nat = identities.pair.spectra([REALIZATION_LOGMAJ_T])
     margin = float(log_majorization_margins(lam_sharp, lam_nat)[0][0])
     yield None, "log_majorization", margin >= -LOGMAJ_MARGIN_TOL, margin
 

@@ -32,6 +32,7 @@ def _report(name: str, passed: bool, elapsed: float, budget: float) -> None:
 
 def test_criterion_diagonal_counterexample_goldens():
     assert suites.EXACT_TOL == 1e-12
+    assert suites.GOLDEN_T == 0.5
     budget = 1.0
     start = time.perf_counter()
     a = SpdMatrix(np.diag([16.0, 1.0]))
@@ -51,6 +52,7 @@ def test_criterion_diagonal_counterexample_goldens():
 
 def test_criterion_order_counterexample_goldens():
     assert suites.GOLDEN_TOL == 5e-5
+    assert suites.GOLDEN_T == 0.5
     budget = 1.0
     start = time.perf_counter()
     a = SpdMatrix([[6.0, -3.0], [-3.0, 4.0]])
@@ -192,12 +194,14 @@ def test_criterion_gradient_correctness():
 
 
 def test_criterion_determinism(tmp_path):
-    # verify --all also runs the kostant and realization suites, which no
-    # other criterion runs; their constants are pinned here.
+    # verify --all also runs the kostant, loewner and realization suites,
+    # which no other criterion runs; their constants are pinned here.
     assert suites.CONJUGATION_TOL == 1e-9
+    assert suites.LOEWNER_T_GRID == tuple(k / 10.0 for k in range(11))
     assert suites.UNIT_DET_TOL == 1e-8
     assert suites.REALIZATION_R_GRID == tuple(2.0 ** k for k in range(-3, 2))
     assert suites.REALIZATION_TRIPLE == (0.3, 0.25, 0.5)
+    assert suites.REALIZATION_LOGMAJ_T == 0.5
     budget = 300.0
     start = time.perf_counter()
     payloads = []

@@ -110,6 +110,12 @@ class TestVerifyCommand:
         result = runner.invoke(main, ["verify"])
         assert result.exit_code == 2
 
+    def test_suite_and_all_together_exit_2(self, runner):
+        # Neither flag wins silently: the run stops before any suite.
+        result = runner.invoke(main, ["verify", "--suite", "means", "--all"])
+        assert result.exit_code == 2
+        assert result.output == "error: choose --suite NAME or --all, not both\n"
+
     def test_report_file_schema(self, runner, tmp_path):
         out = tmp_path / "report.csv"
         result = runner.invoke(
@@ -357,7 +363,7 @@ class TestScanCommand:
         # per r, so a row whose cells are not its r's phi_below_exp_sum and
         # psi_above_exp_sum checks (looked up by name here) shows.  The
         # cumulative-log cells are a per-row cumsum of the logs.
-        from spdmeans import DEFAULT_R_GRID, random_hermitian
+        from spdmeans import DEFAULT_R_GRID, load_hermitian, random_hermitian
 
         reports = []
 
@@ -375,7 +381,11 @@ class TestScanCommand:
         args = ["scan", "--x", str(x), "--y", str(y), "--out", str(out)]
         result = runner.invoke(main, args + (["--r-grid", grid] if grid else []))
         assert result.exit_code == 1, result.output
-        scan = gtchain.scan_chain(xm, ym, (0.5,) if grid else DEFAULT_R_GRID)
+        # The reference scan reads the files the CLI read: a seeded draw
+        # carries the eigenpairs it was built from, a loaded matrix gets a
+        # fresh eigh, and the two scans differ in the last bits.
+        scan = gtchain.scan_chain(load_hermitian(x), load_hermitian(y),
+                                  (0.5,) if grid else DEFAULT_R_GRID)
         rep = reports[0]
         holds = {(gtchain.CHAIN_FAMILIES[f], r): str(h).lower()
                  for f, r, h in zip(rep.family, rep.r.tolist(), rep.holds)}

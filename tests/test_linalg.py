@@ -382,6 +382,30 @@ class TestSeededDraws:
         assert np.array_equal(eig_hermitian(drawn).vectors, eig_hermitian(expected).vectors)
         assert np.array_equal(eig_hermitian(drawn).values, eig_hermitian(expected).values)
 
+    @pytest.mark.parametrize("n", range(1, 33))
+    @pytest.mark.parametrize(
+        "sampler", ["random_hermitian", "random_real_symmetric_traceless", "random_spd"]
+    )
+    def test_draw_caches_the_pair_it_is_built_from(self, sampler, n):
+        # The cached pair is the drawn (Q, v), sorted descending, and it
+        # reassembles the draw to rounding; the draw itself is the unstacked
+        # assembly of (Q, v), bit for bit, as before the pair was kept (real
+        # symmetric draws assembled in float64, then cast).
+        seed = 700 + n
+        real = sampler == "random_real_symmetric_traceless"
+        rng, q = sampling._draw_factor(n, seed, real=real)
+        q = q.mat.real if real else q.mat
+        v = rng.uniform(-2.0, 2.0, size=n)
+        v = v - v.mean() if real else np.exp(v) if sampler == "random_spd" else v
+        drawn = getattr(sampling, sampler)(n, seed, 2.0)
+        assert np.array_equal(drawn.mat, linalg._assemble(q, v).astype(complex))
+        order = np.argsort(-v, kind="stable")
+        pair = eig_hermitian(drawn)
+        assert np.array_equal(pair.values, v[order])
+        assert np.array_equal(pair.vectors, q[:, order])
+        again = linalg._assemble(pair.vectors, pair.values)
+        assert np.abs(again - drawn.mat).max() <= 1e-14 * max(1.0, np.abs(drawn.mat).max())
+
 
 class TestSpectrum:
     def test_sort_rule_golden(self):

@@ -15,6 +15,7 @@ from spdmeans import (
     UnitaryMatrix,
     build_target,
     eig_hermitian,
+    load_hermitian,
     mat_exp,
     objective,
     random_hermitian,
@@ -22,12 +23,14 @@ from spdmeans import (
     random_real_symmetric_traceless,
     random_unitary,
     riemannian_grad,
+    save_matrix,
     solve,
     verify_membership,
 )
 from spdmeans import orbit
 from spdmeans.orbit import _gauss_newton_direction
 from spdmeans.realizations import REALIZATIONS
+from spdmeans.suites import solve_passes
 
 from orbit_stress_set import inputs as stress_inputs
 
@@ -109,6 +112,29 @@ def overflow_pair():
     |eig Y| = 760, past the exponent bound of the target's factors."""
     u = random_unitary(2, 4).mat
     return HermitianMatrix(u @ np.diag([400.0, -400.0]) @ u.conj().T), diag_h(360.0, -360.0)
+
+
+class TestSeededAndLoadedTargets:
+    # A seeded draw builds its target from the eigenpairs it was drawn from;
+    # its saved and reloaded copy, as ``orbit-solve --input`` reads it, from
+    # a fresh eigh.  The two targets agree to rounding, and both solve.
+    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("kind", orbit.TARGET_KINDS)
+    @pytest.mark.parametrize("realization", ["glc", "slr"])
+    def test_targets_agree_and_both_solve(self, tmp_path, realization, kind, n):
+        space = REALIZATIONS[realization]
+        drawn = space.sample(n, 80 + n), space.sample(n, 81 + n)
+        loaded = []
+        for k, m in enumerate(drawn):
+            save_matrix(tmp_path / f"{k}.json", m.mat)
+            loaded.append(space.project(load_hermitian(tmp_path / f"{k}.json")))
+        assert all(m._eig is None for m in loaded)
+        probs = [OrbitProblem.create(*pair, kind) for pair in (drawn, loaded)]
+        z_drawn, z_loaded = (prob.z.mat for prob in probs)
+        assert np.abs(z_drawn - z_loaded).max() <= 1e-13 * np.abs(z_drawn).max()
+        for prob in probs:
+            sol = solve(prob, seed=n, realization=realization)
+            assert solve_passes(realization, prob, sol)
 
 
 class TestBuildTargetFloatRange:

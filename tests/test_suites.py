@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 
 import spdmeans
-from spdmeans import suites
+from spdmeans import OrbitProblem, scan_chain, suites
+from spdmeans.orbit import TARGET_KINDS
+from spdmeans.realizations import REALIZATIONS
 
 # Row count and sha256 of the columns suite..status (margins left out: their
 # trailing digits move across BLAS builds) of each suite's rows in
@@ -122,6 +124,22 @@ class _DecompositionSpy:
     @property
     def repeats(self) -> int:
         return sum(self.counts.values()) - len(self.counts)
+
+
+@pytest.mark.parametrize("realization", ["glc", "slr"])
+def test_seeded_draws_are_not_decomposed_again(monkeypatch, realization):
+    # A draw carries the eigenpairs it was built from: the targets of every
+    # kind decompose nothing, and a chain scan of a fresh pair decomposes
+    # only X + Y, for e^{X+Y}.
+    sample = REALIZATIONS[realization].sample
+    x, y, x2, y2 = (sample(5, seed) for seed in range(4))
+    spy = _DecompositionSpy(monkeypatch)
+    for kind in TARGET_KINDS:
+        OrbitProblem.create(x, y, kind)
+    assert not [key for key in spy.counts if key[0] != "svd"]
+    scan_chain(x2, y2)
+    eigen = {key: count for key, count in spy.counts.items() if key[0] != "svd"}
+    assert eigen == {("eigh", (5, 5), (x2.mat + y2.mat).tobytes()): 1}
 
 
 @pytest.mark.parametrize(
