@@ -7,8 +7,9 @@ module builds on.  The decompositions are LAPACK's (``eigh``, ``eigvals``,
 identical inputs give identical outputs run to run.  Every spectral
 function Q diag(f(lambda)) Q* of the package is assembled here, by
 ``_assemble``; a Hermitian one, each seeded draw among them, by
-``HermitianMatrix._from_eigs``, which caches (Q, f(lambda)) on it, so its
-``eig_hermitian`` runs no ``eigh``.
+``HermitianMatrix._from_eig(s)``, which caches (Q, f(lambda)) on it, so its
+``eig_hermitian`` runs no ``eigh``.  ``_polar_unitary`` returns an unchecked
+array; each unitary the package returns is a validated ``UnitaryMatrix``.
 
 Each range check of the package is one function here, called with the
 caller's message and error class: ``require_spd_range`` (condition number
@@ -70,7 +71,7 @@ def _as_square_complex(mat) -> np.ndarray:
     arr = np.asarray(mat, dtype=complex)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
         raise DomainError(f"expected a square matrix, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr.view(float))):
+    if not np.isfinite(arr).all():
         raise DomainError("matrix entries must be finite")
     return arr
 
@@ -173,28 +174,33 @@ class HermitianMatrix(ComplexMatrix):
         obj._eig = None
         return obj
 
-    @classmethod
-    def _from_eig(cls, q: np.ndarray, vals: np.ndarray, *args) -> "HermitianMatrix":
-        """Internal: the one matrix of ``_from_eigs``."""
-        return cls._from_eigs(q[None], vals[None], *args)[0][0]
+    @staticmethod
+    def _check_values(desc: np.ndarray) -> None:
+        """Internal: ``_from_eig(s)``'s check of the descending values: none."""
 
     @classmethod
-    def _from_eigs(cls, q: np.ndarray, vals: np.ndarray, check=None) -> tuple:
-        """Internal: Q diag(vals) Q* for each matrix of a stack, q (m, n, n)
-        and vals (m, n), by one assembly in q's dtype cast to complex, with
-        the eigenpairs it is built from sorted and cached: (the matrices,
-        their stack, their eigenvalues descending (m, n)), both read-only.
-        ``check``, if given, sees the descending values before the assembly."""
-        order = np.argsort(-vals, axis=-1, kind="stable")
-        desc = vals[np.arange(len(vals))[:, None], order]
-        if check is not None:
-            check(desc)
+    def _from_eig(cls, q: np.ndarray, vals: np.ndarray, *args) -> "HermitianMatrix":
+        """Internal: the one matrix of ``_from_eigs``, assembled unstacked (same bits)."""
+        order = (-vals).argsort(kind="stable")
+        desc = vals[order]
+        cls._check_values(desc, *args)
+        obj = cls._wrap(_assemble(q, vals).astype(complex, copy=False))
+        return _cache_eig(obj, desc, q.take(order, -1))
+
+    @classmethod
+    def _from_eigs(cls, q: np.ndarray, vals: np.ndarray, *args) -> tuple:
+        """Internal: Q diag(vals) Q* for each matrix of a stack, q (m, n, n) and
+        vals (m, n), by one assembly in q's dtype cast to complex after
+        ``_check_values(desc, *args)``, with the pairs sorted and cached: (the
+        matrices, their stack, their descending values (m, n)), both read-only."""
+        order = (-vals).argsort(axis=-1, kind="stable")
+        desc = np.take_along_axis(vals, order, -1)
+        cls._check_values(desc, *args)
         stack = _assemble(q, vals).astype(complex, copy=False)
         stack.setflags(write=False)
         desc.setflags(write=False)
-        mats = [cls._wrap(mat) for mat in stack]
-        for obj, qi, vi, oi in zip(mats, q, desc, order):
-            _cache_eig(obj, vi, np.ascontiguousarray(qi[:, oi]))
+        mats = [_cache_eig(cls._wrap(mat), d, qi.take(oi, -1))
+                for mat, d, qi, oi in zip(stack, desc, q, order)]
         return mats, stack, desc
 
 
@@ -213,11 +219,10 @@ class SpdMatrix(HermitianMatrix):
         super().__init__(mat)
         require_spd_range(eig_hermitian(self).values, _NOT_SPD)
 
-    @classmethod
-    def _from_eigs(cls, q: np.ndarray, vals: np.ndarray, what: str = _NOT_SPD,
-                   error=DomainError) -> tuple:
-        """Internal: ``HermitianMatrix._from_eigs`` checked by ``require_spd_range``."""
-        return super()._from_eigs(q, vals, lambda desc: require_spd_range(desc, what, error))
+    @staticmethod
+    def _check_values(desc: np.ndarray, what=_NOT_SPD, error=DomainError) -> None:
+        """Internal: ``require_spd_range`` with the caller's message and error."""
+        require_spd_range(desc, what, error)
 
 
 class UnitaryMatrix(ComplexMatrix):
@@ -298,7 +303,7 @@ def eig_hermitian(m: HermitianMatrix) -> EigenPair:
     """
     if m._eig is not None:
         return m._eig
-    return _cache_eig(m, *eigh_stack(m.mat))
+    return _cache_eig(m, *eigh_stack(m.mat))._eig
 
 
 def eig_hermitian_pair(a: HermitianMatrix, b: HermitianMatrix) -> tuple:
@@ -312,13 +317,13 @@ def eig_hermitian_pair(a: HermitianMatrix, b: HermitianMatrix) -> tuple:
     return eig_hermitian(a), eig_hermitian(b)
 
 
-def _cache_eig(m: HermitianMatrix, vals: np.ndarray, qs: np.ndarray) -> EigenPair:
-    """Make the eigenvalues and eigenvectors of ``m`` read-only and cache
-    them on ``m`` as its ``EigenPair``."""
+def _cache_eig(m: HermitianMatrix, vals: np.ndarray, qs: np.ndarray) -> HermitianMatrix:
+    """Make the eigenvalues and eigenvectors of ``m`` read-only, cache them
+    on ``m`` as its ``EigenPair`` and return ``m``."""
     vals.setflags(write=False)
     qs.setflags(write=False)
     m._eig = EigenPair(vals, qs)
-    return m._eig
+    return m
 
 
 def mat_exp(m: HermitianMatrix) -> SpdMatrix:
@@ -356,12 +361,12 @@ def svd(arr: np.ndarray, vectors: bool = True):
         raise NoConvergence(f"singular value decomposition failed: {exc}") from exc
 
 
-def _polar_unitary(arr: np.ndarray) -> UnitaryMatrix:
-    """The unitary factor U = W V* of an invertible array with SVD W S V*.
-    SingularInput unless S passes ``require_spd_range``."""
+def _polar_unitary(arr: np.ndarray) -> np.ndarray:
+    """The unitary factor U = W V* of an invertible array with SVD W S V*, an
+    unchecked array.  SingularInput unless S passes ``require_spd_range``."""
     w, svals, vh = svd(arr)
     require_spd_range(svals, _SINGULAR, SingularInput)
-    return UnitaryMatrix(w @ vh)
+    return w @ vh
 
 
 def polar(m: ComplexMatrix, side: str = "left") -> tuple[UnitaryMatrix, SpdMatrix]:

@@ -238,7 +238,7 @@ def spectral_mean_unitary(a: SpdMatrix, b: SpdMatrix) -> UnitaryMatrix:
     """
     pair = _MeanPair(a, b)
     left, inner = pair.natural_factors([0.5])
-    return _polar_unitary(left[0] @ inner[0] @ _ct(pair.q))
+    return UnitaryMatrix(_polar_unitary(left[0] @ inner[0] @ _ct(pair.q)))
 
 
 def loewner_leq(a: HermitianMatrix, b: HermitianMatrix) -> bool:
@@ -389,11 +389,13 @@ class _IdentityContext:
         evaluated, at the first triple that ``evaluate`` rejects.  Each law
         is taken on (t, r, s) array axes, so a value repeated in a grid is
         evaluated once per occurrence (no caller repeats one)."""
-        for t in t_values:
-            for r in r_values:
-                for s in s_values:
-                    _check_suite_params(t, r, s)
         t, r, s = (np.array(values, dtype=float) for values in (t_values, r_values, s_values))
+        t_ok, r_ok, s_ok = ((0.0 <= v) & (v <= 1.0) for v in (t, r, s))  # _check_suite_params
+        ok = t_ok[:, None, None] & (r_ok & (r < 1.0))[:, None] & s_ok & (
+            r[:, None] + s <= 1.0 + 1e-15)
+        if ok.size:  # the scalar rule on the first failing triple, else on the first
+            i, j, k = np.unravel_index(np.argmin(ok), ok.shape)
+            _check_suite_params(t_values[i], r_values[j], s_values[k])
         laws = {
             **{name: np.asarray(val)[..., None, None] for name, val in self._t_laws(t).items()},
             **self._rs_laws(t, r, s),

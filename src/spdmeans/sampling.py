@@ -3,9 +3,9 @@
 Every sampler is a pure function of its arguments: the same (n, seed, ...)
 always yields the same matrix, which is what makes batch verification runs
 reproducible byte for byte.  All but ``random_invertible`` start from one
-seeded draw, ``_draw_factor``, whose polar unitary Q = W V*
-(``linalg._polar_unitary``) is their eigenbasis, and every Q diag(v) Q* they
-return carries its generating pair (Q, v) as its cached ``EigenPair``.
+seeded draw, ``_draw_factor``, whose polar unitary Q = W V* (an internal
+array; each unitary returned is a validated ``UnitaryMatrix``) is their
+eigenbasis, and each Q diag(v) Q* they return caches its pair (Q, v).
 """
 
 from __future__ import annotations
@@ -24,6 +24,8 @@ from .linalg import (
     svd,
 )
 
+_SPD_DRAW = f"a condition number not below {1.0 / SPD_TOL:.0e}: eigenvalues in"
+
 
 def _gaussian_complex(rng, n: int) -> np.ndarray:
     return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
@@ -38,7 +40,7 @@ def _check_scale(name: str, value: float) -> None:
 
 def _draw_factor(n: int, seed: int, real: bool = False) -> tuple:
     """The seeded generator and the polar unitary of its first Gaussian
-    draw, a complex one or, with ``real``, a real one cast to complex."""
+    draw (an array), a complex one or, with ``real``, a real one cast to complex."""
     if n < 1:
         raise ParamOutOfRange(f"dimension must be >= 1, got {n}")
     rng = np.random.default_rng(seed)
@@ -48,12 +50,12 @@ def _draw_factor(n: int, seed: int, real: bool = False) -> tuple:
 
 def random_unitary(n: int, seed: int) -> UnitaryMatrix:
     """Haar-like unitary: polar factor of a seeded complex Gaussian matrix."""
-    return _draw_factor(n, seed)[1]
+    return UnitaryMatrix(_draw_factor(n, seed)[1])
 
 
 def random_orthogonal(n: int, seed: int) -> UnitaryMatrix:
     """Random element of SO(n): polar factor of a real Gaussian, det +1."""
-    mat = _draw_factor(n, seed, real=True)[1].mat.real.copy()
+    mat = _draw_factor(n, seed, real=True)[1].real.copy()
     if np.linalg.det(mat) < 0.0:
         mat[:, 0] = -mat[:, 0]
     return UnitaryMatrix(mat.astype(complex))
@@ -71,12 +73,13 @@ def random_spd(n: int, seed: int, spread: float = 2.0) -> SpdMatrix:
     _check_scale("spread", spread)
     rng, q = _draw_factor(n, seed)
     expo = rng.uniform(-spread, spread, size=n)
-    what = f"random_spd(n={n}, seed={seed}, spread={spread}) drew"
+
+    def what(issue):  # a message, built only if its check fails
+        return lambda k: f"random_spd(n={n}, seed={seed}, spread={spread}) drew {issue}"
     # inf fails the SPD range before the assembly, an overflow the exponent check.
     with np.errstate(over="ignore", invalid="ignore"):
-        spd = SpdMatrix._from_eig(q.mat, np.exp(expo), f"{what} a condition number not "
-                                  f"below {1.0 / SPD_TOL:.0e}: eigenvalues in")
-    require_exp_range(np.abs(expo).max(), f"{what} exponents past the float range: max |u|")
+        spd = SpdMatrix._from_eig(q, np.exp(expo), what(_SPD_DRAW))
+    require_exp_range(np.abs(expo).max(), what("exponents past the float range: max |u|"))
     return spd
 
 
@@ -85,7 +88,7 @@ def random_hermitian(n: int, seed: int, scale: float = 1.0) -> HermitianMatrix:
     by scale, which keeps e^{rX} well conditioned across a chain grid."""
     _check_scale("scale", scale)
     rng, q = _draw_factor(n, seed)
-    return HermitianMatrix._from_eig(q.mat, rng.uniform(-scale, scale, size=n))
+    return HermitianMatrix._from_eig(q, rng.uniform(-scale, scale, size=n))
 
 
 def random_real_symmetric_traceless(n: int, seed: int, scale: float = 1.0) -> HermitianMatrix:
@@ -102,7 +105,7 @@ def random_real_symmetric_traceless(n: int, seed: int, scale: float = 1.0) -> He
     rng, q = _draw_factor(n, seed, real=True)
     vals = rng.uniform(-scale, scale, size=n)
     vals -= vals.mean()
-    return HermitianMatrix._from_eig(q.mat.real, vals)
+    return HermitianMatrix._from_eig(q.real, vals)
 
 
 def random_invertible(n: int, seed: int) -> ComplexMatrix:

@@ -76,6 +76,42 @@ class TestTypes:
         with pytest.raises(DomainError):
             UnitaryMatrix(np.diag([1.0, 2.0]))
 
+    # Any memory layout of an input: a transposed or conjugate-transposed
+    # view, or a Fortran-ordered copy, of a valid matrix.
+    LAYOUTS = {
+        "transposed": lambda arr: arr.T,
+        "conjugate_transposed": lambda arr: arr.conj().T,
+        "fortran": np.asfortranarray,
+    }
+
+    @staticmethod
+    def _layout_inputs():
+        return {
+            ComplexMatrix: random_invertible(3, 4).mat,
+            HermitianMatrix: random_hermitian(3, 6).mat,
+            SpdMatrix: random_spd(3, 7).mat,
+            UnitaryMatrix: sampling.random_unitary(3, 5).mat,
+        }
+
+    @pytest.mark.parametrize("layout", list(LAYOUTS))
+    @pytest.mark.parametrize("cls", [ComplexMatrix, HermitianMatrix, SpdMatrix, UnitaryMatrix])
+    def test_any_layout_is_accepted(self, cls, layout):
+        arr = self.LAYOUTS[layout](self._layout_inputs()[cls])
+        assert not arr.flags["C_CONTIGUOUS"]
+        m = cls(arr)
+        ref = cls(np.ascontiguousarray(arr))
+        assert np.array_equal(m.mat, ref.mat)
+        assert m.mat.flags["C_CONTIGUOUS"]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    @pytest.mark.parametrize("layout", list(LAYOUTS))
+    @pytest.mark.parametrize("cls", [ComplexMatrix, HermitianMatrix, SpdMatrix, UnitaryMatrix])
+    def test_non_finite_is_a_domain_error_in_any_layout(self, cls, layout, bad):
+        arr = self._layout_inputs()[cls].copy()
+        arr[1, 1] = bad
+        with pytest.raises(DomainError, match="entries must be finite"):
+            cls(self.LAYOUTS[layout](arr))
+
     def test_matrices_are_read_only(self):
         h = HermitianMatrix(np.eye(2))
         with pytest.raises(ValueError):
@@ -347,6 +383,15 @@ class TestRandomSpd:
         with pytest.raises(DomainError, match="exponents past the float range: max .u. = 734"):
             random_spd(1, 0, 800.0)
 
+    def test_messages_name_the_draw(self):
+        # Both messages are built only on failure; each names the call.
+        with pytest.raises(DomainError, match=r"^random_spd\(n=4, seed=1, spread=16.0\) drew a "
+                           r"condition number not below 1e\+12: eigenvalues in \[\d"):
+            random_spd(4, 1, 16.0)
+        with pytest.raises(DomainError, match=r"^random_spd\(n=1, seed=0, spread=800.0\) drew "
+                           r"exponents past the float range: max \|u\| = 734"):
+            random_spd(1, 0, 800.0)
+
     def test_returned_matrices_pass_the_guard(self):
         raised = 0
         for seed in range(40):
@@ -394,7 +439,7 @@ class TestSeededDraws:
         seed = 700 + n
         real = sampler == "random_real_symmetric_traceless"
         rng, q = sampling._draw_factor(n, seed, real=real)
-        q = q.mat.real if real else q.mat
+        q = q.real if real else q
         v = rng.uniform(-2.0, 2.0, size=n)
         v = v - v.mean() if real else np.exp(v) if sampler == "random_spd" else v
         drawn = getattr(sampling, sampler)(n, seed, 2.0)
@@ -405,6 +450,104 @@ class TestSeededDraws:
         assert np.array_equal(pair.vectors, q[:, order])
         again = linalg._assemble(pair.vectors, pair.values)
         assert np.abs(again - drawn.mat).max() <= 1e-14 * max(1.0, np.abs(drawn.mat).max())
+
+
+class TestFromEig:
+    """``_from_eig`` builds one matrix unstacked and ``_from_eigs`` a stack;
+    each matrix, its cached pair and its check agree bit for bit."""
+
+    @staticmethod
+    def _inputs(m, n, real, values):
+        rng = np.random.default_rng(100 * m + n + (7 if real else 0))
+        g = rng.standard_normal((m, n, n)) if real else (
+            rng.standard_normal((m, n, n)) + 1j * rng.standard_normal((m, n, n)))
+        q = np.linalg.qr(g)[0]
+        if values == "ties":
+            vals = rng.choice([0.5, 1.0, 2.0], size=(m, n))
+        elif values == "descending":
+            vals = -np.sort(-rng.uniform(0.1, 3.0, size=(m, n)), axis=-1)
+        else:
+            vals = rng.uniform(0.1, 3.0, size=(m, n))
+        return q, vals
+
+    @pytest.mark.parametrize("values", ["ties", "descending", "shuffled"])
+    @pytest.mark.parametrize("real", [False, True])
+    @pytest.mark.parametrize("m", [1, 2, 20])
+    @pytest.mark.parametrize("cls", [HermitianMatrix, SpdMatrix])
+    def test_one_matrix_equals_its_stack_entry(self, cls, m, real, values):
+        q, vals = self._inputs(m, 5, real, values)
+        mats, stack, desc = cls._from_eigs(q, vals)
+        assert not stack.flags.writeable and not desc.flags.writeable
+        for k in range(m):
+            one = cls._from_eig(q[k], vals[k])
+            assert type(one) is type(mats[k]) is cls
+            assert one.mat.dtype == mats[k].mat.dtype == complex
+            assert np.array_equal(one.mat, mats[k].mat)
+            assert np.array_equal(one.mat, stack[k])
+            for got, want in zip(eig_hermitian(one), eig_hermitian(mats[k])):
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want)
+                assert got.flags["C_CONTIGUOUS"] and not got.flags.writeable
+            assert np.array_equal(eig_hermitian(one).values, desc[k])
+            order = np.argsort(-vals[k], kind="stable")
+            assert np.array_equal(eig_hermitian(one).vectors, q[k][:, order])
+
+    @pytest.mark.parametrize("m", [1, 2, 20])
+    def test_check_runs_before_any_assembly(self, monkeypatch, m):
+        # The caller's message and error class, raised before _assemble.
+        q, vals = self._inputs(m, 4, False, "shuffled")
+        vals[-1, 0] = 1e-13 * vals[-1].max()
+        assembled = []
+        original = linalg._assemble
+
+        def spy(*args):
+            assembled.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(linalg, "_assemble", spy)
+        with pytest.raises(SingularInput, match="^stack says"):
+            SpdMatrix._from_eigs(q, vals, "stack says", SingularInput)
+        with pytest.raises(SingularInput, match="^one says"):
+            SpdMatrix._from_eig(q[-1], vals[-1], lambda k: "one says", SingularInput)
+        with pytest.raises(DomainError, match="not positive definite"):
+            SpdMatrix._from_eig(q[-1], vals[-1])
+        assert assembled == []
+        HermitianMatrix._from_eig(q[-1], vals[-1])
+        assert len(assembled) == 1
+
+    @pytest.mark.parametrize("n", range(1, 33))
+    @pytest.mark.parametrize("real", [False, True])
+    def test_draw_eigenbasis_is_unitary(self, n, real):
+        # The polar factor of each draw is an unchecked array: it is unitary
+        # to 1e-13, well inside UNITARY_TOL.
+        for seed in (1, 2, 3):
+            q = sampling._draw_factor(n, 1000 * n + seed, real=real)[1]
+            assert isinstance(q, np.ndarray) and q.dtype == complex
+            assert np.abs(q.conj().T @ q - np.eye(n)).max() <= 1e-13
+            if real:
+                assert not q.imag.any()
+
+    def test_public_unitaries_are_validated(self, monkeypatch):
+        from spdmeans import random_orthogonal, random_unitary, spectral_mean_unitary
+
+        checked = []
+        original = linalg.unitarity_error
+
+        def spy(arr):
+            checked.append(arr)
+            return original(arr)
+
+        monkeypatch.setattr(linalg, "unitarity_error", spy)
+        a, b = random_spd(4, 11), random_spd(4, 12)
+        results = [
+            random_unitary(4, 1),
+            random_orthogonal(4, 2),
+            spectral_mean_unitary(a, b),
+            polar(ComplexMatrix(a.mat @ b.mat))[0],
+        ]
+        for u in results:
+            assert type(u) is UnitaryMatrix
+            assert any(arr is u.mat for arr in checked)
 
 
 class TestSpectrum:

@@ -405,6 +405,59 @@ class TestIdentitySuite:
         with pytest.raises(ParamOutOfRange, match="need r \\+ s <= 1"):
             ctx.evaluate(0.5, 1.0, 0.0)
 
+    @pytest.mark.parametrize("grid,message", [
+        # Good triples come first; (0.2, 0.5, 0.75) is the first to fail.
+        (([0.2, 0.5], [0.0, 0.5], [0.25, 0.75]), "need r + s <= 1 and r < 1, got r = 0.5, s = 0.75"),
+        # The first triple fails on t, though its (r, s) also fails.
+        (([1.5, 0.5], [0.7], [0.7]), "t must lie in [0, 1], got 1.5"),
+        # A later bad t does not hide an earlier bad (r, s).
+        (([0.5, 1.5], [0.7], [0.7]), "need r + s <= 1 and r < 1, got r = 0.7, s = 0.7"),
+    ])
+    def test_grid_raises_at_its_first_failing_triple(self, monkeypatch, grid, message):
+        # The grid is tested as arrays; the scalar rule runs once, on the
+        # first failing triple in grid order, and raises its own message.
+        from spdmeans import means
+
+        calls = []
+        original = means._check_suite_params
+
+        def spy(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(means, "_check_suite_params", spy)
+        a = random_spd(2, 98)
+        with pytest.raises(ParamOutOfRange) as info:
+            _IdentityContext(a, a).residuals(*grid)
+        assert str(info.value) == message
+        assert len(calls) == 1
+
+    def test_grid_check_matches_the_loop(self):
+        # Reference: _check_suite_params on every triple in grid order, the
+        # loop the array test replaced; both raise the same first message.
+        from spdmeans.means import _check_suite_params
+
+        pool = (0.0, 0.1, 0.5, 0.9, 1.0, 1.0 + 1e-16, 1.5, -0.1, np.nan)
+        rng = np.random.default_rng(99)
+        a = random_spd(2, 99)
+        ctx = _IdentityContext(a, a)
+        for _ in range(200):
+            grid = [list(rng.choice(pool, size=rng.integers(1, 4))) for _ in range(3)]
+            expected = None
+            try:
+                for t in grid[0]:
+                    for r in grid[1]:
+                        for s_ in grid[2]:
+                            _check_suite_params(t, r, s_)
+            except ParamOutOfRange as exc:
+                expected = str(exc)
+            if expected is None:
+                assert ctx.residuals(*grid).shape[0] == np.prod([len(v) for v in grid])
+            else:
+                with pytest.raises(ParamOutOfRange) as info:
+                    ctx.residuals(*grid)
+                assert str(info.value) == expected
+
     def test_endpoint_parameters(self):
         a = random_spd(3, 94)
         b = random_spd(3, 95)
