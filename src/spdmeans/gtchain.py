@@ -32,7 +32,6 @@ from .linalg import (
     SpdMatrix,
     _pow,
     eig_hermitian,
-    eig_hermitian_pair,
     mat_exp,
     require_exp_range,
     require_same_dimension,
@@ -98,7 +97,7 @@ def scan_chain(
     = 27.6: past it the means' small eigenvalues are rounding), both
     before any mean is taken.
 
-    One ``eig_hermitian_pair`` of [X, Y] gives one stacked ``_MeanPair`` of
+    The eigenpairs that X and Y hold give one stacked ``_MeanPair`` of
     the roots of (e^{rX}, e^{rY}) for every r, and phi and psi get their
     eigenpairs (U, sigma^{4/r}) from one SVD U sigma W* of the two means'
     factors.
@@ -113,7 +112,7 @@ def scan_chain(
         raise ParamOutOfRange(f"r grid must be strictly increasing from MIN_R = 2^-10 = {MIN_R:g} "
                               "up: below it the chain fails from rounding alone")
     r, n, m = np.array(grid), x.n, len(grid)
-    eig_x, eig_y = eig_hermitian_pair(x, y)
+    eig_x, eig_y = eig_hermitian(x), eig_hermitian(y)
     # In exact arithmetic every exponential, product, power and e^{X+Y} of
     # the scan is bounded by e^{max(1, r) (max |lambda(X)| + max |lambda(Y)|)}.
     bound = np.maximum(1.0, r) * (np.abs(eig_x.values).max() + np.abs(eig_y.values).max())

@@ -53,7 +53,7 @@ def group_chain_report(
     elements; the returned flag is whether its verdicts equal those of the
     log-majorization comparator's ``plain_rep = evaluate_chain(scan)``,
     check for check.  On the scan's positive definite elements
-    ``hyperbolic_spectrum`` returns their cached eigenvalues bit for bit,
+    ``hyperbolic_spectrum`` returns their held eigenvalues bit for bit,
     so both reports are the same numbers and the flag cannot be False: it
     checks nothing until the moduli come from a group-native computation.
     """

@@ -7,9 +7,12 @@ module builds on.  The decompositions are LAPACK's (``eigh``, ``eigvals``,
 identical inputs give identical outputs run to run.  Every spectral
 function Q diag(f(lambda)) Q* of the package is assembled here, by
 ``_assemble``; a Hermitian one, each seeded draw among them, by
-``HermitianMatrix._from_eig(s)``, which caches (Q, f(lambda)) on it, so its
-``eig_hermitian`` runs no ``eigh``.  ``_polar_unitary`` returns an unchecked
-array; each unitary the package returns is a validated ``UnitaryMatrix``.
+``HermitianMatrix._from_eig(s)``, which keep (Q, f(lambda)) as its
+eigendecomposition.  Every ``HermitianMatrix`` is made with its
+``EigenPair``, by ``HermitianMatrix._wrap``: the pair it was assembled
+from, else one ``eigh``, so ``eig_hermitian`` only reads it.
+``_polar_unitary`` returns an unchecked array; each unitary the package
+returns is a validated ``UnitaryMatrix``.
 
 Each range check of the package is one function here, called with the
 caller's message and error class: ``require_spd_range`` (condition number
@@ -149,7 +152,10 @@ class HermitianMatrix(ComplexMatrix):
     """Hermitian matrix; construction symmetrizes to (M + M*)/2.
 
     Inputs whose asymmetry exceeds ``HERMITIAN_TOL`` relative to the largest
-    entry are rejected rather than silently repaired.
+    entry are rejected rather than silently repaired.  Every instance holds
+    its ``EigenPair`` from the moment it is made: the constructor runs
+    ``eigh_stack`` on the symmetrized input (NoConvergence if it fails),
+    ``_from_eig(s)`` keep the pairs they assemble from.
     """
 
     __slots__ = ("_eig",)
@@ -158,25 +164,29 @@ class HermitianMatrix(ComplexMatrix):
         arr = _as_square_complex(mat)
         if (err := hermitian_error(arr)) is not None:
             raise err
-        sym = _herm(arr)
-        sym.setflags(write=False)
-        self.mat = sym
-        self._eig = None
+        made = self._wrap(_herm(arr))
+        self.mat, self._eig = made.mat, made._eig
+        self._check_values(self._eig.values)
 
     @classmethod
-    def _wrap(cls, arr: np.ndarray) -> "HermitianMatrix":
-        """Internal: wrap ``arr`` as it is, unchecked, and make it read-only.
-        Precondition: ``arr == arr.conj().T`` exactly, as ``_assemble``
-        output is; symmetrize a product P = U X U* to (P + P*)/2 first."""
+    def _wrap(cls, arr: np.ndarray, pair=None) -> "HermitianMatrix":
+        """Internal: wrap ``arr`` as it is, unchecked, with its ``EigenPair``:
+        ``pair`` (descending values, matching vectors) if given, else
+        ``eigh_stack(arr)``.  The one builder of an ``EigenPair``; all three
+        arrays become read-only.  Precondition: ``arr == arr.conj().T``
+        exactly, as ``_assemble`` output is; symmetrize a product P = U X U*
+        to (P + P*)/2 first."""
+        vals, qs = eigh_stack(arr) if pair is None else pair
+        for part in (arr, vals, qs):
+            part.setflags(write=False)
         obj = object.__new__(cls)
-        arr.setflags(write=False)
         obj.mat = arr
-        obj._eig = None
+        obj._eig = EigenPair(vals, qs)
         return obj
 
     @staticmethod
     def _check_values(desc: np.ndarray) -> None:
-        """Internal: ``_from_eig(s)``'s check of the descending values: none."""
+        """Internal: the check of a new matrix's descending values: none."""
 
     @classmethod
     def _from_eig(cls, q: np.ndarray, vals: np.ndarray, *args) -> "HermitianMatrix":
@@ -184,22 +194,22 @@ class HermitianMatrix(ComplexMatrix):
         order = (-vals).argsort(kind="stable")
         desc = vals[order]
         cls._check_values(desc, *args)
-        obj = cls._wrap(_assemble(q, vals).astype(complex, copy=False))
-        return _cache_eig(obj, desc, q.take(order, -1))
+        return cls._wrap(_assemble(q, vals).astype(complex, copy=False), (desc, q.take(order, -1)))
 
     @classmethod
     def _from_eigs(cls, q: np.ndarray, vals: np.ndarray, *args) -> tuple:
         """Internal: Q diag(vals) Q* for each matrix of a stack, q (m, n, n) and
         vals (m, n), by one assembly in q's dtype cast to complex after
-        ``_check_values(desc, *args)``, with the pairs sorted and cached: (the
-        matrices, their stack, their descending values (m, n)), both read-only."""
+        ``_check_values(desc, *args)``, each matrix holding its sorted pair:
+        (the matrices, their stack, their descending values (m, n)), both
+        read-only."""
         order = (-vals).argsort(axis=-1, kind="stable")
         desc = np.take_along_axis(vals, order, -1)
         cls._check_values(desc, *args)
         stack = _assemble(q, vals).astype(complex, copy=False)
         stack.setflags(write=False)
         desc.setflags(write=False)
-        mats = [_cache_eig(cls._wrap(mat), d, qi.take(oi, -1))
+        mats = [cls._wrap(mat, (d, qi.take(oi, -1)))
                 for mat, d, qi, oi in zip(stack, desc, q, order)]
         return mats, stack, desc
 
@@ -208,16 +218,11 @@ class SpdMatrix(HermitianMatrix):
     """Hermitian positive definite matrix with condition number below 1e12.
 
     Every instance passes ``require_spd_range``, however it is made: the
-    constructor checks its input's eigenvalues and ``_from_eigs``, which
-    every other producer calls, the values it assembles.  The eigenpairs
-    are cached on the instance for later matrix functions.
+    constructor and ``_from_eig(s)``, which every other producer calls, run
+    ``_check_values`` on the descending values of each matrix they make.
     """
 
     __slots__ = ()
-
-    def __init__(self, mat):
-        super().__init__(mat)
-        require_spd_range(eig_hermitian(self).values, _NOT_SPD)
 
     @staticmethod
     def _check_values(desc: np.ndarray, what=_NOT_SPD, error=DomainError) -> None:
@@ -238,7 +243,7 @@ class UnitaryMatrix(ComplexMatrix):
 
 class EigenPair(NamedTuple):
     """Eigendecomposition of a Hermitian matrix, as two read-only arrays
-    (built only by ``_cache_eig``).
+    (built only by ``HermitianMatrix._wrap``).
 
     ``values`` are real and sorted descending (stable ties); the columns of
     ``vectors`` (real if built from a real Q) are the matching orthonormal eigenvectors.
@@ -296,34 +301,9 @@ def eigh_stack(arr: np.ndarray, vectors: bool = True):
 
 
 def eig_hermitian(m: HermitianMatrix) -> EigenPair:
-    """Eigendecomposition of a Hermitian matrix: ``eigh_stack`` on one matrix.
-
-    The result is cached on the input, so repeated calls on the same object
-    are free.
-    """
-    if m._eig is not None:
-        return m._eig
-    return _cache_eig(m, *eigh_stack(m.mat))._eig
-
-
-def eig_hermitian_pair(a: HermitianMatrix, b: HermitianMatrix) -> tuple:
-    """``(eig_hermitian(a), eig_hermitian(b))``, by one ``eigh_stack`` of the
-    stack [a, b] when neither is cached (a matrix gets the same bits in a
-    stack as alone); both results are cached on their inputs."""
-    if a._eig is None and b._eig is None:
-        vals, qs = eigh_stack(np.array([a.mat, b.mat]))
-        _cache_eig(a, vals[0], qs[0])
-        _cache_eig(b, vals[1], qs[1])
-    return eig_hermitian(a), eig_hermitian(b)
-
-
-def _cache_eig(m: HermitianMatrix, vals: np.ndarray, qs: np.ndarray) -> HermitianMatrix:
-    """Make the eigenvalues and eigenvectors of ``m`` read-only, cache them
-    on ``m`` as its ``EigenPair`` and return ``m``."""
-    vals.setflags(write=False)
-    qs.setflags(write=False)
-    m._eig = EigenPair(vals, qs)
-    return m
+    """Eigendecomposition of a Hermitian matrix: the ``EigenPair`` it was made
+    with (``eigh_stack`` of its array, unless it was assembled from one)."""
+    return m._eig
 
 
 def mat_exp(m: HermitianMatrix) -> SpdMatrix:
@@ -349,7 +329,10 @@ def mat_pow(m: SpdMatrix, t: float) -> SpdMatrix:
     if not isinstance(m, SpdMatrix):
         raise DomainError("mat_pow requires a positive definite matrix")
     pair = eig_hermitian(m)
-    return SpdMatrix._from_eig(pair.vectors, pair.values ** t)
+    # Far outside the range lambda^t can overflow; inf fails the SPD range.
+    with np.errstate(over="ignore"):
+        vals = pair.values ** t
+    return SpdMatrix._from_eig(pair.vectors, vals)
 
 
 def svd(arr: np.ndarray, vectors: bool = True):

@@ -101,8 +101,13 @@ class MajorizationReport:
 
 
 def majorization_report(x, y) -> MajorizationReport:
-    """Partial-sum margins for x < y (x majorized by y), slack ``default_tol``."""
-    partial, total_gap, tol = _margins(*_pair(x, y, 1))
+    """Partial-sum margins for x < y (x majorized by y), slack ``default_tol``;
+    DomainError for an inf or NaN entry, which would make the slack inf or
+    every comparison false."""
+    x, y = _pair(x, y, 1)
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise DomainError("majorization needs finite entries")
+    partial, total_gap, tol = _margins(x, y)
     return MajorizationReport(partial, float(total_gap), float(tol))
 
 

@@ -23,9 +23,10 @@ it at 32).  The identity laws are never used as the computation path.
 ``_MeanPair`` takes two ``SpdMatrix``, or stacks of pairs ``(..., n, n)``
 as roots (h, Q), and takes the means at every parameter of a set in one
 call; powers run on contiguous, broadcast-out operands, so a pair in a
-stack gets the same bits as alone.  An ``SpdMatrix`` starts from its cached
-eigendecomposition (a seeded draw, or ``mat_exp`` of one, caches the pair it
-is built from), which can differ from a fresh ``eigh`` in the last bits.
+stack gets the same bits as alone.  An ``SpdMatrix`` starts from the
+eigendecomposition it was made with (a seeded draw, or ``mat_exp`` of one,
+keeps the pair it is built from), which can differ from a fresh ``eigh`` in
+the last bits.
 ``_IdentityContext`` evaluates the identity laws over a whole parameter grid
 as a handful of stacked expressions.
 """
@@ -83,7 +84,7 @@ def rel_residual(lhs: np.ndarray, rhs: np.ndarray):
 
 def _root(m) -> tuple:
     """(h, Q), M = Q diag(h^2) Q*: a tuple as it is, an ``SpdMatrix`` from
-    its cached eigendecomposition."""
+    the eigendecomposition it was made with."""
     if isinstance(m, tuple):
         return m
     pair = eig_hermitian(m)
@@ -254,7 +255,7 @@ def loewner_leq(a: HermitianMatrix, b: HermitianMatrix) -> bool:
 
 
 def spd_det(m: SpdMatrix) -> float:
-    """Determinant via the cached eigenvalues."""
+    """Determinant via the eigenvalues the matrix was made with."""
     return float(np.prod(eig_hermitian(m).values))
 
 

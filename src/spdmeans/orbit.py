@@ -38,7 +38,6 @@ from .linalg import (
     UnitaryMatrix,
     _herm,
     eig_hermitian,
-    eig_hermitian_pair,
     require_exp_range,
     require_same_dimension,
     require_spd_range,
@@ -92,10 +91,9 @@ def build_target(x: HermitianMatrix, y: HermitianMatrix, kind: str) -> Hermitian
     kind='spectral':     Z = log(e^{2X} @ e^{2Y})
 
     Each product or mean is a Gram product H H*, and Z = P diag(2 log sigma)
-    P* comes from the SVD of H.  The eigenpairs of X and Y (a seeded draw's
-    cached pairs, else one ``eig_hermitian_pair``), X = Q_x D_x Q_x* and
-    Y = Q_y D_y Q_y*, gives every factor in X's eigenbasis, as diagonal
-    scalings of Q_x* Q_y, so no product of two exponentials is formed:
+    P* comes from the SVD of H.  The eigenpairs that X and Y hold, X =
+    Q_x D_x Q_x* and Y = Q_y D_y Q_y*, give every factor in X's eigenbasis,
+    as diagonal scalings of Q_x* Q_y, so no product of two exponentials is formed:
     H = Q_x (e^{D_x/2} Q_x* Q_y e^{D_y/2}) Q_y* for exp_product, and for
     the means the t = 1/2 factors of ``means._MeanPair`` for the roots
     (e^{D_x}, Q_x) of e^{2X} and (e^{D_y}, Q_y) of e^{2Y}.
@@ -111,7 +109,7 @@ def build_target(x: HermitianMatrix, y: HermitianMatrix, kind: str) -> Hermitian
     require_same_dimension(x, y)
     if kind not in TARGET_KINDS:
         raise ParamOutOfRange(f"unknown target kind {kind!r}; use one of {TARGET_KINDS}")
-    eig_x, eig_y = eig_hermitian_pair(x, y)
+    eig_x, eig_y = eig_hermitian(x), eig_hermitian(y)
     lam_x, q_x = eig_x.values, eig_x.vectors
     lam_y, q_y = eig_y.values, eig_y.vectors
     what = "the target's factors leave the float range: max |eig X| + max |eig Y|"

@@ -5,7 +5,7 @@ always yields the same matrix, which is what makes batch verification runs
 reproducible byte for byte.  All but ``random_invertible`` start from one
 seeded draw, ``_draw_factor``, whose polar unitary Q = W V* (an internal
 array; each unitary returned is a validated ``UnitaryMatrix``) is their
-eigenbasis, and each Q diag(v) Q* they return caches its pair (Q, v).
+eigenbasis, and each Q diag(v) Q* they return is made with its pair (Q, v).
 """
 
 from __future__ import annotations

@@ -434,10 +434,11 @@ def _kostant_rows(seed, trial, n):
     lam_mid = eig_hermitian(sharp).values
     scale_fix = (np.prod(lam_a) / np.prod(lam_mid)) ** (1.0 / n)
     mid = HermitianMatrix(sharp.mat * scale_fix)
-    scale_b = (np.prod(lam_a) / np.prod(lam_b)) ** (1.0 / n)
-    gb_fixed = HermitianMatrix(b.mat * scale_b)
-    if kostant_leq(mid, ga) and kostant_leq(ga, gb_fixed):
-        yield None, "transitive", kostant_leq(mid, gb_fixed), 0.0
+    if kostant_leq(mid, ga):
+        scale_b = (np.prod(lam_a) / np.prod(lam_b)) ** (1.0 / n)
+        gb_fixed = HermitianMatrix(b.mat * scale_b)
+        if kostant_leq(ga, gb_fixed):
+            yield None, "transitive", kostant_leq(mid, gb_fixed), 0.0
 
 
 def suite_kostant(trials: int = 50, seed: int = 0) -> SuiteResult:

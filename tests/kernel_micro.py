@@ -3,19 +3,31 @@
 Times, per call:
 
 - the seeded draws ``random_spd`` and ``random_hermitian``;
+- the constructors ``HermitianMatrix(arr)`` and ``SpdMatrix(arr)``, which
+  run the matrix's one ``eigh``, and ``eig_hermitian(HermitianMatrix(arr))``,
+  the constructor plus the read of its record;
 - the eigen-record assembly ``HermitianMatrix._from_eig`` (one matrix) and
   ``SpdMatrix._from_eigs`` (a stack of m = 20);
-- the LAPACK kernels ``eigh_stack`` and ``svd`` of one matrix, as controls
-  that the draw path does not touch.
+- ``mat_pow`` of an ``SpdMatrix`` at t = 0.3;
+- ``spectrum``, ``polar`` and the second ``compound`` of a general complex
+  matrix;
+- ``_MeanPair(a, b).sharps`` and ``.naturals`` over the 11 t of 0, 0.1,
+  ..., 1 (the pair's SVDs included);
+- ``log_majorization_margins`` of two (20, n) stacks;
+- ``scan_chain`` on the default r grid;
+- the Gauss-Newton direction ``orbit._gauss_newton_direction``;
+- one exp_product ``solve`` from U = V = I (n <= 8 only);
+- the LAPACK kernels ``eigh_stack`` and ``svd`` of one matrix, as controls.
 
 Each kernel's samples alternate with those of a fixed numpy reference
 kernel at the same n (the product of two fixed complex Gaussian matrices),
 so a slower or busier host shows in both and the ratio kernel / reference
 stays comparable across runs.  A sample times a batch of calls that lasts
-about 2 ms.  The script prints one JSON object: for each kernel and n the
-median and interquartile range of the per-call time in microseconds, the
-reference's, and the ratio of the two medians.  It is a measurement, not a
-test: it exits 0 whatever the timings are, and runs in a few seconds.
+about 2 ms (one call, if a call lasts longer).  The script prints one JSON
+object: for each kernel and n the median and interquartile range of the
+per-call time in microseconds, the reference's, and the ratio of the two
+medians.  It is a measurement, not a test: it exits 0 whatever the timings
+are, and runs in well under a minute.
 
 Run: PYTHONPATH=src python tests/kernel_micro.py
 """
@@ -33,11 +45,27 @@ import time  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-from spdmeans.linalg import HermitianMatrix, SpdMatrix, eigh_stack, svd  # noqa: E402
+from spdmeans.gtchain import scan_chain  # noqa: E402
+from spdmeans.linalg import (  # noqa: E402
+    ComplexMatrix,
+    HermitianMatrix,
+    SpdMatrix,
+    eig_hermitian,
+    eigh_stack,
+    mat_pow,
+    polar,
+    spectrum,
+    svd,
+)
+from spdmeans.majorization import compound, log_majorization_margins  # noqa: E402
+from spdmeans.means import _MeanPair  # noqa: E402
+from spdmeans.orbit import OrbitProblem, _gauss_newton_direction, solve  # noqa: E402
 from spdmeans.sampling import random_hermitian, random_spd  # noqa: E402
 
 SIZES = (2, 4, 8, 16, 32)
 STACK = 20
+T_GRID = np.linspace(0.0, 1.0, 11)
+MAX_SOLVE_N = 8
 SAMPLES = 31
 SAMPLE_S = 2e-3
 
@@ -53,15 +81,37 @@ def kernels(n: int) -> dict:
     q, qs = _unitaries(rng, (n, n)), _unitaries(rng, (STACK, n, n))
     vals, stack_vals = rng.uniform(-2.0, 2.0, n), np.exp(rng.uniform(-2.0, 2.0, (STACK, n)))
     herm = HermitianMatrix._from_eig(q, vals).mat.copy()
+    a, b = random_spd(n, 11), random_spd(n, 12)
+    spd = a.mat.copy()
     gauss = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return {
+    general = ComplexMatrix(gauss)
+    x, y = random_hermitian(n, 13, 0.5), random_hermitian(n, 14, 0.5)
+    lx, ly = np.exp(rng.uniform(-2.0, 2.0, (2, STACK, n)))
+    resid = herm - np.eye(n) * (np.trace(herm) / n)
+    out = {
         "random_spd": lambda: random_spd(n, 7),
         "random_hermitian": lambda: random_hermitian(n, 7),
+        "HermitianMatrix": lambda: HermitianMatrix(herm),
+        "SpdMatrix": lambda: SpdMatrix(spd),
+        "eig_hermitian(HermitianMatrix)": lambda: eig_hermitian(HermitianMatrix(herm)),
         "HermitianMatrix._from_eig": lambda: HermitianMatrix._from_eig(q, vals),
         f"SpdMatrix._from_eigs(m={STACK})": lambda: SpdMatrix._from_eigs(qs, stack_vals),
-        "eigh_stack": lambda: eigh_stack(herm),
-        "svd": lambda: svd(gauss),
+        "mat_pow": lambda: mat_pow(a, 0.3),
+        "spectrum": lambda: spectrum(general),
+        "polar": lambda: polar(general),
+        "compound(k=2)": lambda: compound(general, 2),
+        "_MeanPair.sharps(11 t)": lambda: _MeanPair(a, b).sharps(T_GRID),
+        "_MeanPair.naturals(11 t)": lambda: _MeanPair(a, b).naturals(T_GRID),
+        f"log_majorization_margins(m={STACK})": lambda: log_majorization_margins(lx, ly),
+        "scan_chain": lambda: scan_chain(x, y),
+        "_gauss_newton_direction": lambda: _gauss_newton_direction(x.mat, y.mat, resid),
     }
+    if n <= MAX_SOLVE_N:
+        prob = OrbitProblem.create(x, y, "exp_product")
+        out["solve"] = lambda: solve(prob, seed=1)
+    out["eigh_stack"] = lambda: eigh_stack(herm)
+    out["svd"] = lambda: svd(gauss)
+    return out
 
 
 def reference(n: int):

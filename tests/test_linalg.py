@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -154,11 +156,12 @@ class TestEigHermitian:
         assert np.array_equal(p1.values, p2.values)
         assert np.array_equal(p1.vectors, p2.vectors)
 
-    def test_no_convergence_signals(self, monkeypatch):
+    @pytest.mark.parametrize("cls", [HermitianMatrix, SpdMatrix])
+    def test_no_convergence_signals(self, monkeypatch, cls):
+        # The eigh runs when the matrix is made, so the constructor raises.
         monkeypatch.setattr(linalg.np.linalg, "eigh", _lapack_failure)
-        h = HermitianMatrix(rand_hermitian_array(4, 1))
         with pytest.raises(NoConvergence):
-            eig_hermitian(h)
+            cls(np.eye(4) + 0.1 * rand_hermitian_array(4, 1))
 
     def test_stacked_no_convergence_signals(self, monkeypatch):
         monkeypatch.setattr(linalg.np.linalg, "eigh", _lapack_failure)
@@ -183,21 +186,6 @@ class TestEigHermitian:
         only = linalg.eigh_stack(stack, vectors=False)
         assert np.abs(only - vals.reshape(6, 5)).max() <= 1e-12 * np.abs(only).max()
 
-    def test_pair_matches_single_decompositions_and_caches(self):
-        a = HermitianMatrix(rand_hermitian_array(5, 11))
-        b = HermitianMatrix(rand_hermitian_array(5, 12))
-        pa, pb = linalg.eig_hermitian_pair(a, b)
-        assert a._eig is pa and b._eig is pb
-        assert linalg.eig_hermitian_pair(a, b) == (pa, pb)
-        for m, pair in ((a, pa), (b, pb)):
-            alone = eig_hermitian(HermitianMatrix(m.mat))
-            assert np.array_equal(pair.values, alone.values)
-            assert np.array_equal(pair.vectors, alone.vectors)
-        # With one side cached, the other is decomposed alone.
-        c = HermitianMatrix(rand_hermitian_array(5, 13))
-        pa2, pc = linalg.eig_hermitian_pair(a, c)
-        assert pa2 is pa and c._eig is pc
-
     def test_canonical_phase(self):
         q = eig_hermitian(HermitianMatrix(rand_hermitian_array(6, 8))).vectors
         top = q[np.abs(q).argmax(axis=0), np.arange(6)]
@@ -207,13 +195,11 @@ class TestEigHermitian:
         assert np.abs(q.imag).max() == 0.0
 
     def test_values_and_vectors_are_read_only_arrays(self):
-        # A decomposition from every builder: eigh, the stacked pair, and
-        # the seeded caches of random_spd, mat_exp and polar's factor.
+        # A decomposition from every builder: eigh, and the assembled
+        # pairs of random_spd, mat_exp and polar's factor.
         h = HermitianMatrix(rand_hermitian_array(4, 3))
-        g = HermitianMatrix(rand_hermitian_array(4, 4))
         pairs = [
             eig_hermitian(HermitianMatrix(rand_hermitian_array(4, 2))),
-            *linalg.eig_hermitian_pair(h, g),
             eig_hermitian(random_spd(4, 5)),
             eig_hermitian(mat_exp(h)),
             eig_hermitian(polar(random_invertible(4, 6))[1]),
@@ -280,6 +266,19 @@ class TestMatFn:
         alone = [linalg._pow(base[k:k + 1], expo)[0] for k in range(len(base))]
         assert np.array_equal(alone, full)
         assert np.array_equal(linalg._pow(base[:, None], [expo, 1.0])[:, 0], full)
+
+    def test_pow_past_the_float_range_raises_without_warning(self):
+        # lambda^t overflows at |t| = 1000; the inf fails the SPD range, and
+        # no RuntimeWarning comes first (warnings are errors here).
+        s = random_spd(3, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for t in (1000.0, -1000.0):
+                with pytest.raises(DomainError, match=r"eigenvalue range \[0\.000e\+00, inf\]"):
+                    mat_pow(s, t)
+        # Inside the float range the message is the values' range, as ever.
+        with pytest.raises(DomainError, match=r"range \[9\.328e-104, 9\.674e\+86\]$"):
+            mat_pow(s, 200.0)
 
     def test_sqrt_is_the_half_power(self):
         s = random_spd(3, 5)
@@ -432,7 +431,7 @@ class TestSeededDraws:
         "sampler", ["random_hermitian", "random_real_symmetric_traceless", "random_spd"]
     )
     def test_draw_caches_the_pair_it_is_built_from(self, sampler, n):
-        # The cached pair is the drawn (Q, v), sorted descending, and it
+        # The held pair is the drawn (Q, v), sorted descending, and it
         # reassembles the draw to rounding; the draw itself is the unstacked
         # assembly of (Q, v), bit for bit, as before the pair was kept (real
         # symmetric draws assembled in float64, then cast).
@@ -454,7 +453,7 @@ class TestSeededDraws:
 
 class TestFromEig:
     """``_from_eig`` builds one matrix unstacked and ``_from_eigs`` a stack;
-    each matrix, its cached pair and its check agree bit for bit."""
+    each matrix, its held pair and its check agree bit for bit."""
 
     @staticmethod
     def _inputs(m, n, real, values):
@@ -648,9 +647,9 @@ class TestWrapPrecondition:
         wrapped = []
         wrap = HermitianMatrix._wrap.__func__
 
-        def spy(cls, arr):
+        def spy(cls, arr, pair=None):
             wrapped.append(arr)
-            return wrap(cls, arr)
+            return wrap(cls, arr, pair)
 
         monkeypatch.setattr(HermitianMatrix, "_wrap", classmethod(spy))
         call()
@@ -662,8 +661,53 @@ class TestWrapPrecondition:
     def test_wrap_keeps_the_array(self):
         arr = rand_hermitian_array(3, 311)
         m = HermitianMatrix._wrap(arr)
-        assert m.mat is arr and m._eig is None
-        assert not arr.flags.writeable
+        assert m.mat is arr and not arr.flags.writeable
+        for got, want in zip(m._eig, linalg.eigh_stack(arr.copy())):
+            assert np.array_equal(got, want)
+
+
+def _made_matrices() -> dict:
+    """One matrix from every way the package makes a ``HermitianMatrix`` or
+    ``SpdMatrix``, by name; the first three decompose their array with
+    ``eigh_stack``, the rest keep the pair they are assembled from."""
+    q = sampling.random_unitary(4, 320).mat
+    vals = np.array([3.0, 0.5, 2.0, 1.0])
+    qs, stack_vals = np.array([q, q]), np.array([vals, 1.0 / vals])
+    x, a = random_hermitian(4, 321), random_spd(4, 322)
+    return {
+        "HermitianMatrix": lambda: HermitianMatrix(rand_hermitian_array(4, 323)),
+        "SpdMatrix": lambda: SpdMatrix(a.mat),
+        "_wrap": lambda: HermitianMatrix._wrap(rand_hermitian_array(4, 324)),
+        "_from_eig": lambda: SpdMatrix._from_eig(q, vals),
+        "_from_eigs": lambda: SpdMatrix._from_eigs(qs, stack_vals)[0][1],
+        "mat_exp": lambda: mat_exp(x),
+        "mat_log": lambda: mat_log(a),
+        "mat_pow": lambda: mat_pow(a, 0.3),
+        "polar_factor": lambda: polar(random_invertible(4, 325))[1],
+        "random_spd": lambda: random_spd(4, 326),
+        "random_hermitian": lambda: random_hermitian(4, 327),
+        "random_real_symmetric_traceless": lambda: random_real_symmetric_traceless(4, 328),
+    }
+
+
+class TestMadeWithRecord:
+    """Every ``HermitianMatrix`` is made with its ``EigenPair``: two read-only
+    arrays, descending values whose Q diag(values) Q* is the matrix, and
+    ``eig_hermitian`` returns that record itself."""
+
+    @pytest.mark.parametrize("name", list(_made_matrices()))
+    def test_record_is_held_and_read_only(self, name):
+        m = _made_matrices()[name]()
+        pair = eig_hermitian(m)
+        assert pair is m._eig
+        for arr in pair:
+            assert type(arr) is np.ndarray and not arr.flags.writeable
+        assert np.all(np.diff(pair.values) <= 0.0)
+        rebuilt = (pair.vectors * pair.values) @ pair.vectors.conj().T
+        assert np.abs(rebuilt - m.mat).max() <= 1e-12 * max(1.0, np.abs(m.mat).max())
+        if name in ("HermitianMatrix", "SpdMatrix", "_wrap"):
+            for got, want in zip(pair, linalg.eigh_stack(m.mat)):
+                assert np.array_equal(got, want)
 
 
 class TestSamplerParams:

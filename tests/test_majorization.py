@@ -120,12 +120,14 @@ class TestLogMajorizes:
 
 
 class TestNonFiniteEntries:
-    """An infinite or NaN entry has no logarithm to compare: DomainError
-    from the one-pair predicate, its report and the stacked kernel."""
+    """An infinite or NaN entry has no logarithm to compare, and makes the
+    plain predicates' slack inf or every comparison false: DomainError from
+    the one-pair predicates, their reports and the stacked kernel."""
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     @pytest.mark.parametrize("side", ["x", "y"])
-    @pytest.mark.parametrize("fn", [log_majorizes, log_majorization_report, log_majorization_margins])
+    @pytest.mark.parametrize("fn", [majorizes, majorization_report, log_majorizes,
+                                    log_majorization_report, log_majorization_margins])
     def test_raises(self, fn, side, bad):
         good = np.array([1.0, 1.0])
         odd = np.array([bad, 1.0])

@@ -28,6 +28,7 @@ from spdmeans import (
     verify_membership,
 )
 from spdmeans import orbit
+from spdmeans.linalg import eigh_stack
 from spdmeans.orbit import _gauss_newton_direction
 from spdmeans.realizations import REALIZATIONS
 from spdmeans.suites import solve_passes
@@ -128,7 +129,9 @@ class TestSeededAndLoadedTargets:
         for k, m in enumerate(drawn):
             save_matrix(tmp_path / f"{k}.json", m.mat)
             loaded.append(space.project(load_hermitian(tmp_path / f"{k}.json")))
-        assert all(m._eig is None for m in loaded)
+        for m in loaded:
+            for got, want in zip(m._eig, eigh_stack(m.mat)):
+                assert np.array_equal(got, want)
         probs = [OrbitProblem.create(*pair, kind) for pair in (drawn, loaded)]
         z_drawn, z_loaded = (prob.z.mat for prob in probs)
         assert np.abs(z_drawn - z_loaded).max() <= 1e-13 * np.abs(z_drawn).max()
