@@ -268,20 +268,14 @@ def _canonical_phase(vecs: np.ndarray) -> None:
     vecs[rows, piv] = mod
 
 
-def eigh_stack(arr: np.ndarray, vectors: bool = True):
-    """Eigendecomposition of a stack ``(..., n, n)`` of Hermitian arrays.
-
-    The one eigen kernel: LAPACK ``eigh`` (``eigvalsh`` when ``vectors`` is
-    False) over the whole stack.  Values come back sorted descending, shape
-    ``(..., n)``; ties keep LAPACK's ascending order (stable sort).  With
-    ``vectors`` the matching eigenvector columns, shape ``(..., n, n)``,
-    carry the canonical phase of ``_canonical_phase`` and the pair
-    ``(values, vectors)`` is returned; otherwise the values alone.  Only the
-    lower triangle of each matrix is read.
-    """
+def eigh_stack(arr: np.ndarray) -> tuple:
+    """The one eigen kernel: LAPACK ``eigh`` of a stack ``(..., n, n)`` of
+    Hermitian arrays, as (values, vectors).  Values come back sorted
+    descending, shape ``(..., n)``; ties keep LAPACK's ascending order (stable
+    sort).  The matching eigenvector columns, shape ``(..., n, n)``, carry the
+    canonical phase of ``_canonical_phase``.  Only the lower triangle of each
+    matrix is read."""
     try:
-        if not vectors:
-            return np.ascontiguousarray(np.linalg.eigvalsh(arr)[..., ::-1])
         vals, q = np.linalg.eigh(arr)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"Hermitian eigendecomposition failed: {exc}") from exc
@@ -337,7 +331,7 @@ def mat_pow(m: SpdMatrix, t: float) -> SpdMatrix:
 
 def svd(arr: np.ndarray, vectors: bool = True):
     """LAPACK's SVD (W, sigma, V*) of an array, sigma descending (sigma alone
-    unless ``vectors``, as ``eigh_stack``); ``NoConvergence`` if it fails."""
+    unless ``vectors``); ``NoConvergence`` if it fails."""
     try:
         return np.linalg.svd(arr, compute_uv=vectors)
     except np.linalg.LinAlgError as exc:

@@ -46,7 +46,6 @@ from .linalg import (
     _polar_unitary,
     _pow,
     eig_hermitian,
-    eigh_stack,
     require_same_dimension,
     svd,
 )
@@ -343,10 +342,11 @@ class _IdentityContext:
         # Conjugation form: with C_t = A^{-1} # (A @_t B),
         # A @_t B = C_t A C_t and B @_t A = C_t^{-1} B C_t^{-1}.
         c_inv = _gram(*_inverse_factors(*(part[:-1] for part in c_factors)))
-        # Determinant scaling law shared by both means.
+        # Determinant scaling law shared by both means, on the products of
+        # their Gram spectra (an eigvalsh of the assembled mean loses eps cond).
         det_target = _pow(self._det_a, 1.0 - t) * _pow(self._det_b, t)
         det_scale = np.maximum(np.abs(det_target), 1e-300)
-        dets = np.prod(eigh_stack(np.stack([sharp[:-1], nat[:-1]]), vectors=False), axis=-1)
+        dets = np.prod(pair.spectra(t), axis=-1)
         natural_inverse = rel_residual(nat_inv, self.inverse.naturals(th))
         # Midpoint equation: g = A # B uniquely solves g A^{-1} g = B on SPD.
         g = sharp[-1]

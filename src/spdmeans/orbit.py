@@ -8,15 +8,18 @@ where Z is the principal logarithm of e^{X/2} e^Y e^{X/2}, of
 e^{2X} # e^{2Y}, or of e^{2X} @ e^{2Y}.  ``build_target`` writes each of
 these as a Gram product H H* of a square-root factor H and takes Z from the
 SVD of H, so Z's eigenvalues come from singular values; its range is in
-its docstring.  A zero-residual pair always exists,
-and the solver reaches it by monotone descent on the product of two unitary
-groups.  Each iteration takes one damped Gauss-Newton step: the
-minimum-norm Levenberg-Marquardt direction of the linearized residual, from
-the dual normal equations with a tiny ridge (no basis of the Lie algebra of
-K is built), retracted by the Cayley transform and halved, at most nine
-times, until f falls by a relative 1e-4.  A start whose step finds no decrease stalls, and a seeded random restart
-takes over; each restart and each start that stops by stall or budget is
-logged at DEBUG level.
+its docstring.  A zero-residual pair always exists, and the solver reaches
+it by monotone descent on the product of two unitary groups.  It carries
+the pair as one array W = [U; V] of shape (2, n, n), as ``objective``,
+``riemannian_grad`` and ``verify_membership`` do: ``_conjugates`` gives
+[A; B] = W [X; Y] W* and R = A + B - Z.  Each iteration takes one damped
+Gauss-Newton step: the minimum-norm Levenberg-Marquardt direction S of the
+linearized residual, from the dual normal equations with a tiny ridge (no
+basis of the Lie algebra of K is built), retracted to C W by the Cayley
+transform C of S and halved, at most nine times, until f falls by a
+relative 1e-4.  A start whose step finds no decrease stalls, and a seeded
+random restart takes over; each restart and each start that stops by stall
+or budget is logged at DEBUG level.
 
 The realization (``realizations.REALIZATIONS``) fixes the group K of the
 factors and the solver's arithmetic: U(n) in complex128 for 'glc', or SO(n)
@@ -36,8 +39,10 @@ from .errors import MaxIterReached, ParamOutOfRange
 from .linalg import (
     HermitianMatrix,
     UnitaryMatrix,
+    _ct,
     _herm,
     eig_hermitian,
+    eigh_stack,
     require_exp_range,
     require_same_dimension,
     require_spd_range,
@@ -161,33 +166,40 @@ class OrbitSolution:
         return self.stop_reason == "converged"
 
 
+def _stacked(u: UnitaryMatrix, v: UnitaryMatrix, prob: OrbitProblem) -> tuple:
+    """[U; V], [X; Y] and Z; DimensionMismatch unless U and V have the problem's n."""
+    for factor in (u, v):
+        require_same_dimension(factor, prob.x)
+    return np.array([u.mat, v.mat]), np.array([prob.x.mat, prob.y.mat]), prob.z.mat
+
+
+def _conjugates(w: np.ndarray, xy: np.ndarray, z: np.ndarray) -> tuple:
+    """[A; B] = W XY W* = [U X U*; V Y V*] for W = [U; V], and R = A + B - Z."""
+    ab = w @ xy @ _ct(w)
+    return ab, ab[0] + ab[1] - z
+
+
+def _fit(r: np.ndarray) -> tuple:
+    """(f, max |R|) of a residual R, f = 1/2 sum |R|^2 (entrywise sum form)."""
+    size = np.abs(r)
+    return 0.5 * float(np.sum(size ** 2)), float(size.max())
+
+
 def objective(u: UnitaryMatrix, v: UnitaryMatrix, prob: OrbitProblem) -> float:
     """f(U, V) = 1/2 ||U X U* + V Y V* - Z||_F^2 (entrywise sum form)."""
-    r = _residual_terms(u.mat, v.mat, prob.x.mat, prob.y.mat, prob.z.mat)[2]
-    return 0.5 * float(np.sum(np.abs(r) ** 2))
+    return _fit(_conjugates(*_stacked(u, v, prob))[1])[0]
 
 
-def _residual_terms(u, v, x, y, z) -> tuple:
-    """A = U X U*, B = V Y V* and the residual R = A + B - Z."""
-    a = u @ x @ u.conj().T
-    b = v @ y @ v.conj().T
-    return a, b, a + b - z
-
-
-def riemannian_grad(
-    u: UnitaryMatrix, v: UnitaryMatrix, prob: OrbitProblem
-) -> tuple[np.ndarray, np.ndarray]:
-    """Riemannian gradient (K_U, K_V) of the objective at (U, V).
+def riemannian_grad(u: UnitaryMatrix, v: UnitaryMatrix, prob: OrbitProblem) -> np.ndarray:
+    """Riemannian gradient [K_U; K_V], shape (2, n, n), of the objective at (U, V).
 
     With A = U X U*, B = V Y V*, R = A + B - Z the gradients are the
     skew-Hermitian commutators K_U = [R, A] and K_V = [R, B]; the
     directional derivative along (e^{eps K} U, V) at eps = 0 equals
     <K, K_U>_F, so descent moves U along -K_U.
     """
-    a, b, r = _residual_terms(u.mat, v.mat, prob.x.mat, prob.y.mat, prob.z.mat)
-    k_u = r @ a - a @ r
-    k_v = r @ b - b @ r
-    return k_u, k_v
+    ab, r = _conjugates(*_stacked(u, v, prob))
+    return r @ ab - ab @ r
 
 
 def _cayley(k: np.ndarray, scale: float) -> np.ndarray:
@@ -213,9 +225,9 @@ def _gauss_newton_operator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return op.reshape(n * n, n * n)
 
 
-def _gauss_newton_direction(a, b, r):
-    """Skew [S_u; S_v], shape (2, n, n), with [S_u, A] + [S_v, B] ~ -R: the
-    minimum-norm Levenberg-Marquardt step J^T (J J^T + mu I)^{-1} (-R).
+def _gauss_newton_direction(ab, r):
+    """Skew [S_u; S_v], shape (2, n, n), with [S_u, A] + [S_v, B] ~ -R, ab = [A; B]:
+    the minimum-norm Levenberg-Marquardt step J^T (J J^T + mu I)^{-1} (-R).
 
     A, B and R lie in p (g = k + p), so the adjoint of J: (S_u, S_v) ->
     [S_u, A] + [S_v, B] is H -> ([H, A], [H, B]), as [p, p] lies in k, and
@@ -223,12 +235,12 @@ def _gauss_newton_direction(a, b, r):
     n x n matrix Y, mu = _RIDGE * mean diag of the operator, and take
     S_u = [Y, A], S_v = [Y, B].  Zero if the operator is zero (A, B scalar).
     """
-    n = a.shape[0]
-    op = _gauss_newton_operator(a, b)
+    n = r.shape[0]
+    op = _gauss_newton_operator(*ab)
     diag = op.reshape(-1)[:: n * n + 1]  # a view: op is contiguous
     mu = _RIDGE * float(diag.real.mean())
     if not mu > 0.0:
-        return np.zeros((2, n, n), dtype=a.dtype)
+        return np.zeros_like(ab)
     diag += mu
     # I is in the operator's null space and [I, A] = 0: R's trace part (the
     # unreachable trace gap) would only inflate Y by 1/mu and cost digits.
@@ -237,9 +249,8 @@ def _gauss_newton_direction(a, b, r):
     y = np.linalg.solve(op, rhs).reshape(n, n)
     # Y lies in p: drop its rounding off it (i I, inflated by 1/mu, among
     # it).  Then [Y, A] = Y A - (Y A)*, exactly skew in this form.
-    y = (y + y.conj().T) / 2.0
-    yab = y @ np.array([a, b])
-    return yab - yab.conj().swapaxes(1, 2)
+    yab = _herm(y) @ ab
+    return yab - _ct(yab)
 
 
 def solve(
@@ -274,63 +285,61 @@ def solve(
     space = REALIZATIONS[realization]
     # X, Y and Z in the realization's arithmetic: their real parts in float64.
     real = np.dtype(space.dtype).kind == "f"
-    xyz = [(m.mat.real if real else m.mat).astype(space.dtype) for m in (prob.x, prob.y, prob.z)]
+    xyz = np.array([m.mat.real if real else m.mat for m in (prob.x, prob.y, prob.z)], space.dtype)
 
-    def at(u, v):
-        """The iterate (U, V, A, B, R, f, max |R|) at the factors (U, V)."""
-        a, b, r = _residual_terms(u, v, *xyz)
-        return u, v, a, b, r, 0.5 * float(np.sum(np.abs(r) ** 2)), float(np.abs(r).max())
+    def at(w):
+        """The iterate (W, [A; B], R, f, max |R|) at the factor pair W = [U; V]."""
+        ab, r = _conjugates(w, xyz[:2], xyz[2])
+        return (w, ab, r, *_fit(r))
 
     best = None
     iterations = gauss_newton_steps = 0
     for restart in range(MAX_RESTARTS + 1):
         if restart == 0:
-            u, v = np.eye(n, dtype=space.dtype), np.eye(n, dtype=space.dtype)
+            w = np.array([np.eye(n, dtype=space.dtype)] * 2)
         else:
             base = seed * 8191 + restart * 2
-            u, v = space.random_factor(n, base), space.random_factor(n, base + 1)
-        u, v, a, b, r, f, resid = at(u, v)
+            w = np.array([space.random_factor(n, base), space.random_factor(n, base + 1)])
+        w, ab, r, f, resid = at(w)
         if restart:
             logger.debug("restart %d from f %.3e, residual %.3e", restart, f, resid)
         trace = [f]
         if on_iterate is not None:
-            on_iterate(u, v, f)
+            on_iterate(*w, f)
         stop_reason = "budget"
         while iterations < max_iter and resid > tol:
             iterations += 1
-            # Retract to (C_u U, C_v V), [C_u; C_v] = _cayley(S, -damp), for
-            # the Gauss-Newton direction S, and take the first damping in
-            # _DAMPING with f' <= (1 - _DECREASE) f.
-            s = _gauss_newton_direction(a, b, r)
+            # Retract to _cayley(S, -damp) W for the Gauss-Newton direction S,
+            # and take the first damping in _DAMPING with f' <= (1 - _DECREASE) f.
+            s = _gauss_newton_direction(ab, r)
             found = None
             if float(np.abs(s).max()) > 0.0:
                 for damp in _DAMPING:
-                    e = _cayley(s, -damp)
-                    trial = at(e[0] @ u, e[1] @ v)
-                    if trial[5] <= f * (1.0 - _DECREASE):
+                    trial = at(_cayley(s, -damp) @ w)
+                    if trial[3] <= f * (1.0 - _DECREASE):
                         found = trial
                         break
             if found is not None:
                 gauss_newton_steps += 1
-                u, v, a, b, r, f, resid = found
+                w, ab, r, f, resid = found
             trace.append(f)
             if on_iterate is not None:
-                on_iterate(u, v, f)
+                on_iterate(*w, f)
             if found is None:
                 stop_reason = "stall"
                 break
         if resid <= tol:
-            best, stop_reason = (u, v, f, resid, trace), "converged"
+            best, stop_reason = (w, f, resid, trace), "converged"
             break
-        if best is None or f < best[2]:
-            best = (u, v, f, resid, trace)
+        if best is None or f < best[1]:
+            best = (w, f, resid, trace)
         logger.debug("start %d stopped (%s) at f %.3e, residual %.3e after %d "
                      "iterations", restart, stop_reason, f, resid, iterations)
         if iterations >= max_iter:
             break
 
-    u, v, _, resid, trace = best
-    sol = OrbitSolution(UnitaryMatrix(u), UnitaryMatrix(v), residual=resid,
+    w, _, resid, trace = best
+    sol = OrbitSolution(UnitaryMatrix(w[0]), UnitaryMatrix(w[1]), residual=resid,
                         iterations=iterations, objective_trace=trace, restarts=restart,
                         stop_reason=stop_reason, gauss_newton_steps=gauss_newton_steps)
     if sol.converged:
@@ -345,18 +354,13 @@ def verify_membership(sol: OrbitSolution, prob: OrbitProblem) -> bool:
     True iff U and V are unitary, the orbit-sum equation holds to
     MEMBERSHIP_RESIDUAL's factor times the reported residual or to its
     floor, and lambda(U X U*) = lambda(X), lambda(V Y V*) = lambda(Y)
-    within MEMBERSHIP_TOL.
+    within MEMBERSHIP_TOL.  DimensionMismatch for a solution of another n.
     """
-    u, v = sol.u.mat, sol.v.mat
-    if any(unitarity_error(w) is not None for w in (u, v)):
-        return False
-    a, b, r = _residual_terms(u, v, prob.x.mat, prob.y.mat, prob.z.mat)
+    w, xy, z = _stacked(sol.u, sol.v, prob)
+    ab, r = _conjugates(w, xy, z)
     factor, floor = MEMBERSHIP_RESIDUAL
-    if float(np.abs(r).max()) > max(factor * sol.residual, floor):
+    if unitarity_error(w) is not None or _fit(r)[1] > max(factor * sol.residual, floor):
         return False
-    for m, conj in ((prob.x, a), (prob.y, b)):
-        lam = eig_hermitian(m).values
-        drift = np.abs(eig_hermitian(HermitianMatrix._wrap(_herm(conj))).values - lam).max()
-        if not drift <= MEMBERSHIP_TOL * (1.0 + float(np.abs(lam).max())):
-            return False
-    return True
+    lam = np.array([eig_hermitian(m).values for m in (prob.x, prob.y)])
+    drift = np.abs(eigh_stack(_herm(ab))[0] - lam).max(axis=-1)
+    return bool(np.all(drift <= MEMBERSHIP_TOL * (1.0 + np.abs(lam).max(axis=-1))))

@@ -15,8 +15,11 @@ Times, per call:
   ..., 1 (the pair's SVDs included);
 - ``log_majorization_margins`` of two (20, n) stacks;
 - ``scan_chain`` on the default r grid;
-- the Gauss-Newton direction ``orbit._gauss_newton_direction``;
-- one exp_product ``solve`` from U = V = I (n <= 8 only);
+- the orbit solver's kernels on a stacked factor pair W = [U; V]: one
+  iterate's conjugates and residual ``orbit._conjugates``, the Gauss-Newton
+  direction ``orbit._gauss_newton_direction`` and the Cayley retraction
+  ``orbit._cayley(S, -1/2) @ W`` of that direction;
+- one exp_product ``solve`` from U = V = I;
 - the LAPACK kernels ``eigh_stack`` and ``svd`` of one matrix, as controls.
 
 Each kernel's samples alternate with those of a fixed numpy reference
@@ -27,7 +30,8 @@ about 2 ms (one call, if a call lasts longer).  The script prints one JSON
 object: for each kernel and n the median and interquartile range of the
 per-call time in microseconds, the reference's, and the ratio of the two
 medians.  It is a measurement, not a test: it exits 0 whatever the timings
-are, and runs in well under a minute.
+are, and runs in under a minute (about 32 s on a 2-core x86-64 host, a
+third of it the n = 32 solve at about 0.3 s a call).
 
 Run: PYTHONPATH=src python tests/kernel_micro.py
 """
@@ -59,13 +63,18 @@ from spdmeans.linalg import (  # noqa: E402
 )
 from spdmeans.majorization import compound, log_majorization_margins  # noqa: E402
 from spdmeans.means import _MeanPair  # noqa: E402
-from spdmeans.orbit import OrbitProblem, _gauss_newton_direction, solve  # noqa: E402
+from spdmeans.orbit import (  # noqa: E402
+    OrbitProblem,
+    _cayley,
+    _conjugates,
+    _gauss_newton_direction,
+    solve,
+)
 from spdmeans.sampling import random_hermitian, random_spd  # noqa: E402
 
 SIZES = (2, 4, 8, 16, 32)
 STACK = 20
 T_GRID = np.linspace(0.0, 1.0, 11)
-MAX_SOLVE_N = 8
 SAMPLES = 31
 SAMPLE_S = 2e-3
 
@@ -88,7 +97,10 @@ def kernels(n: int) -> dict:
     x, y = random_hermitian(n, 13, 0.5), random_hermitian(n, 14, 0.5)
     lx, ly = np.exp(rng.uniform(-2.0, 2.0, (2, STACK, n)))
     resid = herm - np.eye(n) * (np.trace(herm) / n)
-    out = {
+    w, xy = _unitaries(rng, (2, n, n)), np.array([x.mat, y.mat])
+    step = _gauss_newton_direction(xy, resid)
+    prob = OrbitProblem.create(x, y, "exp_product")
+    return {
         "random_spd": lambda: random_spd(n, 7),
         "random_hermitian": lambda: random_hermitian(n, 7),
         "HermitianMatrix": lambda: HermitianMatrix(herm),
@@ -104,14 +116,13 @@ def kernels(n: int) -> dict:
         "_MeanPair.naturals(11 t)": lambda: _MeanPair(a, b).naturals(T_GRID),
         f"log_majorization_margins(m={STACK})": lambda: log_majorization_margins(lx, ly),
         "scan_chain": lambda: scan_chain(x, y),
-        "_gauss_newton_direction": lambda: _gauss_newton_direction(x.mat, y.mat, resid),
+        "_conjugates": lambda: _conjugates(w, xy, herm),
+        "_gauss_newton_direction": lambda: _gauss_newton_direction(xy, resid),
+        "_cayley(S, -1/2) @ W": lambda: _cayley(step, -0.5) @ w,
+        "solve": lambda: solve(prob, seed=1),
+        "eigh_stack": lambda: eigh_stack(herm),
+        "svd": lambda: svd(gauss),
     }
-    if n <= MAX_SOLVE_N:
-        prob = OrbitProblem.create(x, y, "exp_product")
-        out["solve"] = lambda: solve(prob, seed=1)
-    out["eigh_stack"] = lambda: eigh_stack(herm)
-    out["svd"] = lambda: svd(gauss)
-    return out
 
 
 def reference(n: int):

@@ -165,12 +165,9 @@ class TestEigHermitian:
 
     def test_stacked_no_convergence_signals(self, monkeypatch):
         monkeypatch.setattr(linalg.np.linalg, "eigh", _lapack_failure)
-        monkeypatch.setattr(linalg.np.linalg, "eigvalsh", _lapack_failure)
         stack = np.stack([rand_hermitian_array(4, seed) for seed in range(3)])
         with pytest.raises(NoConvergence):
             linalg.eigh_stack(stack)
-        with pytest.raises(NoConvergence):
-            linalg.eigh_stack(stack, vectors=False)
 
     def test_stack_matches_single_decompositions(self):
         mats = [rand_hermitian_array(5, seed) for seed in range(6)]
@@ -183,8 +180,6 @@ class TestEigHermitian:
             pair = eig_hermitian(HermitianMatrix(m))
             assert np.array_equal(vals.reshape(6, 5)[k], pair.values)
             assert np.array_equal(q.reshape(6, 5, 5)[k], pair.vectors)
-        only = linalg.eigh_stack(stack, vectors=False)
-        assert np.abs(only - vals.reshape(6, 5)).max() <= 1e-12 * np.abs(only).max()
 
     def test_canonical_phase(self):
         q = eig_hermitian(HermitianMatrix(rand_hermitian_array(6, 8))).vectors
@@ -898,7 +893,8 @@ class TestRangePolicy:
         sol = solve(prob)
         outcomes = self._spy(monkeypatch, "unitarity_error")
         assert verify_membership(sol, prob)
-        assert outcomes == [None, None]
+        # One verdict on the stacked pair [U; V].
+        assert outcomes == [None]
 
     def test_hermitian_one_verdict(self, monkeypatch):
         outcomes = self._spy(monkeypatch, "hermitian_error")

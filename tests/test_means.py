@@ -335,6 +335,16 @@ class TestIdentitySuite:
         rep = _IdentityContext(a, b).evaluate(0.3, 0.25, 0.5)
         assert max(rep.values()) <= IDENTITY_TOL, rep
 
+    def test_determinant_laws_hold_across_the_accepted_range(self):
+        # Spread 13.5: cond(A) = 4.1e11, inside the SpdMatrix range.  The
+        # eigenvalues of the assembled means lose about eps cond, so their
+        # products missed det(A)^{1-t} det(B)^t by up to 1.1e-5 here; the
+        # squared singular values of the Gram factors miss it by 1.3e-11.
+        a, b = random_spd(5, 5036, 13.5), random_spd(5, 5037, 13.5)
+        table = _IdentityContext(a, b).residuals(*IDENTITY_GRIDS)
+        for name in ("sharp_determinant", "natural_determinant"):
+            assert table[:, IDENTITY_NAMES.index(name)].max() <= IDENTITY_TOL, name
+
     def test_grid_skips_invalid_triples(self):
         # The grid skips no triple: r=0.8,s=0.5 exceeds r+s<=1 and raises
         # the message evaluate gives, before r=1.0 is reached.

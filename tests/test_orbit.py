@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import logging
 import warnings
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from spdmeans import (
+    DimensionMismatch,
     DomainError,
     HermitianMatrix,
     MaxIterReached,
@@ -29,7 +31,7 @@ from spdmeans import (
 )
 from spdmeans import orbit
 from spdmeans.linalg import eigh_stack
-from spdmeans.orbit import _gauss_newton_direction
+from spdmeans.orbit import _conjugates, _gauss_newton_direction
 from spdmeans.realizations import REALIZATIONS
 from spdmeans.suites import solve_passes
 
@@ -274,6 +276,34 @@ class TestObjectiveAndGradient:
             inner = float(np.real(np.sum(np.conj(k) * k_u)))
             assert abs(fd - inner) <= 1e-4 * max(abs(inner), 1e-300)
 
+    def test_gradient_unpacks_into_the_commutators(self):
+        # The stacked [K_U; K_V] unpacks into [R, A] and [R, B], bit for bit
+        # the per-factor commutators.
+        x, y = random_hermitian(4, 31, 1.0), random_hermitian(4, 32, 1.0)
+        prob = OrbitProblem.create(x, y, "spectral")
+        u, v = random_unitary(4, 33), random_unitary(4, 34)
+        k_u, k_v = riemannian_grad(u, v, prob)
+        a = u.mat @ x.mat @ u.mat.conj().T
+        b = v.mat @ y.mat @ v.mat.conj().T
+        r = a + b - prob.z.mat
+        assert np.array_equal(k_u, r @ a - a @ r)
+        assert np.array_equal(k_v, r @ b - b @ r)
+
+    @pytest.mark.parametrize("entry", ["objective", "riemannian_grad", "verify_membership"])
+    def test_factor_of_another_dimension_raises(self, entry):
+        prob = OrbitProblem.create(random_hermitian(3, 41), random_hermitian(3, 42), "exp_product")
+        other = random_unitary(4, 1)
+        if entry == "verify_membership":
+            sol = solve(OrbitProblem.create(random_hermitian(4, 43), random_hermitian(4, 44),
+                                            "exp_product"))
+            with pytest.raises(DimensionMismatch):
+                verify_membership(sol, prob)
+            return
+        call = objective if entry == "objective" else riemannian_grad
+        for u, v in ((other, other), (other, random_unitary(3, 2)), (random_unitary(3, 2), other)):
+            with pytest.raises(DimensionMismatch):
+                call(u, v, prob)
+
 
 class TestSolve:
     def test_commuting_zero_iterations(self):
@@ -481,21 +511,16 @@ class TestVerifyMembership:
         sol = solve(prob)
         assert verify_membership(sol, prob)
 
-    def test_perturbed_factor_fails(self):
+    @pytest.mark.parametrize("factor", ["u", "v"])
+    def test_perturbed_factor_fails(self, factor):
         x = random_hermitian(3, 71, 1.0)
         y = random_hermitian(3, 72, 1.0)
         prob = OrbitProblem.create(x, y, "exp_product")
         sol = solve(prob)
-        bad = sol.u.mat.copy()
-        bad[0, 0] += 1e-3
-        fake = type(sol)(
-            u=UnitaryMatrix.__new__(UnitaryMatrix),
-            v=sol.v,
-            residual=sol.residual,
-            iterations=sol.iterations,
-            objective_trace=sol.objective_trace,
-        )
-        fake.u.mat = bad
+        bad = UnitaryMatrix.__new__(UnitaryMatrix)
+        bad.mat = getattr(sol, factor).mat.copy()
+        bad.mat[0, 0] += 1e-3
+        fake = dataclasses.replace(sol, **{factor: bad})
         assert not verify_membership(fake, prob)
 
 
@@ -572,7 +597,7 @@ class TestGaussNewtonJacobian:
     def test_direction_is_skew(self, n, realization):
         for trial in range(3):
             a, b, r = _random_linearization(n, realization, 9200 + 10 * n + trial)
-            for s in _gauss_newton_direction(a, b, r):
+            for s in _gauss_newton_direction(np.array([a, b]), r):
                 assert np.abs(s + s.conj().T).max() <= 1e-13 * np.abs(s).max()
                 if realization == "slr":
                     assert not s.imag.any()
@@ -590,7 +615,7 @@ class TestGaussNewtonJacobian:
             want = _least_squares_direction(a, b, r, basis)
             scale = max(np.abs(w).max() for w in want)
             for gap in (0.0, 1e-3):
-                got = _gauss_newton_direction(a, b, r + gap * np.eye(n))
+                got = _gauss_newton_direction(np.array([a, b]), r + gap * np.eye(n))
                 for g, w in zip(got, want):
                     assert np.abs(g - w).max() <= 1e-9 * scale
 
@@ -609,7 +634,7 @@ class TestGaussNewtonJacobian:
         for trial, kind in enumerate(("exp_product", "geometric", "spectral")):
             a, b, r = _random_linearization(n, realization, 9500 + 10 * n + trial, kind)
             best = linearized(*_least_squares_direction(a, b, r, basis), a, b, r)
-            got = linearized(*_gauss_newton_direction(a, b, r), a, b, r)
+            got = linearized(*_gauss_newton_direction(np.array([a, b]), r), a, b, r)
             assert got <= best + 1e-9 * np.linalg.norm(r)
 
     @pytest.mark.parametrize("realization,n", [("glc", 1), ("glc", 3), ("slr", 1), ("slr", 3)])
@@ -623,10 +648,43 @@ class TestGaussNewtonJacobian:
         r = random_real_symmetric_traceless(n, 17).mat.real.astype(dtype)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            s_u, s_v = _gauss_newton_direction(a, b, r)
+            s_u, s_v = _gauss_newton_direction(np.array([a, b]), r)
         assert s_u.shape == s_v.shape == (n, n)
         assert s_u.dtype == s_v.dtype == dtype
         assert not s_u.any() and not s_v.any()
+
+
+class TestStackedFactorPair:
+    """The solver carries W = [U; V] as one (2, n, n) array; each stacked
+    product gets the bits of the per-factor products it stands for."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("realization", ["glc", "slr"])
+    def test_conjugates_match_the_per_factor_products(self, realization, n):
+        space = REALIZATIONS[realization]
+        u, v = space.random_factor(n, 10 * n), space.random_factor(n, 10 * n + 1)
+        mats = [space.sample(n, 10 * n + k, 1.0).mat for k in (2, 3, 4)]
+        x, y, z = (m.real if realization == "slr" else m for m in mats)
+        ab, r = _conjugates(np.array([u, v]), np.array([x, y]), z)
+        a, b = u @ x @ u.conj().T, v @ y @ v.conj().T
+        assert ab.dtype == space.dtype
+        assert np.array_equal(ab[0], a) and np.array_equal(ab[1], b)
+        assert np.array_equal(r, a + b - z)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("realization", ["glc", "slr"])
+    def test_stacked_retraction_matches_the_per_factor_products(self, realization, n):
+        space = REALIZATIONS[realization]
+        w = np.array([space.random_factor(n, 20 * n), space.random_factor(n, 20 * n + 1)])
+        g = np.random.default_rng(n).standard_normal((2, n, n)).astype(space.dtype)
+        if realization == "glc":
+            g = g + 1j * np.random.default_rng(n + 100).standard_normal((2, n, n))
+        s = (g - g.conj().swapaxes(1, 2)) / 2.0
+        for damp in (1.0, 2.0 ** -9):
+            e = orbit._cayley(s, -damp)
+            got = e @ w
+            assert got.dtype == space.dtype
+            assert np.array_equal(got[0], e[0] @ w[0]) and np.array_equal(got[1], e[1] @ w[1])
 
 
 def _exp_neg(k, scale):
@@ -656,7 +714,7 @@ class TestCayleyRetraction:
     @pytest.mark.parametrize("n", [2, 3, 5, 8])
     def test_slr_trial_factor_is_real_with_unit_determinant(self, n):
         a, b, r = (m.real for m in _random_linearization(n, "slr", 9700 + n))
-        s = _gauss_newton_direction(a, b, r)
+        s = _gauss_newton_direction(np.array([a, b]), r)
         for damp in (1.0, 0.5, 2.0 ** -9):
             e = orbit._cayley(s, -damp)
             assert e.dtype == np.float64

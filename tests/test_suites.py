@@ -125,8 +125,13 @@ class _DecompositionSpy:
         return spy
 
     @property
+    def matrices(self) -> int:
+        """The matrices decomposed, each member of a stack apart."""
+        return sum(self.counts.values())
+
+    @property
     def repeats(self) -> int:
-        return sum(self.counts.values()) - len(self.counts)
+        return self.matrices - len(self.counts)
 
 
 @pytest.mark.parametrize("realization", ["glc", "slr"])
@@ -163,20 +168,26 @@ def test_no_matrix_decomposed_twice(monkeypatch, run):
 
 
 def test_verify_all_seed_42_lapack_calls(monkeypatch):
-    # The LAPACK calls of one ``verify --all --seed 42`` pass: a record
-    # decomposed again, or a draw made without its pair, moves them.
+    # The LAPACK calls of one ``verify --all --seed 42`` pass and the
+    # matrices they decompose: a record decomposed again, or a draw made
+    # without its pair, moves both; a stacked call in place of separate ones
+    # on the same matrices moves only the calls.
     spy = _DecompositionSpy(monkeypatch)
     for name in suites.ALL_SUITES:
         suites.run_suite(name, seed=42, trials=25)
-    assert spy.calls == {"eigh": 366, "eigvalsh": 34, "svd": 1910}
+    assert spy.calls == {"eigh": 327, "svd": 1944}
+    assert spy.matrices == 5599
 
 
 def test_mean_identities_repeats_pinned(monkeypatch):
-    # The one repeat: the row t = 1/2 of the t grid is the appended
-    # parameter-free row, so its link to A^{-1} takes the same SVD twice.
+    # The row t = 1/2 of the t grid is the appended parameter-free row, so
+    # its link to A^{-1} takes the same SVD twice.  The t and r grids share
+    # 0, 0.25 and 0.5, so the values-only SVDs of the determinant laws' Gram
+    # spectra repeat the three metric and three spectral factors whose full
+    # SVD the chain laws take: 1 + 6 repeats.
     spy = _DecompositionSpy(monkeypatch)
     suites.suite_mean_identities(trials=1)
-    assert spy.repeats == 1
+    assert spy.repeats == 7
 
 
 def test_gradient_check_near_stationary_row():
