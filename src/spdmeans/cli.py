@@ -9,7 +9,7 @@ Exit codes: 0 all checks passed, 1 a mathematical property failed beyond
 tolerance, 2 bad input or configuration.  An output path that cannot be
 written exits 2, after the work is done.  A data error outranks a failed
 property (exit 2, not 1): one boundary on the command group turns every
-library, file or value error into one ``error:`` line on stderr and exit 2.
+library, file, value or memory error into one ``error:`` line, exit 2.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .means import geometric_mean, spectral_mean
 from .orbit import MAX_ITER, ORBIT_TOL, OrbitProblem, solve
 from .realizations import REALIZATIONS
 
-DATA_ERRORS = (SpdMeansError, OSError, ValueError)
+DATA_ERRORS = (SpdMeansError, OSError, ValueError, MemoryError)
 
 
 def _fail_data(message: str):
@@ -122,8 +122,9 @@ def scan(x_path, y_path, r_grid, out):
         + ["tr_phi", "tr_psi", "tr_exp_sum", "phi_below_exp", "psi_above_exp"]
     )
     m = len(chain.r_grid)
-    spectra = np.stack([chain.phi_spectra, chain.psi_spectra], axis=1)
-    values = np.hstack([np.cumsum(np.log(spectra), axis=-1).reshape(m, 2 * n), chain.traces])
+    per_r = np.arange(m)[:, None] + [0, m]  # the operands phi(r), psi(r)
+    cumlogs = np.cumsum(np.log(chain.spectra[per_r]), axis=-1).reshape(m, 2 * n)
+    values = np.hstack([cumlogs, chain.traces[per_r], np.full((m, 1), chain.traces[-1])])
     # The first 2R checks are phi below and psi above e^{X+Y}, two per r.
     verdicts = np.where(report.holds[: 2 * m], "true", "false").reshape(m, 2)
     lines = ["# spdmeans-scan v1", ",".join(header)]
@@ -236,9 +237,10 @@ def orbit_solve(kind, input_paths, n, seed, tol, max_iter, realization, out, tra
     _write_text(json.dumps(payload, indent=2) + "\n", out)
     if trace_csv:
         with open(trace_csv, "w", newline="") as fh:
-            fh.write("# spdmeans-objective-trace v1\niteration,objective\n")
+            # 17 significant digits: each f reads back to its float64 bits.
+            fh.write("# spdmeans-objective-trace v2\niteration,objective\n")
             for k, val in enumerate(sol.objective_trace):
-                fh.write(f"{k},{val:.12e}\n")
+                fh.write(f"{k},{val:.16e}\n")
     sys.exit(0 if converged else 1)
 
 

@@ -8,16 +8,15 @@ For Hermitian X, Y and r > 0 the two chain functions
 bracket e^{X+Y} in log-majorization: phi decreases and psi increases in r,
 both tend to e^{X+Y} as r -> 0, and their traces sandwich tr e^{X+Y}.
 ``scan_chain`` evaluates both on a whole r grid (r >= ``MIN_R``) in one
-stacked pass into a ``ChainScan``: the matrices, their spectra stacked
-(R, n) and the traces (R, 3).  ``phi``, ``psi`` and
-``refinement_from_scan`` read from a scan; ``evaluate_chain`` turns a scan
-into a ``ChainReport``, the family, r, margin and tolerance of every check
-as four aligned arrays: the checks laid out once by ``_chain_layout``,
-their log-majorization margins from one stacked reduction.  phi, psi,
-e^{X+Y} and e^X, e^Y are ``SpdMatrix`` objects, and every ``SpdMatrix``
-has condition number below 1e12, else DomainError; so must e^{rX} and
-e^{rY} at each r of a scan, else DomainError naming the first of them and
-its r.
+stacked pass into a ``ChainScan``, its 2R + 1 operands held once as
+stacks.  ``phi``, ``psi`` and ``refinement_from_scan`` read from a scan;
+``evaluate_chain`` turns a scan into a ``ChainReport``, the family, r,
+margin and tolerance of every check as four aligned arrays: the checks
+laid out once by ``_chain_layout`` as operand indices, their
+log-majorization margins from one stacked reduction.  An operand is an
+``SpdMatrix`` only where it is read, and every ``SpdMatrix`` has condition
+number below 1e12, else DomainError; so must e^{rX} and e^{rY} at each r
+of a scan, else DomainError naming the first of them and its r.
 """
 
 from __future__ import annotations
@@ -59,30 +58,31 @@ def _check_xy(x: HermitianMatrix, y: HermitianMatrix) -> None:
 
 def phi(x: HermitianMatrix, y: HermitianMatrix, r: float) -> SpdMatrix:
     """(e^{rX} # e^{rY})^{2/r} for r >= MIN_R, from the one-point scan."""
-    return scan_chain(x, y, (r,)).phi_mats[0]
+    return scan_chain(x, y, (r,)).element(0)
 
 
 def psi(x: HermitianMatrix, y: HermitianMatrix, r: float) -> SpdMatrix:
     """(e^{rX} @ e^{rY})^{2/r} for r >= MIN_R, from the one-point scan."""
-    return scan_chain(x, y, (r,)).psi_mats[0]
+    return scan_chain(x, y, (r,)).element(1)
 
 
 @dataclass
 class ChainScan:
-    """phi/psi matrices over an increasing r grid, their spectra stacked
-    (R, n), the spectrum of e^{X+Y} and the traces (R, 3), whose columns
-    are (tr phi, tr psi, tr e^{X+Y})."""
+    """phi at each r of an increasing grid, psi at each r, then e^{X+Y}: the
+    2R + 1 operands of ``_chain_layout``, operand k as ``mats[k]``, its
+    descending ``spectra[k]`` and ``vectors[k]`` and ``traces[k]``, all read-only."""
 
     x: HermitianMatrix
     y: HermitianMatrix
     r_grid: tuple
-    exp_sum: SpdMatrix
-    phi_mats: list
-    psi_mats: list
-    phi_spectra: np.ndarray
-    psi_spectra: np.ndarray
-    exp_sum_spectrum: np.ndarray
+    mats: np.ndarray
+    spectra: np.ndarray
+    vectors: np.ndarray
     traces: np.ndarray
+
+    def element(self, k: int) -> SpdMatrix:
+        """Operand k as an ``SpdMatrix`` holding its eigenpair."""
+        return SpdMatrix._wrap(self.mats[k], (self.spectra[k], self.vectors[k]))
 
 
 def scan_chain(
@@ -128,14 +128,16 @@ def scan_chain(
     # Far outside the range sigma^{4/r} can overflow; inf fails the SPD range.
     with np.errstate(over="ignore"):
         vals = _pow(sig, 4.0 / r[:, None])
-    mats, stack, spectra = SpdMatrix._from_eigs(
+    chain = SpdMatrix._from_eigs(
         q.reshape(-1, n, n), vals.reshape(-1, n),
         "phi or psi is not positive definite to working precision: eigenvalues in")
     exp_sum = mat_exp(HermitianMatrix._wrap(x.mat + y.mat))
-    tr_exp = np.full(m, np.trace(exp_sum.mat).real)
-    traces = np.column_stack([*np.trace(stack, axis1=1, axis2=2).real.reshape(2, m), tr_exp])
-    return ChainScan(x, y, grid, exp_sum, mats[:m], mats[m:], *spectra.reshape(2, m, n),
-                     eig_hermitian(exp_sum).values, traces)
+    ops = [np.concatenate([part, [last]]) for part, last in
+           zip(chain, (exp_sum.mat, *eig_hermitian(exp_sum)))]
+    ops.append(np.trace(ops[0], axis1=1, axis2=2).real)
+    for part in ops:
+        part.setflags(write=False)
+    return ChainScan(x, y, grid, *ops)
 
 
 # The chain check families, by the family index of a ``ChainReport``: the
@@ -172,19 +174,17 @@ class ChainReport:
         return int(np.argmin(self.margin + self.tol))
 
 
-def _chain_layout(r_grid: tuple, phis: np.ndarray, psis: np.ndarray, mid) -> tuple:
-    """Family index, r, lower and upper operand of every chain check, in
-    report order: per r, phi below and psi above e^{X+Y}; then per grid
-    step, carrying its larger r, phi decreasing and psi increasing.  phis
-    and psis stack one operand per r, mid is that of e^{X+Y}; all four
-    come back as arrays, the operands stacked (4R - 2, ...)."""
+def _chain_layout(r_grid: tuple) -> tuple:
+    """Family index, r, lower and upper operand index of every chain check,
+    as four arrays in report order: per r, phi below and psi above e^{X+Y};
+    then per grid step, carrying its larger r, phi decreasing and psi
+    increasing.  The operands are indexed as in a ``ChainScan``: phi at
+    grid point k is k, psi there is R + k, and e^{X+Y} is 2R."""
     m = len(r_grid)
     rows = [row for k, r in enumerate(r_grid) for row in ((0, r, k, 2 * m), (1, r, 2 * m, m + k))]
     rows += [(2, r_grid[k], k, k - 1) for k in range(1, m)]
     rows += [(3, r_grid[k], m + k - 1, m + k) for k in range(1, m)]
-    family, rs, lower, upper = (np.array(col) for col in zip(*rows))
-    operands = np.concatenate([phis, psis, [mid]])
-    return family, rs, operands[lower], operands[upper]
+    return tuple(np.array(col) for col in zip(*rows))
 
 
 def evaluate_chain(scan: ChainScan) -> ChainReport:
@@ -198,16 +198,14 @@ def evaluate_chain(scan: ChainScan) -> ChainReport:
     from one ``log_majorization_margins`` reduction; a trace check passes
     within ``default_tol`` of every trace.
     """
-    family, rs, lower, upper = _chain_layout(
-        scan.r_grid, scan.phi_spectra, scan.psi_spectra, scan.exp_sum_spectrum)
-    worst, slack = log_majorization_margins(lower, upper)
-    _, _, tr_lower, tr_upper = _chain_layout(scan.r_grid, *scan.traces[:, :2].T,
-                                             scan.traces[0, 2])
+    family, rs, lower, upper = _chain_layout(scan.r_grid)
+    worst, slack = log_majorization_margins(scan.spectra[lower], scan.spectra[upper])
+    traces = scan.traces
     return ChainReport(
         family=np.concatenate([family, family + 4]),
         r=np.concatenate([rs, rs]),
-        margin=np.concatenate([worst, tr_upper - tr_lower]),
-        tol=np.concatenate([ROUNDOFF_BAND * slack, np.full(len(rs), default_tol(scan.traces))]),
+        margin=np.concatenate([worst, traces[upper] - traces[lower]]),
+        tol=np.concatenate([ROUNDOFF_BAND * slack, np.full(len(rs), default_tol(traces))]),
     )
 
 
@@ -219,8 +217,7 @@ def trotter_distances(scan: ChainScan) -> list:
     monotone from one grid point to the next: on a halving grid the distance
     can rise between neighbouring r before it falls.
     """
-    mats = np.array([m.mat for m in scan.phi_mats + scan.psi_mats])
-    dists = np.abs(mats - scan.exp_sum.mat).max(axis=(1, 2)).reshape(2, -1)
+    dists = np.abs(scan.mats[:-1] - scan.mats[-1]).max(axis=(1, 2)).reshape(2, -1)
     return list(zip(scan.r_grid, *dists.tolist()))
 
 
@@ -230,8 +227,8 @@ def refinement_from_scan(scan: ChainScan) -> list:
     ``REFINEMENT_R`` in that order; ParamOutOfRange unless the scan's grid
     holds each.  At r = 1 the upper end is exact, the classical trace
     inequality."""
-    traces = dict(zip(scan.r_grid, scan.traces.tolist()))
-    if any(r not in traces for r in REFINEMENT_R):
+    if any(r not in scan.r_grid for r in REFINEMENT_R):
         raise ParamOutOfRange(f"the scan's grid must hold the refinement r values {REFINEMENT_R}")
+    m, traces = len(scan.r_grid), scan.traces.tolist()
     tr_prod = float(np.trace(mat_exp(scan.x).mat @ mat_exp(scan.y).mat).real)
-    return [(r, traces[r][2], traces[r][1], tr_prod) for r in REFINEMENT_R]
+    return [(r, traces[-1], traces[m + scan.r_grid.index(r)], tr_prod) for r in REFINEMENT_R]

@@ -49,7 +49,7 @@ def group_chain_report(
     """Golden-Thompson chain scored with the group pre-order comparator.
 
     Re-evaluates the scan's chain predicates on a copy of the scan whose
-    spectra are the eigenvalue moduli of the chain elements as group
+    spectra are the eigenvalue moduli of its 2R + 1 elements as group
     elements; the returned flag is whether its verdicts equal those of the
     log-majorization comparator's ``plain_rep = evaluate_chain(scan)``,
     check for check.  On the scan's positive definite elements
@@ -57,10 +57,6 @@ def group_chain_report(
     so both reports are the same numbers and the flag cannot be False: it
     checks nothing until the moduli come from a group-native computation.
     """
-    group_rep = evaluate_chain(replace(
-        scan,
-        phi_spectra=np.array([hyperbolic_spectrum(m) for m in scan.phi_mats]),
-        psi_spectra=np.array([hyperbolic_spectrum(m) for m in scan.psi_mats]),
-        exp_sum_spectrum=hyperbolic_spectrum(scan.exp_sum),
-    ))
+    moduli = [hyperbolic_spectrum(scan.element(k)) for k in range(len(scan.mats))]
+    group_rep = evaluate_chain(replace(scan, spectra=np.array(moduli)))
     return group_rep, np.array_equal(group_rep.holds, plain_rep.holds)

@@ -7,10 +7,10 @@ module builds on.  The decompositions are LAPACK's (``eigh``, ``eigvals``,
 identical inputs give identical outputs run to run.  Every spectral
 function Q diag(f(lambda)) Q* of the package is assembled here, by
 ``_assemble``; a Hermitian one, each seeded draw among them, by
-``HermitianMatrix._from_eig(s)``, which keep (Q, f(lambda)) as its
-eigendecomposition.  Every ``HermitianMatrix`` is made with its
-``EigenPair``, by ``HermitianMatrix._wrap``: the pair it was assembled
-from, else one ``eigh``, so ``eig_hermitian`` only reads it.
+``HermitianMatrix._from_eig(s)``, with (Q, f(lambda)) sorted as its
+eigendecomposition (a stack's as arrays).  Every ``HermitianMatrix`` is
+made with its ``EigenPair``, by ``HermitianMatrix._wrap``: the pair it was
+assembled from, else one ``eigh``, so ``eig_hermitian`` only reads it.
 ``_polar_unitary`` returns an unchecked array; each unitary the package
 returns is a validated ``UnitaryMatrix``.
 
@@ -155,7 +155,7 @@ class HermitianMatrix(ComplexMatrix):
     entry are rejected rather than silently repaired.  Every instance holds
     its ``EigenPair`` from the moment it is made: the constructor runs
     ``eigh_stack`` on the symmetrized input (NoConvergence if it fails),
-    ``_from_eig(s)`` keep the pairs they assemble from.
+    and ``_from_eig`` keeps the pair it assembles from.
     """
 
     __slots__ = ("_eig",)
@@ -200,18 +200,17 @@ class HermitianMatrix(ComplexMatrix):
     def _from_eigs(cls, q: np.ndarray, vals: np.ndarray, *args) -> tuple:
         """Internal: Q diag(vals) Q* for each matrix of a stack, q (m, n, n) and
         vals (m, n), by one assembly in q's dtype cast to complex after
-        ``_check_values(desc, *args)``, each matrix holding its sorted pair:
-        (the matrices, their stack, their descending values (m, n)), both
-        read-only."""
+        ``_check_values(desc, *args)``: (the stack (m, n, n), its descending
+        values (m, n), their eigenvectors (m, n, n)), all read-only, with
+        matrix k's pair the k-th rows of the last two."""
         order = (-vals).argsort(axis=-1, kind="stable")
         desc = np.take_along_axis(vals, order, -1)
         cls._check_values(desc, *args)
-        stack = _assemble(q, vals).astype(complex, copy=False)
-        stack.setflags(write=False)
-        desc.setflags(write=False)
-        mats = [cls._wrap(mat, (d, qi.take(oi, -1)))
-                for mat, d, qi, oi in zip(stack, desc, q, order)]
-        return mats, stack, desc
+        out = (_assemble(q, vals).astype(complex, copy=False), desc,
+               np.take_along_axis(q, order[:, None, :], -1))
+        for part in out:
+            part.setflags(write=False)
+        return out
 
 
 class SpdMatrix(HermitianMatrix):

@@ -49,13 +49,13 @@ def _margins(x: np.ndarray, y: np.ndarray) -> tuple:
     return (cy - cx)[..., :-1], np.abs(cx[..., -1] - cy[..., -1]), _slack(peak)
 
 
-def _worst(partial: np.ndarray, total_gap, tol):
-    """Most negative slack of each row: its least partial margin (none when
-    n = 1) against tol - total_gap."""
-    spare = tol - total_gap
+def _worst(partial: np.ndarray, total_gap):
+    """Least margin of each row: its partial margins (none when n = 1) and
+    the total's, -total_gap; the row holds iff it is >= -tol."""
+    total = 0.0 - total_gap  # +0.0, not -0.0, for equal totals
     if partial.shape[-1]:
-        return np.minimum(partial.min(axis=-1), spare)
-    return np.minimum(0.0, spare)
+        return np.minimum(partial.min(axis=-1), total)
+    return total
 
 
 def _pair(x, y, ndim: int | None = None) -> tuple:
@@ -90,14 +90,14 @@ class MajorizationReport:
 
     @property
     def worst_margin(self) -> float:
-        """Most negative slack across all the defining inequalities."""
-        return float(_worst(self.partial_margins, self.total_gap, self.tol))
+        """Least margin across all the defining inequalities: the least
+        partial margin and -total_gap."""
+        return float(_worst(self.partial_margins, self.total_gap))
 
     @property
     def holds(self) -> bool:
-        if len(self.partial_margins) and float(self.partial_margins.min()) < -self.tol:
-            return False
-        return self.total_gap <= self.tol
+        """Every margin is at least -tol."""
+        return self.worst_margin >= -self.tol
 
 
 def majorization_report(x, y) -> MajorizationReport:
@@ -131,7 +131,7 @@ def log_majorization_margins(x, y) -> tuple:
     is <= 0, DomainError when one is infinite or NaN.
     """
     partial, total_gap, tol = _margins(*_logs(*_pair(x, y)))
-    return _worst(partial, total_gap, tol), tol
+    return _worst(partial, total_gap), tol
 
 
 def log_majorizes(x, y) -> bool:

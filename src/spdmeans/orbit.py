@@ -274,6 +274,7 @@ def solve(
     runs out, MaxIterReached carries the start with the least f.  The
     solution's stop_reason ('converged', or the last start's 'stall' or
     'budget'), restarts and gauss_newton_steps say why and how it ended.
+    A real realization refuses X, Y or Z with an imaginary part (ParamOutOfRange).
     """
     if realization not in REALIZATIONS:
         raise ParamOutOfRange(f"unknown realization {realization!r}")
@@ -283,9 +284,13 @@ def solve(
         raise ParamOutOfRange("max_iter must be non-negative")
     n = prob.n
     space = REALIZATIONS[realization]
-    # X, Y and Z in the realization's arithmetic: their real parts in float64.
-    real = np.dtype(space.dtype).kind == "f"
-    xyz = np.array([m.mat.real if real else m.mat for m in (prob.x, prob.y, prob.z)], space.dtype)
+    # X, Y and Z in the realization's arithmetic: float64 for a real one.
+    xyz = np.array([m.mat for m in (prob.x, prob.y, prob.z)])
+    if np.dtype(space.dtype).kind == "f":
+        if xyz.imag.any():
+            raise ParamOutOfRange(f"realization {realization!r} solves in real arithmetic: "
+                                  "X, Y and Z must have zero imaginary parts")
+        xyz = xyz.real.astype(space.dtype)
 
     def at(w):
         """The iterate (W, [A; B], R, f, max |R|) at the factor pair W = [U; V]."""

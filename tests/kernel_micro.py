@@ -6,8 +6,9 @@ Times, per call:
 - the constructors ``HermitianMatrix(arr)`` and ``SpdMatrix(arr)``, which
   run the matrix's one ``eigh``, and ``eig_hermitian(HermitianMatrix(arr))``,
   the constructor plus the read of its record;
-- the eigen-record assembly ``HermitianMatrix._from_eig`` (one matrix) and
-  ``SpdMatrix._from_eigs`` (a stack of m = 20);
+- the eigen-record assembly ``HermitianMatrix._from_eig`` (one matrix,
+  wrapped with its pair) and ``SpdMatrix._from_eigs`` (a stack of m = 20,
+  returned as arrays: the stack, its sorted values and vectors);
 - ``mat_pow`` of an ``SpdMatrix`` at t = 0.3;
 - ``spectrum``, ``polar`` and the second ``compound`` of a general complex
   matrix;
@@ -107,7 +108,7 @@ def kernels(n: int) -> dict:
         "SpdMatrix": lambda: SpdMatrix(spd),
         "eig_hermitian(HermitianMatrix)": lambda: eig_hermitian(HermitianMatrix(herm)),
         "HermitianMatrix._from_eig": lambda: HermitianMatrix._from_eig(q, vals),
-        f"SpdMatrix._from_eigs(m={STACK})": lambda: SpdMatrix._from_eigs(qs, stack_vals),
+        f"SpdMatrix._from_eigs(m={STACK}) arrays": lambda: SpdMatrix._from_eigs(qs, stack_vals),
         "mat_pow": lambda: mat_pow(a, 0.3),
         "spectrum": lambda: spectrum(general),
         "polar": lambda: polar(general),

@@ -32,10 +32,7 @@ PUBLIC_NAMES = [
 # The parameter names of every public function and class constructor, so a
 # parameter added or removed is a change of this table.
 PUBLIC_PARAMETERS = {
-    "ChainScan": (
-        "x", "y", "r_grid", "exp_sum", "phi_mats", "psi_mats", "phi_spectra",
-        "psi_spectra", "exp_sum_spectrum", "traces",
-    ),
+    "ChainScan": ("x", "y", "r_grid", "mats", "spectra", "vectors", "traces"),
     "ComplexMatrix": ("mat",),
     "DimensionMismatch": ("*args",),
     "DomainError": ("*args",),

@@ -390,11 +390,12 @@ class TestScanCommand:
         holds = {(gtchain.CHAIN_FAMILIES[f], r): str(h).lower()
                  for f, r, h in zip(rep.family, rep.r.tolist(), rep.holds)}
         rows = [line.split(",") for line in out.read_text().splitlines()[2:]]
-        assert len(rows) == len(scan.r_grid)
-        for row, r, lam_phi, lam_psi, traces in zip(
-            rows, scan.r_grid, scan.phi_spectra, scan.psi_spectra, scan.traces
-        ):
+        m = len(scan.r_grid)
+        assert len(rows) == m
+        for k, (row, r) in enumerate(zip(rows, scan.r_grid)):
+            lam_phi, lam_psi = scan.spectra[k], scan.spectra[m + k]
             cumlogs = [*np.cumsum(np.log(lam_phi)), *np.cumsum(np.log(lam_psi))]
+            traces = scan.traces[[k, m + k, -1]]
             assert row[0] == f"{r:.6g}"
             assert row[1:-2] == [f"{v:.12e}" for v in (*cumlogs, *traces)]
             assert row[-2:] == [holds["phi_below_exp_sum", r], holds["psi_above_exp_sum", r]]
@@ -421,6 +422,26 @@ class TestOrbitSolveCommand:
         assert trace_lines[1] == "iteration,objective"
         values = [float(line.split(",")[1]) for line in trace_lines[2:]]
         assert all(b <= a for a, b in zip(values, values[1:]))
+
+    @pytest.mark.parametrize("realization", ["glc", "slr"])
+    def test_trace_reads_back_to_the_objective_bits(self, runner, tmp_path, realization):
+        # Each f is written with 17 significant digits, so every row parses
+        # back to the solver's float64 f exactly.
+        from spdmeans import OrbitProblem, solve
+        from spdmeans.realizations import REALIZATIONS
+
+        trace = tmp_path / "trace.csv"
+        result = runner.invoke(main, ["orbit-solve", "--kind", "spec", "--n", "8", "--seed", "42",
+                                      "--realization", realization, "--trace-csv", str(trace)])
+        assert result.exit_code == 0, result.output
+        space = REALIZATIONS[realization]
+        prob = OrbitProblem.create(space.sample(8, 42, 1.0), space.sample(8, 43, 1.0), "spectral")
+        expected = solve(prob, seed=42, realization=realization).objective_trace
+        lines = trace.read_text().splitlines()
+        assert lines[:2] == ["# spdmeans-objective-trace v2", "iteration,objective"]
+        rows = [line.split(",") for line in lines[2:]]
+        assert [int(k) for k, _ in rows] == list(range(len(expected)))
+        assert [float(f) for _, f in rows] == expected
 
     def test_json_reports_stop_reason_and_steps(self, runner):
         result = runner.invoke(
@@ -577,6 +598,18 @@ class TestCompoundCommand:
         save_matrix(m, np.eye(2, dtype=complex))
         result = runner.invoke(main, ["compound", "--input", str(m), "--k", "5"])
         assert result.exit_code == 2
+
+    def test_order_too_large_for_memory_exits_2(self, runner, tmp_path):
+        # The 10th compound of a 20 x 20 matrix gathers C(20, 10)^2 blocks of
+        # 10 x 10, 49.7 TiB, which numpy refuses before allocating anything.
+        from spdmeans import random_spd
+
+        m = tmp_path / "m.json"
+        save_matrix(m, random_spd(20, 5).mat)
+        result = runner.invoke(main, ["compound", "--input", str(m), "--k", "10"])
+        assert result.exit_code == 2, result.output
+        assert result.stderr.startswith("error: Unable to allocate 49.7 TiB")
+        assert result.stderr.count("\n") == 1 and "Traceback" not in result.output
 
 
 class TestMatrixFileValidation:

@@ -120,8 +120,8 @@ class TestScanChain:
         x = diag_h(0.2, -0.1)
         y = diag_h(0.3, 0.4)
         scan = scan_chain(x, y)
-        ref = scan.exp_sum_spectrum
-        for lam_phi, lam_psi in zip(scan.phi_spectra, scan.psi_spectra):
+        m, ref = len(scan.r_grid), scan.spectra[-1]
+        for lam_phi, lam_psi in zip(scan.spectra[:m], scan.spectra[m:-1]):
             assert np.abs(lam_phi - ref).max() < 1e-12
             assert np.abs(lam_psi - ref).max() < 1e-12
         assert evaluate_chain(scan).passed
@@ -139,9 +139,8 @@ class TestScanChain:
         x = random_hermitian(4, 33, 0.5)
         y = random_hermitian(4, 44, 0.5)
         scan = scan_chain(x, y)
-        tr_phi = [row[0] for row in scan.traces]
-        tr_psi = [row[1] for row in scan.traces]
-        tr_mid = scan.traces[0][2]
+        m, traces = len(scan.r_grid), scan.traces.tolist()
+        tr_phi, tr_psi, tr_mid = traces[:m], traces[m:-1], traces[-1]
         assert all(p <= tr_mid + 1e-10 <= s + 2e-10 for p, s in zip(tr_phi, tr_psi))
         assert all(b <= a + 1e-10 for a, b in zip(tr_phi, tr_phi[1:]))
         assert all(a <= b + 1e-10 for a, b in zip(tr_psi, tr_psi[1:]))
@@ -156,7 +155,8 @@ class TestScanChain:
         y = random_hermitian(4, 8093, 3.0)
         scan = scan_chain(x, y, DEFAULT_R_GRID[:-1])
         assert scan.r_grid[-1] == 4.0
-        tr_phi, tr_psi, _ = scan.traces[-1]
+        m = len(scan.r_grid)
+        tr_phi, tr_psi = scan.traces[m - 1], scan.traces[2 * m - 1]
         ref_phi, ref_psi = 11.589021506973150656, 171.94603041551401206
         assert abs(tr_phi - ref_phi) <= 1e-8 * ref_phi
         assert abs(tr_psi - ref_psi) <= 1e-12 * ref_psi
@@ -196,16 +196,17 @@ class TestScanChain:
         y = random_hermitian(n, 4200 + n, 0.5)
         assert np.abs(x.mat @ y.mat - y.mat @ x.mat).max() > 1e-3
         scan = scan_chain(x, y)
+        m = len(DEFAULT_R_GRID)
         for i, r in enumerate(DEFAULT_R_GRID):
-            ea, eb = (mat_exp(HermitianMatrix(r * m.mat)) for m in (x, y))
+            ea, eb = (mat_exp(HermitianMatrix(r * h.mat)) for h in (x, y))
             for got, mean in (
-                (scan.phi_mats[i], geometric_mean(ea, eb)),
-                (scan.psi_mats[i], spectral_mean(ea, eb)),
+                (scan.mats[i], geometric_mean(ea, eb)),
+                (scan.mats[m + i], spectral_mean(ea, eb)),
             ):
                 ref = mat_pow(mean, 2.0 / r).mat
-                assert np.abs(got.mat - ref).max() <= 1e-12 * np.abs(ref).max()
-            assert np.array_equal(phi(x, y, r).mat, scan.phi_mats[i].mat)
-            assert np.array_equal(psi(x, y, r).mat, scan.psi_mats[i].mat)
+                assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+            assert np.array_equal(phi(x, y, r).mat, scan.mats[i])
+            assert np.array_equal(psi(x, y, r).mat, scan.mats[m + i])
 
     def test_trotter_distances_shrink_as_r_halves(self):
         x = random_hermitian(3, 55, 0.5)
@@ -215,6 +216,60 @@ class TestScanChain:
         dists = trotter_distances(scan)
         for (r1, p1, s1), (r2, p2, s2) in zip(dists, dists[1:]):
             assert p1 < p2 and s1 < s2
+
+
+class TestOneForm:
+    """A scan holds its 2R + 1 operands once, as read-only stacks, and an
+    operand becomes an ``SpdMatrix`` only where ``element`` reads it."""
+
+    @pytest.mark.parametrize("grid", [DEFAULT_R_GRID, (0.5,)], ids=["default", "one-point"])
+    @pytest.mark.parametrize("n", [1, 2, 5, 8])
+    def test_elements_are_the_stack(self, n, grid):
+        x, y = random_hermitian(n, 7500 + n, 0.5), random_hermitian(n, 7600 + n, 0.5)
+        scan = scan_chain(x, y, grid)
+        m = len(grid)
+        stacks = (scan.mats, scan.spectra, scan.vectors, scan.traces)
+        assert [part.shape for part in stacks] == [
+            (2 * m + 1, n, n), (2 * m + 1, n), (2 * m + 1, n, n), (2 * m + 1,)]
+        for part in stacks:
+            assert not part.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                part[0] = 0.0
+        for k in range(2 * m + 1):
+            element = scan.element(k)
+            assert type(element) is SpdMatrix
+            assert np.shares_memory(element.mat, scan.mats)
+            assert np.array_equal(element.mat, scan.mats[k])
+            pair = eig_hermitian(element)
+            assert np.array_equal(pair.values, scan.spectra[k])
+            assert np.array_equal(pair.vectors, scan.vectors[k])
+        assert np.array_equal(scan.traces, np.trace(scan.mats, axis1=1, axis2=2).real)
+        exp_sum = mat_exp(HermitianMatrix(x.mat + y.mat))
+        assert np.array_equal(scan.mats[-1], exp_sum.mat)
+        assert np.array_equal(scan.spectra[-1], eig_hermitian(exp_sum).values)
+        for k, r in enumerate(grid):
+            for one, index in ((phi(x, y, r), k), (psi(x, y, r), m + k)):
+                assert np.array_equal(one.mat, scan.mats[index])
+                for got, want in zip(eig_hermitian(one), (scan.spectra[index],
+                                                          scan.vectors[index])):
+                    assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("grid", [(0.5,), (0.5, 1.0), DEFAULT_R_GRID],
+                             ids=["R1", "R2", "R10"])
+    def test_scan_wraps_only_the_exponential(self, monkeypatch, grid):
+        # X + Y and e^{X+Y} are the scan's only matrix objects: phi and psi
+        # stay in the stack, whatever R.
+        x, y = random_hermitian(4, 7700, 0.5), random_hermitian(4, 7701, 0.5)
+        wrapped = []
+        wrap = HermitianMatrix._wrap.__func__
+
+        def counted(cls, arr, pair=None):
+            wrapped.append(cls)
+            return wrap(cls, arr, pair)
+
+        monkeypatch.setattr(HermitianMatrix, "_wrap", classmethod(counted))
+        scan_chain(x, y, grid)
+        assert wrapped == [HermitianMatrix, SpdMatrix]
 
 
 class TestGoldenThompsonRefinement:
@@ -301,7 +356,8 @@ def _row_by_row_checks(scan):
     """The checks of ``evaluate_chain``, in report order: each
     log-majorization check from one ``log_majorization_report``, then each
     trace check from its own subtraction."""
-    phis, psis, mid = scan.phi_spectra, scan.psi_spectra, scan.exp_sum_spectrum
+    m = len(scan.r_grid)
+    phis, psis, mid = scan.spectra[:m], scan.spectra[m:-1], scan.spectra[-1]
     rows = []
     for r, lam_phi, lam_psi in zip(scan.r_grid, phis, psis):
         rows.append(("phi_below_exp_sum", r, lam_phi, mid))
@@ -314,7 +370,8 @@ def _row_by_row_checks(scan):
     for name, r, lower, upper in rows:
         rep = log_majorization_report(lower, upper)
         out.append((name, r, rep.worst_margin, ROUNDOFF_BAND * rep.tol))
-    tr_phi, tr_psi, tr_mid = (scan.traces[:, j].tolist() for j in range(3))
+    traces = scan.traces.tolist()
+    tr_phi, tr_psi, tr_mid = traces[:m], traces[m:-1], [traces[-1]] * m
     tol = default_tol(np.array(tr_phi + tr_psi + tr_mid))
     for r, tp, ts, te in zip(scan.r_grid, tr_phi, tr_psi, tr_mid):
         out.append(("trace_phi_below", r, te - tp, tol))
@@ -340,12 +397,8 @@ class TestEvaluateChainStacked:
     def test_checks_match_row_by_row(self, realization, n, grid):
         x, y = _chain_pair(realization, n, 7300 + 10 * n)
         scan = scan_chain(x, y, grid)
-        moduli = replace(
-            scan,
-            phi_spectra=np.array([hyperbolic_spectrum(m) for m in scan.phi_mats]),
-            psi_spectra=np.array([hyperbolic_spectrum(m) for m in scan.psi_mats]),
-            exp_sum_spectrum=hyperbolic_spectrum(scan.exp_sum),
-        )
+        moduli = replace(scan, spectra=np.array(
+            [hyperbolic_spectrum(scan.element(k)) for k in range(len(scan.mats))]))
         for case in (scan, moduli):
             ref = _row_by_row_checks(case)
             assert len(ref) == 2 * (4 * len(grid) - 2)
@@ -357,10 +410,10 @@ class TestEvaluateChainStacked:
     def test_zero_modulus_override_raises(self):
         x, y = _chain_pair("glc", 3, 7400)
         scan = scan_chain(x, y)
-        phis = scan.phi_spectra.copy()
-        phis[4, -1] = 0.0
+        spectra = scan.spectra.copy()
+        spectra[4, -1] = 0.0
         with pytest.raises(NonPositiveEntry):
-            evaluate_chain(replace(scan, phi_spectra=phis))
+            evaluate_chain(replace(scan, spectra=spectra))
 
     def test_chain_and_t_grid_compare_in_one_reduction(self, monkeypatch):
         # No per-row log_majorization_report call on the chain or the

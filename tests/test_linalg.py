@@ -7,6 +7,7 @@ from spdmeans import linalg, sampling
 from spdmeans.means import _MeanPair
 from spdmeans.realizations import REALIZATIONS
 from spdmeans import (
+    ChainScan,
     ComplexMatrix,
     DimensionMismatch,
     DomainError,
@@ -447,8 +448,8 @@ class TestSeededDraws:
 
 
 class TestFromEig:
-    """``_from_eig`` builds one matrix unstacked and ``_from_eigs`` a stack;
-    each matrix, its held pair and its check agree bit for bit."""
+    """``_from_eig`` builds one matrix unstacked and ``_from_eigs`` a stack
+    as arrays; each matrix, its pair and its check agree bit for bit."""
 
     @staticmethod
     def _inputs(m, n, real, values):
@@ -470,19 +471,20 @@ class TestFromEig:
     @pytest.mark.parametrize("cls", [HermitianMatrix, SpdMatrix])
     def test_one_matrix_equals_its_stack_entry(self, cls, m, real, values):
         q, vals = self._inputs(m, 5, real, values)
-        mats, stack, desc = cls._from_eigs(q, vals)
-        assert not stack.flags.writeable and not desc.flags.writeable
+        stacked = cls._from_eigs(q, vals)
+        stack, desc, vectors = stacked
+        assert [type(part) for part in stacked] == [np.ndarray] * 3
+        assert not any(part.flags.writeable for part in stacked)
+        assert stack.dtype == complex and vectors.dtype == q.dtype
         for k in range(m):
             one = cls._from_eig(q[k], vals[k])
-            assert type(one) is type(mats[k]) is cls
-            assert one.mat.dtype == mats[k].mat.dtype == complex
-            assert np.array_equal(one.mat, mats[k].mat)
+            assert type(one) is cls
+            assert one.mat.dtype == complex
             assert np.array_equal(one.mat, stack[k])
-            for got, want in zip(eig_hermitian(one), eig_hermitian(mats[k])):
+            for got, want in zip(eig_hermitian(one), (desc[k], vectors[k])):
                 assert got.dtype == want.dtype
                 assert np.array_equal(got, want)
                 assert got.flags["C_CONTIGUOUS"] and not got.flags.writeable
-            assert np.array_equal(eig_hermitian(one).values, desc[k])
             order = np.argsort(-vals[k], kind="stable")
             assert np.array_equal(eig_hermitian(one).vectors, q[k][:, order])
 
@@ -674,7 +676,8 @@ def _made_matrices() -> dict:
         "SpdMatrix": lambda: SpdMatrix(a.mat),
         "_wrap": lambda: HermitianMatrix._wrap(rand_hermitian_array(4, 324)),
         "_from_eig": lambda: SpdMatrix._from_eig(q, vals),
-        "_from_eigs": lambda: SpdMatrix._from_eigs(qs, stack_vals)[0][1],
+        "_from_eigs": lambda: ChainScan(x, x, (), *SpdMatrix._from_eigs(qs, stack_vals),
+                                        None).element(1),
         "mat_exp": lambda: mat_exp(x),
         "mat_log": lambda: mat_log(a),
         "mat_pow": lambda: mat_pow(a, 0.3),
@@ -777,7 +780,7 @@ class TestRangePolicy:
     def _spd_range_cases(self, spread):
         """The callers of the SPD range on inputs whose log spread (the log
         condition number of the matrix checked) is ``spread``: the
-        ``SpdMatrix`` constructor, ``SpdMatrix._from_eigs`` through
+        ``SpdMatrix`` constructor, ``SpdMatrix._from_eig`` through
         ``mat_exp`` and integer and fractional ``mat_pow`` (inputs inside the
         range), and the SingularInput and target checks."""
         small = np.exp(-spread)

@@ -502,6 +502,27 @@ class TestSolve:
         with pytest.raises(ParamOutOfRange):
             solve(prob, max_iter=-1)
 
+    @pytest.mark.parametrize("imaginary", ["x", "y", "z"])
+    def test_real_realization_refuses_a_complex_problem(self, imaginary):
+        # In float64 slr would solve the real parts of the problem: on the
+        # complex pair below it "converged" to residual 5.9e-11 while
+        # max |U X U* + V Y V* - Z| was 7.3e-4.  It raises before the first
+        # iterate when X, Y or Z has a nonzero imaginary entry.
+        complex_prob = OrbitProblem.create(random_hermitian(3, 1), random_hermitian(3, 2),
+                                           "exp_product")
+        real_prob = OrbitProblem.create(random_real_symmetric_traceless(3, 1),
+                                        random_real_symmetric_traceless(3, 2), "exp_product")
+        # The real problem with one of X, Y and Z taken from the complex one.
+        one_complex = dataclasses.replace(real_prob,
+                                          **{imaginary: getattr(complex_prob, imaginary)})
+        for prob in (complex_prob, one_complex):
+            iterates = []
+            with pytest.raises(ParamOutOfRange, match="must have zero imaginary parts"):
+                solve(prob, realization="slr", on_iterate=lambda *args: iterates.append(args))
+            assert iterates == []
+        assert verify_membership(solve(complex_prob), complex_prob)
+        assert verify_membership(solve(real_prob, realization="slr"), real_prob)
+
 
 class TestVerifyMembership:
     def test_returned_solution_verifies(self):
